@@ -9,7 +9,9 @@ With ``--trace 0`` the last stdout line carries the end-to-end metrics;
 with ``--trace 1`` it carries the per-layer metrics of a traced run, whose
 first half runs untraced to measure the tracing overhead. Every output is
 checked by the gate in ``gate.py``; the run record and, for traced runs, the
-spans are written under ``.perfbench_out/``.
+spans are written under ``.perfbench_out/``. ``attempted`` and ``failed``
+count the timed operations; the workload's known-defect probe is reported
+on its own line and in ``failure_rate``.
 
 A run imports glmdopt only from ``src/`` next to this directory and exits
 with code 2 when it is missing.
@@ -174,11 +176,11 @@ def main():
         else:
             rounds, changed = workloads.run_rounds(wl, ys, args.seconds)
         outcomes = workloads.check_round(wl, rounds[0])
+        probe = workloads.run_probe(wl)
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
 
     fails = [o for o in outcomes if o.status == gate.FAIL]
-    unknown = [o for o in fails if not cls.known(o.reason)]
     reasons = Counter(o.reason for o in fails)
     labels = Counter(o.label for o in outcomes)
     n_items = len(outcomes)
@@ -186,18 +188,24 @@ def main():
     unchecked = sum(1 for o in outcomes if o.status == gate.UNCHECKED)
     attempted = n_items * len(rounds)
     failed = len(fails) * len(rounds)
-    correct = not unknown and not changed
+    probe_fails = [o for o in probe if o.status == gate.FAIL]
+    probe_known = [o for o in probe_fails if cls.known(o)]
+    probe_reasons = Counter(o.reason for o in probe_fails)
+    correct = not fails and not changed and len(probe_known) == len(probe_fails)
 
     untraced = plain if args.trace else rounds
-    latencies = [r.latencies(ys) for r in untraced]
-    n_samples = sum(len(lat) for lat in latencies)
+    # every round solves the same inputs, so each input's median over rounds
+    # is its latency with transient machine stalls dropped; the percentiles
+    # are taken over inputs
+    latencies = np.median([r.latencies(ys) for r in untraced], axis=0)
+    n_samples = len(latencies) * len(untraced)
     rates = [r.items_per_s(ys) for r in untraced if any(items for _, _, items in r.commands)]
     e2e = {
         "setup_s": setup_s,
         "items_per_s": median(rates) if rates else 0.0,
-        "solve_p50_ms": median([workloads.percentile(lat, 50) for lat in latencies]) * 1e3,
-        "solve_p90_ms": median([workloads.percentile(lat, 90) for lat in latencies]) * 1e3,
-        "failure_rate": (len(fails) + 1.0) / (n_items + 2.0),
+        "solve_p50_ms": workloads.percentile(latencies, 50) * 1e3,
+        "solve_p90_ms": workloads.percentile(latencies, 90) * 1e3,
+        "failure_rate": (len(fails) + len(probe_fails) + 1.0) / (n_items + len(probe) + 2.0),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -218,10 +226,16 @@ def main():
             "checked": checked,
             "unchecked": unchecked,
             "failed": len(fails),
-            "unknown_failures": len(unknown),
             "rounds_changed": changed,
         },
         "failures_by_reason": dict(reasons.most_common()),
+        "probe": {
+            "inputs": len(probe),
+            "failed": len(probe_fails),
+            "known": len(probe_known),
+            "failures_by_reason": dict(probe_reasons.most_common()),
+            "case_mix": dict(sorted(Counter(o.label for o in probe).items())),
+        },
         "case_mix": dict(sorted(labels.items())),
         "end_to_end": e2e,
     }
@@ -233,11 +247,17 @@ def main():
         f"rounds {len(rounds)}; solve samples {n_samples} ({len(wl.solves)} per round)"
     )
     print(
-        f"gate: checked {checked}, unchecked {unchecked}, failed {len(fails)} "
-        f"(unknown {len(unknown)}), rounds with changed output {changed}"
+        f"gate: checked {checked}, unchecked {unchecked}, failed {len(fails)}, "
+        f"rounds with changed output {changed}"
     )
     for reason, count in reasons.most_common(8):
         print(f"  failure x{count}: {reason}")
+    print(
+        f"known-defect probe: {len(probe_fails)} of {len(probe)} fail "
+        f"({len(probe_known)} as known at the parent commit)"
+    )
+    for reason, count in probe_reasons.most_common(8):
+        print(f"  probe failure x{count}: {reason}")
     print("case mix " + json.dumps(record["case_mix"], sort_keys=True))
 
     if args.trace:
@@ -247,6 +267,7 @@ def main():
         layer["trace.overhead_pct"] = (median([r.timed_s(ys) for r in traced]) / base - 1.0) * 100.0
         layer["gate.checked"] = float(checked)
         layer["gate.unchecked"] = float(unchecked)
+        layer["gate.known_defect_ratio"] = len(probe_known) / len(probe) if probe else 0.0
         names = tracing.layer_metric_names()
         metrics = {name: {"value": layer[name], "unit": tracing.unit(name)} for name in names}
         record["per_layer"] = {name: layer[name] for name in names}

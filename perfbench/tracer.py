@@ -121,6 +121,7 @@ def layer_metric_names():
         "trace.overhead_pct",
         "gate.checked",
         "gate.unchecked",
+        "gate.known_defect_ratio",
     ]
     return names
 

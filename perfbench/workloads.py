@@ -5,10 +5,14 @@ captured) and every single solve once through the library, with the
 calibration kernel of ``calib.py`` between them. The runner repeats rounds
 until its time is used; later rounds must reproduce the first exactly.
 
+No timed input fails at the parent commit. Inputs that hit a known defect
+form a workload's fixed probe instead: it runs once per run, untimed, and
+its failures are reported apart from the timed operations.
+
 Batch inputs are fixed, like the region lattice, so ``items_per_s``
 compares the same work on every seed. The seed draws the single solves as
-a scrambled Sobol sample, so the share of slow or failing draws varies
-little from one seed to the next.
+a scrambled Sobol sample, so the share of slow draws varies little from
+one seed to the next.
 """
 
 from __future__ import annotations
@@ -106,6 +110,8 @@ class Outcome:
 
 #: labels of items that produced no output to check
 RAISED = ("raised", "aborted")
+#: label of a lift-one output that stopped at max_sweeps without converging
+STALLED = "liftone-max-sweeps"
 
 
 @dataclass
@@ -152,6 +158,8 @@ def check_report(problem_X, link, beta, report) -> Outcome:
     status, reason, _ = gate.check_discrete(
         problem_X, w, report.allocation.p, report.objective, gap_bound(problem_X, label)
     )
+    if report.diagnostics.get("converged") == 0.0:
+        label = STALLED
     return Outcome(status, reason, label)
 
 
@@ -208,10 +216,10 @@ BATCH_SEED = 20130621
 
 
 class Workload:
-    """Fixed batch commands and seeded single solves for one solver family."""
+    """Fixed batch commands, seeded single solves and a fixed known-defect probe."""
 
-    #: predicate on a failure reason: True for failures known at the parent commit
-    known = staticmethod(lambda reason: False)
+    #: predicate on a probe outcome: True for a failure known at the parent commit
+    known = staticmethod(lambda outcome: False)
     #: CLI call that exercises the family once, for warm-up and set-up probes
     warmup_argv: list = []
     #: calibration kernel shaped like this workload's work (see calib.py)
@@ -221,6 +229,7 @@ class Workload:
         self.tmpdir = tmpdir
         self.commands: list = []
         self.solves: list = []
+        self.probe: list = []
         self.build(np.random.default_rng(BATCH_SEED), np.random.default_rng(seed))
 
     def build(self, batch_rng, rng):
@@ -235,32 +244,38 @@ GENERIC = [[-0.9, -0.6], [0.8, -0.7], [0.3, 0.9], [-0.5, 0.2]]
 class FourPoint(Workload):
     """Four-point two-factor family: twofactor + solver4 with tiny arrays."""
 
-    known = staticmethod(lambda reason: "more than one zero coefficient" in reason)
+    known = staticmethod(lambda o: "more than one zero coefficient" in o.reason)
     warmup_argv = ["bench", "--model", "2x2", "--n-instances", "2"]
     SWEEPS_PER_LAYOUT = 2
     SWEEP_STEPS = 60
-    #: (name, link, points, single solves); the probit draws that raise
-    #: "more than one zero coefficient" stay in, and there are many of them
-    #: so that their share, the known failure, is steady across seeds
+    #: (name, link, points, single solves, half-width of the coefficient box).
+    #: solver4 raises "more than one zero coefficient" once two weights exceed
+    #: 1e9 times the smallest. Probit weights fall that far only beyond
+    #: |eta| of about 6.6, so timed probit draws stay in U(-2,2)^3 (|eta| <= 6,
+    #: every weight ratio above 5e-8) and the U(-3,3)^3 draws go to the probe.
     LAYOUTS = (
-        ("logit22", "logit", P22, 512),
-        ("probit22", "probit", P22, 2048),
-        ("span", "logit", SPAN, 0),
-        ("generic", "logit", GENERIC, 512),
+        ("logit22", "logit", P22, 512, 3.0),
+        ("probit22", "probit", P22, 2048, 2.0),
+        ("span", "logit", SPAN, 0, 3.0),
+        ("generic", "logit", GENERIC, 512, 3.0),
     )
+    PROBE = 512
 
     def build(self, batch_rng, rng):
-        for name, link, pts, _ in self.LAYOUTS:
+        for name, link, pts, _, _ in self.LAYOUTS:
             for k, beta in enumerate(batch_rng.uniform(-3.0, 3.0, (self.SWEEPS_PER_LAYOUT, 3))):
                 vary = k % 3
                 prob = Problem(f"{name}-{k}", link, pts, "main-effects", beta)
                 self.commands.append(
                     sweep_command(self.tmpdir, prob, vary, -3.0, 3.0, self.SWEEP_STEPS, "analytic")
                 )
-        for _, link, pts, n_solves in self.LAYOUTS:
+        for _, link, pts, n_solves, box in self.LAYOUTS:
             X = model_matrix(pts, "main-effects")
-            for beta in sobol(rng, n_solves, [-3.0] * 3, [3.0] * 3):
+            for beta in sobol(rng, n_solves, [-box] * 3, [box] * 3):
                 self.solves.append(discrete_solve(X, link, beta, "analytic"))
+        X = model_matrix(P22, "main-effects")
+        for beta in sobol(batch_rng, self.PROBE, [-3.0] * 3, [3.0] * 3):
+            self.probe.append(discrete_solve(X, "probit", beta, "analytic"))
 
 
 class Saturated(Workload):
@@ -327,21 +342,27 @@ def without_timing(stdout: str) -> str:
 class LiftOne(Workload):
     """Shapes with no analytic solver: lift-one's two evaluator branches."""
 
-    known = staticmethod(lambda reason: reason.startswith("KW gap"))
+    known = staticmethod(lambda o: o.label == STALLED and o.reason.startswith("KW gap"))
     warmup_argv = ["bench", "--model", "2^3", "--dist", "uniform:-1:1", "--n-instances", "2"]
     kernel = "liftone"
     BENCH_COMMANDS = 4
     BENCH_INSTANCES = 100
     SWEEPS = 2
     SWEEP_STEPS = 8
-    #: 2^3 main-effects draws: in this box about 85% stop at max_sweeps, so
-    #: with the interaction draws (which converge in a few ms) the median
-    #: latency sits among converged solves and the 90th percentile on the
-    #: max_sweeps plateau; in U(-1, 1) only about 5% stall and both
-    #: percentiles fall in a continuous tail that moves with the seed
-    SOLVES_MAIN = 32
-    MAIN_BOX = 0.18
-    SOLVES_INTERACTION = 128
+    #: 2^3 main-effects draws, the slow-converging fifth of the single solves.
+    #: Lift-one stalls where the weights are nearly symmetric: beta0 near 0
+    #: mirrors the design, and slopes near 0 make the weights equal; both
+    #: leave a flat optimum. Timed draws sit just outside that region, with
+    #: |beta0| in [0.75, 0.9], every |slope| in [0.2, 0.25] and random signs:
+    #: they converge in 24-45 sweeps of the 500 allowed, slower than nearly
+    #: every 3^2 draw, so p90 is about the median of this group. The probe
+    #: keeps U(-0.18, 0.18)^4, where most draws stop at max_sweeps.
+    SOLVES_MAIN = 64
+    MAIN_INTERCEPT = (0.75, 0.9)
+    MAIN_SLOPE = (0.2, 0.25)
+    SOLVES_INTERACTION = 256
+    PROBE = 8
+    PROBE_BOX = 0.18
 
     def build(self, batch_rng, rng):
         for i in range(self.BENCH_COMMANDS):
@@ -355,13 +376,19 @@ class LiftOne(Workload):
             self.commands.append(
                 sweep_command(self.tmpdir, prob, j + 1, -1.0, 1.0, self.SWEEP_STEPS, "auto")
             )
-        box = self.MAIN_BOX
         X_main = model_matrix(main_pts, "main-effects")
-        for beta in sobol(rng, self.SOLVES_MAIN, [-box] * 4, [box] * 4):
+        (b_lo, b_hi), (s_lo, s_hi) = self.MAIN_INTERCEPT, self.MAIN_SLOPE
+        # columns: four magnitudes, then four signs
+        lo, hi = [b_lo] + [s_lo] * 3 + [0.0] * 4, [b_hi] + [s_hi] * 3 + [1.0] * 4
+        u = sobol(rng, self.SOLVES_MAIN, lo, hi)
+        for beta in u[:, :4] * np.where(u[:, 4:] < 0.5, -1.0, 1.0):
             self.solves.append(discrete_solve(X_main, "logit", beta, "auto"))
         X_int = model_matrix(factorial(2, (-1.0, 0.0, 1.0)), [[], [0], [1], [0, 1]])
         for beta in sobol(rng, self.SOLVES_INTERACTION, [-1.0] * 4, [1.0] * 4):
             self.solves.append(discrete_solve(X_int, "logit", beta, "auto"))
+        box = self.PROBE_BOX
+        for beta in sobol(batch_rng, self.PROBE, [-box] * 4, [box] * 4):
+            self.probe.append(discrete_solve(X_main, "logit", beta, "auto"))
 
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "region_verdict.json")
@@ -463,6 +490,20 @@ class Round:
         return sum(dt * ys.scale(t) for t, dt, _ in self.commands) + sum(self.latencies(ys))
 
 
+def attempt(solve: Solve):
+    """``(result, None)``, or ``(None, exc)`` when the solve raised a glmdopt error."""
+    try:
+        return solve.run(), None
+    except (DomainError, SolverError) as exc:
+        return None, exc
+
+
+def judge(solve: Solve, result, exc) -> Outcome:
+    if exc is not None:
+        return Outcome(gate.FAIL, f"{type(exc).__name__}: {exc}", "raised")
+    return solve.check(result)
+
+
 def run_round(wl: Workload, ys) -> Round:
     """One pass; calibration samples go to ``ys`` between the timed units."""
     r = Round()
@@ -477,10 +518,7 @@ def run_round(wl: Workload, ys) -> Round:
     c0, chunk = time.perf_counter(), []
     for solve in wl.solves:
         t0 = time.perf_counter()
-        try:
-            result, exc = solve.run(), None
-        except (DomainError, SolverError) as e:
-            result, exc = None, e
+        result, exc = attempt(solve)
         t1 = time.perf_counter()
         chunk.append(t1 - t0)
         r.outputs.append((result, exc))
@@ -491,16 +529,18 @@ def run_round(wl: Workload, ys) -> Round:
     return r
 
 
+def run_probe(wl: Workload):
+    """Gate outcome per probe input; the probe runs once and is not timed."""
+    return [judge(solve, *attempt(solve)) for solve in wl.probe]
+
+
 def check_round(wl: Workload, r: Round):
     """Gate outcome per item of one round."""
     outcomes = []
     for cmd, (rc, out, err) in zip(wl.commands, r.outputs):
         outcomes += cmd.check(out) if rc == 0 else failed_command(cmd, rc, err)
     for solve, (result, exc) in zip(wl.solves, r.outputs[len(wl.commands) :]):
-        if exc is not None:
-            outcomes.append(Outcome(gate.FAIL, f"{type(exc).__name__}: {exc}", "raised"))
-        else:
-            outcomes.append(solve.check(result))
+        outcomes.append(judge(solve, result, exc))
     return outcomes
 
 
