@@ -29,7 +29,7 @@ import numpy as np
 from scipy import optimize
 
 from .design import Allocation
-from .errors import DomainError
+from .errors import DomainError, SolverError
 from .solver4 import solve_22
 from .weights import WeightFunction
 
@@ -201,6 +201,11 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
     return BoundaryVerdict(bool(min_s >= -tol_s), min_s, argmin, p4, f_p4)
 
 
+def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
+    """``steps`` evenly spaced values on [lo, hi]; the midpoint when steps == 1."""
+    return np.linspace(lo, hi, steps) if steps > 1 else np.array([0.5 * (lo + hi)])
+
+
 def region_sweep(
     beta0: float,
     beta1_range: tuple,
@@ -208,49 +213,30 @@ def region_sweep(
     steps: int,
     weight_fn: WeightFunction,
     s_grid_steps: int = 201,
-    threads: int = 1,
 ) -> RegionGrid:
     """Corner-support verdicts over a grid of slope pairs at fixed intercept.
 
-    Nodes are independent; failures are recorded in the ``failed`` mask
-    rather than aborting the sweep.
+    Nodes are independent; a node whose check raises ``DomainError`` or
+    ``SolverError`` is recorded in the ``failed`` mask rather than aborting
+    the sweep.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    b1v = np.linspace(beta1_range[0], beta1_range[1], steps) if steps > 1 else np.array(
-        [0.5 * (beta1_range[0] + beta1_range[1])]
-    )
-    b2v = np.linspace(beta2_range[0], beta2_range[1], steps) if steps > 1 else np.array(
-        [0.5 * (beta2_range[0] + beta2_range[1])]
-    )
-    pairs = [(i, j) for i in range(b1v.size) for j in range(b2v.size)]
-
-    def node(idx):
-        i, j = idx
-        try:
-            cp = ContinuousProblem(
-                np.array([beta0, b1v[i], b2v[j]]), (-1.0, 1.0, -1.0, 1.0), weight_fn
-            )
-            verdict = check_boundary_optimal(cp, s_grid_steps=s_grid_steps)
-            return verdict.min_s, verdict.boundary_optimal, False
-        except Exception:
-            return np.nan, False, True
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(node, pairs))
-    else:
-        results = [node(idx) for idx in pairs]
-
-    min_s = np.empty((b1v.size, b2v.size))
+    b1v = grid_axis(beta1_range[0], beta1_range[1], steps)
+    b2v = grid_axis(beta2_range[0], beta2_range[1], steps)
+    min_s = np.full((b1v.size, b2v.size), np.nan)
     verdict = np.zeros((b1v.size, b2v.size), dtype=bool)
     failed = np.zeros((b1v.size, b2v.size), dtype=bool)
-    for (i, j), (ms, ok, bad) in zip(pairs, results):
-        min_s[i, j] = ms
-        verdict[i, j] = ok
-        failed[i, j] = bad
+    for i, b1 in enumerate(b1v):
+        for j, b2 in enumerate(b2v):
+            try:
+                cp = ContinuousProblem(np.array([beta0, b1, b2]), (-1.0, 1.0, -1.0, 1.0), weight_fn)
+                node = check_boundary_optimal(cp, s_grid_steps=s_grid_steps)
+            except (DomainError, SolverError):
+                failed[i, j] = True
+                continue
+            min_s[i, j] = node.min_s
+            verdict[i, j] = node.boundary_optimal
     return RegionGrid(float(beta0), b1v, b2v, min_s, verdict, failed)
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .boundary import (
     ContinuousProblem,
     check_boundary_optimal,
+    grid_axis,
     region_boundary_segments,
     region_sweep,
     rescale_problem,
@@ -124,9 +125,13 @@ def load_problem_file(path: str):
         points.append(vals)
     terms = raw.get("model_terms", "main-effects")
     if not isinstance(terms, str):
+        msg = "model_terms: expected 'main-effects' or an array of index arrays"
         if not isinstance(terms, list):
-            raise DomainError("model_terms: expected 'main-effects' or an array of index arrays")
-        terms = [tuple(int(j) for j in t) for t in terms]
+            raise DomainError(msg)
+        try:
+            terms = [tuple(int(j) for j in t) for t in terms]
+        except (TypeError, ValueError):
+            raise DomainError(msg) from None
     try:
         X = build_model_matrix(np.array(points), terms)
     except DomainError as exc:
@@ -230,7 +235,7 @@ def cmd_sweep_beta(args) -> int:
     d = problem.X.shape[1]
     if not 0 <= idx < d:
         raise DomainError(f"--vary: index {idx} out of range for {d} coefficients")
-    values = np.linspace(lo, hi, steps) if steps > 1 else np.array([0.5 * (lo + hi)])
+    values = grid_axis(lo, hi, steps)
     n = problem.X.shape[0]
     header = ["beta_value"] + [f"p{i + 1}" for i in range(n)] + ["objective", "case_label"]
     rows = []
@@ -254,7 +259,6 @@ def cmd_region(args) -> int:
         args.steps,
         fn,
         s_grid_steps=args.grid_steps,
-        threads=args.threads,
     )
     rows = []
     for i, b1 in enumerate(grid.beta1):
@@ -276,17 +280,21 @@ def cmd_region(args) -> int:
 
 def _parse_dist(text: str):
     parts = text.split(":")
-    if parts[0] == "uniform" and len(parts) == 3:
-        lo, hi = float(parts[1]), float(parts[2])
+    if (parts[0], len(parts)) not in (("uniform", 3), ("normal", 2)):
+        raise DomainError(f"--dist: expected uniform:LO:HI or normal:SIGMA, got {text!r}")
+    try:
+        params = [float(x) for x in parts[1:]]
+    except ValueError:
+        raise DomainError(f"--dist: non-numeric parameter in {text!r}") from None
+    if parts[0] == "uniform":
+        lo, hi = params
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise DomainError(f"--dist: need finite lo < hi, got {text!r}")
         return lambda rng, size: rng.uniform(lo, hi, size)
-    if parts[0] == "normal" and len(parts) == 2:
-        sigma = float(parts[1])
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise DomainError(f"--dist: need a positive sigma, got {text!r}")
-        return lambda rng, size: rng.normal(0.0, sigma, size)
-    raise DomainError(f"--dist: expected uniform:LO:HI or normal:SIGMA, got {text!r}")
+    (sigma,) = params
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"--dist: need a positive sigma, got {text!r}")
+    return lambda rng, size: rng.normal(0.0, sigma, size)
 
 
 def _parse_model(text: str):
@@ -309,56 +317,28 @@ def _parse_model(text: str):
 
 def cmd_bench(args) -> int:
     X = _parse_model(args.model)
-    n, d = X.shape
     sample = _parse_dist(args.dist)
     fn = WeightFunction.from_name(args.link)
+    if args.n_instances < 0:
+        raise DomainError(f"--n-instances: must be >= 0, got {args.n_instances}")
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    betas = sample(rng, (args.n_instances, d))
+    betas = sample(rng, (args.n_instances, X.shape[1]))
 
-    def analytic_one(beta):
-        problem = DesignProblem(X, beta=beta, weight_fn=fn)
-        if n == 4 and d == 3:
-            report = solve_fourpoint(problem)
-        else:
-            report = solve_saturated(compute_v(problem))
-        return problem, report
-
-    def run(method_fn):
-        results = []
-        failures = 0
+    def run(method):
+        """Objective per instance (None where the solve failed) and the wall time."""
+        objectives = []
         start = time.perf_counter()
-        if args.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
+        for beta in betas:
+            try:
+                problem = DesignProblem(X, beta=beta, weight_fn=fn)
+                report = dispatch_solve(problem, method, args.tol)
+                objectives.append(objective_det(problem, report.allocation))
+            except (DomainError, SolverError):
+                objectives.append(None)
+        return objectives, time.perf_counter() - start
 
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                raw = list(pool.map(method_fn, betas))
-        else:
-            raw = [method_fn(b) for b in betas]
-        elapsed = time.perf_counter() - start
-        for item in raw:
-            if item is None:
-                failures += 1
-            else:
-                results.append(item)
-        return results, failures, elapsed
-
-    def safe_analytic(beta):
-        try:
-            problem, report = analytic_one(beta)
-            return objective_det(problem, report.allocation)
-        except Exception:
-            return None
-
-    def safe_liftone(beta):
-        try:
-            problem = DesignProblem(X, beta=beta, weight_fn=fn)
-            report = liftone_maximize(problem, LiftOneConfig(tol=args.tol))
-            return objective_det(problem, report.allocation)
-        except Exception:
-            return None
-
-    f_analytic, fail_a, time_a = run(safe_analytic)
-    f_liftone, fail_l, time_l = run(safe_liftone)
+    f_analytic, time_a = run("analytic")
+    f_liftone, time_l = run("liftone")
 
     eff = [
         fl / fa
@@ -367,11 +347,11 @@ def cmd_bench(args) -> int:
     ]
     eff = np.array(eff) if eff else np.array([np.nan])
     rows = [
-        ["analytic", args.n_instances, fail_a, time_a, 1.0, 1.0, 1.0],
+        ["analytic", args.n_instances, f_analytic.count(None), time_a, 1.0, 1.0, 1.0],
         [
             "liftone",
             args.n_instances,
-            fail_l,
+            f_liftone.count(None),
             time_l,
             float(np.mean(eff)),
             float(np.percentile(eff, 1)),
@@ -421,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--steps", type=int, required=True)
     p_region.add_argument("--link", default="logit")
     p_region.add_argument("--grid-steps", type=int, default=201, dest="grid_steps")
-    p_region.add_argument("--threads", type=int, default=1)
     p_region.add_argument("--boundary", help="also write region-edge segments to this CSV path")
     p_region.add_argument("--format", choices=["csv"], default="csv")
     p_region.set_defaults(func=cmd_region)
@@ -433,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--link", default="logit")
     p_bench.add_argument("--tol", type=float, default=1e-12)
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

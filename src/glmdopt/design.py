@@ -28,6 +28,8 @@ ROW_DECIMALS = 12
 #: simplex feasibility tolerances for allocations
 ALLOC_NEG_TOL = 1e-12
 ALLOC_SUM_TOL = 1e-12
+#: a leave-one-out minor counts as zero below this fraction of the largest |minor|
+MINOR_ZERO_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,21 @@ def objective_det(problem: DesignProblem, p) -> float:
     arr = _as_prob_vector(p, problem.n_points)
     scaled = problem.X * (arr * problem.w)[:, None]
     return float(np.linalg.det(problem.X.T @ scaled))
+
+
+def leave_one_out_minors(X):
+    """``(minors, zero)`` of an (n, n-1) X: ``minors[i] = det(X without row i)``.
+
+    One stacked ``np.linalg.det`` call; ``zero`` flags minors at most
+    ``MINOR_ZERO_REL`` times the largest ``|minor|``.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    cols = np.arange(n - 1)
+    keep = cols + (cols >= np.arange(n)[:, None])  # row i skips index i
+    minors = np.linalg.det(X[keep])
+    zero = np.abs(minors) <= MINOR_ZERO_REL * np.max(np.abs(minors))
+    return minors, zero
 
 
 def objective_expansion(problem: DesignProblem, max_points: int = 20):

@@ -29,15 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Allocation, DesignProblem, SolveReport, vform_objective
+from .design import Allocation, DesignProblem, SolveReport, leave_one_out_minors, vform_objective
 from .errors import DomainError, SolverError
+from .solver4 import _bisect_root
 
-#: a minor counts as zero below this fraction of the largest |minor|
-MINOR_ZERO_REL = 1e-12
 #: dominant-coefficient boundary comparison uses this relative rounding
 BOUNDARY_REL = 1e-12
-#: bisection budget for the mu root
-MU_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -116,22 +113,19 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
         raise DomainError(f"need exactly one more point than model terms, got {n} points, {d} terms")
     if np.linalg.matrix_rank(X) < d:
         raise DomainError("X has rank below the number of model terms; reparametrize the model")
-    minors = np.array([np.linalg.det(np.delete(X, j, axis=0)) for j in range(n)])
-    mmax = np.max(np.abs(minors))
-    if mmax == 0.0:
+    minors, zero = leave_one_out_minors(X)
+    if zero.all():
         raise DomainError("all leave-one-out determinants vanish; reparametrize the model")
-    nonzero = np.abs(minors) > MINOR_ZERO_REL * mmax
+    nonzero = ~zero
     logw = np.log(problem.w)
     logw_total = float(np.sum(logw))
     logv = np.full(n, -np.inf)
     logv[nonzero] = 2.0 * np.log(np.abs(minors[nonzero])) + (logw_total - logw[nonzero])
     log_scale = float(np.max(logv))
     v = np.exp(logv - log_scale)
-    v[~nonzero] = 0.0
+    v[zero] = 0.0
     perm = np.argsort(v, kind="stable")
-    s = v[perm]
-    zero_count = int(np.sum(~nonzero))
-    return SaturatedProblem(s, perm, n, zero_count, log_scale)
+    return SaturatedProblem(v[perm], perm, n, int(zero.sum()), log_scale)
 
 
 def _check_mu_domain(mu: float, vmax: float) -> None:
@@ -156,22 +150,6 @@ def h2_eval(mu: float, v) -> float:
     return float(np.sum(r) - 2.0 * r[k])
 
 
-def _bisect(fn, lo, hi, flo, fhi, max_iter=MU_MAX_ITER):
-    it = 0
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid, it
-        if (fm > 0.0) == (fhi > 0.0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi), it
-
-
 def root_mu(sp: SaturatedProblem) -> MuSolve:
     """Solve the radical-sum equation for mu on the appropriate branch.
 
@@ -194,7 +172,7 @@ def root_mu(sp: SaturatedProblem) -> MuSolve:
 
     edge = float(np.sum(np.sqrt(np.clip(1.0 - t[:-1], 0.0, None))))
     if edge <= target:
-        x, iters = _bisect(h1x, 0.0, 1.0, h1x(0.0), edge - target)
+        x, iters = _bisect_root(h1x, 0.0, 1.0)
         branch = "h1"
         residual = abs(h1x(x))
     else:
@@ -207,12 +185,11 @@ def root_mu(sp: SaturatedProblem) -> MuSolve:
             num = np.clip(1.0 - x, 0.0, None)
             return 1.0 - float(np.sum(t[:-1] * np.sqrt(num / (1.0 - x * t[:-1]))))
 
-        xstar, it1 = _bisect(g2x, 0.0, 1.0, g2x(0.0), g2x(1.0))
-        flo = h2x(xstar)
-        if flo >= 0.0:
+        xstar, it1 = _bisect_root(g2x, 0.0, 1.0)
+        if h2x(xstar) >= 0.0:
             x, it2 = xstar, 0
         else:
-            x, it2 = _bisect(h2x, xstar, 1.0, flo, edge - target)
+            x, it2 = _bisect_root(h2x, xstar, 1.0)
         iters = it1 + it2
         branch = "h2"
         residual = abs(h2x(x))

@@ -263,44 +263,17 @@ def _support_kkt(v: np.ndarray, p: np.ndarray) -> float:
 
 
 def _tie_pair_solution(v: np.ndarray, pair: str) -> np.ndarray:
-    v1, v2, v3, v4 = v
-    if pair == "12":
-        delta = v3 + v4 - 4.0 * v1
-        den = -2.0 * delta + np.sqrt(delta * delta + 12.0 * v3 * v4)
-        shared = 2.0 * v1 / den
-        return np.array(
-            [
-                shared,
-                shared,
-                0.5 + (v4 - v3 - 4.0 * v1) / (2.0 * den),
-                0.5 - (v4 - v3 + 4.0 * v1) / (2.0 * den),
-            ]
-        )
-    if pair == "23":
-        delta = v1 + v4 - 4.0 * v2
-        den = -2.0 * delta + np.sqrt(delta * delta + 12.0 * v1 * v4)
-        shared = 2.0 * v2 / den
-        return np.array(
-            [
-                0.5 + (v4 - v1 - 4.0 * v2) / (2.0 * den),
-                shared,
-                shared,
-                0.5 - (v4 - v1 + 4.0 * v2) / (2.0 * den),
-            ]
-        )
-    if pair == "34":
-        delta = v1 + v2 - 4.0 * v3
-        den = -2.0 * delta + np.sqrt(delta * delta + 12.0 * v1 * v2)
-        shared = 2.0 * v3 / den
-        return np.array(
-            [
-                0.5 + (v2 - v1 - 4.0 * v3) / (2.0 * den),
-                0.5 - (v2 - v1 + 4.0 * v3) / (2.0 * den),
-                shared,
-                shared,
-            ]
-        )
-    raise ValueError(pair)
+    """Closed form for sorted v tied at positions ``pair`` (e.g. "23"); a < b are the rest."""
+    i, j = int(pair[0]) - 1, int(pair[1]) - 1
+    k, m = (idx for idx in range(4) if idx not in (i, j))
+    t, a, b = v[i], v[k], v[m]
+    delta = a + b - 4.0 * t
+    den = -2.0 * delta + np.sqrt(delta * delta + 12.0 * a * b)
+    p = np.empty(4)
+    p[i] = p[j] = 2.0 * t / den
+    p[k] = 0.5 + (b - a - 4.0 * t) / (2.0 * den)
+    p[m] = 0.5 - (b - a + 4.0 * t) / (2.0 * den)
+    return p
 
 
 def _one_zero_sorted(u: np.ndarray):
@@ -376,15 +349,11 @@ def solve_22(v) -> SolveReport:
         label = "2x2-case-i"
     else:
         tie = TIE_REL * s[-1]
-        if s[1] - s[0] <= tie:
-            p_sorted = _tie_pair_solution(s, "12")
-            label = "2x2-case-ii"
-        elif s[2] - s[1] <= tie:
-            p_sorted = _tie_pair_solution(s, "23")
-            label = "2x2-case-iii"
-        elif s[3] - s[2] <= tie:
-            p_sorted = _tie_pair_solution(s, "34")
-            label = "2x2-case-iv"
+        for k, case in enumerate(("ii", "iii", "iv")):
+            if s[k + 1] - s[k] <= tie:
+                p_sorted = _tie_pair_solution(s, f"{k + 1}{k + 2}")
+                label = f"2x2-case-{case}"
+                break
         else:
             p_sorted, diag = _interior_quartic(s)
             label = "2x2-case-v"

@@ -24,12 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Allocation, DesignProblem, SolveReport, objective_det, vform_objective
+from .design import (
+    Allocation,
+    DesignProblem,
+    SolveReport,
+    leave_one_out_minors,
+    objective_det,
+    vform_objective,
+)
 from .errors import DomainError
 from .solver4 import _one_zero_sorted, _support_kkt, solve_22
-
-#: a minor counts as zero below this fraction of the largest |minor|
-MINOR_ZERO_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,7 @@ def compute_u(problem: DesignProblem) -> UCoefficients:
     X = problem.X
     if X.shape != (4, 3):
         raise DomainError(f"need a 4x3 design matrix, got {X.shape}")
-    minors = np.array([np.linalg.det(np.delete(X, i, axis=0)) for i in range(4)])
-    mmax = np.max(np.abs(minors))
-    zero = np.abs(minors) <= MINOR_ZERO_REL * mmax if mmax > 0.0 else np.ones(4, dtype=bool)
+    minors, zero = leave_one_out_minors(X)
     n_zero = int(zero.sum())
     if n_zero == 0:
         rank_case = "rank3_general"

@@ -250,11 +250,26 @@ class TestRegionSweep:
         assert grid.verdict.shape == (1, 1)
         assert grid.beta1[0] == 0.0 and grid.beta2[0] == 0.0
 
-    def test_threaded_matches_serial(self):
-        serial = region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 4, LOGIT, s_grid_steps=31)
-        threaded = region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 4, LOGIT, s_grid_steps=31, threads=4)
-        assert np.array_equal(serial.verdict, threaded.verdict)
-        assert serial.min_s == pytest.approx(threaded.min_s, rel=1e-12, abs=1e-300)
+    def test_node_domain_error_marks_failed(self, monkeypatch):
+        def reject(cp, s_grid_steps=201):
+            if cp.beta[1] > 0.0:
+                raise DomainError("rejected node")
+            return check_boundary_optimal(cp, s_grid_steps=s_grid_steps)
+
+        monkeypatch.setattr("glmdopt.boundary.check_boundary_optimal", reject)
+        grid = region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 3, LOGIT, s_grid_steps=21)
+        assert np.array_equal(grid.failed[2], [True, True, True])
+        assert not grid.failed[:2].any()
+        assert np.isnan(grid.min_s[2]).all() and not grid.verdict[2].any()
+        assert np.isfinite(grid.min_s[:2]).all()
+
+    def test_node_bug_propagates(self, monkeypatch):
+        def broken(cp, s_grid_steps=201):
+            raise ZeroDivisionError("not a domain failure")
+
+        monkeypatch.setattr("glmdopt.boundary.check_boundary_optimal", broken)
+        with pytest.raises(ZeroDivisionError):
+            region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 2, LOGIT, s_grid_steps=21)
 
     def test_margin_continuity_along_a_line(self):
         # smoke bound calibrated on the logistic case: adjacent nodes at

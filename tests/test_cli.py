@@ -257,6 +257,36 @@ class TestBench:
         assert main(["bench", "--model", "3x3", "--n-instances", "1"]) == 2
         assert main(["bench", "--dist", "cauchy:1", "--n-instances", "1"]) == 2
 
+    def test_efficiency_pairs_instances_despite_failures(self, capsys):
+        # wide probit draws make some analytic solves fail; the efficiency
+        # must still compare the two methods on the same instance
+        args = ["bench", "--link", "probit", "--dist", "uniform:-8:8", "--n-instances", "200"]
+        assert main(args + ["--seed", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        head = lines[0].split(",")
+        analytic = dict(zip(head, lines[1].split(",")))
+        liftone = dict(zip(head, lines[2].split(",")))
+        assert int(analytic["failures"]) > 0
+        assert float(liftone["efficiency_mean"]) <= 1.0 + 1e-9
+        assert float(liftone["efficiency_min"]) > 0.999
+
+
+@pytest.mark.parametrize(
+    "argv, terms",
+    [
+        (["bench", "--dist", "uniform:x:1", "--n-instances", "1"], None),
+        (["bench", "--dist", "normal:abc", "--n-instances", "1"], None),
+        (["bench", "--n-instances", "-1"], None),
+        (["solve"], [[], ["a"], [1]]),
+        (["solve"], [[], 1, [1]]),
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, argv, terms):
+    if terms is not None:
+        argv = argv + [write_problem(tmp_path, dict(PROB_22, model_terms=terms))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
 
 def test_seventeen_digit_serialization(tmp_path, capsys):
     path = write_problem(tmp_path, PROB_22)

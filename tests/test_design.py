@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import glmdopt
 from glmdopt import (
     Allocation,
     DesignProblem,
@@ -15,6 +16,7 @@ from glmdopt import (
     objective_expansion,
     vform_objective,
 )
+from glmdopt.design import leave_one_out_minors
 
 X22 = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
 
@@ -217,3 +219,40 @@ def test_vform_objective_matches_direct(rng):
     p = p / p.sum()
     direct = sum(v[j] * np.prod(np.delete(p, j)) for j in range(6))
     assert vform_objective(v, p) == pytest.approx(direct, rel=1e-12)
+
+
+class TestLeaveOneOutMinors:
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_bitwise_equal_to_row_deletion(self, rng, n):
+        for _ in range(20):
+            X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, n - 2))])
+            minors, _ = leave_one_out_minors(X)
+            expected = [np.linalg.det(np.delete(X, i, axis=0)) for i in range(n)]
+            assert minors.tobytes() == np.array(expected).tobytes()
+
+    def test_zero_mask(self):
+        one_zero = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -0.2, 0.2]])
+        rank2 = np.array([[1.0, -1, -1], [1, -0.5, -0.5], [1, 0.5, 0.5], [1, 1, 1]])
+        assert leave_one_out_minors(X22)[1].tolist() == [False] * 4
+        assert leave_one_out_minors(one_zero)[1].tolist() == [True, False, False, False]
+        minors, zero = leave_one_out_minors(rank2)
+        # the largest minor is itself roundoff, so it escapes the relative
+        # test; two or more flags are what compute_u reads as rank 2
+        assert zero.tolist() == [False, True, True, True]
+        assert np.abs(minors).max() < 1e-15
+
+
+def test_public_names_pinned():
+    assert set(glmdopt.__all__) == {
+        "Allocation", "BoundaryVerdict", "ContinuousProblem", "DesignProblem", "DomainError",
+        "LiftOneConfig", "MultilinearObjective", "MuSolve", "QuarticRoot", "RegionGrid",
+        "RescaleTransform", "SaturatedProblem", "SolveReport", "SolverError", "UCoefficients",
+        "VCoefficients", "WeightFunction", "back_substitute", "build_model_matrix",
+        "check_boundary_optimal", "compute_u", "compute_v", "corner_weights", "expansion_value",
+        "fi_profile", "full_factorial_design", "h1_eval", "h2_eval", "h_ab", "kkt_residual",
+        "liftone_maximize", "objective_det", "objective_expansion", "quartic_largest_root",
+        "region_boundary_segments", "region_sweep", "rescale_problem", "root_mu", "solve_22",
+        "solve_fourpoint", "solve_quartic", "solve_saturated", "vform_objective", "weight_eval",
+    }
+    assert len(glmdopt.__all__) == 44
+    assert all(hasattr(glmdopt, name) for name in glmdopt.__all__)
