@@ -7,9 +7,9 @@ is ``det(X' W X)`` with ``W = diag(p_i * w_i)``.
 
 The determinant is also an order-``d`` homogeneous polynomial in ``p``:
 every ``d``-row subset contributes ``det(X[rows])^2 * prod(w[rows])`` times
-the product of the corresponding ``p``'s. The dense-determinant path is the
-production evaluator; the subset expansion is kept for cross-checks and for
-the reduced-coefficient solvers.
+the product of the corresponding ``p``'s. The dense determinant is the
+production evaluator and lift-one works from the sensitivities of ``X' W X``;
+the subset expansion serves cross-checks only.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ ROW_DECIMALS = 12
 #: simplex feasibility tolerances for allocations
 ALLOC_NEG_TOL = 1e-12
 ALLOC_SUM_TOL = 1e-12
-#: a leave-one-out minor counts as zero below this fraction of the largest |minor|
+#: a leave-one-out minor counts as zero below this fraction of its Hadamard bound
 MINOR_ZERO_REL = 1e-12
+#: largest n for which objective_expansion enumerates the C(n, d) row subsets
+EXPANSION_MAX_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -155,45 +157,38 @@ def objective_det(problem: DesignProblem, p) -> float:
 def leave_one_out_minors(X):
     """``(minors, zero)`` of an (n, n-1) X: ``minors[i] = det(X without row i)``.
 
-    One stacked ``np.linalg.det`` call; ``zero`` flags minors at most
-    ``MINOR_ZERO_REL`` times the largest ``|minor|``.
+    One stacked ``np.linalg.det`` call; ``zero`` flags minors at most ``MINOR_ZERO_REL``
+    times their Hadamard bound, the product of the column norms of X.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     cols = np.arange(n - 1)
     keep = cols + (cols >= np.arange(n)[:, None])  # row i skips index i
     minors = np.linalg.det(X[keep])
-    zero = np.abs(minors) <= MINOR_ZERO_REL * np.max(np.abs(minors))
+    zero = np.abs(minors) <= MINOR_ZERO_REL * np.prod(np.linalg.norm(X, axis=0))
     return minors, zero
 
 
-def objective_expansion(problem: DesignProblem, max_points: int = 20):
+def objective_expansion(problem: DesignProblem):
     """All d-row subsets with their objective coefficients.
 
     Returns ``[(rows, coeff), ...]`` where ``coeff = det(X[rows])^2 *
     prod(w[rows])``, so that ``sum(coeff * prod(p[rows]))`` over the list
-    equals :func:`objective_det`. Guarded because the subset count grows as
-    C(n, d).
+    equals :func:`objective_det`. Guarded by ``EXPANSION_MAX_POINTS`` because
+    the subset count grows as C(n, d).
     """
     n, d = problem.X.shape
-    if n > max_points:
-        raise DomainError(f"expansion too large: n={n} exceeds the guard max_points={max_points}")
-    terms = []
-    for rows in itertools.combinations(range(n), d):
-        sub = problem.X[list(rows), :]
-        minor = np.linalg.det(sub)
-        coeff = minor * minor * float(np.prod(problem.w[list(rows)]))
-        terms.append((rows, coeff))
-    return terms
+    if n > EXPANSION_MAX_POINTS:
+        raise DomainError(f"expansion too large: n={n} exceeds the guard {EXPANSION_MAX_POINTS}")
+    rows = np.array(list(itertools.combinations(range(n), d)))
+    coeff = np.linalg.det(problem.X[rows]) ** 2 * np.prod(problem.w[rows], axis=1)
+    return [(tuple(r), float(c)) for r, c in zip(rows.tolist(), coeff)]
 
 
 def expansion_value(terms, p) -> float:
     """Evaluate an expansion returned by :func:`objective_expansion` at p."""
     arr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
-    total = 0.0
-    for rows, coeff in terms:
-        total += coeff * float(np.prod(arr[list(rows)]))
-    return total
+    return sum(coeff * float(np.prod(arr[list(rows)])) for rows, coeff in terms)
 
 
 def vform_objective(v, p) -> float:

@@ -1,52 +1,40 @@
 """Lift-one coordinate ascent for the D-optimality objective.
 
-The objective is multilinear in the allocation: every monomial is a product
-of distinct coordinates. Restricting it to the lift-one path that moves
-coordinate i to z while rescaling the rest proportionally gives
+The objective is multilinear in the allocation, so along the lift-one path
+that moves coordinate i to z and rescales the rest proportionally it is
 
     f_i(z) = alpha * z * (1 - z)^(d-1) + beta * (1 - z)^d,
 
-with d the number of model terms, so two evaluations pin the whole profile:
-``beta = f_i(0)`` and ``alpha = 2^d f_i(1/2) - beta``. Each step maximizes
-the profile exactly (interior stationary point against the z=0 endpoint) and
-a sweep cycles the coordinates in a fixed order; convergence is declared on
-the relative objective improvement of a full sweep.
-
-This is the numerical baseline the analytic solvers are cross-checked
-against, and the general-matrix solver for shapes outside the analytic
-families.
+with d the number of model terms. Each step maximizes this profile exactly;
+sweeps cycle the coordinates until one gains less than ``tol`` relative. A
+:class:`DesignProblem` takes its profile from the sensitivity ``d_i = w_i x_i'
+M^-1 x_i`` of ``M = X' W X`` (matrix determinant lemma; Yang, Mandal & Majumdar
+2016), updates ``M^-1`` by Sherman-Morrison and refactors ``M`` (Cholesky, ``log
+det``) once a sweep. A :class:`MultilinearObjective`, the black-box reference for
+cross-checks, is evaluated twice per profile.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import comb
 from typing import Callable
 
 import numpy as np
+from scipy import linalg
 
-from .design import (
-    Allocation,
-    DesignProblem,
-    SolveReport,
-    objective_det,
-    objective_expansion,
-)
+from .design import Allocation, DesignProblem, SolveReport
 from .errors import DomainError
-
-#: compile the subset expansion as the evaluator when it has at most this many terms
-_EXPANSION_TERM_LIMIT = 64
 
 
 @dataclass(frozen=True)
 class LiftOneConfig:
-    """Stopping rule and initialization for the coordinate ascent."""
+    """Stopping rule and start: ``init_p=None`` is uniform; ``seed=None``
+    sweeps in order, an integer shuffles every sweep with that seed."""
 
     tol: float = 1e-12
     max_sweeps: int = 500
-    init: str = "uniform"  # "uniform" or "user"
     init_p: np.ndarray | None = None
-    order: str = "fixed"  # "fixed" (1..n) or "random" (seeded shuffle per sweep)
     seed: int | None = None
 
     def __post_init__(self):
@@ -54,78 +42,113 @@ class LiftOneConfig:
             raise DomainError("tol must be positive")
         if self.max_sweeps < 1:
             raise DomainError("max_sweeps must be >= 1")
-        if self.init not in ("uniform", "user"):
-            raise DomainError("init must be 'uniform' or 'user'")
-        if self.init == "user" and self.init_p is None:
-            raise DomainError("init='user' requires init_p")
-        if self.order not in ("fixed", "random"):
-            raise DomainError("order must be 'fixed' or 'random'")
 
 
 @dataclass(frozen=True)
 class MultilinearObjective:
-    """A homogeneous multilinear objective given directly as a callable.
-
-    ``fn(p)`` must be a degree-``degree`` polynomial in which every monomial
-    is a product of distinct coordinates (the shape the profile trick
-    requires); ``n_points`` is the allocation length.
-    """
+    """A degree-``degree`` polynomial ``fn(p)`` on ``n_points`` coordinates in
+    which every monomial is a product of distinct coordinates."""
 
     fn: Callable[[np.ndarray], float]
     n_points: int
     degree: int
 
 
-def _as_objective(problem) -> MultilinearObjective:
-    if isinstance(problem, MultilinearObjective):
-        return problem
-    if isinstance(problem, DesignProblem):
-        n, d = problem.X.shape
-        if np.linalg.matrix_rank(problem.X) < d:
+class _Callable:
+    """Ascent state of a :class:`MultilinearObjective`; ``level`` is its value."""
+
+    def __init__(self, obj: MultilinearObjective, p):
+        self.obj, self.degree = obj, obj.degree
+        self.refresh(p)
+
+    def refresh(self, p):
+        self.level = self.obj.fn(p)
+        self.log_f = math.log(self.level) if self.level > 0.0 else -math.inf
+
+    def profile(self, p, i):
+        shrink = 1.0 / (1.0 - p[i])
+        q = p * shrink
+        q[i] = 0.0
+        beta = self.obj.fn(q)  # f_i(0)
+        q = p * (0.5 * shrink)
+        q[i] = 0.5
+        return 2.0**self.degree * self.obj.fn(q) - beta, beta
+
+    def step(self, i, z, value):
+        self.level = value
+
+
+class _RankOne:
+    """Ascent state of a :class:`DesignProblem`: ``M^-1`` and ``log det M``. Profiles are
+    relative to the objective (``level`` 1): ``alpha = d_i / om^(d-1)``, ``beta = (1 -
+    p_i d_i) / om^d`` with ``om = 1 - p_i``; nothing divides by ``1 - p_i d_i``."""
+    level = 1.0
+
+    def __init__(self, problem: DesignProblem, p):
+        X, self.w, d = problem.X, problem.w, problem.n_terms
+        if np.linalg.matrix_rank(X) < d:
             raise DomainError("X must have full column rank")
-        if comb(n, d) <= _EXPANSION_TERM_LIMIT:
-            terms = objective_expansion(problem, max_points=n)
-            idx = np.array([t[0] for t in terms], dtype=int)
-            coeff = np.array([t[1] for t in terms])
+        if not p.all() and np.linalg.matrix_rank(X[p > 0.0]) < d:
+            raise DomainError("degenerate objective: the support of p does not span X")
+        # rows in the basis of d heavy rows B (pivoted QR of sqrt(w) X) keep every d_i, and
+        # weights spanning many decades then sit on a diagonal that Cholesky scales out
+        B = linalg.qr((np.sqrt(self.w)[:, None] * X).T, mode="r", pivoting=True)[1][:d]
+        self.X, self.degree, self.log_det_B = X @ np.linalg.inv(X[B]), d, np.linalg.slogdet(X[B])[1]
+        self.X[B] = np.eye(d)
+        self.refresh(p)
 
-            def fn(p: np.ndarray) -> float:
-                return float(coeff @ np.prod(p[idx], axis=1))
+    def refresh(self, p):
+        try:
+            L = np.linalg.cholesky(self.X.T @ (self.X * (p * self.w)[:, None]))
+        except np.linalg.LinAlgError:
+            raise DomainError("degenerate objective: X'WX is not positive definite") from None
+        L_inv = np.linalg.inv(L)
+        self.M_inv = L_inv.T @ L_inv
+        self.log_f = 2.0 * float(np.sum(np.log(np.diag(L))) + self.log_det_B)
 
-        else:
+    def profile(self, p, i):
+        x, self.p_i, om = self.X[i], float(p[i]), 1.0 - float(p[i])
+        self.u = self.M_inv @ x
+        self.d_i = float(self.w[i] * (x @ self.u))
+        return self.d_i / om ** (self.degree - 1), (1.0 - self.p_i * self.d_i) / om**self.degree
 
-            def fn(p: np.ndarray) -> float:
-                return objective_det(problem, p)
+    def step(self, i, z, value):
+        c = (1.0 - z) / (1.0 - self.p_i)
+        s = (z - c * self.p_i) / c
+        k = s * self.w[i] / (1.0 + s * self.d_i)
+        self.M_inv = (self.M_inv - self.u[:, None] * (k * self.u)) * (1.0 / c)
 
-        return MultilinearObjective(fn, n, d)
+    def equivalence_gap(self) -> float:
+        d = self.w * np.sum((self.X @ self.M_inv) * self.X, axis=1)
+        return float(d.max()) / self.degree - 1.0
+
+
+def _state_type(problem):
+    if isinstance(problem, (MultilinearObjective, DesignProblem)):
+        return _Callable if isinstance(problem, MultilinearObjective) else _RankOne
     raise DomainError(f"cannot interpret {type(problem).__name__} as an objective")
 
 
-def _profile(obj: MultilinearObjective, p: np.ndarray, i: int) -> tuple[float, float]:
+def _check_lift(p, i: int):
     if p[i] >= 1.0:
         raise DomainError("degenerate profile: coordinate already carries all mass")
-    shrink = 1.0 / (1.0 - p[i])
-    q = p * shrink
-    q[i] = 0.0
-    beta = obj.fn(q)
-    q = p * (0.5 * shrink)
-    q[i] = 0.5
-    alpha = 2.0**obj.degree * obj.fn(q) - beta
-    return alpha, beta
 
 
 def fi_profile(problem, p, i: int) -> tuple[float, float]:
-    """Profile coefficients (alpha, beta) of coordinate i at allocation p.
-
-    ``f_i(z) = alpha * z(1-z)^(d-1) + beta * (1-z)^d`` reproduces the
-    objective along the lift-one path of coordinate i.
-    """
-    obj = _as_objective(problem)
+    """Profile coefficients (alpha, beta) of coordinate i at allocation p: ``f_i(z) =
+    alpha z(1-z)^(d-1) + beta (1-z)^d`` along its lift-one path. A design problem needs
+    a nonsingular ``X' W X`` at p."""
+    kind, n = _state_type(problem), problem.n_points
     arr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
-    if arr.shape != (obj.n_points,):
-        raise DomainError(f"allocation has length {arr.size}, expected {obj.n_points}")
-    if not 0 <= i < obj.n_points:
+    if arr.shape != (n,):
+        raise DomainError(f"allocation has length {arr.size}, expected {n}")
+    if not 0 <= i < n:
         raise DomainError(f"coordinate {i} out of range")
-    return _profile(obj, arr.copy(), i)
+    _check_lift(arr, i)
+    state = kind(problem, arr)
+    alpha, beta = state.profile(arr, i)
+    scale = math.exp(state.log_f) if kind is _RankOne else 1.0
+    return alpha * scale, beta * scale
 
 
 def profile_value(alpha: float, beta: float, degree: int, z: float) -> float:
@@ -149,55 +172,37 @@ def _best_step(alpha: float, beta: float, degree: int) -> tuple[float, float]:
 
 
 def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveReport:
-    """Coordinate-ascent maximizer of a multilinear design objective.
-
-    Accepts a :class:`DesignProblem` (full column rank required) or a
-    :class:`MultilinearObjective`. Each coordinate step is an exact
-    one-dimensional maximization, so the objective never decreases; sweeps
-    stop once a full pass improves it by less than ``tol`` relative.
+    """Coordinate-ascent maximizer of a :class:`DesignProblem` (full column rank) or a
+    :class:`MultilinearObjective`. Reports ``sweeps``, ``converged``, ``last_rel_improvement``,
+    ``log_objective`` and, for a design problem, ``equivalence_gap = max_i d_i / d - 1``.
     """
     cfg = config or LiftOneConfig()
-    obj = _as_objective(problem)
-    n = obj.n_points
-
-    if cfg.init == "user":
-        p = Allocation(cfg.init_p).p.copy()
-        if p.size != n:
-            raise DomainError(f"init_p has length {p.size}, expected {n}")
-    else:
-        p = np.full(n, 1.0 / n)
-
-    f = obj.fn(p)
-    if not np.isfinite(f) or f <= 0.0:
+    kind, n = _state_type(problem), problem.n_points
+    p = np.full(n, 1.0 / n) if cfg.init_p is None else Allocation(cfg.init_p).p.copy()
+    if p.size != n:
+        raise DomainError(f"init_p has length {p.size}, expected {n}")
+    state = kind(problem, p)
+    if not np.isfinite(state.log_f):
         raise DomainError("degenerate objective: value is zero at the starting allocation")
-
-    rng = np.random.default_rng(cfg.seed) if cfg.order == "random" else None
-    sweeps = 0
-    converged = False
-    last_rel = np.inf
+    rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
     for sweeps in range(1, cfg.max_sweeps + 1):
-        f_start = f
-        order = rng.permutation(n) if rng is not None else range(n)
-        for i in order:
-            alpha, beta = _profile(obj, p, i)
-            z, val = _best_step(alpha, beta, obj.degree)
-            if val <= f:
+        log_start = state.log_f
+        for i in rng.permutation(n) if rng is not None else range(n):
+            _check_lift(p, i)
+            z, value = _best_step(*state.profile(p, i), state.degree)
+            if value <= state.level:
                 continue
+            state.step(i, z, value)
             p *= (1.0 - z) / (1.0 - p[i])
             p[i] = z
-            drift = p.sum()
-            if abs(drift - 1.0) > 1e-13:
-                p /= drift
-            f = val
-        f = obj.fn(p)
-        last_rel = (f - f_start) / f if f > 0.0 else 0.0
+        p /= p.sum()
+        state.refresh(p)
+        last_rel = -math.expm1(log_start - state.log_f)
         if last_rel <= cfg.tol:
-            converged = True
             break
 
-    diag = {
-        "sweeps": float(sweeps),
-        "converged": 1.0 if converged else 0.0,
-        "last_rel_improvement": float(last_rel),
-    }
-    return SolveReport(Allocation(p), f, "liftone", diag)
+    diag = {"sweeps": float(sweeps), "converged": float(last_rel <= cfg.tol)}
+    diag.update(last_rel_improvement=float(last_rel), log_objective=state.log_f)
+    if kind is _RankOne:
+        diag["equivalence_gap"] = state.equivalence_gap()
+    return SolveReport(Allocation(p), math.exp(state.log_f), "liftone", diag)

@@ -1,5 +1,7 @@
 """Lift-one coordinate ascent: profile exactness, monotonicity, convergence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,17 @@ from glmdopt import (
     DesignProblem,
     DomainError,
     LiftOneConfig,
+    WeightFunction,
+    build_model_matrix,
+    compute_v,
+    expansion_value,
     fi_profile,
     full_factorial_design,
     liftone_maximize,
     objective_det,
+    objective_expansion,
     solve_22,
+    solve_saturated,
     vform_objective,
 )
 from glmdopt.liftone import MultilinearObjective, profile_value
@@ -120,14 +128,14 @@ class TestMaximize:
         from glmdopt import solve_fourpoint
 
         analytic = solve_fourpoint(problem)
-        cfg = LiftOneConfig(init="user", init_p=analytic.allocation.p)
+        cfg = LiftOneConfig(init_p=analytic.allocation.p)
         lift = liftone_maximize(problem, cfg)
         assert lift.diagnostics["sweeps"] == 1.0
         assert lift.objective == pytest.approx(analytic.objective, rel=1e-12)
 
     def test_degenerate_objective_rejected(self):
         problem = DesignProblem(X22, w=np.ones(4))
-        cfg = LiftOneConfig(init="user", init_p=np.array([0.5, 0.5, 0.0, 0.0]))
+        cfg = LiftOneConfig(init_p=np.array([0.5, 0.5, 0.0, 0.0]))
         with pytest.raises(DomainError, match="degenerate"):
             liftone_maximize(problem, cfg)
 
@@ -138,7 +146,7 @@ class TestMaximize:
 
     def test_random_order_reproducible(self, rng):
         problem = DesignProblem(X22, w=rng.uniform(0.05, 0.3, 4))
-        cfg = LiftOneConfig(order="random", seed=7)
+        cfg = LiftOneConfig(seed=7)
         a = liftone_maximize(problem, cfg)
         b = liftone_maximize(problem, cfg)
         assert np.array_equal(a.allocation.p, b.allocation.p)
@@ -165,9 +173,89 @@ class TestConfig:
             LiftOneConfig(tol=0.0)
         with pytest.raises(DomainError):
             LiftOneConfig(max_sweeps=0)
-        with pytest.raises(DomainError):
-            LiftOneConfig(init="user")
-        with pytest.raises(DomainError):
-            LiftOneConfig(init="warm")
-        with pytest.raises(DomainError):
-            LiftOneConfig(order="sorted")
+
+
+LOGIT = WeightFunction.from_name("logit")
+
+
+def _main_effects_2x3():
+    return build_model_matrix(np.array(list(itertools.product([1.0, -1.0], repeat=3))))
+
+
+class TestRankOne:
+    def test_extreme_intercept_matches_saturated(self):
+        # det(X'WX) underflows to 0.0 here; lift-one works in log det
+        X, _ = full_factorial_design(4)
+        rng = np.random.default_rng(5)
+        beta = np.concatenate([[-50.0], rng.uniform(-1.0, 1.0, 14)])
+        problem = DesignProblem(X, beta=beta, weight_fn=LOGIT)
+        lift = liftone_maximize(problem)
+        analytic = solve_saturated(compute_v(problem))
+        assert lift.diagnostics["converged"] == 1.0
+        assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-6)
+        M = X.T @ (X * (lift.allocation.p * problem.w)[:, None])
+        sign, logdet = np.linalg.slogdet(M)
+        assert sign == 1.0
+        assert lift.diagnostics["log_objective"] == pytest.approx(logdet, rel=1e-12)
+
+    def test_equivalence_gap_certificate(self):
+        X = _main_effects_2x3()
+        rng = np.random.default_rng(3)
+        converged = 0
+        for _ in range(12):
+            problem = DesignProblem(X, beta=rng.uniform(-1.0, 1.0, 4), weight_fn=LOGIT)
+            lift = liftone_maximize(problem)
+            if not lift.diagnostics["converged"]:
+                continue
+            converged += 1
+            p = lift.allocation.p
+            M_inv = np.linalg.inv(X.T @ (X * (p * problem.w)[:, None]))
+            d = problem.w * np.einsum("ij,jk,ik->i", X, M_inv, X)
+            gap = lift.diagnostics["equivalence_gap"]
+            assert gap <= 1e-5
+            assert gap == pytest.approx(d.max() / 4 - 1.0, abs=1e-9)
+            assert lift.diagnostics["log_objective"] == pytest.approx(
+                np.log(lift.objective), rel=1e-12
+            )
+        assert converged >= 10
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            _main_effects_2x3(),
+            build_model_matrix(
+                np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=2))),
+                [[], [0], [1], [0, 1]],
+            ),
+            full_factorial_design(2)[0],
+            full_factorial_design(3)[0],
+            full_factorial_design(4)[0],
+        ],
+        ids=["2^3-main", "3^2-interaction", "2^2-saturated", "2^3-saturated", "2^4-saturated"],
+    )
+    def test_matches_determinant_callable(self, X):
+        # the rank-one path against the black-box profile of det(X'WX)
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            problem = DesignProblem(X, beta=rng.uniform(-1.0, 1.0, X.shape[1]), weight_fn=LOGIT)
+            obj = MultilinearObjective(lambda p, pr=problem: objective_det(pr, p), *X.shape)
+            fast, slow = liftone_maximize(problem), liftone_maximize(obj)
+            assert fast.objective == pytest.approx(slow.objective, rel=1e-10)
+            assert abs(fast.diagnostics["sweeps"] - slow.diagnostics["sweeps"]) <= 1
+
+    def test_decades_wide_weights(self):
+        # probit weights here span up to ~60 decades, far beyond what a Cholesky
+        # factor of X'WX in the original rows resolves
+        rng = np.random.default_rng(2)
+        for beta in rng.uniform(-8.0, 8.0, (60, 3)):
+            problem = DesignProblem(X22, beta=beta, weight_fn=WeightFunction.from_name("probit"))
+            terms = objective_expansion(problem)
+            ref = liftone_maximize(MultilinearObjective(lambda p: expansion_value(terms, p), 4, 3))
+            lift = liftone_maximize(problem)
+            assert lift.allocation.p == pytest.approx(ref.allocation.p, abs=1e-9)
+            assert lift.objective == pytest.approx(ref.objective, rel=1e-9)
+
+    def test_singular_allocation_rejected_by_profile(self):
+        problem = DesignProblem(X22, w=np.ones(4))
+        with pytest.raises(DomainError, match="degenerate objective"):
+            fi_profile(problem, np.array([0.5, 0.5, 0.0, 0.0]), 0)

@@ -84,6 +84,18 @@ class TestSolveFourpoint:
         assert np.array_equal(rep.allocation.p, np.full(4, 0.25))
         assert rep.objective == 0.0
 
+    def test_seeded_collinear_layouts_are_rank2(self):
+        # every minor of four collinear points is roundoff; a threshold
+        # relative to the largest minor once labelled about half of these
+        # layouts with a rank-3 case
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            x1 = rng.uniform(-1.0, 1.0, 4)
+            X = np.column_stack([np.ones(4), x1, 0.3 * x1 + 0.1])
+            rep = solve_fourpoint(DesignProblem(X, w=rng.uniform(0.1, 0.3, 4)))
+            assert rep.case_label == "degenerate-rank2"
+            assert np.array_equal(rep.allocation.p, np.full(4, 0.25))
+
     def test_dominant_zero_case(self):
         rep = solve_fourpoint(_one_zero_problem([0.0, 1.0, 1.0, 3.0]))
         assert rep.case_label == "twofactor-2a"
