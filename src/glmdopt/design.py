@@ -15,6 +15,7 @@ the subset expansion serves cross-checks only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,9 @@ ROW_DECIMALS = 12
 #: simplex feasibility tolerances for allocations
 ALLOC_NEG_TOL = 1e-12
 ALLOC_SUM_TOL = 1e-12
-#: a leave-one-out minor counts as zero below this fraction of its Hadamard bound
+#: a leave-one-out minor counts as zero below this fraction of the largest |minor|
 MINOR_ZERO_REL = 1e-12
+EPS = float(np.finfo(float).eps)
 #: largest n for which objective_expansion enumerates the C(n, d) row subsets
 EXPANSION_MAX_POINTS = 20
 
@@ -157,15 +159,26 @@ def objective_det(problem: DesignProblem, p) -> float:
 def leave_one_out_minors(X):
     """``(minors, zero)`` of an (n, n-1) X: ``minors[i] = det(X without row i)``.
 
-    One stacked ``np.linalg.det`` call; ``zero`` flags minors at most ``MINOR_ZERO_REL``
-    times their Hadamard bound, the product of the column norms of X.
+    One stacked ``np.linalg.det`` call. When X, its columns scaled to unit
+    norm, has numerical rank below n-1, every minor is roundoff and ``zero``
+    flags them all; otherwise it flags the minors at most ``MINOR_ZERO_REL``
+    times the largest ``|minor|``. Neither test depends on how the factor
+    levels are coded.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     cols = np.arange(n - 1)
     keep = cols + (cols >= np.arange(n)[:, None])  # row i skips index i
     minors = np.linalg.det(X[keep])
-    zero = np.abs(minors) <= MINOR_ZERO_REL * np.prod(np.linalg.norm(X, axis=0))
+    # by Cauchy-Binet, vol2 is the squared volume of X with unit columns, so its
+    # sigma_min^2 >= vol2 / (n-1)^(n-2); the SVD runs only when that bound does
+    # not clear matrix_rank's tolerance n * eps * sigma_max <= n * eps * sqrt(n-1)
+    colsq = np.einsum("ij,ij->j", X, X)
+    vol2 = float(minors @ minors) / math.prod(colsq.tolist())
+    certified = vol2 > 0.0 and math.log(vol2) > 2.0 * math.log(n * EPS) + (n - 1) * math.log(n - 1)
+    if not certified and np.linalg.matrix_rank(X / np.sqrt(colsq)) < n - 1:
+        return minors, np.ones(n, dtype=bool)
+    zero = np.abs(minors) <= MINOR_ZERO_REL * np.max(np.abs(minors))
     return minors, zero
 
 
@@ -180,15 +193,22 @@ def objective_expansion(problem: DesignProblem):
     n, d = problem.X.shape
     if n > EXPANSION_MAX_POINTS:
         raise DomainError(f"expansion too large: n={n} exceeds the guard {EXPANSION_MAX_POINTS}")
-    rows = np.array(list(itertools.combinations(range(n), d)))
-    coeff = np.linalg.det(problem.X[rows]) ** 2 * np.prod(problem.w[rows], axis=1)
-    return [(tuple(r), float(c)) for r, c in zip(rows.tolist(), coeff)]
+    terms = []
+    for rows in itertools.combinations(range(n), d):
+        sub = problem.X[list(rows), :]
+        minor = np.linalg.det(sub)
+        coeff = minor * minor * float(np.prod(problem.w[list(rows)]))
+        terms.append((rows, coeff))
+    return terms
 
 
 def expansion_value(terms, p) -> float:
     """Evaluate an expansion returned by :func:`objective_expansion` at p."""
     arr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
-    return sum(coeff * float(np.prod(arr[list(rows)])) for rows, coeff in terms)
+    total = 0.0
+    for rows, coeff in terms:
+        total += coeff * float(np.prod(arr[list(rows)]))
+    return total
 
 
 def vform_objective(v, p) -> float:

@@ -1,17 +1,28 @@
 """Lift-one coordinate ascent for the D-optimality objective.
 
-The objective is multilinear in the allocation, so along the lift-one path
-that moves coordinate i to z and rescales the rest proportionally it is
+The objective is multilinear in the allocation: every monomial is a product
+of distinct coordinates. Restricting it to the lift-one path that moves
+coordinate i to z while rescaling the rest proportionally gives
 
     f_i(z) = alpha * z * (1 - z)^(d-1) + beta * (1 - z)^d,
 
-with d the number of model terms. Each step maximizes this profile exactly;
-sweeps cycle the coordinates until one gains less than ``tol`` relative. A
-:class:`DesignProblem` takes its profile from the sensitivity ``d_i = w_i x_i'
-M^-1 x_i`` of ``M = X' W X`` (matrix determinant lemma; Yang, Mandal & Majumdar
-2016), updates ``M^-1`` by Sherman-Morrison and refactors ``M`` (Cholesky, ``log
-det``) once a sweep. A :class:`MultilinearObjective`, the black-box reference for
-cross-checks, is evaluated twice per profile.
+with d the number of model terms. Each step maximizes the profile exactly
+(interior stationary point against the z=0 endpoint) and a sweep cycles the
+coordinates; convergence is declared on the relative objective improvement
+of a full sweep.
+
+A :class:`DesignProblem` takes its profile from the sensitivity
+``d_i = w_i x_i' M^-1 x_i`` of ``M = X' W X`` (matrix determinant lemma;
+Yang, Mandal & Majumdar 2016): with ``om = 1 - p_i``, ``alpha = f d_i /
+om^(d-1)`` and ``beta = f (1 - p_i d_i) / om^d``. A Sherman-Morrison update
+keeps ``M^-1`` current after each accepted step, and a Cholesky factor of
+``M`` refreshes it once a sweep, carrying ``log det M`` instead of
+``det M``. A :class:`MultilinearObjective` is a black box whose profile two
+evaluations pin, ``beta = f_i(0)`` and ``alpha = 2^d f_i(1/2) - beta``; it
+is the reference that the analytic solvers are cross-checked against.
+
+This is the numerical baseline for the analytic solvers and the
+general-matrix solver for shapes outside the analytic families.
 """
 
 from __future__ import annotations
@@ -29,13 +40,12 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class LiftOneConfig:
-    """Stopping rule and start: ``init_p=None`` is uniform; ``seed=None``
-    sweeps in order, an integer shuffles every sweep with that seed."""
+    """Stopping rule and initialization for the coordinate ascent."""
 
     tol: float = 1e-12
     max_sweeps: int = 500
-    init_p: np.ndarray | None = None
-    seed: int | None = None
+    init_p: np.ndarray | None = None  # starting allocation; None is uniform
+    seed: int | None = None  # None sweeps in order 1..n; an int shuffles each sweep
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -46,55 +56,81 @@ class LiftOneConfig:
 
 @dataclass(frozen=True)
 class MultilinearObjective:
-    """A degree-``degree`` polynomial ``fn(p)`` on ``n_points`` coordinates in
-    which every monomial is a product of distinct coordinates."""
+    """A homogeneous multilinear objective given directly as a callable.
+
+    ``fn(p)`` must be a degree-``degree`` polynomial in which every monomial
+    is a product of distinct coordinates (the shape the profile trick
+    requires); ``n_points`` is the allocation length.
+    """
 
     fn: Callable[[np.ndarray], float]
     n_points: int
     degree: int
 
 
-class _Callable:
-    """Ascent state of a :class:`MultilinearObjective`; ``level`` is its value."""
+def _callable_profile(obj: MultilinearObjective, p: np.ndarray, i: int) -> tuple[float, float]:
+    shrink = 1.0 / (1.0 - p[i])
+    q = p * shrink
+    q[i] = 0.0
+    beta = obj.fn(q)
+    q = p * (0.5 * shrink)
+    q[i] = 0.5
+    alpha = 2.0**obj.degree * obj.fn(q) - beta
+    return alpha, beta
 
-    def __init__(self, obj: MultilinearObjective, p):
-        self.obj, self.degree = obj, obj.degree
+
+def _relative_profile(p_i: float, d_i: float, degree: int) -> tuple[float, float]:
+    """(alpha, beta) of a design problem divided by its objective; nothing
+    divides by ``1 - p_i d_i``, so a square design gets ``beta = 0`` exactly."""
+    om = 1.0 - p_i
+    return d_i / om ** (degree - 1), (1.0 - p_i * d_i) / om**degree
+
+
+class _BlackBox:
+    """Ascent state of a :class:`MultilinearObjective`: its exact value ``f``."""
+
+    def __init__(self, obj: MultilinearObjective, p: np.ndarray):
+        self.obj = obj
+        self.degree = obj.degree
         self.refresh(p)
 
     def refresh(self, p):
-        self.level = self.obj.fn(p)
-        self.log_f = math.log(self.level) if self.level > 0.0 else -math.inf
+        self.f = self.obj.fn(p)
 
-    def profile(self, p, i):
-        shrink = 1.0 / (1.0 - p[i])
-        q = p * shrink
-        q[i] = 0.0
-        beta = self.obj.fn(q)  # f_i(0)
-        q = p * (0.5 * shrink)
-        q[i] = 0.5
-        return 2.0**self.degree * self.obj.fn(q) - beta, beta
+    def objective(self) -> float:
+        return self.f
 
-    def step(self, i, z, value):
-        self.level = value
+    def log_objective(self) -> float:
+        return math.log(self.f) if self.f > 0.0 else -math.inf
+
+    def lift(self, p, i: int) -> float | None:
+        """Maximize coordinate i's profile: the new ``p_i``, or None if no step gains."""
+        z, value = _best_step(*_callable_profile(self.obj, p, i), self.degree)
+        if value <= self.f:
+            return None
+        self.f = value
+        return z
 
 
 class _RankOne:
-    """Ascent state of a :class:`DesignProblem`: ``M^-1`` and ``log det M``. Profiles are
-    relative to the objective (``level`` 1): ``alpha = d_i / om^(d-1)``, ``beta = (1 -
-    p_i d_i) / om^d`` with ``om = 1 - p_i``; nothing divides by ``1 - p_i d_i``."""
-    level = 1.0
+    """Ascent state of a :class:`DesignProblem`: ``M^-1`` and ``log det M``."""
 
-    def __init__(self, problem: DesignProblem, p):
-        X, self.w, d = problem.X, problem.w, problem.n_terms
+    def __init__(self, problem: DesignProblem, p: np.ndarray):
+        X = problem.X
+        d = problem.n_terms
         if np.linalg.matrix_rank(X) < d:
             raise DomainError("X must have full column rank")
         if not p.all() and np.linalg.matrix_rank(X[p > 0.0]) < d:
             raise DomainError("degenerate objective: the support of p does not span X")
-        # rows in the basis of d heavy rows B (pivoted QR of sqrt(w) X) keep every d_i, and
-        # weights spanning many decades then sit on a diagonal that Cholesky scales out
-        B = linalg.qr((np.sqrt(self.w)[:, None] * X).T, mode="r", pivoting=True)[1][:d]
-        self.X, self.degree, self.log_det_B = X @ np.linalg.inv(X[B]), d, np.linalg.slogdet(X[B])[1]
+        # rows in the basis of d heavy rows B (pivoted QR of sqrt(w) X) keep every
+        # d_i, and weights spanning many decades then sit on a diagonal that
+        # Cholesky scales out
+        B = linalg.qr((np.sqrt(problem.w)[:, None] * X).T, mode="r", pivoting=True)[1][:d]
+        self.X = X @ np.linalg.inv(X[B])
         self.X[B] = np.eye(d)
+        self.log_det_B = np.linalg.slogdet(X[B])[1]
+        self.w = problem.w
+        self.degree = d
         self.refresh(p)
 
     def refresh(self, p):
@@ -106,26 +142,41 @@ class _RankOne:
         self.M_inv = L_inv.T @ L_inv
         self.log_f = 2.0 * float(np.sum(np.log(np.diag(L))) + self.log_det_B)
 
-    def profile(self, p, i):
-        x, self.p_i, om = self.X[i], float(p[i]), 1.0 - float(p[i])
-        self.u = self.M_inv @ x
-        self.d_i = float(self.w[i] * (x @ self.u))
-        return self.d_i / om ** (self.degree - 1), (1.0 - self.p_i * self.d_i) / om**self.degree
+    def objective(self) -> float:
+        return math.exp(self.log_f)
 
-    def step(self, i, z, value):
-        c = (1.0 - z) / (1.0 - self.p_i)
-        s = (z - c * self.p_i) / c
-        k = s * self.w[i] / (1.0 + s * self.d_i)
-        self.M_inv = (self.M_inv - self.u[:, None] * (k * self.u)) * (1.0 / c)
+    def log_objective(self) -> float:
+        return self.log_f
+
+    def sensitivity(self, i: int) -> tuple[np.ndarray, float]:
+        """``(M^-1 x_i, d_i)``."""
+        u = self.M_inv @ self.X[i]
+        return u, float(self.w[i] * (self.X[i] @ u))
+
+    def lift(self, p, i: int) -> float | None:
+        """Maximize coordinate i's profile: the new ``p_i``, or None if no step gains."""
+        u, d_i = self.sensitivity(i)
+        p_i = float(p[i])
+        z, value = _best_step(*_relative_profile(p_i, d_i, self.degree), self.degree)
+        if value <= 1.0:  # the profile is relative to the current objective
+            return None
+        # M moves to c (M + s w_i x_i x_i') with c = (1 - z) / (1 - p_i)
+        c = (1.0 - z) / (1.0 - p_i)
+        s = (z - c * p_i) / c
+        k = s * self.w[i] / (1.0 + s * d_i)
+        self.M_inv = (self.M_inv - u[:, None] * (k * u)) / c
+        return z
 
     def equivalence_gap(self) -> float:
         d = self.w * np.sum((self.X @ self.M_inv) * self.X, axis=1)
         return float(d.max()) / self.degree - 1.0
 
 
-def _state_type(problem):
-    if isinstance(problem, (MultilinearObjective, DesignProblem)):
-        return _Callable if isinstance(problem, MultilinearObjective) else _RankOne
+def _state_class(problem):
+    if isinstance(problem, MultilinearObjective):
+        return _BlackBox
+    if isinstance(problem, DesignProblem):
+        return _RankOne
     raise DomainError(f"cannot interpret {type(problem).__name__} as an objective")
 
 
@@ -135,20 +186,26 @@ def _check_lift(p, i: int):
 
 
 def fi_profile(problem, p, i: int) -> tuple[float, float]:
-    """Profile coefficients (alpha, beta) of coordinate i at allocation p: ``f_i(z) =
-    alpha z(1-z)^(d-1) + beta (1-z)^d`` along its lift-one path. A design problem needs
-    a nonsingular ``X' W X`` at p."""
-    kind, n = _state_type(problem), problem.n_points
+    """Profile coefficients (alpha, beta) of coordinate i at allocation p.
+
+    ``f_i(z) = alpha * z(1-z)^(d-1) + beta * (1-z)^d`` reproduces the
+    objective along the lift-one path of coordinate i. A design problem
+    needs a nonsingular ``X' W X`` at p.
+    """
+    kind = _state_class(problem)
+    n = problem.n_points
     arr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
     if arr.shape != (n,):
         raise DomainError(f"allocation has length {arr.size}, expected {n}")
     if not 0 <= i < n:
         raise DomainError(f"coordinate {i} out of range")
     _check_lift(arr, i)
-    state = kind(problem, arr)
-    alpha, beta = state.profile(arr, i)
-    scale = math.exp(state.log_f) if kind is _RankOne else 1.0
-    return alpha * scale, beta * scale
+    if kind is _BlackBox:
+        return _callable_profile(problem, arr, i)
+    state = _RankOne(problem, arr)
+    alpha, beta = _relative_profile(float(arr[i]), state.sensitivity(i)[1], state.degree)
+    f = state.objective()
+    return alpha * f, beta * f
 
 
 def profile_value(alpha: float, beta: float, degree: int, z: float) -> float:
@@ -172,37 +229,54 @@ def _best_step(alpha: float, beta: float, degree: int) -> tuple[float, float]:
 
 
 def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveReport:
-    """Coordinate-ascent maximizer of a :class:`DesignProblem` (full column rank) or a
-    :class:`MultilinearObjective`. Reports ``sweeps``, ``converged``, ``last_rel_improvement``,
-    ``log_objective`` and, for a design problem, ``equivalence_gap = max_i d_i / d - 1``.
+    """Coordinate-ascent maximizer of a multilinear design objective.
+
+    Accepts a :class:`DesignProblem` (full column rank required) or a
+    :class:`MultilinearObjective`. Each coordinate step is an exact
+    one-dimensional maximization, so the objective never decreases; sweeps
+    stop once a full pass improves it by less than ``tol`` relative.
+
+    Diagnostics: ``sweeps``, ``converged`` (1.0 or 0.0),
+    ``last_rel_improvement`` and ``log_objective``; for a design problem
+    also ``equivalence_gap = max_i d_i / d - 1``, which is zero exactly at
+    the D-optimum (Kiefer-Wolfowitz). Both come from the final sweep's
+    factorization.
     """
     cfg = config or LiftOneConfig()
-    kind, n = _state_type(problem), problem.n_points
-    p = np.full(n, 1.0 / n) if cfg.init_p is None else Allocation(cfg.init_p).p.copy()
-    if p.size != n:
-        raise DomainError(f"init_p has length {p.size}, expected {n}")
+    kind = _state_class(problem)
+    n = problem.n_points
+    if cfg.init_p is None:
+        p = np.full(n, 1.0 / n)
+    else:
+        p = Allocation(cfg.init_p).p.copy()
+        if p.size != n:
+            raise DomainError(f"init_p has length {p.size}, expected {n}")
+
     state = kind(problem, p)
-    if not np.isfinite(state.log_f):
+    if not np.isfinite(state.log_objective()):
         raise DomainError("degenerate objective: value is zero at the starting allocation")
+
     rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
     for sweeps in range(1, cfg.max_sweeps + 1):
-        log_start = state.log_f
+        log_start = state.log_objective()
         for i in rng.permutation(n) if rng is not None else range(n):
             _check_lift(p, i)
-            z, value = _best_step(*state.profile(p, i), state.degree)
-            if value <= state.level:
-                continue
-            state.step(i, z, value)
-            p *= (1.0 - z) / (1.0 - p[i])
-            p[i] = z
+            z = state.lift(p, i)
+            if z is not None:
+                p *= (1.0 - z) / (1.0 - p[i])
+                p[i] = z
         p /= p.sum()
         state.refresh(p)
-        last_rel = -math.expm1(log_start - state.log_f)
+        last_rel = -math.expm1(log_start - state.log_objective())
         if last_rel <= cfg.tol:
             break
 
-    diag = {"sweeps": float(sweeps), "converged": float(last_rel <= cfg.tol)}
-    diag.update(last_rel_improvement=float(last_rel), log_objective=state.log_f)
+    diag = {
+        "sweeps": float(sweeps),
+        "converged": 1.0 if last_rel <= cfg.tol else 0.0,
+        "last_rel_improvement": float(last_rel),
+        "log_objective": state.log_objective(),
+    }
     if kind is _RankOne:
         diag["equivalence_gap"] = state.equivalence_gap()
-    return SolveReport(Allocation(p), math.exp(state.log_f), "liftone", diag)
+    return SolveReport(Allocation(p), state.objective(), "liftone", diag)

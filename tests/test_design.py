@@ -1,5 +1,7 @@
 """Objective evaluation, subset expansion, and design-matrix helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,27 @@ class TestLeaveOneOutMinors:
         # every minor is roundoff, far below the Hadamard bound of X
         assert zero.tolist() == [True] * 4
         assert np.abs(minors).max() < 1e-15
+
+    @pytest.mark.parametrize(
+        "k, low, high", [(5, 0.0, 1.0), (6, 0.0, 1.0), (4, 1.0, 2.0), (2, 1e6, 1e6 + 1.0)]
+    )
+    def test_zero_mask_ignores_level_coding(self, k, low, high):
+        # every minor of these saturated layouts is +-1, far below the product
+        # of the column norms; a bound built from that product flags them all
+        _, points = full_factorial_design(k)
+        recipe = [()] + [t for size in range(1, k) for t in itertools.combinations(range(k), size)]
+        X = build_model_matrix(np.where(points > 0.0, high, low), recipe)
+        minors, zero = leave_one_out_minors(X)
+        assert np.abs(minors) == pytest.approx(np.ones(2**k), rel=1e-9)
+        assert not zero.any()
+
+    def test_zero_mask_ignores_column_scale(self):
+        # a 32-point layout takes the SVD rank test, which must see the columns
+        # at unit norm: unscaled, this one would have numerical rank 30
+        X, _ = full_factorial_design(5)
+        X = X * np.where(np.arange(31) == 7, 1e-15, 1.0)
+        assert np.linalg.matrix_rank(X) == 30
+        assert not leave_one_out_minors(X)[1].any()
 
 
 def test_public_names_pinned():

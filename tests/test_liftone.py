@@ -158,6 +158,8 @@ class TestMaximize:
         lift = liftone_maximize(obj, LiftOneConfig(tol=1e-14))
         analytic = solve_22(v)
         assert lift.objective == pytest.approx(analytic.objective, rel=1e-10)
+        # a black box reports its own value at the returned allocation
+        assert lift.objective == obj.fn(lift.allocation.p)
 
     def test_square_saturated_case_uniform(self):
         # as many terms as points: uniform is optimal and reached immediately

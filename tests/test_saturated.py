@@ -1,5 +1,7 @@
 """Saturated family (n points, n-1 terms): reduction, mu root, allocation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from glmdopt import (
     DomainError,
     LiftOneConfig,
     SaturatedProblem,
+    build_model_matrix,
     compute_v,
     full_factorial_design,
     h1_eval,
@@ -85,6 +88,18 @@ class TestComputeV:
         true_v = sp.v * np.exp(sp.log_scale)
         expected = np.array([16.0 * np.prod(w) / w[j] for j in range(4)])
         assert true_v == pytest.approx(np.sort(expected), rel=1e-10)
+
+    def test_zero_one_coding_matches_plus_minus_one(self, rng):
+        # recoding the levels multiplies X by a unit-determinant matrix, so every
+        # v_j and the optimum stay put
+        X, points = full_factorial_design(5)
+        recipe = [()] + [t for size in range(1, 5) for t in itertools.combinations(range(5), size)]
+        X01 = build_model_matrix((points + 1.0) / 2.0, recipe)
+        w = rng.uniform(0.05, 0.25, 32)
+        ref = solve_saturated(compute_v(DesignProblem(X, w=w)))
+        rep = solve_saturated(compute_v(DesignProblem(X01, w=w)))
+        assert rep.case_label == ref.case_label
+        assert rep.allocation.p == pytest.approx(ref.allocation.p, abs=1e-12)
 
     def test_shape_and_rank_errors(self):
         X = np.column_stack([np.ones(5), np.arange(5.0)])

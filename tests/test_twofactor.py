@@ -9,6 +9,7 @@ from glmdopt import (
     DomainError,
     LiftOneConfig,
     WeightFunction,
+    build_model_matrix,
     compute_u,
     liftone_maximize,
     objective_det,
@@ -95,6 +96,15 @@ class TestSolveFourpoint:
             rep = solve_fourpoint(DesignProblem(X, w=rng.uniform(0.1, 0.3, 4)))
             assert rep.case_label == "degenerate-rank2"
             assert np.array_equal(rep.allocation.p, np.full(4, 0.25))
+
+    def test_offset_levels_match_plus_minus_one(self, rng):
+        # recoding the levels {-1, 1} as {L, L+1} scales every minor by 1/4
+        points = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        w = rng.uniform(0.05, 0.25, 4)
+        ref = solve_fourpoint(DesignProblem(X22, w=w))
+        rep = solve_fourpoint(DesignProblem(build_model_matrix((points + 1.0) / 2.0 + 1e6), w=w))
+        assert rep.case_label == ref.case_label
+        assert rep.allocation.p == pytest.approx(ref.allocation.p, abs=1e-9)
 
     def test_dominant_zero_case(self):
         rep = solve_fourpoint(_one_zero_problem([0.0, 1.0, 1.0, 3.0]))
