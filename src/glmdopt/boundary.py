@@ -10,10 +10,10 @@ which reduces to
 
 for all (a, b) in the square, where ``p4`` is the optimal corner allocation,
 ``f(p4)`` its objective, and ``h`` a quadratic form in (a, b) built from the
-corner allocation and weights. ``min s`` is located by a dense grid followed
-by bound-constrained quasi-Newton polish from the best node and from the
-corners (the corner values sit exactly at zero for an interior-optimal
-``p4``, so nascent interior dips start near them).
+corner allocation and weights. ``min s`` is located by a dense grid scan
+followed by a zoom refinement, which needs only values of ``s``, from the
+best node and from the corners (the corner values sit exactly at zero for
+an interior-optimal ``p4``, so nascent interior dips start near them).
 
 ``p4`` always comes from the analytic four-point solver: the verdict
 threshold is tiny relative to the objective, and a merely near-optimal
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize  # unused here; perfbench/tracer.py patches this binding
 
 from .design import Allocation
 from .errors import DomainError, SolverError
@@ -38,6 +38,15 @@ CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 #: verdict tolerance as a fraction of the corner objective
 VERDICT_REL_TOL = 1e-10
+
+# zoom refinement of min s: stencil points per axis, radius shrink per level,
+# and levels (the last radius is 4^-10 of the grid spacing, ~1e-8 at grid 201)
+_ZOOM_POINTS = 9
+_ZOOM_SHRINK = 4.0
+_ZOOM_LEVELS = 11
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+_ZOOM_A = np.repeat(_ZOOM_OFFSETS, _ZOOM_POINTS)
+_ZOOM_B = np.tile(_ZOOM_OFFSETS, _ZOOM_POINTS)
 
 
 @dataclass(frozen=True)
@@ -156,8 +165,13 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
 
     Requires a problem already on the unit square (use
     :func:`rescale_problem` first). The margin surface is scanned on an
-    ``s_grid_steps`` x ``s_grid_steps`` grid and polished by L-BFGS-B from
-    the best node and the four corners.
+    ``s_grid_steps`` x ``s_grid_steps`` grid, then refined by a zoom search
+    from the best node and the four corners: at each level a 9 x 9 stencil
+    around every centre, clipped to the square, moves the centre to its
+    minimum, and the stencil radius (first the grid spacing) shrinks
+    fourfold. The corners are searched because their margins are exactly
+    zero for an interior-optimal ``p4``, so a dip that the grid misses
+    starts beside them.
     """
     if tuple(cp.bounds) != (-1.0, 1.0, -1.0, 1.0):
         raise DomainError("problem must be rescaled to the unit square first")
@@ -174,28 +188,26 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
         return 0.75 * f_p4 - np.asarray(fn(b0 + a * b1 + b * b2)) * h_ab(a, b, p4, w)
 
     axis = np.linspace(-1.0, 1.0, s_grid_steps)
-    A, B = np.meshgrid(axis, axis, indexing="ij")
-    S = s_of(A, B)
-    flat = int(np.argmin(S))
-    best = (float(A.flat[flat]), float(B.flat[flat]))
-    min_s = float(S.flat[flat])
-    argmin = best
+    S = s_of(axis[:, None], axis[None, :])
+    i, j = divmod(int(np.argmin(S)), s_grid_steps)
+    min_s = float(S[i, j])
+    argmin = (float(axis[i]), float(axis[j]))
 
-    def s_vec(x):
-        return float(s_of(float(x[0]), float(x[1])))
-
-    starts = [best] + [tuple(c) for c in CORNERS]
-    for x0 in starts:
-        res = optimize.minimize(
-            s_vec,
-            np.asarray(x0, dtype=float),
-            method="L-BFGS-B",
-            bounds=[(-1.0, 1.0), (-1.0, 1.0)],
-            options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 200},
-        )
-        if np.isfinite(res.fun) and res.fun < min_s:
-            min_s = float(res.fun)
-            argmin = (float(res.x[0]), float(res.x[1]))
+    centres = np.vstack([argmin, CORNERS])
+    rows = np.arange(len(centres))
+    radius = 2.0 / (s_grid_steps - 1)
+    for _ in range(_ZOOM_LEVELS):
+        a = np.clip(centres[:, :1] + radius * _ZOOM_A, -1.0, 1.0)
+        b = np.clip(centres[:, 1:] + radius * _ZOOM_B, -1.0, 1.0)
+        S = s_of(a, b)
+        k = np.argmin(S, axis=1)
+        centres = np.column_stack([a[rows, k], b[rows, k]])
+        vals = S[rows, k]
+        c = int(np.argmin(vals))
+        if vals[c] < min_s:
+            min_s = float(vals[c])
+            argmin = (float(centres[c, 0]), float(centres[c, 1]))
+        radius /= _ZOOM_SHRINK
 
     tol_s = VERDICT_REL_TOL * f_p4
     return BoundaryVerdict(bool(min_s >= -tol_s), min_s, argmin, p4, f_p4)
@@ -222,6 +234,8 @@ def region_sweep(
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
+    if s_grid_steps < 2:
+        raise DomainError("s_grid_steps must be >= 2")
     b1v = grid_axis(beta1_range[0], beta1_range[1], steps)
     b2v = grid_axis(beta2_range[0], beta2_range[1], steps)
     min_s = np.full((b1v.size, b2v.size), np.nan)

@@ -1,5 +1,8 @@
 """Continuous two-factor analysis: rescaling, the fifth-point margin, regions."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,9 +21,10 @@ from glmdopt import (
     rescale_problem,
     solve_22,
 )
-from glmdopt.boundary import CORNERS, corner_objective, count_boundary_pieces
+from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, corner_objective, count_boundary_pieces
 
 LOGIT = WeightFunction.logit()
+REGION_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "region_verdict_41.json"
 
 
 def _unit_problem(beta, fn=LOGIT):
@@ -186,10 +190,13 @@ class TestCheckBoundaryOptimal:
         )
 
     def test_verdict_invariant_under_corner_relabelings(self, rng):
-        # sign flips of either slope and the slope swap permute the corners
-        for _ in range(6):
-            beta = rng.normal(0, 1.2, 3)
-            base = check_boundary_optimal(_unit_problem(beta), s_grid_steps=61)
+        # sign flips of either slope and the slope swap permute the corners;
+        # (-1, 1.4, 1.4) at the default grid has a dip beside a corner that
+        # a local search started at the corners must find from every labelling
+        cases = [(rng.normal(0, 1.2, 3), 61) for _ in range(6)]
+        cases.append((np.array([-1.0, 1.4, 1.4]), 201))
+        for beta, steps in cases:
+            base = check_boundary_optimal(_unit_problem(beta), s_grid_steps=steps)
             variants = [
                 [beta[0], -beta[1], beta[2]],
                 [beta[0], beta[1], -beta[2]],
@@ -197,9 +204,25 @@ class TestCheckBoundaryOptimal:
                 [beta[0], -beta[2], -beta[1]],
             ]
             for vb in variants:
-                v = check_boundary_optimal(_unit_problem(vb), s_grid_steps=61)
+                v = check_boundary_optimal(_unit_problem(vb), s_grid_steps=steps)
                 assert v.boundary_optimal == base.boundary_optimal
                 assert v.min_s == pytest.approx(base.min_s, rel=1e-6, abs=1e-12 * base.f_p4)
+
+    def test_refinement_finds_dip_the_grid_misses(self):
+        beta = np.array([-1.0, 1.4, 1.4])
+        verdict = check_boundary_optimal(_unit_problem(beta))
+        w = corner_weights(beta, LOGIT)
+
+        def s(a, b):
+            eta = beta[0] + a * beta[1] + b * beta[2]
+            return 0.75 * verdict.f_p4 - LOGIT(eta) * h_ab(a, b, verdict.p4, w)
+
+        axis = np.linspace(-1.0, 1.0, 201)
+        grid_min = float(np.min(s(axis[:, None], axis[None, :])))
+        assert grid_min >= -VERDICT_REL_TOL * verdict.f_p4
+        assert not verdict.boundary_optimal
+        assert verdict.min_s < -4e-6 * verdict.f_p4
+        assert s(*verdict.argmin) == pytest.approx(verdict.min_s, abs=1e-12 * verdict.f_p4)
 
     def test_logit_intercept_sign_symmetry(self, rng):
         for _ in range(4):
@@ -249,6 +272,20 @@ class TestRegionSweep:
         grid = region_sweep(-1.0, (-2.0, 2.0), (-2.0, 2.0), 1, LOGIT, s_grid_steps=41)
         assert grid.verdict.shape == (1, 1)
         assert grid.beta1[0] == 0.0 and grid.beta2[0] == 0.0
+
+    @pytest.mark.parametrize("s_grid_steps", [1, 0, -3])
+    def test_margin_grid_below_two_rejected(self, s_grid_steps):
+        with pytest.raises(DomainError, match="s_grid_steps"):
+            region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 2, LOGIT, s_grid_steps=s_grid_steps)
+
+    @pytest.mark.parametrize("s_grid_steps", [201, 401])
+    def test_maps_match_recorded_fixture(self, s_grid_steps):
+        # 41x41 verdict maps recorded with the L-BFGS-B polish this search replaced
+        expected = json.loads(REGION_FIXTURE.read_text(encoding="utf-8"))["verdict"]
+        grid = region_sweep(-1.0, (-2.0, 2.0), (-2.0, 2.0), 41, LOGIT, s_grid_steps=s_grid_steps)
+        assert not grid.failed.any()
+        got = ["".join("1" if x else "0" for x in row) for row in grid.verdict]
+        assert got == expected[str(s_grid_steps)]
 
     def test_node_domain_error_marks_failed(self, monkeypatch):
         def reject(cp, s_grid_steps=201):

@@ -279,6 +279,7 @@ class TestBench:
         (["bench", "--n-instances", "-1"], None),
         (["solve"], [[], ["a"], [1]]),
         (["solve"], [[], 1, [1]]),
+        (["region", "--beta0=-1", "--range=-1:1", "--steps", "2", "--grid-steps", "1"], None),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, terms):
