@@ -34,7 +34,7 @@ from .boundary import (
     region_sweep,
     rescale_problem,
 )
-from .design import DesignProblem, SolveReport, build_model_matrix, full_factorial_design, objective_det
+from .design import DesignProblem, SolveReport, build_model_matrix, full_factorial_design
 from .errors import DomainError, SolverError
 from .liftone import LiftOneConfig, liftone_maximize
 from .saturated import compute_v, solve_saturated
@@ -325,33 +325,33 @@ def cmd_bench(args) -> int:
     betas = sample(rng, (args.n_instances, X.shape[1]))
 
     def run(method):
-        """Objective per instance (None where the solve failed) and the wall time."""
-        objectives = []
+        """Log-objective per instance (None where the solve failed) and the wall time."""
+        log_objectives = []
         start = time.perf_counter()
         for beta in betas:
             try:
                 problem = DesignProblem(X, beta=beta, weight_fn=fn)
                 report = dispatch_solve(problem, method, args.tol)
-                objectives.append(objective_det(problem, report.allocation))
+                log_objectives.append(report.diagnostics["log_objective"])
             except (DomainError, SolverError):
-                objectives.append(None)
-        return objectives, time.perf_counter() - start
+                log_objectives.append(None)
+        return log_objectives, time.perf_counter() - start
 
-    f_analytic, time_a = run("analytic")
-    f_liftone, time_l = run("liftone")
+    log_analytic, time_a = run("analytic")
+    log_liftone, time_l = run("liftone")
 
     eff = [
-        fl / fa
-        for fa, fl in zip(f_analytic, f_liftone)
-        if fa is not None and fl is not None and fa > 0.0
+        float(np.exp(ll - la))
+        for la, ll in zip(log_analytic, log_liftone)
+        if la is not None and ll is not None
     ]
     eff = np.array(eff) if eff else np.array([np.nan])
     rows = [
-        ["analytic", args.n_instances, f_analytic.count(None), time_a, 1.0, 1.0, 1.0],
+        ["analytic", args.n_instances, log_analytic.count(None), time_a, 1.0, 1.0, 1.0],
         [
             "liftone",
             args.n_instances,
-            f_liftone.count(None),
+            log_liftone.count(None),
             time_l,
             float(np.mean(eff)),
             float(np.percentile(eff, 1)),

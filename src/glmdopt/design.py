@@ -7,9 +7,11 @@ is ``det(X' W X)`` with ``W = diag(p_i * w_i)``.
 
 The determinant is also an order-``d`` homogeneous polynomial in ``p``:
 every ``d``-row subset contributes ``det(X[rows])^2 * prod(w[rows])`` times
-the product of the corresponding ``p``'s. The dense determinant is the
-production evaluator and lift-one works from the sensitivities of ``X' W X``;
-the subset expansion serves cross-checks only.
+the product of the corresponding ``p``'s. The analytic solvers evaluate their
+reduced (v-form) objectives and sensitivities with
+:func:`vform_log_sensitivities`, and lift-one works from the sensitivities of
+``X' W X``; the dense determinant and the subset expansion serve as
+references for cross-checks only.
 """
 
 from __future__ import annotations
@@ -150,7 +152,12 @@ class DesignProblem:
 
 
 def objective_det(problem: DesignProblem, p) -> float:
-    """det(X' W X) with W = diag(p_i * w_i), via pivoted elimination."""
+    """det(X' W X) with W = diag(p_i * w_i), via pivoted elimination.
+
+    A reference for tests and cross-checks. It loses all accuracy once the
+    weights span many decades, so the solvers carry their objectives in log
+    space instead.
+    """
     arr = _as_prob_vector(p, problem.n_points)
     scaled = problem.X * (arr * problem.w)[:, None]
     return float(np.linalg.det(problem.X.T @ scaled))
@@ -211,24 +218,47 @@ def expansion_value(terms, p) -> float:
     return total
 
 
-def vform_objective(v, p) -> float:
-    """Reduced objective ``sum_j v_j * prod_{i != j} p_i`` for n coefficients.
+def vform_log_sensitivities(v, p):
+    """``(log f, d)`` for the v-form ``f(p) = sum_j v_j * prod_{i != j} p_i``.
 
-    Uses leave-one-out prefix/suffix products so zero entries of ``p`` are
-    handled exactly.
+    ``d_i = df/dp_i / f`` are the Kiefer-Wolfowitz sensitivities of the design
+    problem this reduced objective stands for, and ``sum_i p_i d_i = n - 1``
+    (Euler), so ``max_i d_i / (n - 1) - 1`` is its equivalence gap. Every
+    product is a leave-one-out or leave-two-out product of prefix and suffix
+    products, O(n^2) in all, so zero entries of ``p`` are handled exactly.
+    Where ``f`` is zero, ``log f`` is ``-inf`` and ``d`` is not finite.
     """
     varr = np.asarray(v, dtype=float)
     parr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
-    if varr.shape != parr.shape:
+    if varr.ndim != 1 or varr.shape != parr.shape:
         raise DomainError("v and p must have the same length")
     n = parr.size
-    pref = np.ones(n + 1)
-    for i in range(n):
-        pref[i + 1] = pref[i] * parr[i]
-    suf = np.ones(n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = suf[i + 1] * parr[i]
-    return float(np.sum(varr * pref[:n] * suf[1:]))
+    # row 0 is (v, p); row 1 + i has v_i = 0 and p_i = 1, so its leave-one-out
+    # sum is the leave-two-out sum df/dp_i
+    marked = np.eye(n + 1, n, -1, dtype=bool)
+    P = np.where(marked, 1.0, parr)
+    # exclusive prefix products (layer 0) and reversed suffix products (layer 1)
+    ends = np.ones((2, n + 1, n))
+    ends[0, :, 1:] = P[:, :-1]
+    ends[1, :, 1:] = P[:, :0:-1]
+    cp = np.cumprod(ends, axis=2)
+    sums = np.sum(np.where(marked, 0.0, varr) * cp[0] * cp[1, :, ::-1], axis=1)
+    f, grad = sums[0], sums[1:]
+    if f > 0.0:
+        return math.log(f), grad / f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.log(f)), grad / f
+
+
+def vform_objective(v, p) -> float:
+    """Reduced objective ``sum_j v_j * prod_{i != j} p_i`` for n nonnegative coefficients."""
+    return safe_exp(vform_log_sensitivities(v, p)[0])
+
+
+def safe_exp(x: float) -> float:
+    """``exp(x)``, returning ``inf`` instead of raising past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
 
 
 def build_model_matrix(points, terms="main-effects") -> np.ndarray:

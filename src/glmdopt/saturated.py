@@ -29,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Allocation, DesignProblem, SolveReport, leave_one_out_minors, vform_objective
+from .design import (
+    Allocation,
+    DesignProblem,
+    SolveReport,
+    leave_one_out_minors,
+    safe_exp,
+    vform_log_sensitivities,
+)
 from .errors import DomainError, SolverError
 from .solver4 import _bisect_root
 
@@ -198,28 +205,23 @@ def root_mu(sp: SaturatedProblem) -> MuSolve:
     return MuSolve(x / vn, branch, iters, residual)
 
 
-def _safe_exp(x: float) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.exp(x))
-
-
 def solve_saturated(sp: SaturatedProblem) -> SolveReport:
     """Optimal allocation for a saturated problem, in the input point order.
 
     The reported objective is on the true coefficient scale
-    (``exp(log_scale)`` times the stored one); diagnostics carry ``mu`` and
-    the multiplier ``lambda`` on the same true scale, the bisection quality,
-    and the spread of the stationarity ratios as a self-check.
+    (``exp(log_scale)`` times the stored one) and is carried in log space as
+    the ``log_objective`` diagnostic; ``equivalence_gap = max_i d_i / (n - 1)
+    - 1`` is the Kiefer-Wolfowitz certificate, zero exactly at the optimum.
+    Interior solutions also report ``mu`` and the multiplier ``lambda`` on
+    the true scale and the bisection quality.
     """
     v = sp.v
     n = sp.n
     vn = v[-1]
     tail = float(np.sum(v[:-1]))
-    scale = _safe_exp(sp.log_scale)
     if vn >= tail * (1.0 - BOUNDARY_REL):
         p_sorted = np.full(n, 1.0 / (n - 1))
         p_sorted[-1] = 0.0
-        objective = vn / float(n - 1) ** (n - 1) * scale
         diag = {"zero_count": float(sp.zero_count)}
         label = "saturated-boundary"
     else:
@@ -230,30 +232,21 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
         if ms.branch == "h2":
             p_sorted[-1] = (1.0 - r[-1]) / (2.0 * (n - 1))
         p_sorted = p_sorted / p_sorted.sum()
-
-        f_stored = vform_objective(v, p_sorted)
         prod_p = float(np.prod(p_sorted))
-        f_alt = 4.0 * (n - 1) * prod_p / ms.mu
-        cross = abs(f_stored - f_alt) / max(f_stored, f_alt)
-        objective = f_stored * scale
-
-        positive = v > 0.0
-        ratios = p_sorted[positive] * (1.0 / (n - 1) - p_sorted[positive]) / v[positive]
-        spread = float((ratios.max() - ratios.min()) / ratios.mean())
-
         diag = {
-            "mu": ms.mu * _safe_exp(-sp.log_scale),
+            "mu": ms.mu * safe_exp(-sp.log_scale),
             "mu_scaled": ms.mu,
             "log_scale": sp.log_scale,
-            "lambda": 4.0 * (n - 1) ** 2 * prod_p / ms.mu * scale,
+            "lambda": 4.0 * (n - 1) ** 2 * prod_p / ms.mu * safe_exp(sp.log_scale),
             "mu_residual": ms.residual,
             "bisect_iterations": float(ms.iterations),
-            "objective_cross_rel": cross,
-            "stationarity_spread": spread,
             "zero_count": float(sp.zero_count),
         }
         label = f"saturated-{ms.branch}"
 
+    log_f, d = vform_log_sensitivities(v, p_sorted)
+    diag["log_objective"] = sp.log_scale + log_f
+    diag["equivalence_gap"] = float(d.max()) / (n - 1) - 1.0
     p_out = np.empty(n)
     p_out[sp.perm] = p_sorted
-    return SolveReport(Allocation(p_out), objective, label, diag)
+    return SolveReport(Allocation(p_out), safe_exp(diag["log_objective"]), label, diag)

@@ -15,11 +15,14 @@ by a case dispatch on the sorted coefficients:
   unique root above 1 is evaluated by radicals (complex arithmetic,
   principal branches), then ``y2 = p2/p4`` and ``y3 = p3/p4`` follow by
   back-substitution;
-* exactly one zero coefficient: rational closed forms (shared with the
-  four-point two-factor solver).
+* a zero smallest coefficient: rational closed forms (shared with the
+  four-point two-factor solver); with more than one zero the first of them
+  (2a) applies, mass 1/3 on every point but the largest coefficient's.
 
 A residual check guards the radical evaluation; on failure the root is
-re-isolated by bisection on (1, B) where B bounds all roots.
+re-isolated by bisection on (1, B) where B bounds all roots. Whatever the
+case, the report is certified by the Kiefer-Wolfowitz equivalence gap
+computed from :func:`~glmdopt.design.vform_log_sensitivities`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Allocation, SolveReport, vform_objective
+from .design import Allocation, SolveReport, safe_exp, vform_log_sensitivities
 from .errors import DomainError, SolverError
 
 #: two coefficients are tied (and a coefficient is zero) below this relative gap
@@ -60,10 +63,6 @@ class VCoefficients:
             raise DomainError("values must be sorted ascending")
         if vals[-1] <= 0.0:
             raise DomainError("at least one coefficient must be positive")
-        if int(np.sum(vals <= TIE_REL * vals[-1])) > 1:
-            raise DomainError(
-                "degenerate: more than one zero coefficient; use the four-point rank analysis"
-            )
         vals = vals.copy()
         vals.flags.writeable = False
         perm = perm.copy()
@@ -227,39 +226,20 @@ def back_substitute(y1: float, v) -> tuple[float, float, Allocation]:
     return float(y2), float(y3), Allocation(p)
 
 
-def _partials(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    out = np.zeros(4)
-    for i in range(4):
-        acc = 0.0
-        for k in range(4):
-            if k == i:
-                continue
-            prod = 1.0
-            for j in range(4):
-                if j != i and j != k:
-                    prod *= p[j]
-            acc += v[k] * prod
-        out[i] = acc
-    return out
-
-
 def kkt_residual(v, p) -> float:
-    """Max pairwise gap of the objective partial derivatives at interior p."""
+    """Max pairwise gap of the objective partial derivatives at interior p.
+
+    Equals ``f * (max_i d_i - min_i d_i)`` with ``(log f, d)`` from
+    :func:`~glmdopt.design.vform_log_sensitivities`.
+    """
     varr = v.values if isinstance(v, VCoefficients) else np.asarray(v, dtype=float)
     parr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
     if varr.shape != (4,) or parr.shape != (4,):
         raise DomainError("need four coefficients and four allocation entries")
     if np.any(parr <= 0.0):
         raise DomainError("residual undefined at boundary: all allocation entries must be positive")
-    d = _partials(varr, parr)
-    return float(d.max() - d.min())
-
-
-def _support_kkt(v: np.ndarray, p: np.ndarray) -> float:
-    """KKT gap restricted to the support; zero-allocation points are skipped."""
-    d = _partials(v, p)
-    on = p > 0.0
-    return float(d[on].max() - d[on].min())
+    log_f, d = vform_log_sensitivities(varr, parr)
+    return safe_exp(log_f) * float(d.max() - d.min())
 
 
 def _tie_pair_solution(v: np.ndarray, pair: str) -> np.ndarray:
@@ -330,18 +310,18 @@ def _interior_quartic(v: np.ndarray):
 def solve_22(v) -> SolveReport:
     """Maximize the four-point reduced objective over the simplex.
 
-    Accepts four nonnegative coefficients in any order (at most one zero) and
-    returns the unique optimal allocation in the input order. The case label
-    records which closed form fired; diagnostics carry the quartic
-    intermediates for the interior case and a support-restricted KKT gap
-    always.
+    Accepts four nonnegative coefficients in any order, at least one of them
+    positive, and returns the optimal allocation in the input order. The case
+    label records which closed form fired. Diagnostics carry the quartic
+    intermediates for the interior case, and always ``log_objective`` and the
+    Kiefer-Wolfowitz ``equivalence_gap = max_i d_i / 3 - 1``, which is zero
+    exactly at the optimum.
     """
     vc = v if isinstance(v, VCoefficients) else VCoefficients.from_values(v)
     s = vc.values
     diag: dict = {}
 
-    zero_mask = s <= TIE_REL * s[-1]
-    if zero_mask[0]:
+    if s[0] <= TIE_REL * s[-1]:
         p_sorted, suffix = _one_zero_sorted(s)
         label = f"2x2-case-{suffix}"
     elif s[3] >= s[0] + s[1] + s[2]:
@@ -359,9 +339,10 @@ def solve_22(v) -> SolveReport:
             label = "2x2-case-v"
 
     p_sorted = np.clip(p_sorted, 0.0, None)
-    diag["kkt_residual"] = _support_kkt(s, p_sorted)
-    objective = vform_objective(s, p_sorted)
+    log_f, d = vform_log_sensitivities(s, p_sorted)
+    diag["log_objective"] = log_f
+    diag["equivalence_gap"] = float(d.max()) / 3.0 - 1.0
 
     p_out = np.empty(4)
     p_out[vc.perm] = p_sorted
-    return SolveReport(Allocation(p_out), objective, label, diag)
+    return SolveReport(Allocation(p_out), safe_exp(log_f), label, diag)

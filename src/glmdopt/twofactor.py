@@ -12,10 +12,12 @@ case the ``u_i`` can vanish, which drives the dispatch:
 * all minors zero (rank 2): the objective is identically zero and every
   allocation is optimal; the uniform one is reported as the canonical,
   permutation-equivariant choice;
-* exactly one zero (one row in the span of two others): rational closed
-  forms on the sorted coefficients;
-* all positive: the four-point reduced-objective solver applies verbatim
-  with ``v := u``.
+* otherwise (rank 3) the four-point reduced-objective solver applies
+  verbatim with ``v := u``; an exactly zero ``u_i`` (one row in the span of
+  two others) sends it to its rational closed forms.
+
+The objective is reported as ``exp(sum log w + log f(u, p))``, which stays
+accurate where the weights span many decades.
 """
 
 from __future__ import annotations
@@ -24,16 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (
-    Allocation,
-    DesignProblem,
-    SolveReport,
-    leave_one_out_minors,
-    objective_det,
-    vform_objective,
-)
+from .design import Allocation, DesignProblem, SolveReport, leave_one_out_minors, safe_exp
 from .errors import DomainError
-from .solver4 import _one_zero_sorted, _support_kkt, solve_22
+from .solver4 import solve_22
 
 
 @dataclass(frozen=True)
@@ -70,31 +65,18 @@ def compute_u(problem: DesignProblem) -> UCoefficients:
 def solve_fourpoint(problem: DesignProblem) -> SolveReport:
     """Optimal allocation for any four distinct two-factor design points.
 
-    The reported objective is ``det(X' W X)``; diagnostics include the
-    reduced-coefficient objective and, where defined, the support-restricted
-    first-order gap.
+    The reported objective is ``det(X' W X)``, carried in log space as the
+    ``log_objective`` diagnostic; ``equivalence_gap`` is the
+    Kiefer-Wolfowitz certificate of :func:`~glmdopt.solver4.solve_22`. A
+    rank-2 layout reports neither.
     """
     uc = compute_u(problem)
     if uc.rank_case == "rank2":
-        alloc = Allocation.uniform(4)
-        return SolveReport(alloc, 0.0, "degenerate-rank2", {"reduced_objective": 0.0})
+        return SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {})
 
-    if uc.rank_case == "rank3_one_zero":
-        s = uc.u[uc.perm]
-        p_sorted, suffix = _one_zero_sorted(s)
-        label = f"twofactor-{suffix}"
-        diag = {"kkt_residual": _support_kkt(s, p_sorted)}
-        p = np.empty(4)
-        p[uc.perm] = p_sorted
-        alloc = Allocation(p)
-        reduced = vform_objective(uc.u, p)
-    else:
-        report = solve_22(uc.u)
-        label = report.case_label.replace("2x2", "twofactor")
-        diag = dict(report.diagnostics)
-        alloc = report.allocation
-        reduced = report.objective
-
-    diag["reduced_objective"] = reduced
-    objective = objective_det(problem, alloc)
-    return SolveReport(alloc, objective, label, diag)
+    report = solve_22(uc.u)
+    prefix = "twofactor-" if uc.rank_case == "rank3_one_zero" else "twofactor-case-"
+    label = prefix + report.case_label.removeprefix("2x2-case-")
+    diag = dict(report.diagnostics)
+    diag["log_objective"] += float(np.log(problem.w).sum())
+    return SolveReport(report.allocation, safe_exp(diag["log_objective"]), label, diag)

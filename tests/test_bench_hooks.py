@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 
 import glmdopt.boundary
-from glmdopt import DesignProblem, full_factorial_design, liftone_maximize
+from glmdopt import (
+    DesignProblem,
+    SaturatedProblem,
+    full_factorial_design,
+    liftone_maximize,
+    solve_22,
+    solve_saturated,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +53,25 @@ def test_tracer_counts_a_liftone_solve():
     assert metrics["liftone.sweeps"] == report.diagnostics["sweeps"]
     assert metrics["liftone.converged_ratio"] == 1.0
     assert glmdopt.liftone.liftone_maximize is liftone_maximize
+
+
+def test_tracer_counts_analytic_diagnostics():
+    # the tracer reads these keys with a default of zero, so a dropped key
+    # would silently zero its counters
+    tracer = _load_tracer().Tracer().install()
+    try:
+        quartic = glmdopt.solver4.solve_22([1.0, 2.0, 3.0, 4.0])
+        interior = glmdopt.saturated.solve_saturated(SaturatedProblem.from_values(range(1, 9)))
+    finally:
+        tracer.uninstall()
+    assert quartic.case_label == "2x2-case-v"
+    assert interior.case_label == "saturated-h1"
+    assert "quartic_fallback" in quartic.diagnostics
+    assert interior.diagnostics["bisect_iterations"] > 0
+    metrics = tracer.metrics(1)
+    assert metrics["solver4.case.2x2-case-v"] == 1.0
+    assert metrics["solver4.quartic_fallbacks"] == quartic.diagnostics["quartic_fallback"]
+    assert metrics["saturated.case.saturated-h1"] == 1.0
+    assert metrics["saturated.bisect_iterations"] == interior.diagnostics["bisect_iterations"]
+    assert glmdopt.solver4.solve_22 is solve_22
+    assert glmdopt.saturated.solve_saturated is solve_saturated

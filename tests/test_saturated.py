@@ -323,10 +323,13 @@ class TestInvariants:
                 p = solve_saturated(SaturatedProblem.from_values(v)).allocation.p
                 assert p.min() > 0.0
 
-    def test_objective_cross_check_recorded(self, rng):
+    def test_certificate_recorded(self, rng):
         v = self._random_interior_v(rng, 6)
         rep = solve_saturated(SaturatedProblem.from_values(v))
-        assert rep.diagnostics["objective_cross_rel"] < 1e-10
+        assert abs(rep.diagnostics["equivalence_gap"]) < 1e-12
+        assert rep.diagnostics["log_objective"] == pytest.approx(np.log(rep.objective), abs=1e-14)
+        # the multiplier is the common partial derivative, (n - 1) f by Euler
+        assert rep.diagnostics["lambda"] == pytest.approx(5.0 * rep.objective, rel=1e-10)
 
     def test_extreme_weight_scale_survives(self):
         # weights small enough that naive products underflow

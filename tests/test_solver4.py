@@ -85,9 +85,30 @@ class TestCaseDispatch:
         assert rep.case_label == "2x2-case-2d"
         assert rep.allocation.p[0] == 1.0 / 3.0
 
-    def test_two_zeros_rejected(self):
-        with pytest.raises(DomainError, match="rank"):
-            solve_22([0.0, 0.0, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "v, empty",
+        [
+            ([0.0, 0.0, 1.0, 2.0], 3),
+            ([0.0, 0.0, 1.0, 1.0], 3),
+            ([0.0, 0.0, 0.0, 1.0], 3),
+            ([2.0, 0.0, 1.0, 0.0], 0),
+        ],
+    )
+    def test_two_zeros_solve_to_case_2a(self, v, empty):
+        # exact zeros: mass 1/3 on every point but one with the largest coefficient
+        rep = solve_22(v)
+        assert rep.case_label == "2x2-case-2a"
+        target = np.full(4, 1.0 / 3.0)
+        target[empty] = 0.0
+        assert np.array_equal(rep.allocation.p, target)
+        assert rep.diagnostics["equivalence_gap"] == 0.0
+        assert rep.objective == pytest.approx(max(v) / 27.0, rel=1e-14)
+
+    def test_two_near_zeros_certified(self):
+        rep = solve_22([1e-12, 1e-12, 1.0, 1.0])
+        assert rep.case_label == "2x2-case-2c"
+        assert rep.allocation.p[0] == 1.0 / 3.0
+        assert 0.0 <= rep.diagnostics["equivalence_gap"] <= 1e-12
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
