@@ -42,14 +42,13 @@ from .saturated import (
 )
 from .solver4 import (
     QuarticRoot,
-    VCoefficients,
     back_substitute,
     kkt_residual,
     quartic_largest_root,
     solve_22,
     solve_quartic,
 )
-from .twofactor import UCoefficients, compute_u, solve_fourpoint
+from .twofactor import compute_u, solve_fourpoint
 from .weights import WeightFunction, weight_eval
 
 __version__ = "0.1.0"
@@ -69,8 +68,6 @@ __all__ = [
     "SaturatedProblem",
     "SolveReport",
     "SolverError",
-    "UCoefficients",
-    "VCoefficients",
     "WeightFunction",
     "back_substitute",
     "build_model_matrix",

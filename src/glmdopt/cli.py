@@ -12,9 +12,10 @@ Problem files are JSON with fields:
   factor-index lists per column starting with ``[]`` for the intercept.
 
 Exit codes: 0 success, 2 input error, 3 solver failure. All floats are
-serialized with 17 significant digits; CSV uses LF line endings and a header
-row. Random benchmark instances come from numpy's PCG64 generator, so a seed
-pins the instance stream across platforms.
+serialized with 17 significant digits, and non-finite ones as JSON ``null``;
+CSV uses LF line endings and a header row. Random benchmark instances come
+from numpy's PCG64 generator, so a seed pins the instance stream across
+platforms.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ def _fmt(x) -> str:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # JSON has no NaN or Infinity: a round trip turns non-finite floats into null
+    obj = json.loads(json.dumps(obj), parse_constant=lambda name: None)
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_lines(header, rows) -> str:
@@ -65,9 +68,13 @@ def weight_fn_from_spec(spec) -> WeightFunction:
         if kind == "tabulated":
             if "eta" not in spec or "w" not in spec:
                 raise DomainError("link: tabulated weight needs 'eta' and 'w' arrays")
-            return WeightFunction.tabulated(spec["eta"], spec["w"])
+            eta = _require_numbers(spec["eta"], "link.eta")
+            return WeightFunction.tabulated(eta, _require_numbers(spec["w"], "link.w"))
         if kind in ("constant", "identity", "identity_constant"):
-            return WeightFunction.constant(spec.get("value", 1.0))
+            value = spec.get("value", 1.0)
+            if not isinstance(value, (int, float)):
+                raise DomainError("link.value: expected a number")
+            return WeightFunction.constant(value)
         if isinstance(kind, str):
             return WeightFunction.from_name(kind)
         raise DomainError("link.kind: expected a string")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SolverError
 from .weights import WeightFunction
 
 #: decimals used to canonicalize rows before exact duplicate comparison
@@ -259,6 +259,31 @@ def safe_exp(x: float) -> float:
     """``exp(x)``, returning ``inf`` instead of raising past the float range."""
     with np.errstate(over="ignore"):
         return float(np.exp(x))
+
+
+def _bisect_root(fn, lo: float, hi: float, max_iter: int = 200):
+    """Bisect a sign change of fn on [lo, hi]; returns (root, iterations)."""
+    flo = fn(lo)
+    fhi = fn(hi)
+    if flo == 0.0:
+        return lo, 0
+    if fhi == 0.0:
+        return hi, 0
+    if flo * fhi > 0.0:
+        raise SolverError(f"bisection bracket lost: f({lo})={flo}, f({hi})={fhi}")
+    it = 0
+    for it in range(1, max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid, it
+        if (fm > 0.0) == (fhi > 0.0):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), it
 
 
 def build_model_matrix(points, terms="main-effects") -> np.ndarray:

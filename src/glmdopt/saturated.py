@@ -5,7 +5,9 @@ With one more point than parameters the objective reduces to
     f(p) = p1 ... pn * sum_j v_j / p_j,
 
 where ``v_j`` is the squared determinant of X with row j deleted times the
-product of the other points' weights. Sorted ascending, the solution is:
+product of the other points' weights. Every such problem, the four-point
+two-factor one (n = 4) included, is reduced by one scale-safe function to a
+:class:`SaturatedProblem`. Sorted ascending, the solution is:
 
 * if the largest coefficient dominates the sum of the others, mass 1/(n-1)
   on every other point (objective ``v_n / (n-1)^(n-1)``);
@@ -20,11 +22,14 @@ product of the other points' weights. Sorted ascending, the solution is:
 
 Zero coefficients (a row lying in the span of some of the others) force
 ``p_i = 1/(n-1)`` on those points, which is exactly what the plus root gives
-at ``v_i = 0``, so both branches handle them without special cases.
+at ``v_i = 0``, so both branches handle them without special cases; with at
+most two positive coefficients the largest dominates and the boundary
+allocation is exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +38,12 @@ from .design import (
     Allocation,
     DesignProblem,
     SolveReport,
+    _bisect_root,
     leave_one_out_minors,
     safe_exp,
     vform_log_sensitivities,
 )
 from .errors import DomainError, SolverError
-from .solver4 import _bisect_root
 
 #: dominant-coefficient boundary comparison uses this relative rounding
 BOUNDARY_REL = 1e-12
@@ -48,9 +53,10 @@ BOUNDARY_REL = 1e-12
 class SaturatedProblem:
     """Sorted reduced coefficients of an (n, n-1) design problem.
 
-    ``v`` is ascending with ``zero_count`` exact zeros in front;
-    ``true v = v * exp(log_scale)`` (``log_scale`` keeps extreme weight
-    products representable; it is 0 when constructed from explicit values).
+    ``v`` is ascending with ``zero_count`` exact zeros in front and at least
+    one positive entry; ``true v = v * exp(log_scale)`` (``log_scale`` keeps
+    extreme weight products representable; it is 0 when constructed from
+    explicit values).
     """
 
     v: np.ndarray
@@ -60,41 +66,34 @@ class SaturatedProblem:
     log_scale: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        perm = np.asarray(self.perm, dtype=int)
+        v = np.array(self.v, dtype=float)
+        perm = np.array(self.perm, dtype=int)
         n = int(self.n)
+        l = int(self.zero_count)
         if n < 3:
             raise DomainError("need at least three design points")
         if v.shape != (n,) or perm.shape != (n,):
             raise DomainError("v and perm must have length n")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise DomainError("coefficients must be finite and nonnegative")
-        if np.any(np.diff(v) < 0.0):
+        if not np.isfinite(v).all():
+            raise DomainError("coefficients must be finite")
+        if (v[1:] < v[:-1]).any():
             raise DomainError("v must be sorted ascending")
-        l = int(self.zero_count)
-        if np.any(v[:l] != 0.0) or (l < n and v[l] <= 0.0):
+        if v[0] < 0.0:
+            raise DomainError("coefficients must be nonnegative")
+        if v[-1] <= 0.0:
+            raise DomainError("at least one coefficient must be positive")
+        if not 0 <= l < n or v[l] <= 0.0 or (l and v[l - 1] != 0.0):
             raise DomainError("zero_count must match the leading zeros of v")
-        if l > 0 and not 1 <= l <= n - 3:
-            raise DomainError(
-                f"{l} zero coefficients means the points span fewer than {n - 1} dimensions; "
-                "reparametrize the model"
-            )
-        v = v.copy()
-        v.flags.writeable = False
-        perm = perm.copy()
-        perm.flags.writeable = False
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "zero_count", l)
+        v.flags.writeable = perm.flags.writeable = False
+        for name, value in (("v", v), ("perm", perm), ("n", n), ("zero_count", l)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "log_scale", float(self.log_scale))
 
     @classmethod
     def from_values(cls, v) -> "SaturatedProblem":
         raw = np.asarray(v, dtype=float).reshape(-1)
         perm = np.argsort(raw, kind="stable")
-        s = raw[perm]
-        return cls(s, perm, raw.size, int(np.sum(s == 0.0)))
+        return cls(raw[perm], perm, raw.size, int(np.sum(raw == 0.0)))
 
 
 @dataclass(frozen=True)
@@ -107,32 +106,40 @@ class MuSolve:
     residual: float
 
 
+def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray) -> SaturatedProblem:
+    """``v_j = minors_j^2 * prod_{i != j} w_i`` from the leave-one-out minors.
+
+    ``v_j / prod(w) = minors_j^2 / w_j`` is formed from mantissas and integer
+    exponents (``frexp``) and scaled by a power of two, so that the largest
+    ``v`` lies in [1/4, 2) however extreme the weights, the rounding is that
+    of the direct ratio, and ``log_scale`` carries the scale. Minors flagged
+    in ``zero`` give exact zeros; their exponents are clamped, since a
+    roundoff minor over a tiny weight may exceed the float range.
+    """
+    fm, em = np.frexp(minors)
+    fw, ew = np.frexp(w)
+    e = 2 * em - ew
+    e_top = int(e[~zero].max())
+    v = np.ldexp(fm * fm / fw, np.minimum(e - e_top, 0))
+    v[zero] = 0.0
+    log_scale = e_top * math.log(2.0) + float(np.log(w).sum())
+    perm = np.argsort(v, kind="stable")
+    return SaturatedProblem(v[perm], perm, w.size, int(zero.sum()), log_scale)
+
+
 def compute_v(problem: DesignProblem) -> SaturatedProblem:
     """Reduced coefficients from the leave-one-row-out determinants.
 
-    Requires ``n == d + 1`` and rank ``n - 1``. The coefficient products are
-    accumulated in log space and stored normalized to max 1 with the scale in
-    ``log_scale``, so extreme weights cannot overflow or underflow.
+    Requires ``n == d + 1`` and rank ``n - 1``, as decided by
+    :func:`~glmdopt.design.leave_one_out_minors`.
     """
-    X = problem.X
-    n, d = X.shape
+    n, d = problem.X.shape
     if n != d + 1:
         raise DomainError(f"need exactly one more point than model terms, got {n} points, {d} terms")
-    if np.linalg.matrix_rank(X) < d:
-        raise DomainError("X has rank below the number of model terms; reparametrize the model")
-    minors, zero = leave_one_out_minors(X)
+    minors, zero = leave_one_out_minors(problem.X)
     if zero.all():
-        raise DomainError("all leave-one-out determinants vanish; reparametrize the model")
-    nonzero = ~zero
-    logw = np.log(problem.w)
-    logw_total = float(np.sum(logw))
-    logv = np.full(n, -np.inf)
-    logv[nonzero] = 2.0 * np.log(np.abs(minors[nonzero])) + (logw_total - logw[nonzero])
-    log_scale = float(np.max(logv))
-    v = np.exp(logv - log_scale)
-    v[zero] = 0.0
-    perm = np.argsort(v, kind="stable")
-    return SaturatedProblem(v[perm], perm, n, int(zero.sum()), log_scale)
+        raise DomainError("X has rank below the number of model terms; reparametrize the model")
+    return _reduce(minors, zero, problem.w)
 
 
 def _check_mu_domain(mu: float, vmax: float) -> None:

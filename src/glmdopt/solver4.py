@@ -4,9 +4,9 @@ The reduced objective on the probability simplex over four points is
 
     f(p) = v1 p2 p3 p4 + v2 p1 p3 p4 + v3 p1 p2 p4 + v4 p1 p2 p3
 
-with nonnegative coefficients ``v`` (for the two-level two-factor
-main-effects matrix, ``v_i = 1/w_i``). The maximizer is unique and is found
-by a case dispatch on the sorted coefficients:
+with nonnegative coefficients ``v``: the n = 4 saturated problem, carried
+as a :class:`~glmdopt.saturated.SaturatedProblem`. The maximizer is unique
+and is found by a case dispatch on the sorted coefficients:
 
 * dominant coefficient (``v4 >= v1 + v2 + v3``): mass 1/3 on the other
   three points;
@@ -15,9 +15,9 @@ by a case dispatch on the sorted coefficients:
   unique root above 1 is evaluated by radicals (complex arithmetic,
   principal branches), then ``y2 = p2/p4`` and ``y3 = p3/p4`` follow by
   back-substitution;
-* a zero smallest coefficient: rational closed forms (shared with the
-  four-point two-factor solver); with more than one zero the first of them
-  (2a) applies, mass 1/3 on every point but the largest coefficient's.
+* a zero smallest coefficient: rational closed forms; with more than one
+  zero the first of them (2a) applies, mass 1/3 on every point but the
+  largest coefficient's.
 
 A residual check guards the radical evaluation; on failure the root is
 re-isolated by bisection on (1, B) where B bounds all roots. Whatever the
@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Allocation, SolveReport, safe_exp, vform_log_sensitivities
+from .design import Allocation, SolveReport, _bisect_root, safe_exp, vform_log_sensitivities
 from .errors import DomainError, SolverError
+from .saturated import SaturatedProblem
 
 #: two coefficients are tied (and a coefficient is zero) below this relative gap
 TIE_REL = 1e-9
@@ -41,42 +42,6 @@ TIE_REL = 1e-9
 QUARTIC_RESIDUAL_REL = 1e-9
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class VCoefficients:
-    """Sorted reduced coefficients plus the permutation back to input order."""
-
-    values: np.ndarray  # ascending
-    perm: np.ndarray  # values == raw[perm]
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        perm = np.asarray(self.perm, dtype=int)
-        if vals.shape != (4,) or perm.shape != (4,):
-            raise DomainError("need exactly four coefficients")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("coefficients must be finite")
-        if np.any(vals < 0.0):
-            raise DomainError("coefficients must be nonnegative")
-        if np.any(np.diff(vals) < 0.0):
-            raise DomainError("values must be sorted ascending")
-        if vals[-1] <= 0.0:
-            raise DomainError("at least one coefficient must be positive")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        perm = perm.copy()
-        perm.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "perm", perm)
-
-    @classmethod
-    def from_values(cls, v) -> "VCoefficients":
-        raw = np.asarray(v, dtype=float).reshape(-1)
-        if raw.shape != (4,):
-            raise DomainError(f"need exactly four coefficients, got {raw.size}")
-        perm = np.argsort(raw, kind="stable")
-        return cls(raw[perm], perm)
 
 
 @dataclass(frozen=True)
@@ -119,31 +84,6 @@ def _radical_root(c) -> float:
         + (-8.0 * a1 + 4.0 * a2 * a3 - a3**3) / (4.0 * sqA)
     )
     return (-a3 / 4.0 + sqA / 2.0 + cmath.sqrt(C1) / 2.0).real
-
-
-def _bisect_root(fn, lo: float, hi: float, max_iter: int = 200):
-    """Bisect a sign change of fn on [lo, hi]; returns (root, iterations)."""
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo, 0
-    if fhi == 0.0:
-        return hi, 0
-    if flo * fhi > 0.0:
-        raise SolverError(f"bisection bracket lost: f({lo})={flo}, f({hi})={fhi}")
-    it = 0
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid, it
-        if (fm > 0.0) == (fhi > 0.0):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), it
 
 
 def solve_quartic(c) -> QuarticRoot:
@@ -192,10 +132,11 @@ def quartic_largest_root(c) -> float:
 def back_substitute(y1: float, v) -> tuple[float, float, Allocation]:
     """Recover (y2, y3) and the allocation from the quartic root y1.
 
-    ``v`` must be strictly ascending interior-case coefficients; the returned
+    ``v`` must be strictly ascending interior-case coefficients, or a
+    :class:`~glmdopt.saturated.SaturatedProblem` holding them; the returned
     allocation is in that sorted order.
     """
-    vc = v.values if isinstance(v, VCoefficients) else np.asarray(v, dtype=float)
+    vc = v.v if isinstance(v, SaturatedProblem) else np.asarray(v, dtype=float)
     if vc.shape != (4,):
         raise DomainError("need exactly four coefficients")
     if y1 <= 1.0:
@@ -230,16 +171,19 @@ def kkt_residual(v, p) -> float:
     """Max pairwise gap of the objective partial derivatives at interior p.
 
     Equals ``f * (max_i d_i - min_i d_i)`` with ``(log f, d)`` from
-    :func:`~glmdopt.design.vform_log_sensitivities`.
+    :func:`~glmdopt.design.vform_log_sensitivities`. For a
+    :class:`~glmdopt.saturated.SaturatedProblem`, ``p`` is in its sorted
+    order and ``f`` is on the true scale ``exp(log_scale)`` times the stored.
     """
-    varr = v.values if isinstance(v, VCoefficients) else np.asarray(v, dtype=float)
+    log_scale = v.log_scale if isinstance(v, SaturatedProblem) else 0.0
+    varr = v.v if isinstance(v, SaturatedProblem) else np.asarray(v, dtype=float)
     parr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
     if varr.shape != (4,) or parr.shape != (4,):
         raise DomainError("need four coefficients and four allocation entries")
     if np.any(parr <= 0.0):
         raise DomainError("residual undefined at boundary: all allocation entries must be positive")
     log_f, d = vform_log_sensitivities(varr, parr)
-    return safe_exp(log_f) * float(d.max() - d.min())
+    return safe_exp(log_scale + log_f) * float(d.max() - d.min())
 
 
 def _tie_pair_solution(v: np.ndarray, pair: str) -> np.ndarray:
@@ -311,14 +255,18 @@ def solve_22(v) -> SolveReport:
     """Maximize the four-point reduced objective over the simplex.
 
     Accepts four nonnegative coefficients in any order, at least one of them
-    positive, and returns the optimal allocation in the input order. The case
-    label records which closed form fired. Diagnostics carry the quartic
-    intermediates for the interior case, and always ``log_objective`` and the
-    Kiefer-Wolfowitz ``equivalence_gap = max_i d_i / 3 - 1``, which is zero
-    exactly at the optimum.
+    positive, or an n = 4 :class:`~glmdopt.saturated.SaturatedProblem`, and
+    returns the optimal allocation in the input order. The case label
+    records which closed form fired. Diagnostics carry the quartic
+    intermediates for the interior case, and always ``log_objective`` (on the
+    true scale, ``log_scale + log f``) and the Kiefer-Wolfowitz
+    ``equivalence_gap = max_i d_i / 3 - 1``, which is zero exactly at the
+    optimum.
     """
-    vc = v if isinstance(v, VCoefficients) else VCoefficients.from_values(v)
-    s = vc.values
+    sp = v if isinstance(v, SaturatedProblem) else SaturatedProblem.from_values(v)
+    if sp.n != 4:
+        raise DomainError(f"need exactly four coefficients, got {sp.n}")
+    s = sp.v
     diag: dict = {}
 
     if s[0] <= TIE_REL * s[-1]:
@@ -340,9 +288,9 @@ def solve_22(v) -> SolveReport:
 
     p_sorted = np.clip(p_sorted, 0.0, None)
     log_f, d = vform_log_sensitivities(s, p_sorted)
-    diag["log_objective"] = log_f
+    diag["log_objective"] = sp.log_scale + log_f
     diag["equivalence_gap"] = float(d.max()) / 3.0 - 1.0
 
     p_out = np.empty(4)
-    p_out[vc.perm] = p_sorted
-    return SolveReport(Allocation(p_out), safe_exp(log_f), label, diag)
+    p_out[sp.perm] = p_sorted
+    return SolveReport(Allocation(p_out), safe_exp(diag["log_objective"]), label, diag)

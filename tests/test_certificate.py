@@ -129,6 +129,15 @@ def test_analytic_reports_are_certified(rng, link):
         (str(k), full_factorial_design(k)[0], lambda prob: solve_saturated(compute_v(prob)))
         for k in (3, 4, 5)
     ]
+
+    def check(key, problem, solve):
+        rep = solve(problem)
+        beta = problem.beta
+        gap = rep.diagnostics["equivalence_gap"]
+        assert gap <= 1e-9, (key, beta, rep.case_label, gap)
+        ref = _reference_log_det(key, link, beta, rep.allocation.p)
+        assert rep.diagnostics["log_objective"] == pytest.approx(ref, abs=1e-10), (key, beta)
+
     for key, X, solve in families:
         checked = 0
         for box in (1.0, 8.0):
@@ -139,10 +148,14 @@ def test_analytic_reports_are_certified(rng, link):
                     # beyond |eta| of about 38 the probit weight underflows to zero
                     assert link == "probit" and box == 8.0
                     continue
-                rep = solve(problem)
-                gap = rep.diagnostics["equivalence_gap"]
-                assert gap <= 1e-9, (key, beta, rep.case_label, gap)
-                ref = _reference_log_det(key, link, beta, rep.allocation.p)
-                assert rep.diagnostics["log_objective"] == pytest.approx(ref, abs=1e-10), (key, beta)
+                check(key, problem, solve)
                 checked += 1
         assert checked >= 16, (key, checked)
+
+    if link == "logit":
+        # weights near exp(-beta0), where unnormalized four-point coefficients
+        # used to overflow the quartic
+        for key, X, solve in families[: len(FOURPOINT_LAYOUTS)]:
+            for beta in rng.uniform(-1.0, 1.0, (16, 3)):
+                beta[0] = rng.uniform(150.0, 300.0)
+                check(key, DesignProblem(X, beta=beta, weight_fn=fn), solve)

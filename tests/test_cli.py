@@ -90,6 +90,33 @@ class TestSolve:
         cells = lines[1].split(",")
         assert sum(float(x) for x in cells[2:]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_large_intercept_fourpoint(self, tmp_path, capsys):
+        # the weights are near exp(-200); unnormalized quartic coefficients overflow
+        path = write_problem(tmp_path, dict(PROB_22, beta=[200.0, 0.5, 0.3]))
+        assert main(["solve", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["case_label"] == "twofactor-case-v"
+        assert payload["diagnostics"]["equivalence_gap"] <= 1e-9
+
+    def test_non_finite_values_print_as_null(self, tmp_path, capsys):
+        # mu on the true scale is exp(897) times mu_scaled: past the float range
+        prob = dict(
+            PROB_22,
+            beta=[-130.0, 0.1, 0.2, 0.1, 0.0, 0.0, 0.0],
+            design_points=[[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)],
+            model_terms=[[], [0], [1], [2], [0, 1], [0, 2], [1, 2]],
+        )
+        assert main(["solve", write_problem(tmp_path, prob)]) == 0
+
+        def reject(name):
+            raise AssertionError(f"non-JSON constant {name} in the output")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        diag = payload["diagnostics"]
+        assert diag["mu"] is None
+        for key in ("mu_scaled", "log_scale", "log_objective"):
+            assert np.isfinite(diag[key]), key
+
     def test_malformed_beta_exits_2(self, tmp_path, capsys):
         bad = dict(PROB_22, beta=[-2.0, 1.0])
         path = write_problem(tmp_path, bad)
@@ -298,19 +325,23 @@ class TestBench:
 
 
 @pytest.mark.parametrize(
-    "argv, terms",
+    "argv, fields",
     [
         (["bench", "--dist", "uniform:x:1", "--n-instances", "1"], None),
         (["bench", "--dist", "normal:abc", "--n-instances", "1"], None),
         (["bench", "--n-instances", "-1"], None),
-        (["solve"], [[], ["a"], [1]]),
-        (["solve"], [[], 1, [1]]),
+        (["solve"], {"model_terms": [[], ["a"], [1]]}),
+        (["solve"], {"model_terms": [[], 1, [1]]}),
         (["region", "--beta0=-1", "--range=-1:1", "--steps", "2", "--grid-steps", "1"], None),
+        (["solve"], {"link": {"kind": "constant", "value": "abc"}}),
+        (["solve"], {"link": {"kind": "constant", "value": None}}),
+        (["solve"], {"link": {"kind": "tabulated", "eta": "ab", "w": [1.0, 2.0]}}),
+        (["solve"], {"link": {"kind": "tabulated", "eta": [0.0, 1.0], "w": {"a": 1}}}),
     ],
 )
-def test_bad_input_exits_2(tmp_path, capsys, argv, terms):
-    if terms is not None:
-        argv = argv + [write_problem(tmp_path, dict(PROB_22, model_terms=terms))]
+def test_bad_input_exits_2(tmp_path, capsys, argv, fields):
+    if fields is not None:
+        argv = argv + [write_problem(tmp_path, dict(PROB_22, **fields))]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("input error:")
 

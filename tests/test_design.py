@@ -268,13 +268,13 @@ def test_public_names_pinned():
     assert set(glmdopt.__all__) == {
         "Allocation", "BoundaryVerdict", "ContinuousProblem", "DesignProblem", "DomainError",
         "LiftOneConfig", "MultilinearObjective", "MuSolve", "QuarticRoot", "RegionGrid",
-        "RescaleTransform", "SaturatedProblem", "SolveReport", "SolverError", "UCoefficients",
-        "VCoefficients", "WeightFunction", "back_substitute", "build_model_matrix",
+        "RescaleTransform", "SaturatedProblem", "SolveReport", "SolverError",
+        "WeightFunction", "back_substitute", "build_model_matrix",
         "check_boundary_optimal", "compute_u", "compute_v", "corner_weights", "expansion_value",
         "fi_profile", "full_factorial_design", "h1_eval", "h2_eval", "h_ab", "kkt_residual",
         "liftone_maximize", "objective_det", "objective_expansion", "quartic_largest_root",
         "region_boundary_segments", "region_sweep", "rescale_problem", "root_mu", "solve_22",
         "solve_fourpoint", "solve_quartic", "solve_saturated", "vform_objective", "weight_eval",
     }
-    assert len(glmdopt.__all__) == 44
+    assert len(glmdopt.__all__) == 42
     assert all(hasattr(glmdopt, name) for name in glmdopt.__all__)

@@ -345,8 +345,15 @@ class TestInvariants:
 
 class TestValidation:
     def test_too_many_zeros_rejected(self):
-        with pytest.raises(DomainError):
-            SaturatedProblem.from_values([0.0, 0.0, 1.0, 2.0])
+        # two positive coefficients: the larger dominates, so the boundary
+        # allocation is exact; only an all-zero v is rejected
+        rep = solve_saturated(SaturatedProblem.from_values([0.0, 2.0, 0.0, 1.0]))
+        assert rep.case_label == "saturated-boundary"
+        assert np.array_equal(rep.allocation.p, [1 / 3, 0.0, 1 / 3, 1 / 3])
+        assert rep.diagnostics["equivalence_gap"] == 0.0
+        assert rep.objective == pytest.approx(2.0 / 27.0, rel=1e-15)
+        with pytest.raises(DomainError, match="positive"):
+            SaturatedProblem.from_values([0.0, 0.0, 0.0, 0.0])
 
     def test_minimum_size(self):
         with pytest.raises(DomainError):

@@ -6,8 +6,8 @@ import pytest
 from conftest import random_feasible, random_interior_v4, vform_max_oracle
 from glmdopt import (
     DomainError,
+    SaturatedProblem,
     SolverError,
-    VCoefficients,
     back_substitute,
     kkt_residual,
     liftone_maximize,
@@ -272,11 +272,13 @@ class TestInvariants:
             perm = rng.permutation(4)
             assert solve_22(v[perm]).allocation.p == pytest.approx(base[perm], abs=1e-14)
 
-    def test_vcoefficients_validation(self):
-        with pytest.raises(DomainError):
-            VCoefficients.from_values([1.0, 2.0, 3.0])
-        with pytest.raises(DomainError):
-            VCoefficients.from_values([0.0, 0.0, 0.0, 0.0])
+    def test_solve_22_validation(self):
+        with pytest.raises(DomainError, match="four coefficients"):
+            solve_22([1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="four coefficients"):
+            solve_22(SaturatedProblem.from_values([1.0, 2.0, 3.0]))
+        with pytest.raises(DomainError, match="positive"):
+            solve_22([0.0, 0.0, 0.0, 0.0])
 
 
 class TestDiscontinuityGuard:

@@ -11,11 +11,14 @@ from glmdopt import (
     WeightFunction,
     build_model_matrix,
     compute_u,
+    compute_v,
     liftone_maximize,
     objective_det,
     solve_fourpoint,
+    solve_saturated,
     vform_objective,
 )
+from glmdopt.design import leave_one_out_minors
 
 X22 = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
 
@@ -27,7 +30,7 @@ X_RANK2 = np.array([[1.0, -1, -1], [1, -0.5, -0.5], [1, 0.5, 0.5], [1, 1, 1]])
 
 
 def _one_zero_problem(u_targets):
-    """A one-zero problem whose reduced coefficients match u_targets[1:]."""
+    """A one-zero problem whose reduced coefficients are proportional to u_targets."""
     minors = np.array([np.linalg.det(np.delete(X_ONE_ZERO, i, axis=0)) for i in range(4)])
     w = np.ones(4)
     for i in range(1, 4):
@@ -35,42 +38,64 @@ def _one_zero_problem(u_targets):
     return DesignProblem(X_ONE_ZERO, w=w)
 
 
+def _true_v(sp):
+    """True-scale coefficients of a reduced problem, back in input order."""
+    out = np.empty(sp.n)
+    out[sp.perm] = sp.v * np.exp(sp.log_scale)
+    return out
+
+
 class TestComputeU:
     def test_two_level_matrix_coefficients(self, rng):
         w = rng.uniform(0.05, 0.25, 4)
-        uc = compute_u(DesignProblem(X22, w=w))
-        assert uc.rank_case == "rank3_general"
-        assert uc.u == pytest.approx(16.0 / w, rel=1e-12)
-        assert np.abs(uc.minors) == pytest.approx(np.full(4, 4.0), rel=1e-12)
+        sp = compute_u(DesignProblem(X22, w=w))
+        assert sp.n == 4 and sp.zero_count == 0
+        minors, zero = leave_one_out_minors(X22)
+        assert not zero.any()
+        assert np.abs(minors) == pytest.approx(np.full(4, 4.0), rel=1e-12)
+        # v_j = minor_j^2 prod_{i != j} w_i
+        assert _true_v(sp) == pytest.approx(16.0 * np.prod(w) / w, rel=1e-12)
 
     def test_rectangle_corner_minors(self):
         a1, b1, a2, b2 = -1.0, 1.0, -1.0, 1.0
         X = np.array([[1.0, b1, b2], [1, b1, a2], [1, a1, b2], [1, a1, a2]])
-        uc = compute_u(DesignProblem(X, w=np.ones(4)))
+        minors, _ = leave_one_out_minors(X)
         span = (b1 - a1) * (b2 - a2)
-        assert np.abs(uc.minors) == pytest.approx(np.full(4, abs(span)), rel=1e-12)
+        assert np.abs(minors) == pytest.approx(np.full(4, abs(span)), rel=1e-12)
 
     def test_general_rectangle_corner_minors(self):
         a1, b1, a2, b2 = 0.5, 2.0, -3.0, -1.0
         X = np.array([[1.0, b1, b2], [1, b1, a2], [1, a1, b2], [1, a1, a2]])
-        uc = compute_u(DesignProblem(X, w=np.ones(4)))
+        minors, _ = leave_one_out_minors(X)
         span = (b1 - a1) * (b2 - a2)
         # deleting row 4 or 3 flips the orientation relative to deleting 1 or 2
-        assert uc.minors[3] == pytest.approx(-span, rel=1e-12)
-        assert uc.minors[2] == pytest.approx(-span, rel=1e-12)
-        assert uc.minors[1] == pytest.approx(span, rel=1e-12)
-        assert uc.minors[0] == pytest.approx(span, rel=1e-12)
+        assert minors[3] == pytest.approx(-span, rel=1e-12)
+        assert minors[2] == pytest.approx(-span, rel=1e-12)
+        assert minors[1] == pytest.approx(span, rel=1e-12)
+        assert minors[0] == pytest.approx(span, rel=1e-12)
+        w = np.array([0.3, 0.1, 0.7, 0.2])
+        sp = compute_u(DesignProblem(X, w=w))
+        assert _true_v(sp) == pytest.approx(span**2 * np.prod(w) / w, rel=1e-12)
 
     def test_collinear_row_zeroes_the_right_coefficient(self):
-        uc = compute_u(DesignProblem(X_ONE_ZERO, w=np.ones(4)))
-        assert uc.rank_case == "rank3_one_zero"
-        assert uc.u[0] == 0.0
-        assert np.all(uc.u[1:] > 0.0)
+        sp = compute_u(DesignProblem(X_ONE_ZERO, w=np.ones(4)))
+        assert sp.zero_count == 1
+        v = _true_v(sp)
+        assert v[0] == 0.0
+        assert np.all(v[1:] > 0.0)
+
+    def test_weight_spread_on_a_zero_row(self):
+        # the roundoff minor of the zero row over a tiny weight would exceed
+        # the float range if it were scaled like the others
+        w = np.array([1e-300, 1e300, 1e300, 1e300])
+        sp = compute_u(DesignProblem(X_ONE_ZERO, w=w))
+        assert sp.zero_count == 1 and sp.perm[0] == 0
+        rep = solve_fourpoint(DesignProblem(X_ONE_ZERO, w=w))
+        assert rep.case_label == "twofactor-2a"
+        assert rep.diagnostics["equivalence_gap"] <= 1e-12
 
     def test_rank2_detected(self):
-        uc = compute_u(DesignProblem(X_RANK2, w=np.ones(4)))
-        assert uc.rank_case == "rank2"
-        assert np.all(uc.u == 0.0)
+        assert compute_u(DesignProblem(X_RANK2, w=np.ones(4))) is None
 
     def test_shape_checked(self):
         X = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0) ** 2])
@@ -184,14 +209,32 @@ class TestInvariants:
     def test_reduced_objective_consistent_with_determinant(self, rng):
         w = rng.uniform(0.05, 0.3, 4)
         problem = DesignProblem(X22, w=w)
-        uc = compute_u(problem)
+        sp = compute_u(problem)
         rep = solve_fourpoint(problem)
         lhs = objective_det(problem, rep.allocation)
-        rhs = float(np.prod(w)) * vform_objective(uc.u, rep.allocation.p)
+        rhs = vform_objective(_true_v(sp), rep.allocation.p)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_one_zero_problem_realizes_targets(rng):
     u_target = np.array([0.0, 1.0, 2.0, 2.5])
-    uc = compute_u(_one_zero_problem(u_target))
-    assert uc.u == pytest.approx(u_target, abs=1e-12)
+    problem = _one_zero_problem(u_target)
+    v = _true_v(compute_u(problem))
+    assert v == pytest.approx(u_target * np.prod(problem.w), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "link, beta0",
+    [("logit", 173.0), ("logit", 200.0), ("logit", 300.0), ("logit", 400.0), ("probit", 37.0)],
+)
+def test_extreme_intercept_matches_saturated(link, beta0):
+    # the weights span exp(-beta0) scales; four-point is the n = 4 saturated problem
+    fn = WeightFunction.from_name(link)
+    problem = DesignProblem(X22, beta=[beta0, 0.5, 0.3], weight_fn=fn)
+    rep = solve_fourpoint(problem)
+    ref = solve_saturated(compute_v(problem))
+    assert np.abs(rep.allocation.p - ref.allocation.p).max() <= 1e-12
+    assert rep.diagnostics["equivalence_gap"] <= 1e-9
+    assert rep.diagnostics["log_objective"] == pytest.approx(
+        ref.diagnostics["log_objective"], abs=1e-10
+    )
