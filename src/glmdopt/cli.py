@@ -74,7 +74,7 @@ def weight_fn_from_spec(spec) -> WeightFunction:
             value = spec.get("value", 1.0)
             if not isinstance(value, (int, float)):
                 raise DomainError("link.value: expected a number")
-            return WeightFunction.constant(value)
+            return WeightFunction.constant(_require_numbers([value], "link.value")[0])
         if isinstance(kind, str):
             return WeightFunction.from_name(kind)
         raise DomainError("link.kind: expected a string")
@@ -84,7 +84,10 @@ def weight_fn_from_spec(spec) -> WeightFunction:
 def _require_numbers(obj, path: str) -> list:
     if not isinstance(obj, list) or not all(isinstance(x, (int, float)) for x in obj):
         raise DomainError(f"{path}: expected an array of numbers")
-    return [float(x) for x in obj]
+    try:
+        return [float(x) for x in obj]
+    except OverflowError:
+        raise DomainError(f"{path}: number outside the float range") from None
 
 
 def load_problem_file(path: str):

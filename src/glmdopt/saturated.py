@@ -7,24 +7,36 @@ With one more point than parameters the objective reduces to
 where ``v_j`` is the squared determinant of X with row j deleted times the
 product of the other points' weights. Every such problem, the four-point
 two-factor one (n = 4) included, is reduced by one scale-safe function to a
-:class:`SaturatedProblem`. Sorted ascending, the solution is:
+:class:`SaturatedProblem`. Sorted ascending, with ``t_j = v_j / v_n``:
 
-* if the largest coefficient dominates the sum of the others, mass 1/(n-1)
-  on every other point (objective ``v_n / (n-1)^(n-1)``);
-* otherwise an interior stationary point where
-  ``p_i (1/(n-1) - p_i) / v_i`` is the same constant ``mu / (4(n-1)^2)``
-  for all i. Each quadratic has roots
-  ``p_{i+/-} = (1 +/- sqrt(1 - mu v_i)) / (2(n-1))``; at most one point (the
-  largest-v one) can take the minus root. ``mu`` solves ``h(mu) = n - 2``
-  where ``h`` is the all-plus radical sum (strictly decreasing) or its
-  last-term-flipped variant (decreasing then increasing), picked by whether
-  ``sum_{j<n} sqrt(1 - v_j/v_n)`` is at most ``n - 2``.
+* at an interior optimum ``p_i (1/(n-1) - p_i) / v_i`` is the same constant
+  ``mu / (4(n-1)^2)`` for all i, so ``p_i = (1 +/- sqrt(1 - mu v_i)) /
+  (2(n-1))``; only the largest-v point can take the minus root. ``mu``
+  solves the paper's radical-sum equation ``h(mu) = n - 2``, with all plus
+  roots (``h1``, decreasing in mu) or the last one flipped (``h2``,
+  decreasing then increasing);
+* both branches are one equation in the signed root of the largest point,
+  ``z in [-1, 1]``: ``p_n = (1 + z) / (2(n-1))``, ``mu v_n = 1 - z^2`` and
+  ``p_j = (1 + r_j) / (2(n-1))`` with ``r_j = sqrt(1 - (1 - z^2) t_j)``. The
+  constraint ``sum_{j<n} r_j + z = n - 2`` holds trivially at ``z = -1``;
+  divided by ``1 + z`` it becomes
+
+      M(z) = 1 - (1 - z) * sum_{j<n} t_j / (1 + r_j),
+
+  free of cancellation and of the sign of the residual ``h(mu) - (n - 2)``
+  on (-1, 1]. As z runs from -1 to 0, mu runs up from 0 to 1/v_n on
+  ``h2``; from 0 to 1 it runs back down on ``h1``. The residual thus falls
+  then rises, starting from 0 with slope ``M(-1)``: M, with ``M(1) = 1``,
+  changes sign exactly once when ``M(-1) < 0`` and never otherwise.
+  ``z >= 0`` is the ``h1`` branch, ``z < 0`` the ``h2`` one;
+* ``M(-1) = 1 - sum_{j<n} t_j >= 0`` means the largest coefficient
+  dominates the others; the optimum is then the point ``z = -1``: mass
+  1/(n-1) on every other point (objective ``v_n / (n-1)^(n-1)``).
 
 Zero coefficients (a row lying in the span of some of the others) force
-``p_i = 1/(n-1)`` on those points, which is exactly what the plus root gives
-at ``v_i = 0``, so both branches handle them without special cases; with at
-most two positive coefficients the largest dominates and the boundary
-allocation is exact.
+``p_i = 1/(n-1)`` on those points, which is exactly what ``r_i = 1`` gives
+at ``v_i = 0``, so they need no special case; with at most two positive
+coefficients the largest dominates and the boundary allocation is exact.
 """
 
 from __future__ import annotations
@@ -165,51 +177,30 @@ def h2_eval(mu: float, v) -> float:
 
 
 def root_mu(sp: SaturatedProblem) -> MuSolve:
-    """Solve the radical-sum equation for mu on the appropriate branch.
+    """Solve the radical-sum equation for mu; the branch follows from the root.
 
-    The all-plus branch is strictly decreasing on [0, 1/v_n] and is solved by
-    plain bisection. On the flipped branch the function first decreases then
-    increases; its stationary point is located first (the scaled derivative
-    is increasing), and the equation is then bisected on the increasing side.
+    One bisection of ``M(z)`` on [-1, 1] (see the module docstring), where
+    ``z`` is the signed root of the largest point: ``M(-1) < 0`` unless the
+    largest coefficient dominates, ``M(1) = 1``, and the sign changes once.
+    ``mu = (1 - z)(1 + z) / v_n``; the branch is ``h1`` for ``z >= 0`` and
+    ``h2`` otherwise. The residual is that of ``h(mu) = n - 2``, which equals
+    ``(1 + z) M(z)``.
     """
-    v = sp.v
-    n = sp.n
-    vn = v[-1]
-    tail = float(np.sum(v[:-1]))
-    if vn >= tail:
+    vn = sp.v[-1]
+    t = sp.v[:-1] / vn
+
+    def m(z: float) -> float:
+        # 1 - (1 - z^2) t, exactly 1 at z = -1 and without cancellation at z = 0
+        r = np.sqrt((1.0 - t) + z * z * t)
+        return 1.0 - (1.0 - z) * float(np.sum(t / (1.0 + r)))
+
+    if m(-1.0) >= 0.0:
         raise DomainError("dominant largest coefficient: the boundary allocation is optimal")
-    t = v / vn  # work in x = mu * v_n on [0, 1]
-    target = float(n - 2)
-
-    def h1x(x: float) -> float:
-        return float(np.sum(np.sqrt(np.clip(1.0 - x * t, 0.0, None)))) - target
-
-    edge = float(np.sum(np.sqrt(np.clip(1.0 - t[:-1], 0.0, None))))
-    if edge <= target:
-        x, iters = _bisect_root(h1x, 0.0, 1.0)
-        branch = "h1"
-        residual = abs(h1x(x))
-    else:
-
-        def h2x(x: float) -> float:
-            r = np.sqrt(np.clip(1.0 - x * t, 0.0, None))
-            return float(np.sum(r[:-1]) - r[-1]) - target
-
-        def g2x(x: float) -> float:
-            num = np.clip(1.0 - x, 0.0, None)
-            return 1.0 - float(np.sum(t[:-1] * np.sqrt(num / (1.0 - x * t[:-1]))))
-
-        xstar, it1 = _bisect_root(g2x, 0.0, 1.0)
-        if h2x(xstar) >= 0.0:
-            x, it2 = xstar, 0
-        else:
-            x, it2 = _bisect_root(h2x, xstar, 1.0)
-        iters = it1 + it2
-        branch = "h2"
-        residual = abs(h2x(x))
-    if residual > 1e-9 * max(1.0, target):
+    z, iters = _bisect_root(m, -1.0, 1.0)
+    residual = abs((1.0 + z) * m(z))
+    if residual > 1e-9 * max(1.0, sp.n - 2.0):
         raise SolverError(f"mu bisection failed to converge: residual {residual!r}")
-    return MuSolve(x / vn, branch, iters, residual)
+    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if z >= 0.0 else "h2", iters, residual)
 
 
 def solve_saturated(sp: SaturatedProblem) -> SolveReport:
@@ -225,20 +216,16 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
     v = sp.v
     n = sp.n
     vn = v[-1]
-    tail = float(np.sum(v[:-1]))
-    if vn >= tail * (1.0 - BOUNDARY_REL):
-        p_sorted = np.full(n, 1.0 / (n - 1))
-        p_sorted[-1] = 0.0
+    ms = None if vn >= float(np.sum(v[:-1])) * (1.0 - BOUNDARY_REL) else root_mu(sp)
+    # the point z = -1 (mu = 0) is the boundary allocation; z itself is taken
+    # from the constraint sum_{j<n} r_j + z = n - 2, accurate also near z = 0
+    x = 0.0 if ms is None else ms.mu * vn
+    r = np.sqrt(np.clip(1.0 - x * (v[:-1] / vn), 0.0, None))
+    p_sorted = (1.0 + np.append(r, (n - 2) - float(np.sum(r)))) / (2.0 * (n - 1))
+    if ms is None:
         diag = {"zero_count": float(sp.zero_count)}
         label = "saturated-boundary"
     else:
-        ms = root_mu(sp)
-        x = ms.mu * vn
-        r = np.sqrt(np.clip(1.0 - x * (v / vn), 0.0, None))
-        p_sorted = (1.0 + r) / (2.0 * (n - 1))
-        if ms.branch == "h2":
-            p_sorted[-1] = (1.0 - r[-1]) / (2.0 * (n - 1))
-        p_sorted = p_sorted / p_sorted.sum()
         prod_p = float(np.prod(p_sorted))
         diag = {
             "mu": ms.mu * safe_exp(-sp.log_scale),

@@ -28,6 +28,7 @@ computed from :func:`~glmdopt.design.vform_log_sensitivities`.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,7 +267,11 @@ def solve_22(v) -> SolveReport:
     sp = v if isinstance(v, SaturatedProblem) else SaturatedProblem.from_values(v)
     if sp.n != 4:
         raise DomainError(f"need exactly four coefficients, got {sp.n}")
-    s = sp.v
+    # the quartic coefficients overflow near v ~ 1e77, so input beyond 2^+-128
+    # is scaled by an exact power of two; nearer input (the corner solve's 1/w
+    # among it) stays unscaled, as numpy's v**3 is not exactly homogeneous
+    e = 0 if 2.0**-128 <= sp.v[-1] < 2.0**128 else int(np.frexp(sp.v[-1])[1])
+    s = np.ldexp(sp.v, -e)
     diag: dict = {}
 
     if s[0] <= TIE_REL * s[-1]:
@@ -288,7 +293,7 @@ def solve_22(v) -> SolveReport:
 
     p_sorted = np.clip(p_sorted, 0.0, None)
     log_f, d = vform_log_sensitivities(s, p_sorted)
-    diag["log_objective"] = sp.log_scale + log_f
+    diag["log_objective"] = sp.log_scale + e * math.log(2.0) + log_f
     diag["equivalence_gap"] = float(d.max()) / 3.0 - 1.0
 
     p_out = np.empty(4)

@@ -337,6 +337,8 @@ class TestBench:
         (["solve"], {"link": {"kind": "constant", "value": None}}),
         (["solve"], {"link": {"kind": "tabulated", "eta": "ab", "w": [1.0, 2.0]}}),
         (["solve"], {"link": {"kind": "tabulated", "eta": [0.0, 1.0], "w": {"a": 1}}}),
+        (["solve"], {"beta": [10**400, 0.5, 0.3]}),
+        (["solve"], {"link": {"kind": "constant", "value": 10**400}}),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, fields):

@@ -163,6 +163,62 @@ class TestGoldenEightPoint:
         assert rel(CRIT01_F, f) <= 1e-15
 
 
+class TestNearDominance:
+    """Largest coefficient just below the sum of the others, against 50 digits.
+
+    Near dominance the optimum sits next to the trivial root ``mu = 0`` of the
+    flipped sum ``h2``, where evaluating ``h2`` in doubles cancels. The
+    reference bisects the paper's equation ``h(mu) = n - 2`` in ``mu`` at 50
+    digits on the branch the paper's rule picks, using no glmdopt code.
+    """
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_matches_50_digit_reference(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        rng = np.random.default_rng(1000 + n)
+        worst_p = worst_mu = 0.0
+        for _ in range(40):
+            v = rng.uniform(0.05, 1.0, n - 1)
+            v = np.append(v, rng.uniform(0.8, 1.0) * v.sum())
+            rep = solve_saturated(SaturatedProblem.from_values(v))
+            vm = [mp.mpf(x) for x in v]
+            vn = vm[-1]
+            # paper's branch rule: all plus roots exactly when this sum is at most n - 2
+            plus = mp.fsum(mp.sqrt(1 - vj / vn) for vj in vm[:-1]) <= n - 2
+            assert rep.case_label == ("saturated-h1" if plus else "saturated-h2")
+
+            def h(mu):
+                r = [mp.sqrt(1 - mu * vj) for vj in vm]
+                return mp.fsum(r[:-1]) + (r[-1] if plus else -r[-1]) - (n - 2)
+
+            # h1 decreases from 2 at mu = 0; h2 dips below zero right after its
+            # trivial root mu = 0 and crosses back once; both end >= 0 vs <= 0 at 1/v_n
+            lo, hi = (mp.mpf(0) if plus else mp.mpf(10) ** -25 / vn), 1 / vn
+            assert (h(lo) > 0) == plus and (h(hi) > 0) != plus
+            for _ in range(170):
+                mid = (lo + hi) / 2
+                if (h(mid) > 0) == plus:
+                    lo = mid
+                else:
+                    hi = mid
+            mu = (lo + hi) / 2
+            r = [mp.sqrt(1 - mu * vj) for vj in vm]
+            p = [(1 + x) / (2 * (n - 1)) for x in r]
+            if not plus:
+                p[-1] = (1 - r[-1]) / (2 * (n - 1))
+            worst_p = max(worst_p, max(float(abs(a - b)) for a, b in zip(rep.allocation.p, p)))
+            worst_mu = max(worst_mu, float(abs(rep.diagnostics["mu"] - mu) / mu))
+            h_eval = h1_eval if plus else h2_eval
+            assert h_eval(rep.diagnostics["mu"], v) == pytest.approx(n - 2, abs=1e-12)
+        # measured worst over n = 4 / 8 / 16: allocation 1.8 / 1.2 / 1.2e-16 and
+        # mu 4.3e-14 / 9.4e-15 / 2.1e-14 relative. Bisecting h2 itself, next to
+        # its trivial root, gave 8.2 / 4.7 / 24e-15 and 2.5e-12 / 1.1e-12 / 9.6e-11.
+        assert worst_p <= 1e-15
+        assert worst_mu <= 5e-13
+
+
 class TestHEvals:
     def test_values_at_zero(self):
         v = np.array([1.0, 2.0, 3.0])

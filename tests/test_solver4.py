@@ -272,6 +272,33 @@ class TestInvariants:
             perm = rng.permutation(4)
             assert solve_22(v[perm]).allocation.p == pytest.approx(base[perm], abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "v, label",
+        [
+            ([0.1, 0.2, 0.3, 0.9], "2x2-case-i"),
+            ([0.2, 0.2, 0.5, 0.7], "2x2-case-ii"),
+            ([0.3, 0.45, 0.6, 0.8], "2x2-case-v"),
+            ([0.0, 0.3, 0.5, 0.7], "2x2-case-2d"),
+        ],
+    )
+    def test_power_of_two_scale_invariance(self, v, label):
+        # raw coefficients far from unit scale are scaled by an exact power of
+        # two; the quartic coefficients would overflow or underflow otherwise
+        base = solve_22(v)
+        assert base.case_label == label
+        for k in (600, -600):
+            rep = solve_22(np.ldexp(v, k))
+            assert rep.case_label == label
+            assert np.array_equal(rep.allocation.p, base.allocation.p)
+            shift = rep.diagnostics["log_objective"] - base.diagnostics["log_objective"]
+            assert shift == pytest.approx(k * np.log(2.0), rel=1e-15)
+
+    def test_huge_raw_interior_input(self):
+        rep = solve_22(np.array([0.3, 0.45, 0.6, 0.8]) * 1e200)
+        assert rep.case_label == "2x2-case-v"
+        assert abs(rep.diagnostics["equivalence_gap"]) <= 1e-9
+        assert rep.diagnostics["log_objective"] == pytest.approx(np.log(rep.objective), rel=1e-14)
+
     def test_solve_22_validation(self):
         with pytest.raises(DomainError, match="four coefficients"):
             solve_22([1.0, 2.0, 3.0])
