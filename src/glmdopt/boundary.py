@@ -10,10 +10,17 @@ which reduces to
 
 for all (a, b) in the square, where ``p4`` is the optimal corner allocation,
 ``f(p4)`` its objective, and ``h`` a quadratic form in (a, b) built from the
-corner allocation and weights. ``min s`` is located by a dense grid scan
-followed by a zoom refinement, which needs only values of ``s``, from the
-best node and from the corners (the corner values sit exactly at zero for
-an interior-optimal ``p4``, so nascent interior dips start near them).
+corner allocation and weights.
+
+``min s`` lies on the square's four edges. On each line
+``b0 + a*b1 + b*b2 = const`` the weight ``nu`` is constant and positive.
+``h`` is convex: its Hessian is ``2 [[a_sq, ab], [ab, b_sq]]`` with
+``a_sq >= 0`` and ``a_sq * b_sq - ab^2 = (q1 + q2 + q3 + q4) f(p4) / 16 >= 0``
+(a sympy expansion confirms the factorisation). So along the line's segment
+in the square ``s`` is concave, and its minimum sits at an endpoint, which
+lies on an edge. When ``b1 = b2 = 0`` the same argument applies to the whole
+square. The search therefore scans the edges and refines the best points by
+a zoom, which needs only values of ``s``.
 
 ``p4`` always comes from the analytic four-point solver: the verdict
 threshold is tiny relative to the objective, and a merely near-optimal
@@ -29,7 +36,7 @@ import numpy as np
 from scipy import optimize  # unused here; perfbench/tracer.py patches this binding
 
 from .design import Allocation
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, as_floats
 from .solver4 import solve_22
 from .weights import WeightFunction
 
@@ -39,14 +46,19 @@ CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 #: verdict tolerance as a fraction of the corner objective
 VERDICT_REL_TOL = 1e-10
 
-# zoom refinement of min s: stencil points per axis, radius shrink per level,
+# zoom refinement of min s along an edge: stencil offsets, radius shrink per level,
 # and levels (the last radius is 4^-10 of the grid spacing, ~1e-8 at grid 201)
-_ZOOM_POINTS = 9
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 9)
 _ZOOM_SHRINK = 4.0
 _ZOOM_LEVELS = 11
-_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-_ZOOM_A = np.repeat(_ZOOM_OFFSETS, _ZOOM_POINTS)
-_ZOOM_B = np.tile(_ZOOM_OFFSETS, _ZOOM_POINTS)
+
+#: rows a0, da, b0, db: edge k of the unit square is (a0 + t da, b0 + t db),
+#: t in [-1, 1]; ordered a = -1, b = -1, b = 1, a = 1 so that tied minima go to the
+#: lexicographically least (a, b), as in a row-major scan of the square
+_EDGES = np.array([[-1, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, 1]], dtype=float)
+#: zoom centres: the best node of each edge, then both endpoints of each edge
+_CENTRE_EDGES = np.concatenate([np.arange(4), np.repeat(np.arange(4), 2)])[:, None]
+_ENDPOINTS = np.tile([-1.0, 1.0], 4)
 
 
 @dataclass(frozen=True)
@@ -58,15 +70,17 @@ class ContinuousProblem:
     weight_fn: WeightFunction
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float).reshape(-1)
+        message = "beta must be three finite numbers (intercept and two slopes)"
+        beta = as_floats(self.beta, message).reshape(-1)
         if beta.shape != (3,) or not np.all(np.isfinite(beta)):
-            raise DomainError("beta must be three finite numbers (intercept and two slopes)")
+            raise DomainError(message)
         beta = beta.copy()
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
-        b = tuple(float(x) for x in self.bounds)
+        message = "bounds must be four finite numbers (lo1, hi1, lo2, hi2)"
+        b = tuple(float(x) for x in as_floats(self.bounds, message))
         if len(b) != 4 or not all(np.isfinite(x) for x in b):
-            raise DomainError("bounds must be four finite numbers (lo1, hi1, lo2, hi2)")
+            raise DomainError(message)
         if not (b[0] < b[1] and b[2] < b[3]):
             raise DomainError("each factor needs lo < hi bounds")
         object.__setattr__(self, "bounds", b)
@@ -160,57 +174,60 @@ def corner_objective(p4, w) -> float:
     return 16.0 * float(q[0] * q[1] * q[2] + q[0] * q[1] * q[3] + q[0] * q[2] * q[3] + q[1] * q[2] * q[3])
 
 
+def _edge_point(edge, t):
+    """(a, b) at parameter ``t`` along edge ``edge`` of the unit square."""
+    a0, da, b0, db = _EDGES[:, edge]
+    return a0 + t * da, b0 + t * db
+
+
 def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> BoundaryVerdict:
     """Decide whether the four corners alone support a D-optimal design.
 
     Requires a problem already on the unit square (use
-    :func:`rescale_problem` first). The margin surface is scanned on an
-    ``s_grid_steps`` x ``s_grid_steps`` grid, then refined by a zoom search
-    from the best node and the four corners: at each level a 9 x 9 stencil
-    around every centre, clipped to the square, moves the centre to its
-    minimum, and the stencil radius (first the grid spacing) shrinks
-    fourfold. The corners are searched because their margins are exactly
-    zero for an interior-optimal ``p4``, so a dip that the grid misses
-    starts beside them.
+    :func:`rescale_problem` first). ``min s`` lies on the square's edges
+    (module docstring), so each edge is scanned at ``s_grid_steps`` evenly
+    spaced points and refined by a zoom from the best node and both
+    endpoints of every edge: per level a 9-point stencil along the edge,
+    clipped to it, moves each centre to its minimum, and the radius (first
+    the grid spacing) shrinks fourfold. The endpoints are centres because
+    the corner margins are exactly zero for an interior-optimal ``p4``, so
+    a dip that the scan misses starts beside them.
     """
     if tuple(cp.bounds) != (-1.0, 1.0, -1.0, 1.0):
         raise DomainError("problem must be rescaled to the unit square first")
     if s_grid_steps < 2:
         raise DomainError("s_grid_steps must be >= 2")
     w = corner_weights(cp.beta, cp.weight_fn)
-    report = solve_22(1.0 / w)
-    p4 = report.allocation
+    p4 = solve_22(1.0 / w).allocation
     f_p4 = corner_objective(p4, w)
     b0, b1, b2 = cp.beta
-    fn = cp.weight_fn
 
-    def s_of(a, b):
-        return 0.75 * f_p4 - np.asarray(fn(b0 + a * b1 + b * b2)) * h_ab(a, b, p4, w)
+    def descend(edge, t):
+        """Per row, the point of ``t`` on ``edge`` with the least margin, and that margin."""
+        a, b = _edge_point(edge, t)
+        S = 0.75 * f_p4 - np.asarray(cp.weight_fn(b0 + a * b1 + b * b2)) * h_ab(a, b, p4, w)
+        rows = np.arange(len(t))
+        k = np.argmin(S, axis=1)
+        return t[rows, k], S[rows, k]
 
-    axis = np.linspace(-1.0, 1.0, s_grid_steps)
-    S = s_of(axis[:, None], axis[None, :])
-    i, j = divmod(int(np.argmin(S)), s_grid_steps)
-    min_s = float(S[i, j])
-    argmin = (float(axis[i]), float(axis[j]))
+    edge = np.arange(4)[:, None]
+    best, vals = descend(edge, np.tile(np.linspace(-1.0, 1.0, s_grid_steps), (4, 1)))
+    c = int(np.argmin(vals))
+    min_s, where = float(vals[c]), (c, float(best[c]))
 
-    centres = np.vstack([argmin, CORNERS])
-    rows = np.arange(len(centres))
+    centres = np.concatenate([best, _ENDPOINTS])
     radius = 2.0 / (s_grid_steps - 1)
     for _ in range(_ZOOM_LEVELS):
-        a = np.clip(centres[:, :1] + radius * _ZOOM_A, -1.0, 1.0)
-        b = np.clip(centres[:, 1:] + radius * _ZOOM_B, -1.0, 1.0)
-        S = s_of(a, b)
-        k = np.argmin(S, axis=1)
-        centres = np.column_stack([a[rows, k], b[rows, k]])
-        vals = S[rows, k]
+        t = np.clip(centres[:, None] + radius * _ZOOM_OFFSETS, -1.0, 1.0)
+        centres, vals = descend(_CENTRE_EDGES, t)
         c = int(np.argmin(vals))
         if vals[c] < min_s:
-            min_s = float(vals[c])
-            argmin = (float(centres[c, 0]), float(centres[c, 1]))
+            min_s, where = float(vals[c]), (int(_CENTRE_EDGES[c, 0]), float(centres[c]))
         radius /= _ZOOM_SHRINK
 
+    a, b = _edge_point(*where)
     tol_s = VERDICT_REL_TOL * f_p4
-    return BoundaryVerdict(bool(min_s >= -tol_s), min_s, argmin, p4, f_p4)
+    return BoundaryVerdict(bool(min_s >= -tol_s), min_s, (float(a), float(b)), p4, f_p4)
 
 
 def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -304,29 +321,3 @@ def region_boundary_segments(grid: RegionGrid):
             for e1, e2 in _MS_SEGMENTS[code]:
                 segments.append((edge_mid[e1], edge_mid[e2]))
     return segments
-
-
-def count_boundary_pieces(grid: RegionGrid) -> int:
-    """Number of connected components among the boundary segments."""
-    segments = region_boundary_segments(grid)
-    if not segments:
-        return 0
-    parent = list(range(len(segments)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    endpoints = {}
-    for k, (p1, p2) in enumerate(segments):
-        for pt in (p1, p2):
-            key = (round(pt[0], 9), round(pt[1], 9))
-            if key in endpoints:
-                r1, r2 = find(endpoints[key]), find(k)
-                if r1 != r2:
-                    parent[r2] = r1
-            else:
-                endpoints[key] = k
-    return len({find(k) for k in range(len(segments))})

@@ -36,7 +36,7 @@ from .boundary import (
     rescale_problem,
 )
 from .design import DesignProblem, SolveReport, build_model_matrix, full_factorial_design
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, as_floats
 from .liftone import LiftOneConfig, liftone_maximize
 from .saturated import compute_v, solve_saturated
 from .twofactor import solve_fourpoint
@@ -84,10 +84,7 @@ def weight_fn_from_spec(spec) -> WeightFunction:
 def _require_numbers(obj, path: str) -> list:
     if not isinstance(obj, list) or not all(isinstance(x, (int, float)) for x in obj):
         raise DomainError(f"{path}: expected an array of numbers")
-    try:
-        return [float(x) for x in obj]
-    except OverflowError:
-        raise DomainError(f"{path}: number outside the float range") from None
+    return as_floats(obj, f"{path}: number outside the float range").tolist()
 
 
 def load_problem_file(path: str):
@@ -308,11 +305,9 @@ def _parse_dist(text: str):
 
 
 def _parse_model(text: str):
+    """Model matrix for ``--model``; ``2x2`` is the ``2^2`` main-effects matrix."""
     if text == "2x2":
-        X = build_model_matrix(
-            np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]), "main-effects"
-        )
-        return X
+        text = "2^2"
     if text.startswith("2^"):
         try:
             k = int(text[2:])
@@ -387,13 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Locally D-optimal approximate designs for generalized linear models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    grid_help = "points per edge of the unit square"
 
     p_solve = sub.add_parser("solve", help="solve a single problem file")
     p_solve.add_argument("problem", help="path to a JSON problem file")
     p_solve.add_argument("--method", choices=["auto", "analytic", "liftone"], default="auto")
     p_solve.add_argument("--tol", type=float, default=1e-12)
     p_solve.add_argument("--format", choices=["json", "csv"], default="json")
-    p_solve.add_argument("--grid-steps", type=int, default=201, dest="grid_steps")
+    p_solve.add_argument("--grid-steps", type=int, default=201, dest="grid_steps", help=grid_help)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep-beta", help="solve along a grid of one coefficient")
@@ -410,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--range", required=True, help="LO:HI applied to both slopes")
     p_region.add_argument("--steps", type=int, required=True)
     p_region.add_argument("--link", default="logit")
-    p_region.add_argument("--grid-steps", type=int, default=201, dest="grid_steps")
+    p_region.add_argument("--grid-steps", type=int, default=201, dest="grid_steps", help=grid_help)
     p_region.add_argument("--boundary", help="also write region-edge segments to this CSV path")
     p_region.add_argument("--format", choices=["csv"], default="csv")
     p_region.set_defaults(func=cmd_region)

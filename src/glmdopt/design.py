@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, as_floats
 from .weights import WeightFunction
 
 #: decimals used to canonicalize rows before exact duplicate comparison
@@ -101,7 +101,7 @@ class DesignProblem:
     w: np.ndarray | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        X = as_floats(self.X, "X must be finite")
         if X.ndim != 2:
             raise DomainError("X must be a 2-d matrix")
         n, d = X.shape
@@ -120,7 +120,7 @@ class DesignProblem:
 
         beta = self.beta
         if beta is not None:
-            beta = np.asarray(beta, dtype=float).reshape(-1)
+            beta = as_floats(beta, "beta must be finite").reshape(-1)
             if beta.shape != (d,):
                 raise DomainError(f"beta has length {beta.size}, expected {d}")
             if not np.all(np.isfinite(beta)):
@@ -134,7 +134,7 @@ class DesignProblem:
                 raise DomainError("provide either w or both beta and weight_fn")
             w = np.asarray(self.weight_fn(X @ beta), dtype=float)
         else:
-            w = np.asarray(self.w, dtype=float).reshape(-1).copy()
+            w = as_floats(self.w, "weights must be positive and finite").reshape(-1).copy()
         if w.shape != (n,):
             raise DomainError(f"w has length {w.size}, expected {n}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):

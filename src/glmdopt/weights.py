@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, as_floats
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -73,9 +73,10 @@ class WeightFunction:
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "WeightFunction":
-        value = float(value)
+        message = "constant weight must be a positive finite number"
+        value = float(as_floats(value, message))
         if not np.isfinite(value) or value <= 0.0:
-            raise DomainError("constant weight must be a positive finite number")
+            raise DomainError(message)
 
         def fn(eta: np.ndarray) -> np.ndarray:
             return np.full_like(eta, value)
@@ -89,12 +90,12 @@ class WeightFunction:
         Knots must be strictly increasing with positive weights; evaluation
         outside the table holds the endpoint values.
         """
-        et = np.asarray(eta_table, dtype=float)
-        wt = np.asarray(w_table, dtype=float)
+        message = "tabulated weight tables must be finite"
+        et, wt = as_floats(eta_table, message), as_floats(w_table, message)
         if et.ndim != 1 or et.shape != wt.shape or et.size < 2:
             raise DomainError("tabulated weight needs matching 1-d eta/w tables with >= 2 knots")
         if not (np.all(np.isfinite(et)) and np.all(np.isfinite(wt))):
-            raise DomainError("tabulated weight tables must be finite")
+            raise DomainError(message)
         if np.any(np.diff(et) <= 0.0):
             raise DomainError("tabulated eta knots must be strictly increasing")
         if np.any(wt <= 0.0):

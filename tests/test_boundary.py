@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from glmdopt import (
     Allocation,
@@ -21,7 +22,7 @@ from glmdopt import (
     rescale_problem,
     solve_22,
 )
-from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, corner_objective, count_boundary_pieces
+from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, corner_objective
 
 LOGIT = WeightFunction.logit()
 REGION_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "region_verdict_41.json"
@@ -69,6 +70,17 @@ class TestRescale:
     def test_bounds_validation(self):
         with pytest.raises(DomainError):
             ContinuousProblem([0.0, 1.0, 1.0], (1.0, -1.0, -1.0, 1.0), LOGIT)
+
+    @pytest.mark.parametrize(
+        "beta, bounds",
+        [
+            ([10**400, 1.0, 1.0], (-1.0, 1.0, -1.0, 1.0)),
+            ([0.0, 1.0, 1.0], (-1.0, 10**400, -1.0, 1.0)),
+        ],
+    )
+    def test_numbers_beyond_float_range_rejected(self, beta, bounds):
+        with pytest.raises(DomainError, match="finite"):
+            ContinuousProblem(beta, bounds, LOGIT)
 
 
 class TestHab:
@@ -234,6 +246,28 @@ class TestCheckBoundaryOptimal:
             assert a.boundary_optimal == flipped.boundary_optimal
 
 
+class TestEdgeSearch:
+    @pytest.mark.parametrize("link, half", [("logit", 3.0), ("probit", 2.0), ("log_poisson", 1.0)])
+    def test_minimum_on_boundary_and_below_dense_scan(self, rng, link, half):
+        # min s lies on the square's edges; a dense 2-D scan of the whole
+        # square is the reference the edge search must match or beat
+        fn = WeightFunction.from_name(link)
+        axis = np.linspace(-1.0, 1.0, 401)
+        for beta in rng.uniform(-half, half, (8, 3)):
+            verdict = check_boundary_optimal(_unit_problem(beta, fn))
+            w = corner_weights(beta, fn)
+            tol = 1e-12 * verdict.f_p4
+
+            def s(a, b):
+                eta = beta[0] + a * beta[1] + b * beta[2]
+                return 0.75 * verdict.f_p4 - fn(eta) * h_ab(a, b, verdict.p4, w)
+
+            a, b = verdict.argmin
+            assert max(abs(a), abs(b)) == 1.0
+            assert s(a, b) == pytest.approx(verdict.min_s, abs=tol)
+            assert verdict.min_s <= float(np.min(s(axis[:, None], axis[None, :]))) + tol
+
+
 class TestRescaleObjectiveInvariance:
     def test_objective_transforms_by_squared_determinant(self, rng):
         # the optimal corner allocation of the rescaled problem gives the
@@ -320,7 +354,7 @@ class TestRegionSweep:
         assert diffs.max() < 1e-3
 
     def test_disconnected_boundary_for_half_intercept(self):
-        # at intercept -0.5 the admissible region splits; the extracted
-        # boundary has several pieces (five at this resolution)
+        # at intercept -0.5 the admissible region splits into several
+        # connected pieces (five at this resolution)
         grid = region_sweep(-0.5, (-2.0, 2.0), (-2.0, 2.0), 21, LOGIT, s_grid_steps=81)
-        assert count_boundary_pieces(grid) >= 2
+        assert ndimage.label(grid.verdict)[1] >= 2

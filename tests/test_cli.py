@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from glmdopt import SolverError, cli
+from glmdopt import SolverError, cli, full_factorial_design
 from glmdopt.cli import main
 
 PROB_22 = {
@@ -279,6 +279,10 @@ class TestBench:
         lines = capsys.readouterr().out.splitlines()
         analytic = lines[1].split(",")
         assert analytic[2] == "0"
+
+    def test_two_by_two_model_is_the_two_level_factorial(self):
+        X, _ = full_factorial_design(2)
+        assert cli._parse_model("2x2").tobytes() == X.tobytes()
 
     def test_bad_model_and_dist(self, capsys):
         assert main(["bench", "--model", "3x3", "--n-instances", "1"]) == 2

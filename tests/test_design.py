@@ -166,6 +166,14 @@ class TestValidation:
         with pytest.raises(DomainError, match="beta"):
             DesignProblem(X22, beta=[0.0, 1.0], weight_fn=WeightFunction.logit())
 
+    def test_numbers_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="beta"):
+            DesignProblem(X22, beta=[10**400, 1.0, 1.0], weight_fn=WeightFunction.logit())
+        with pytest.raises(DomainError, match="weights"):
+            DesignProblem(X22, w=[1.0, 10**400, 1.0, 1.0])
+        with pytest.raises(DomainError, match="X must be finite"):
+            DesignProblem([[1, 10**400], [1, 0]], w=[1.0, 1.0])
+
     def test_beta_weight_fn_derivation(self):
         prob = DesignProblem(X22, beta=[0.0, 0.0, 0.0], weight_fn=WeightFunction.logit())
         assert np.allclose(prob.w, 0.25)

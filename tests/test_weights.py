@@ -54,6 +54,11 @@ def test_constant_must_be_positive():
         WeightFunction.constant(-1.0)
 
 
+def test_constant_beyond_float_range_rejected():
+    with pytest.raises(DomainError, match="finite"):
+        WeightFunction.constant(10**400)
+
+
 def test_tabulated_interpolates_and_holds_endpoints():
     fn = WeightFunction.tabulated([-1.0, 0.0, 1.0], [1.0, 2.0, 4.0])
     assert fn(0.0) == 2.0
@@ -69,6 +74,11 @@ def test_tabulated_validation():
         WeightFunction.tabulated([0.0, 1.0], [1.0, -2.0])  # nonpositive weight
     with pytest.raises(DomainError):
         WeightFunction.tabulated([0.0], [1.0])  # too few knots
+
+
+def test_tabulated_beyond_float_range_rejected():
+    with pytest.raises(DomainError, match="finite"):
+        WeightFunction.tabulated([0, 10**400], [1, 2])
 
 
 def test_nonfinite_eta_rejected():
