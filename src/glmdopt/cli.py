@@ -383,11 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     grid_help = "points per edge of the unit square"
+    tol_help = (
+        "lift-one stops once d*log(1 + KW gap), a bound on the log-objective"
+        " gain still available, is at most this"
+    )
 
     p_solve = sub.add_parser("solve", help="solve a single problem file")
     p_solve.add_argument("problem", help="path to a JSON problem file")
     p_solve.add_argument("--method", choices=["auto", "analytic", "liftone"], default="auto")
-    p_solve.add_argument("--tol", type=float, default=1e-12)
+    p_solve.add_argument("--tol", type=float, default=1e-12, help=tol_help)
     p_solve.add_argument("--format", choices=["json", "csv"], default="json")
     p_solve.add_argument("--grid-steps", type=int, default=201, dest="grid_steps", help=grid_help)
     p_solve.set_defaults(func=cmd_solve)
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--vary", type=int, required=True, help="coefficient index to vary")
     p_sweep.add_argument("--range", required=True, help="LO:HI:STEPS")
     p_sweep.add_argument("--method", choices=["auto", "analytic", "liftone"], default="analytic")
-    p_sweep.add_argument("--tol", type=float, default=1e-12)
+    p_sweep.add_argument("--tol", type=float, default=1e-12, help=tol_help)
     p_sweep.add_argument("--format", choices=["csv"], default="csv")
     p_sweep.set_defaults(func=cmd_sweep_beta)
 
@@ -417,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n-instances", type=int, default=10000, dest="n_instances")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--link", default="logit")
-    p_bench.add_argument("--tol", type=float, default=1e-12)
+    p_bench.add_argument("--tol", type=float, default=1e-12, help=tol_help)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -49,7 +49,7 @@ class Allocation:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float).reshape(-1).copy()
+        arr = as_floats(self.p, "allocation entries must be finite").reshape(-1).copy()
         if not np.all(np.isfinite(arr)):
             raise DomainError("allocation entries must be finite")
         if np.any(arr < -ALLOC_NEG_TOL):
@@ -295,7 +295,7 @@ def build_model_matrix(points, terms="main-effects") -> np.ndarray:
     intercept and must come first; a tuple like (0, 2) yields the product
     column ``x1 * x3``.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(as_floats(points, "factor levels must be finite"))
     n, k = pts.shape
     if isinstance(terms, str):
         if terms != "main-effects":

@@ -1,4 +1,5 @@
-"""Lift-one coordinate ascent for the D-optimality objective.
+"""Lift-one coordinate ascent for the D-optimality objective, with a
+projected-Newton finish for design problems.
 
 The objective is multilinear in the allocation: every monomial is a product
 of distinct coordinates. Restricting it to the lift-one path that moves
@@ -8,8 +9,7 @@ coordinate i to z while rescaling the rest proportionally gives
 
 with d the number of model terms. Each step maximizes the profile exactly
 (interior stationary point against the z=0 endpoint) and a sweep cycles the
-coordinates; convergence is declared on the relative objective improvement
-of a full sweep.
+coordinates.
 
 A :class:`DesignProblem` takes its profile from the sensitivity
 ``d_i = w_i x_i' M^-1 x_i`` of ``M = X' W X`` (matrix determinant lemma;
@@ -17,9 +17,29 @@ Yang, Mandal & Majumdar 2016): with ``om = 1 - p_i``, ``alpha = f d_i /
 om^(d-1)`` and ``beta = f (1 - p_i d_i) / om^d``. A Sherman-Morrison update
 keeps ``M^-1`` current after each accepted step, and a Cholesky factor of
 ``M`` refreshes it once a sweep, carrying ``log det M`` instead of
-``det M``. A :class:`MultilinearObjective` is a black box whose profile two
-evaluations pin, ``beta = f_i(0)`` and ``alpha = 2^d f_i(1/2) - beta``; it
-is the reference that the analytic solvers are cross-checked against.
+``det M``. Coordinate steps crawl along flat optima, so after a few sweeps
+have located the support the ascent takes projected Newton steps on
+``log det M(p)`` over the simplex, in the spirit of Yu's (2011) cocktail
+algorithm:
+
+* the gradient is ``d_i`` and the Hessian ``-(G o G)``, with
+  ``G = Z M^-1 Z'`` and ``Z = sqrt(w) X``;
+* the step solves the KKT system ``[G o G, 1; 1', 0]`` by least squares on
+  the free set: the support, plus the zero-mass points with ``d_i > d``
+  that the Harman & Pronzato (2007) bound has not ruled out of every
+  optimal support;
+* a ratio test keeps ``p >= 0``, and the step halves until it gains
+  ``log det M``; a step that gains nothing falls back to one sweep, so the
+  objective never decreases.
+
+A design problem stops on its Kiefer-Wolfowitz certificate: once
+``d log(1 + gap) <= tol``, with ``gap = max_i d_i / d - 1``, which bounds
+``log det M* - log det M`` (Atwood 1969), or at the rounding floor, where
+neither a Newton step nor a sweep gains more than ``tol``. A
+:class:`MultilinearObjective` is a black box whose profile two evaluations
+pin, ``beta = f_i(0)`` and ``alpha = 2^d f_i(1/2) - beta``; it runs plain
+lift-one, stops once a sweep gains less than ``tol`` relative, and is the
+reference that the analytic solvers are cross-checked against.
 
 This is the numerical baseline for the analytic solvers and the
 general-matrix solver for shapes outside the analytic families.
@@ -38,9 +58,25 @@ from .design import Allocation, DesignProblem, SolveReport
 from .errors import DomainError
 
 
+#: lift-one sweeps that locate the support before the Newton finish
+_SWEEPS_BEFORE_NEWTON = 2
+#: eigenvalues of the Newton system below this fraction of the largest are singular
+_RCOND = 1e-14
+#: relative rounding below which two factorized log dets cannot order a step
+_LOG_DET_ROUNDING = 1e-10
+#: step halvings a Newton direction gets before a lift-one sweep stands in
+_BACKTRACKS = 30
+
+
 @dataclass(frozen=True)
 class LiftOneConfig:
-    """Stopping rule and initialization for the coordinate ascent."""
+    """Stopping rule and initialization for the ascent.
+
+    ``tol`` is the relative objective gain still available when the ascent
+    stops: certified by ``d log(1 + equivalence_gap) <= tol`` for a design
+    problem, and the gain of the last sweep for a black box. ``max_sweeps``
+    caps lift-one sweeps plus Newton steps.
+    """
 
     tol: float = 1e-12
     max_sweeps: int = 500
@@ -113,7 +149,8 @@ class _BlackBox:
 
 
 class _RankOne:
-    """Ascent state of a :class:`DesignProblem`: ``M^-1`` and ``log det M``."""
+    """Ascent state of a :class:`DesignProblem`: ``M^-1``, ``log det M`` and,
+    as of the last factorization, the sensitivities ``d_i``."""
 
     def __init__(self, problem: DesignProblem, p: np.ndarray):
         X = problem.X
@@ -130,17 +167,34 @@ class _RankOne:
         self.X[B] = np.eye(d)
         self.log_det_B = np.linalg.slogdet(X[B])[1]
         self.w = problem.w
+        self.Z = np.sqrt(self.w)[:, None] * self.X
         self.degree = d
+        # points the Harman-Pronzato bound has not ruled out of the optimal support
+        self.alive = np.ones(X.shape[0], dtype=bool)
         self.refresh(p)
 
-    def refresh(self, p):
+    def _cholesky(self, p):
         try:
-            L = np.linalg.cholesky(self.X.T @ (self.X * (p * self.w)[:, None]))
+            return np.linalg.cholesky(self.X.T @ (self.X * (p * self.w)[:, None]))
         except np.linalg.LinAlgError:
-            raise DomainError("degenerate objective: X'WX is not positive definite") from None
+            return None
+
+    def _log_det(self, L) -> float:
+        return 2.0 * float(np.sum(np.log(np.diag(L))) + self.log_det_B)
+
+    def _accept(self, L):
         L_inv = np.linalg.inv(L)
         self.M_inv = L_inv.T @ L_inv
-        self.log_f = 2.0 * float(np.sum(np.log(np.diag(L))) + self.log_det_B)
+        self.log_f = self._log_det(L)
+        # rows whitened by M: G = V V' has the sensitivities on its diagonal
+        self.V = self.Z @ L_inv.T
+        self.d = np.einsum("ij,ij->i", self.V, self.V)
+
+    def refresh(self, p):
+        L = self._cholesky(p)
+        if L is None:
+            raise DomainError("degenerate objective: X'WX is not positive definite")
+        self._accept(L)
 
     def objective(self) -> float:
         return math.exp(self.log_f)
@@ -168,8 +222,86 @@ class _RankOne:
         return z
 
     def equivalence_gap(self) -> float:
-        d = self.w * np.sum((self.X @ self.M_inv) * self.X, axis=1)
-        return float(d.max()) / self.degree - 1.0
+        return float(self.d.max()) / self.degree - 1.0
+
+    def _gain(self, p, q) -> float:
+        """``log f(q) - log f(p)`` on the simplex, from ``q - p``.
+
+        Near the optimum a Newton step gains less than the rounding of
+        ``log det``; the eigenvalues of ``L^-1 (M(q) - M(p)) L^-T`` resolve
+        it, and the change of ``sum(q)`` comes out exactly because ``log f``
+        gains ``d log c`` when ``p`` is scaled by ``c``.
+        """
+        D = q - p
+        lam = np.linalg.eigvalsh(self.V.T @ (self.V * D[:, None]))
+        if lam.min() <= -1.0:
+            return -math.inf
+        return float(np.sum(np.log1p(lam))) - self.degree * math.log1p(math.fsum(D) / math.fsum(p))
+
+    def _newton_direction(self, p, free):
+        """Newton step on the free set, which it shrinks by every zero-mass
+        point the step would push negative; returns ``(idx, step)``."""
+        while True:
+            idx = np.flatnonzero(free)
+            k = idx.size
+            Vf = self.V[idx]
+            K = np.ones((k + 1, k + 1))
+            K[:k, :k] = (Vf @ Vf.T) ** 2
+            K[k, k] = 0.0
+            rhs = np.zeros(k + 1)
+            rhs[:k] = self.d[idx] - self.degree
+            lam, Q = np.linalg.eigh(K)
+            c = Q.T @ rhs
+            # least squares drops the singular directions, which carry no slope;
+            # a nearly singular one that carries most of it is followed uphill
+            # until the ratio test stops it
+            cut = _RCOND * np.abs(lam).max()
+            flat = np.abs(lam) <= cut
+            lam[flat] = math.inf if c[flat] @ c[flat] <= 0.25 * (c @ c) else cut
+            step = (Q @ (c / lam))[:k]
+            entering = (p[idx] == 0.0) & (step < 0.0)
+            if not entering.any():
+                return idx, step
+            free[idx[entering]] = False
+
+    def newton(self, p) -> float:
+        """One projected Newton step on ``log det M`` over the simplex, in place.
+
+        Returns the gain in ``log f``; 0.0, with p untouched, when no step
+        along the Newton direction gains.
+        """
+        m, d = self.degree, self.d
+        # Harman & Pronzato (2007): no optimal design puts mass where d_i < h(eps)
+        eps = max(float(d.max()) - m, 0.0)
+        self.alive &= d >= m * (1.0 + 0.5 * eps - 0.5 * math.sqrt(eps * (4.0 + eps - 4.0 / m)))
+        idx, step = self._newton_direction(p, (p > 0.0) | (self.alive & (d > m)))
+        # ratio test: the longest step in [0, 1] that keeps p >= 0
+        t, block = 1.0, -1
+        shrink = np.flatnonzero(step < 0.0)
+        if shrink.size:
+            ratios = p[idx[shrink]] / -step[shrink]
+            j = int(np.argmin(ratios))
+            if ratios[j] < 1.0:
+                t, block = float(ratios[j]), int(idx[shrink[j]])
+        for _ in range(_BACKTRACKS):
+            q = p.copy()
+            q[idx] += t * step
+            if block >= 0:
+                q[block] = 0.0
+            q = np.maximum(q, 0.0)
+            q /= q.sum()
+            L = self._cholesky(q)
+            if L is not None:
+                gain = self._log_det(L) - self.log_f
+                if abs(gain) <= _LOG_DET_ROUNDING * max(1.0, abs(self.log_f)):
+                    gain = self._gain(p, q)
+                if gain > 0.0:
+                    p[:] = q
+                    self._accept(L)
+                    return gain
+            t *= 0.5
+            block = -1
+        return 0.0
 
 
 def _state_class(problem):
@@ -229,18 +361,27 @@ def _best_step(alpha: float, beta: float, degree: int) -> tuple[float, float]:
 
 
 def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveReport:
-    """Coordinate-ascent maximizer of a multilinear design objective.
+    """Maximize a multilinear design objective over the simplex.
 
     Accepts a :class:`DesignProblem` (full column rank required) or a
-    :class:`MultilinearObjective`. Each coordinate step is an exact
-    one-dimensional maximization, so the objective never decreases; sweeps
-    stop once a full pass improves it by less than ``tol`` relative.
+    :class:`MultilinearObjective`. Coordinate steps are exact one-dimensional
+    maximizations and Newton steps are accepted only when they gain, so the
+    objective never decreases.
 
-    Diagnostics: ``sweeps``, ``converged`` (1.0 or 0.0),
-    ``last_rel_improvement`` and ``log_objective``; for a design problem
+    A design problem runs a few lift-one sweeps, then projected Newton steps
+    (see the module docstring), and stops once its certificate
+    ``d log(1 + equivalence_gap)`` is at most ``tol``, or at the rounding
+    floor, where a Newton step gains nothing and the sweep standing in for
+    it gains at most ``tol``. A black box runs sweeps until one gains at
+    most ``tol`` relative. Either way ``max_sweeps`` caps sweeps plus Newton
+    steps.
+
+    Diagnostics: ``sweeps``, ``newton_steps``, ``converged`` (1.0 when the
+    stopping criterion was met: the certificate for a design problem, the
+    last sweep's gain for a black box), ``last_rel_improvement`` (of the
+    last sweep or Newton step) and ``log_objective``; for a design problem
     also ``equivalence_gap = max_i d_i / d - 1``, which is zero exactly at
-    the D-optimum (Kiefer-Wolfowitz). Both come from the final sweep's
-    factorization.
+    the D-optimum (Kiefer-Wolfowitz), from the final factorization.
     """
     cfg = config or LiftOneConfig()
     kind = _state_class(problem)
@@ -257,26 +398,42 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
         raise DomainError("degenerate objective: value is zero at the starting allocation")
 
     rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
-    for sweeps in range(1, cfg.max_sweeps + 1):
-        log_start = state.log_objective()
-        for i in rng.permutation(n) if rng is not None else range(n):
-            _check_lift(p, i)
-            z = state.lift(p, i)
-            if z is not None:
-                p *= (1.0 - z) / (1.0 - p[i])
-                p[i] = z
-        p /= p.sum()
-        state.refresh(p)
-        last_rel = -math.expm1(log_start - state.log_objective())
-        if last_rel <= cfg.tol:
-            break
+    certified = kind is _RankOne
+    sweeps = newton_steps = 0
+    while sweeps + newton_steps < cfg.max_sweeps:
+        newton = certified and sweeps >= _SWEEPS_BEFORE_NEWTON
+        gain = state.newton(p) if newton else 0.0
+        if gain > 0.0:
+            newton_steps += 1
+            last_rel = -math.expm1(-gain)
+        else:
+            log_start = state.log_objective()
+            for i in rng.permutation(n) if rng is not None else range(n):
+                _check_lift(p, i)
+                z = state.lift(p, i)
+                if z is not None:
+                    p *= (1.0 - z) / (1.0 - p[i])
+                    p[i] = z
+            p /= p.sum()
+            state.refresh(p)
+            sweeps += 1
+            last_rel = -math.expm1(log_start - state.log_objective())
+        if certified:
+            converged = state.degree * math.log1p(state.equivalence_gap()) <= cfg.tol
+            if converged or (newton and gain == 0.0 and last_rel <= cfg.tol):
+                break
+        else:
+            converged = last_rel <= cfg.tol
+            if converged:
+                break
 
     diag = {
         "sweeps": float(sweeps),
-        "converged": 1.0 if last_rel <= cfg.tol else 0.0,
+        "newton_steps": float(newton_steps),
+        "converged": 1.0 if converged else 0.0,
         "last_rel_improvement": float(last_rel),
         "log_objective": state.log_objective(),
     }
-    if kind is _RankOne:
+    if certified:
         diag["equivalence_gap"] = state.equivalence_gap()
     return SolveReport(Allocation(p), state.objective(), "liftone", diag)

@@ -55,7 +55,7 @@ from .design import (
     safe_exp,
     vform_log_sensitivities,
 )
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, as_floats
 
 #: dominant-coefficient boundary comparison uses this relative rounding
 BOUNDARY_REL = 1e-12
@@ -103,7 +103,7 @@ class SaturatedProblem:
 
     @classmethod
     def from_values(cls, v) -> "SaturatedProblem":
-        raw = np.asarray(v, dtype=float).reshape(-1)
+        raw = as_floats(v, "coefficients must be finite").reshape(-1)
         perm = np.argsort(raw, kind="stable")
         return cls(raw[perm], perm, raw.size, int(np.sum(raw == 0.0)))
 

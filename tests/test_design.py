@@ -186,6 +186,10 @@ class TestValidation:
         a = Allocation(np.array([0.5, 0.5, -1e-14]))  # tiny negatives clamp to 0
         assert a.p[2] == 0.0
 
+    def test_allocation_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="allocation entries must be finite"):
+            Allocation([10**400, 0])
+
 
 class TestMatrixBuilders:
     def test_main_effects(self):
@@ -203,6 +207,10 @@ class TestMatrixBuilders:
     def test_recipe_index_bounds(self):
         with pytest.raises(DomainError):
             build_model_matrix([[1, 2]], [(), (5,)])
+
+    def test_levels_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="factor levels must be finite"):
+            build_model_matrix([[10**400, 1]])
 
     def test_full_factorial_k2_matches_two_level_matrix(self):
         X, points = full_factorial_design(2)

@@ -19,6 +19,7 @@ from glmdopt import (
     objective_det,
     objective_expansion,
     solve_22,
+    solve_fourpoint,
     solve_saturated,
     vform_objective,
 )
@@ -125,7 +126,6 @@ class TestMaximize:
     def test_fixed_point_of_analytic_solution(self, rng):
         w = rng.uniform(0.05, 0.3, 4)
         problem = DesignProblem(X22, w=w)
-        from glmdopt import solve_fourpoint
 
         analytic = solve_fourpoint(problem)
         cfg = LiftOneConfig(init_p=analytic.allocation.p)
@@ -242,20 +242,52 @@ class TestRankOne:
             problem = DesignProblem(X, beta=rng.uniform(-1.0, 1.0, X.shape[1]), weight_fn=LOGIT)
             obj = MultilinearObjective(lambda p, pr=problem: objective_det(pr, p), *X.shape)
             fast, slow = liftone_maximize(problem), liftone_maximize(obj)
-            assert fast.objective == pytest.approx(slow.objective, rel=1e-10)
-            assert abs(fast.diagnostics["sweeps"] - slow.diagnostics["sweeps"]) <= 1
+            assert fast.diagnostics["equivalence_gap"] <= 1e-9
+            # the black box crawls to max_sweeps on a few flat 2^3-main optima
+            assert fast.objective >= slow.objective * (1.0 - 1e-10)
+            if slow.diagnostics["converged"]:
+                assert fast.objective == pytest.approx(slow.objective, rel=1e-10)
 
     def test_decades_wide_weights(self):
         # probit weights here span up to ~60 decades, far beyond what a Cholesky
-        # factor of X'WX in the original rows resolves
+        # factor of X'WX in the original rows resolves; the black box stops
+        # ~1e-8 short of the optimal allocation, so that comes from the
+        # analytic solver
         rng = np.random.default_rng(2)
         for beta in rng.uniform(-8.0, 8.0, (60, 3)):
             problem = DesignProblem(X22, beta=beta, weight_fn=WeightFunction.from_name("probit"))
             terms = objective_expansion(problem)
             ref = liftone_maximize(MultilinearObjective(lambda p: expansion_value(terms, p), 4, 3))
             lift = liftone_maximize(problem)
-            assert lift.allocation.p == pytest.approx(ref.allocation.p, abs=1e-9)
+            analytic = solve_fourpoint(problem)
+            assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-9)
             assert lift.objective == pytest.approx(ref.objective, rel=1e-9)
+
+    def test_newton_finish_certifies_flat_optima(self):
+        # near beta = 0 the 2^3 main-effects optimum is nearly flat, and plain
+        # lift-one stops at max_sweeps on most of these draws
+        X = _main_effects_2x3()
+        rng = np.random.default_rng(11)
+        for beta in rng.uniform(-0.18, 0.18, (40, 4)):
+            problem = DesignProblem(X, beta=beta, weight_fn=LOGIT)
+            lift = liftone_maximize(problem)
+            assert lift.diagnostics["converged"] == 1.0
+            assert lift.diagnostics["equivalence_gap"] <= 1e-9
+            M = X.T @ (X * (lift.allocation.p * problem.w)[:, None])
+            sign, logdet = np.linalg.slogdet(M)
+            assert sign == 1.0
+            assert lift.diagnostics["log_objective"] == pytest.approx(logdet, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_newton_finish_matches_saturated(self, k):
+        X, _ = full_factorial_design(k)
+        rng = np.random.default_rng(13)
+        for beta in rng.uniform(-1.0, 1.0, (20, X.shape[1])):
+            problem = DesignProblem(X, beta=beta, weight_fn=LOGIT)
+            lift = liftone_maximize(problem)
+            analytic = solve_saturated(compute_v(problem))
+            assert lift.diagnostics["converged"] == 1.0
+            assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-9)
 
     def test_singular_allocation_rejected_by_profile(self):
         problem = DesignProblem(X22, w=np.ones(4))

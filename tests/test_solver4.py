@@ -114,6 +114,10 @@ class TestCaseDispatch:
         with pytest.raises(DomainError):
             solve_22([-1.0, 1.0, 2.0, 3.0])
 
+    def test_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            solve_22([1, 2, 3, 10**400])
+
 
 class TestQuartic:
     def test_root_matches_companion_matrix(self, rng):
