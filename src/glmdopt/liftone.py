@@ -29,8 +29,11 @@ algorithm:
   that the Harman & Pronzato (2007) bound has not ruled out of every
   optimal support;
 * a ratio test keeps ``p >= 0``, and the step halves until it gains
-  ``log det M``; a step that gains nothing falls back to one sweep, so the
-  objective never decreases.
+  ``log det M``, measured from the eigenvalues of ``L^-1 dM L^-T`` (L the
+  Cholesky factor of M) because near the optimum the gain is far below the
+  rounding of ``log det``; a step that gains nothing falls back to one
+  sweep, so the objective never decreases (the factorized ``log det`` of
+  an accepted step can still read about one rounding unit lower).
 
 A design problem stops on its Kiefer-Wolfowitz certificate: once
 ``d log(1 + gap) <= tol``, with ``gap = max_i d_i / d - 1``, which bounds
@@ -62,8 +65,6 @@ from .errors import DomainError
 _SWEEPS_BEFORE_NEWTON = 2
 #: eigenvalues of the Newton system below this fraction of the largest are singular
 _RCOND = 1e-14
-#: relative rounding below which two factorized log dets cannot order a step
-_LOG_DET_ROUNDING = 1e-10
 #: step halvings a Newton direction gets before a lift-one sweep stands in
 _BACKTRACKS = 30
 
@@ -179,13 +180,10 @@ class _RankOne:
         except np.linalg.LinAlgError:
             return None
 
-    def _log_det(self, L) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(L))) + self.log_det_B)
-
     def _accept(self, L):
         L_inv = np.linalg.inv(L)
         self.M_inv = L_inv.T @ L_inv
-        self.log_f = self._log_det(L)
+        self.log_f = 2.0 * float(np.sum(np.log(np.diag(L))) + self.log_det_B)
         # rows whitened by M: G = V V' has the sensitivities on its diagonal
         self.V = self.Z @ L_inv.T
         self.d = np.einsum("ij,ij->i", self.V, self.V)
@@ -227,10 +225,11 @@ class _RankOne:
     def _gain(self, p, q) -> float:
         """``log f(q) - log f(p)`` on the simplex, from ``q - p``.
 
-        Near the optimum a Newton step gains less than the rounding of
-        ``log det``; the eigenvalues of ``L^-1 (M(q) - M(p)) L^-T`` resolve
-        it, and the change of ``sum(q)`` comes out exactly because ``log f``
-        gains ``d log c`` when ``p`` is scaled by ``c``.
+        Near the optimum a Newton step gains far less than the rounding of
+        ``log det``, so two factorized log dets cannot order it; the
+        eigenvalues of ``L^-1 (M(q) - M(p)) L^-T`` resolve the gain, and the
+        change of ``sum(q)`` comes out exactly because ``log f`` gains
+        ``d log c`` when ``p`` is scaled by ``c``.
         """
         D = q - p
         lam = np.linalg.eigvalsh(self.V.T @ (self.V * D[:, None]))
@@ -290,15 +289,12 @@ class _RankOne:
                 q[block] = 0.0
             q = np.maximum(q, 0.0)
             q /= q.sum()
-            L = self._cholesky(q)
+            gain = self._gain(p, q)
+            L = self._cholesky(q) if gain > 0.0 else None
             if L is not None:
-                gain = self._log_det(L) - self.log_f
-                if abs(gain) <= _LOG_DET_ROUNDING * max(1.0, abs(self.log_f)):
-                    gain = self._gain(p, q)
-                if gain > 0.0:
-                    p[:] = q
-                    self._accept(L)
-                    return gain
+                p[:] = q
+                self._accept(L)
+                return gain
             t *= 0.5
             block = -1
         return 0.0
@@ -366,7 +362,7 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
     Accepts a :class:`DesignProblem` (full column rank required) or a
     :class:`MultilinearObjective`. Coordinate steps are exact one-dimensional
     maximizations and Newton steps are accepted only when they gain, so the
-    objective never decreases.
+    objective never decreases beyond the rounding of ``log det``.
 
     A design problem runs a few lift-one sweeps, then projected Newton steps
     (see the module docstring), and stops once its certificate

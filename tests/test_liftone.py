@@ -241,12 +241,12 @@ class TestRankOne:
         for _ in range(40):
             problem = DesignProblem(X, beta=rng.uniform(-1.0, 1.0, X.shape[1]), weight_fn=LOGIT)
             obj = MultilinearObjective(lambda p, pr=problem: objective_det(pr, p), *X.shape)
-            fast, slow = liftone_maximize(problem), liftone_maximize(obj)
+            # the black box crawls along flat 2^3-main optima, so it gets a
+            # tighter stop and more sweeps than the default
+            fast = liftone_maximize(problem)
+            slow = liftone_maximize(obj, LiftOneConfig(tol=1e-14, max_sweeps=2000))
+            assert fast.objective == pytest.approx(slow.objective, rel=1e-10)
             assert fast.diagnostics["equivalence_gap"] <= 1e-9
-            # the black box crawls to max_sweeps on a few flat 2^3-main optima
-            assert fast.objective >= slow.objective * (1.0 - 1e-10)
-            if slow.diagnostics["converged"]:
-                assert fast.objective == pytest.approx(slow.objective, rel=1e-10)
 
     def test_decades_wide_weights(self):
         # probit weights here span up to ~60 decades, far beyond what a Cholesky
