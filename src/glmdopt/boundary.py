@@ -72,14 +72,14 @@ class ContinuousProblem:
     def __post_init__(self):
         message = "beta must be three finite numbers (intercept and two slopes)"
         beta = as_floats(self.beta, message).reshape(-1)
-        if beta.shape != (3,) or not np.all(np.isfinite(beta)):
+        if beta.shape != (3,):
             raise DomainError(message)
         beta = beta.copy()
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
         message = "bounds must be four finite numbers (lo1, hi1, lo2, hi2)"
-        b = tuple(float(x) for x in as_floats(self.bounds, message))
-        if len(b) != 4 or not all(np.isfinite(x) for x in b):
+        b = tuple(as_floats(self.bounds, message).reshape(-1).tolist())
+        if len(b) != 4:
             raise DomainError(message)
         if not (b[0] < b[1] and b[2] < b[3]):
             raise DomainError("each factor needs lo < hi bounds")
@@ -253,8 +253,11 @@ def region_sweep(
         raise DomainError("steps must be >= 1")
     if s_grid_steps < 2:
         raise DomainError("s_grid_steps must be >= 2")
-    b1v = grid_axis(beta1_range[0], beta1_range[1], steps)
-    b2v = grid_axis(beta2_range[0], beta2_range[1], steps)
+    message = "beta0 and the slope ranges must be finite numbers"
+    beta0 = float(as_floats(beta0, message))
+    (lo1, hi1), (lo2, hi2) = as_floats(beta1_range, message), as_floats(beta2_range, message)
+    b1v = grid_axis(lo1, hi1, steps)
+    b2v = grid_axis(lo2, hi2, steps)
     min_s = np.full((b1v.size, b2v.size), np.nan)
     verdict = np.zeros((b1v.size, b2v.size), dtype=bool)
     failed = np.zeros((b1v.size, b2v.size), dtype=bool)

@@ -50,8 +50,6 @@ class Allocation:
 
     def __post_init__(self):
         arr = as_floats(self.p, "allocation entries must be finite").reshape(-1).copy()
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("allocation entries must be finite")
         if np.any(arr < -ALLOC_NEG_TOL):
             raise DomainError(f"allocation entries must be nonnegative, got min {arr.min()!r}")
         arr[arr < 0.0] = 0.0
@@ -107,8 +105,6 @@ class DesignProblem:
         n, d = X.shape
         if n < d:
             raise DomainError(f"need at least as many design points as model terms, got {n} < {d}")
-        if not np.all(np.isfinite(X)):
-            raise DomainError("X must be finite")
         if not np.all(X[:, 0] == 1.0):
             raise DomainError("first column of X must be all ones (intercept)")
         canon = np.round(X, ROW_DECIMALS)
@@ -123,22 +119,21 @@ class DesignProblem:
             beta = as_floats(beta, "beta must be finite").reshape(-1)
             if beta.shape != (d,):
                 raise DomainError(f"beta has length {beta.size}, expected {d}")
-            if not np.all(np.isfinite(beta)):
-                raise DomainError("beta must be finite")
             beta = beta.copy()
             beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
 
+        message = "weights must be positive and finite"
         if self.w is None:
             if beta is None or self.weight_fn is None:
                 raise DomainError("provide either w or both beta and weight_fn")
-            w = np.asarray(self.weight_fn(X @ beta), dtype=float)
+            w = as_floats(self.weight_fn(X @ beta), message)
         else:
-            w = as_floats(self.w, "weights must be positive and finite").reshape(-1).copy()
+            w = as_floats(self.w, message).reshape(-1).copy()
         if w.shape != (n,):
             raise DomainError(f"w has length {w.size}, expected {n}")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise DomainError("weights must be positive and finite")
+        if np.any(w <= 0.0):
+            raise DomainError(message)
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 

@@ -12,8 +12,13 @@ class SolverError(RuntimeError):
 
 
 def as_floats(values, message: str) -> np.ndarray:
-    """``values`` as a float array; numbers beyond the float range raise ``DomainError``."""
+    """``values`` as a float array: the one gate for numbers from outside the
+    package. A number beyond the float range or a non-finite entry raises
+    ``DomainError(message)``."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values, dtype=float)
     except OverflowError:
         raise DomainError(message) from None
+    if not np.isfinite(arr).all():
+        raise DomainError(message)
+    return arr

@@ -28,12 +28,12 @@ algorithm:
   the free set: the support, plus the zero-mass points with ``d_i > d``
   that the Harman & Pronzato (2007) bound has not ruled out of every
   optimal support;
-* a ratio test keeps ``p >= 0``, and the step halves until it gains
+* a ratio test keeps ``p >= 0``, and the step is taken only if it gains
   ``log det M``, measured from the eigenvalues of ``L^-1 dM L^-T`` (L the
   Cholesky factor of M) because near the optimum the gain is far below the
-  rounding of ``log det``; a step that gains nothing falls back to one
-  sweep, so the objective never decreases (the factorized ``log det`` of
-  an accepted step can still read about one rounding unit lower).
+  rounding of ``log det``; otherwise one sweep replaces it, so the
+  objective never decreases (the factorized ``log det`` of an accepted
+  step can still read about one rounding unit lower).
 
 A design problem stops on its Kiefer-Wolfowitz certificate: once
 ``d log(1 + gap) <= tol``, with ``gap = max_i d_i / d - 1``, which bounds
@@ -58,15 +58,13 @@ import numpy as np
 from scipy import linalg
 
 from .design import Allocation, DesignProblem, SolveReport
-from .errors import DomainError
+from .errors import DomainError, as_floats
 
 
 #: lift-one sweeps that locate the support before the Newton finish
 _SWEEPS_BEFORE_NEWTON = 2
 #: eigenvalues of the Newton system below this fraction of the largest are singular
 _RCOND = 1e-14
-#: step halvings a Newton direction gets before a lift-one sweep stands in
-_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,9 @@ class LiftOneConfig:
     seed: int | None = None  # None sweeps in order 1..n; an int shuffles each sweep
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise DomainError("tol must be positive")
+        message = "tol must be a positive finite number"
+        if not as_floats(self.tol, message) > 0.0:
+            raise DomainError(message)
         if self.max_sweeps < 1:
             raise DomainError("max_sweeps must be >= 1")
 
@@ -98,6 +97,13 @@ class MultilinearObjective:
     ``fn(p)`` must be a degree-``degree`` polynomial in which every monomial
     is a product of distinct coordinates (the shape the profile trick
     requires); ``n_points`` is the allocation length.
+
+    Lift-one on a black box stops about ``sqrt(eps)`` from the optimal
+    allocation: a lift is taken only if its value exceeds the stored
+    ``f``, and near the optimum the gain falls below the rounding of ``f``.
+    On 29 of 60 decades-wide probit 2x2 problems it stayed at least 7.45e-9
+    from the analytic allocation even at ``tol=1e-300``. It is a reference
+    for objectives, not for allocations below about 1e-8.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -266,8 +272,8 @@ class _RankOne:
     def newton(self, p) -> float:
         """One projected Newton step on ``log det M`` over the simplex, in place.
 
-        Returns the gain in ``log f``; 0.0, with p untouched, when no step
-        along the Newton direction gains.
+        Returns the gain in ``log f``; 0.0, with p untouched, when the
+        ratio-tested step does not gain.
         """
         m, d = self.degree, self.d
         # Harman & Pronzato (2007): no optimal design puts mass where d_i < h(eps)
@@ -282,22 +288,19 @@ class _RankOne:
             j = int(np.argmin(ratios))
             if ratios[j] < 1.0:
                 t, block = float(ratios[j]), int(idx[shrink[j]])
-        for _ in range(_BACKTRACKS):
-            q = p.copy()
-            q[idx] += t * step
-            if block >= 0:
-                q[block] = 0.0
-            q = np.maximum(q, 0.0)
-            q /= q.sum()
-            gain = self._gain(p, q)
-            L = self._cholesky(q) if gain > 0.0 else None
-            if L is not None:
-                p[:] = q
-                self._accept(L)
-                return gain
-            t *= 0.5
-            block = -1
-        return 0.0
+        q = p.copy()
+        q[idx] += t * step
+        if block >= 0:
+            q[block] = 0.0
+        q = np.maximum(q, 0.0)
+        q /= q.sum()
+        gain = self._gain(p, q)
+        L = self._cholesky(q) if gain > 0.0 else None
+        if L is None:
+            return 0.0
+        p[:] = q
+        self._accept(L)
+        return gain
 
 
 def _state_class(problem):
@@ -368,9 +371,11 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
     (see the module docstring), and stops once its certificate
     ``d log(1 + equivalence_gap)`` is at most ``tol``, or at the rounding
     floor, where a Newton step gains nothing and the sweep standing in for
-    it gains at most ``tol``. A black box runs sweeps until one gains at
-    most ``tol`` relative. Either way ``max_sweeps`` caps sweeps plus Newton
-    steps.
+    it gains at most ``tol``; a Newton step is never shortened. A black box
+    runs sweeps until one gains at most ``tol`` relative, which leaves it
+    about ``sqrt(eps)`` from the optimal allocation (see
+    :class:`MultilinearObjective`). Either way ``max_sweeps`` caps sweeps
+    plus Newton steps.
 
     Diagnostics: ``sweeps``, ``newton_steps``, ``converged`` (1.0 when the
     stopping criterion was met: the certificate for a design problem, the

@@ -78,7 +78,7 @@ class SaturatedProblem:
     log_scale: float = 0.0
 
     def __post_init__(self):
-        v = np.array(self.v, dtype=float)
+        v = as_floats(self.v, "coefficients must be finite").copy()
         perm = np.array(self.perm, dtype=int)
         n = int(self.n)
         l = int(self.zero_count)
@@ -86,8 +86,6 @@ class SaturatedProblem:
             raise DomainError("need at least three design points")
         if v.shape != (n,) or perm.shape != (n,):
             raise DomainError("v and perm must have length n")
-        if not np.isfinite(v).all():
-            raise DomainError("coefficients must be finite")
         if (v[1:] < v[:-1]).any():
             raise DomainError("v must be sorted ascending")
         if v[0] < 0.0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Allocation, SolveReport, _bisect_root, safe_exp, vform_log_sensitivities
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, as_floats
 from .saturated import SaturatedProblem
 
 #: two coefficients are tied (and a coefficient is zero) below this relative gap
@@ -89,11 +89,9 @@ def _radical_root(c) -> float:
 
 def solve_quartic(c) -> QuarticRoot:
     """Unique root above 1 of the interior-case quartic, with residual check."""
-    c = tuple(float(x) for x in c)
+    c = tuple(as_floats(c, "quartic coefficients must be finite").reshape(-1).tolist())
     if len(c) != 5:
         raise DomainError("need five quartic coefficients")
-    if not all(np.isfinite(x) for x in c):
-        raise DomainError("quartic coefficients must be finite")
     if c[4] <= 0.0 or c[0] <= 0.0:
         raise DomainError("coefficient signs inconsistent with the interior case (need c0>0, c4>0)")
 

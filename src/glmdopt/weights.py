@@ -51,9 +51,7 @@ class WeightFunction:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, eta):
-        arr = np.asarray(eta, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("eta must be finite")
+        arr = as_floats(eta, "eta must be finite")
         out = self.fn(arr)
         if arr.ndim == 0:
             return float(out)
@@ -75,7 +73,7 @@ class WeightFunction:
     def constant(cls, value: float = 1.0) -> "WeightFunction":
         message = "constant weight must be a positive finite number"
         value = float(as_floats(value, message))
-        if not np.isfinite(value) or value <= 0.0:
+        if value <= 0.0:
             raise DomainError(message)
 
         def fn(eta: np.ndarray) -> np.ndarray:
@@ -94,8 +92,6 @@ class WeightFunction:
         et, wt = as_floats(eta_table, message), as_floats(w_table, message)
         if et.ndim != 1 or et.shape != wt.shape or et.size < 2:
             raise DomainError("tabulated weight needs matching 1-d eta/w tables with >= 2 knots")
-        if not (np.all(np.isfinite(et)) and np.all(np.isfinite(wt))):
-            raise DomainError(message)
         if np.any(np.diff(et) <= 0.0):
             raise DomainError("tabulated eta knots must be strictly increasing")
         if np.any(wt <= 0.0):
@@ -128,4 +124,4 @@ _CATALOG = {
 
 def weight_eval(fn: WeightFunction, eta: float) -> float:
     """Evaluate a weight function at a single linear-predictor value."""
-    return float(fn(float(eta)))
+    return float(fn(eta))

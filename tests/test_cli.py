@@ -343,6 +343,10 @@ class TestBench:
         (["solve"], {"link": {"kind": "tabulated", "eta": [0.0, 1.0], "w": {"a": 1}}}),
         (["solve"], {"beta": [10**400, 0.5, 0.3]}),
         (["solve"], {"link": {"kind": "constant", "value": 10**400}}),
+        (["region", "--beta0=-1", "--range=nan:1", "--steps", "2", "--grid-steps", "11"], None),
+        (["region", "--beta0=inf", "--range=-1:1", "--steps", "2", "--grid-steps", "11"], None),
+        (["bench", "--tol", "0", "--n-instances", "1"], None),
+        (["solve", "--method", "liftone", "--tol", "inf"], {}),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, fields):

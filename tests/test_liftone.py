@@ -176,6 +176,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             LiftOneConfig(max_sweeps=0)
 
+    def test_infinite_tol_rejected(self):
+        # tol = inf would certify any allocation after one sweep
+        with pytest.raises(DomainError, match="tol"):
+            LiftOneConfig(tol=np.inf)
+
 
 LOGIT = WeightFunction.from_name("logit")
 
@@ -288,6 +293,32 @@ class TestRankOne:
             analytic = solve_saturated(compute_v(problem))
             assert lift.diagnostics["converged"] == 1.0
             assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-9)
+
+    def test_sweep_stands_in_for_a_newton_step_that_does_not_gain(self, monkeypatch):
+        # the first Newton step reports no gain; the sweep that replaces it is
+        # then the only recovery, and the solve must still certify the optimum
+        from glmdopt.liftone import _RankOne
+
+        X = _main_effects_2x3()
+        rng = np.random.default_rng(19)
+        betas = rng.uniform(-1.0, 1.0, (10, 4))
+        expected = [liftone_maximize(DesignProblem(X, beta=b, weight_fn=LOGIT)) for b in betas]
+        gain = _RankOne._gain
+        for beta, ref in zip(betas, expected):
+            calls = []
+
+            def first_step_fails(self, p, q):
+                calls.append(None)
+                return 0.0 if len(calls) == 1 else gain(self, p, q)
+
+            monkeypatch.setattr(_RankOne, "_gain", first_step_fails)
+            lift = liftone_maximize(DesignProblem(X, beta=beta, weight_fn=LOGIT))
+            assert lift.diagnostics["converged"] == 1.0
+            assert lift.diagnostics["equivalence_gap"] <= 1e-9
+            assert lift.diagnostics["sweeps"] >= 3
+            assert lift.diagnostics["log_objective"] == pytest.approx(
+                ref.diagnostics["log_objective"], rel=0, abs=1e-12
+            )
 
     def test_singular_allocation_rejected_by_profile(self):
         problem = DesignProblem(X22, w=np.ones(4))

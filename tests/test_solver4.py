@@ -170,6 +170,29 @@ class TestQuartic:
         with pytest.raises(DomainError):
             solve_quartic([1.0, 1.0, 1.0, 1.0, -1.0])
 
+    def test_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            solve_quartic([10**400, 1, 1, 1, 1])
+
+    @pytest.mark.parametrize("failure", ["nan", "zero-division"])
+    def test_solve_22_bisects_when_radicals_fail(self, rng, monkeypatch, failure):
+        # the radical evaluation either returns a non-root or divides by zero;
+        # either way the bisection fallback must reproduce the radical allocation
+        inputs = [random_interior_v4(rng) for _ in range(20)]
+        expected = [solve_22(v).allocation.p for v in inputs]
+
+        def radical_root(c):
+            if failure == "nan":
+                return np.nan
+            raise ZeroDivisionError
+
+        monkeypatch.setattr("glmdopt.solver4._radical_root", radical_root)
+        for v, p in zip(inputs, expected):
+            rep = solve_22(v)
+            assert rep.case_label == "2x2-case-v"
+            assert rep.diagnostics["quartic_fallback"] == 1.0
+            assert rep.allocation.p == pytest.approx(p, rel=0, abs=1e-12)
+
 
 class TestBackSubstitute:
     def test_matches_liftone(self, rng):

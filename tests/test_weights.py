@@ -90,6 +90,13 @@ def test_nonfinite_eta_rejected():
         fn(np.array([0.0, np.nan]))
 
 
+def test_eta_beyond_float_range_rejected():
+    fn = WeightFunction.logit()
+    for call in (fn, lambda eta: weight_eval(fn, eta)):
+        with pytest.raises(DomainError, match="eta must be finite"):
+            call(10**400)
+
+
 def test_from_name_catalog():
     assert WeightFunction.from_name("logit").kind == "logit"
     assert WeightFunction.from_name("poisson").kind == "log_poisson"
