@@ -30,6 +30,7 @@ verdicts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,10 +154,14 @@ def h_ab(a, b, p4, w):
     scalars or broadcastable arrays. Grouped as constant, b^2, 2b, a^2, 2a,
     and 2ab terms with products ``q_i q_j = (p_i w_i)(p_j w_j)``.
     """
-    parr = p4.p if isinstance(p4, Allocation) else np.asarray(p4, dtype=float)
-    q1, q2, q3, q4 = parr * np.asarray(w, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    message = "h_ab arguments must be finite"
+    parr = p4.p if isinstance(p4, Allocation) else as_floats(p4, message)
+    return _h(as_floats(a, message), as_floats(b, message), parr * as_floats(w, message))
+
+
+def _h(a, b, q):
+    """:func:`h_ab` of checked arrays, with ``q = p4 * w``."""
+    q1, q2, q3, q4 = q
     const = q1 * q2 + q1 * q3 + q2 * q4 + q3 * q4
     b_sq = q1 * q3 + q2 * q3 + q1 * q4 + q2 * q4
     b_lin = -q1 * q3 + q2 * q4
@@ -172,6 +177,17 @@ def corner_objective(p4, w) -> float:
     parr = p4.p if isinstance(p4, Allocation) else np.asarray(p4, dtype=float)
     q = parr * np.asarray(w, dtype=float)
     return 16.0 * float(q[0] * q[1] * q[2] + q[0] * q[1] * q[3] + q[0] * q[2] * q[3] + q[1] * q[2] * q[3])
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; anything else is a ``DomainError``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = least - 1
+    if count < least:
+        raise DomainError(f"{name} must be an integer >= {least}")
+    return count
 
 
 def _edge_point(edge, t):
@@ -195,17 +211,16 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
     """
     if tuple(cp.bounds) != (-1.0, 1.0, -1.0, 1.0):
         raise DomainError("problem must be rescaled to the unit square first")
-    if s_grid_steps < 2:
-        raise DomainError("s_grid_steps must be >= 2")
+    s_grid_steps = _count(s_grid_steps, "s_grid_steps", 2)
     w = corner_weights(cp.beta, cp.weight_fn)
     p4 = solve_22(1.0 / w).allocation
-    f_p4 = corner_objective(p4, w)
+    f_p4, q = corner_objective(p4, w), p4.p * w
     b0, b1, b2 = cp.beta
 
     def descend(edge, t):
         """Per row, the point of ``t`` on ``edge`` with the least margin, and that margin."""
         a, b = _edge_point(edge, t)
-        S = 0.75 * f_p4 - np.asarray(cp.weight_fn(b0 + a * b1 + b * b2)) * h_ab(a, b, p4, w)
+        S = 0.75 * f_p4 - np.asarray(cp.weight_fn(b0 + a * b1 + b * b2)) * _h(a, b, q)
         rows = np.arange(len(t))
         k = np.argmin(S, axis=1)
         return t[rows, k], S[rows, k]
@@ -249,10 +264,7 @@ def region_sweep(
     ``SolverError`` is recorded in the ``failed`` mask rather than aborting
     the sweep.
     """
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
-    if s_grid_steps < 2:
-        raise DomainError("s_grid_steps must be >= 2")
+    steps, s_grid_steps = _count(steps, "steps", 1), _count(s_grid_steps, "s_grid_steps", 2)
     message = "beta0 and the slope ranges must be finite numbers"
     beta0 = float(as_floats(beta0, message))
     (lo1, hi1), (lo2, hi2) = as_floats(beta1_range, message), as_floats(beta2_range, message)

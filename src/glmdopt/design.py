@@ -247,7 +247,8 @@ def vform_log_sensitivities(v, p):
 
 def vform_objective(v, p) -> float:
     """Reduced objective ``sum_j v_j * prod_{i != j} p_i`` for n nonnegative coefficients."""
-    return safe_exp(vform_log_sensitivities(v, p)[0])
+    parr = p if isinstance(p, Allocation) else as_floats(p, "allocation entries must be finite")
+    return safe_exp(vform_log_sensitivities(as_floats(v, "coefficients must be finite"), parr)[0])
 
 
 def safe_exp(x: float) -> float:

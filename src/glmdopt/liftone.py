@@ -80,7 +80,6 @@ class LiftOneConfig:
     tol: float = 1e-12
     max_sweeps: int = 500
     init_p: np.ndarray | None = None  # starting allocation; None is uniform
-    seed: int | None = None  # None sweeps in order 1..n; an int shuffles each sweep
 
     def __post_init__(self):
         message = "tol must be a positive finite number"
@@ -398,7 +397,6 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
     if not np.isfinite(state.log_objective()):
         raise DomainError("degenerate objective: value is zero at the starting allocation")
 
-    rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
     certified = kind is _RankOne
     sweeps = newton_steps = 0
     while sweeps + newton_steps < cfg.max_sweeps:
@@ -409,7 +407,7 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
             last_rel = -math.expm1(-gain)
         else:
             log_start = state.log_objective()
-            for i in rng.permutation(n) if rng is not None else range(n):
+            for i in range(n):
                 _check_lift(p, i)
                 z = state.lift(p, i)
                 if z is not None:

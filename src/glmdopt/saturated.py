@@ -7,7 +7,8 @@ With one more point than parameters the objective reduces to
 where ``v_j`` is the squared determinant of X with row j deleted times the
 product of the other points' weights. Every such problem, the four-point
 two-factor one (n = 4) included, is reduced by one scale-safe function to a
-:class:`SaturatedProblem`. Sorted ascending, with ``t_j = v_j / v_n``:
+:class:`SaturatedProblem`, which owns the order and the scale of ``v``.
+Sorted ascending, with ``t_j = v_j / v_n``:
 
 * at an interior optimum ``p_i (1/(n-1) - p_i) / v_i`` is the same constant
   ``mu / (4(n-1)^2)`` for all i, so ``p_i = (1 +/- sqrt(1 - mu v_i)) /
@@ -35,14 +36,15 @@ two-factor one (n = 4) included, is reduced by one scale-safe function to a
 
 Zero coefficients (a row lying in the span of some of the others) force
 ``p_i = 1/(n-1)`` on those points, which is exactly what ``r_i = 1`` gives
-at ``v_i = 0``, so they need no special case; with at most two positive
+at ``v_i = 0``, so they need no special case, nor does one that underflows
+against the largest (an exact zero); with at most two positive
 coefficients the largest dominates and the boundary allocation is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,47 +65,53 @@ BOUNDARY_REL = 1e-12
 
 @dataclass(frozen=True)
 class SaturatedProblem:
-    """Sorted reduced coefficients of an (n, n-1) design problem.
+    """Reduced coefficients of an (n, n-1) design problem; owns order and scale.
 
-    ``v`` is ascending with ``zero_count`` exact zeros in front and at least
-    one positive entry; ``true v = v * exp(log_scale)`` (``log_scale`` keeps
-    extreme weight products representable; it is 0 when constructed from
-    explicit values).
+    ``v`` is given in point order and stored ascending (``perm[k]`` is the
+    point of sorted entry k), with ``zero_count`` exact zeros in front;
+    ``true v = v * exp(log_scale)``. A largest entry outside [2^-128, 2^128)
+    is scaled into [1/2, 1) by a power of two that moves into ``log_scale``,
+    and an entry that underflows against it is an exact zero. In-range input
+    stays unscaled: the four-point quartic coefficients overflow only near
+    1e77, and numpy's ``v**3`` is not exactly homogeneous.
     """
 
     v: np.ndarray
-    perm: np.ndarray
-    n: int
-    zero_count: int
     log_scale: float = 0.0
+    perm: np.ndarray = field(init=False)
+    n: int = field(init=False)
+    zero_count: int = field(init=False)
 
     def __post_init__(self):
-        v = as_floats(self.v, "coefficients must be finite").copy()
-        perm = np.array(self.perm, dtype=int)
-        n = int(self.n)
-        l = int(self.zero_count)
-        if n < 3:
+        raw = as_floats(self.v, "coefficients must be finite").reshape(-1)
+        if raw.size < 3:
             raise DomainError("need at least three design points")
-        if v.shape != (n,) or perm.shape != (n,):
-            raise DomainError("v and perm must have length n")
-        if (v[1:] < v[:-1]).any():
-            raise DomainError("v must be sorted ascending")
+        perm = np.argsort(raw, kind="stable")
+        v = raw[perm]
         if v[0] < 0.0:
             raise DomainError("coefficients must be nonnegative")
         if v[-1] <= 0.0:
             raise DomainError("at least one coefficient must be positive")
-        if not 0 <= l < n or v[l] <= 0.0 or (l and v[l - 1] != 0.0):
-            raise DomainError("zero_count must match the leading zeros of v")
+        log_scale = float(self.log_scale)
+        if not 2.0**-128 <= v[-1] < 2.0**128:
+            e = int(np.frexp(v[-1])[1])
+            v = np.ldexp(v, -e)
+            log_scale += e * math.log(2.0)
         v.flags.writeable = perm.flags.writeable = False
-        for name, value in (("v", v), ("perm", perm), ("n", n), ("zero_count", l)):
+        zeros = int(np.count_nonzero(v == 0.0))
+        derived = dict(v=v, log_scale=log_scale, perm=perm, n=v.size, zero_count=zeros)
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "log_scale", float(self.log_scale))
 
-    @classmethod
-    def from_values(cls, v) -> "SaturatedProblem":
-        raw = as_floats(v, "coefficients must be finite").reshape(-1)
-        perm = np.argsort(raw, kind="stable")
-        return cls(raw[perm], perm, raw.size, int(np.sum(raw == 0.0)))
+    def report(self, p_sorted: np.ndarray, label: str, diag: dict) -> SolveReport:
+        """Report of ``p_sorted`` (sorted order) in point order, with ``log_objective =
+        log_scale + log f`` and ``equivalence_gap = max_i d_i / (n - 1) - 1`` added to ``diag``."""
+        log_f, d = vform_log_sensitivities(self.v, p_sorted)
+        diag["log_objective"] = self.log_scale + log_f
+        diag["equivalence_gap"] = float(d.max()) / (self.n - 1) - 1.0
+        p_out = np.empty(self.n)
+        p_out[self.perm] = p_sorted
+        return SolveReport(Allocation(p_out), safe_exp(diag["log_objective"]), label, diag)
 
 
 @dataclass(frozen=True)
@@ -132,9 +140,7 @@ def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray) -> SaturatedPro
     e_top = int(e[~zero].max())
     v = np.ldexp(fm * fm / fw, np.minimum(e - e_top, 0))
     v[zero] = 0.0
-    log_scale = e_top * math.log(2.0) + float(np.log(w).sum())
-    perm = np.argsort(v, kind="stable")
-    return SaturatedProblem(v[perm], perm, w.size, int(zero.sum()), log_scale)
+    return SaturatedProblem(v, e_top * math.log(2.0) + float(np.log(w).sum()))
 
 
 def compute_v(problem: DesignProblem) -> SaturatedProblem:
@@ -204,12 +210,11 @@ def root_mu(sp: SaturatedProblem) -> MuSolve:
 def solve_saturated(sp: SaturatedProblem) -> SolveReport:
     """Optimal allocation for a saturated problem, in the input point order.
 
-    The reported objective is on the true coefficient scale
-    (``exp(log_scale)`` times the stored one) and is carried in log space as
-    the ``log_objective`` diagnostic; ``equivalence_gap = max_i d_i / (n - 1)
-    - 1`` is the Kiefer-Wolfowitz certificate, zero exactly at the optimum.
-    Interior solutions also report ``mu`` and the multiplier ``lambda`` on
-    the true scale and the bisection quality.
+    The objective is on the true scale, carried in log space as the
+    ``log_objective`` diagnostic next to the Kiefer-Wolfowitz
+    ``equivalence_gap``, zero exactly at the optimum. Interior solutions also
+    report ``mu`` and the multiplier ``lambda`` on the true scale and the
+    bisection quality.
     """
     v = sp.v
     n = sp.n
@@ -235,10 +240,4 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
             "zero_count": float(sp.zero_count),
         }
         label = f"saturated-{ms.branch}"
-
-    log_f, d = vform_log_sensitivities(v, p_sorted)
-    diag["log_objective"] = sp.log_scale + log_f
-    diag["equivalence_gap"] = float(d.max()) / (n - 1) - 1.0
-    p_out = np.empty(n)
-    p_out[sp.perm] = p_sorted
-    return SolveReport(Allocation(p_out), safe_exp(diag["log_objective"]), label, diag)
+    return sp.report(p_sorted, label, diag)

@@ -28,7 +28,6 @@ computed from :func:`~glmdopt.design.vform_log_sensitivities`.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +134,8 @@ def back_substitute(y1: float, v) -> tuple[float, float, Allocation]:
     :class:`~glmdopt.saturated.SaturatedProblem` holding them; the returned
     allocation is in that sorted order.
     """
-    vc = v.v if isinstance(v, SaturatedProblem) else np.asarray(v, dtype=float)
+    y1 = float(as_floats(y1, "y1 must be finite"))
+    vc = v.v if isinstance(v, SaturatedProblem) else as_floats(v, "coefficients must be finite")
     if vc.shape != (4,):
         raise DomainError("need exactly four coefficients")
     if y1 <= 1.0:
@@ -175,8 +175,8 @@ def kkt_residual(v, p) -> float:
     order and ``f`` is on the true scale ``exp(log_scale)`` times the stored.
     """
     log_scale = v.log_scale if isinstance(v, SaturatedProblem) else 0.0
-    varr = v.v if isinstance(v, SaturatedProblem) else np.asarray(v, dtype=float)
-    parr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
+    varr = v.v if isinstance(v, SaturatedProblem) else as_floats(v, "coefficients must be finite")
+    parr = p.p if isinstance(p, Allocation) else as_floats(p, "allocation entries must be finite")
     if varr.shape != (4,) or parr.shape != (4,):
         raise DomainError("need four coefficients and four allocation entries")
     if np.any(parr <= 0.0):
@@ -257,19 +257,13 @@ def solve_22(v) -> SolveReport:
     positive, or an n = 4 :class:`~glmdopt.saturated.SaturatedProblem`, and
     returns the optimal allocation in the input order. The case label
     records which closed form fired. Diagnostics carry the quartic
-    intermediates for the interior case, and always ``log_objective`` (on the
-    true scale, ``log_scale + log f``) and the Kiefer-Wolfowitz
-    ``equivalence_gap = max_i d_i / 3 - 1``, which is zero exactly at the
-    optimum.
+    intermediates for the interior case, and always ``log_objective`` and the
+    Kiefer-Wolfowitz ``equivalence_gap``, zero exactly at the optimum.
     """
-    sp = v if isinstance(v, SaturatedProblem) else SaturatedProblem.from_values(v)
+    sp = v if isinstance(v, SaturatedProblem) else SaturatedProblem(v)
     if sp.n != 4:
         raise DomainError(f"need exactly four coefficients, got {sp.n}")
-    # the quartic coefficients overflow near v ~ 1e77, so input beyond 2^+-128
-    # is scaled by an exact power of two; nearer input (the corner solve's 1/w
-    # among it) stays unscaled, as numpy's v**3 is not exactly homogeneous
-    e = 0 if 2.0**-128 <= sp.v[-1] < 2.0**128 else int(np.frexp(sp.v[-1])[1])
-    s = np.ldexp(sp.v, -e)
+    s = sp.v
     diag: dict = {}
 
     if s[0] <= TIE_REL * s[-1]:
@@ -289,11 +283,4 @@ def solve_22(v) -> SolveReport:
             p_sorted, diag = _interior_quartic(s)
             label = "2x2-case-v"
 
-    p_sorted = np.clip(p_sorted, 0.0, None)
-    log_f, d = vform_log_sensitivities(s, p_sorted)
-    diag["log_objective"] = sp.log_scale + e * math.log(2.0) + log_f
-    diag["equivalence_gap"] = float(d.max()) / 3.0 - 1.0
-
-    p_out = np.empty(4)
-    p_out[sp.perm] = p_sorted
-    return SolveReport(Allocation(p_out), safe_exp(diag["log_objective"]), label, diag)
+    return sp.report(np.clip(p_sorted, 0.0, None), label, diag)

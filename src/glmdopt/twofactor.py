@@ -8,6 +8,8 @@ zero minors (rank 2) the objective vanishes identically and the uniform
 allocation is reported as the canonical, permutation-equivariant choice.
 Otherwise :func:`~glmdopt.solver4.solve_22` applies verbatim; a zero ``v_j``
 (one row in the span of two others) sends it to its rational closed forms.
+A ``v_j`` that underflows against the largest (weights decades apart) is an
+exact zero too: :class:`~glmdopt.saturated.SaturatedProblem` owns its scale.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ CRIT01_F = 1.7530190502344328e-05
 
 def test_criterion_01_eight_point_golden():
     start = time.perf_counter()
-    rep = solve_saturated(SaturatedProblem.from_values(np.arange(1.0, 9.0)))
+    rep = solve_saturated(SaturatedProblem(np.arange(1.0, 9.0)))
     elapsed = time.perf_counter() - start
 
     mu_err = abs(rep.diagnostics["mu"] - CRIT01_MU)
@@ -79,8 +79,8 @@ def test_criterion_01_eight_point_golden():
 
 
 def test_criterion_02_branch_dichotomy():
-    plus = solve_saturated(SaturatedProblem.from_values([5.0, 5.0, 6.0, 7.0]))
-    minus = solve_saturated(SaturatedProblem.from_values([1.0, 1.0, 2.0, 3.0]))
+    plus = solve_saturated(SaturatedProblem([5.0, 5.0, 6.0, 7.0]))
+    minus = solve_saturated(SaturatedProblem([1.0, 1.0, 2.0, 3.0]))
     ok = plus.allocation.p[3] >= 1.0 / 6.0 and minus.allocation.p[3] < 1.0 / 6.0
     _line(2, ok, "radical-branch dichotomy",
           f"p4_plus={plus.allocation.p[3]:.6f} p4_minus={minus.allocation.p[3]:.6f}")
@@ -100,7 +100,7 @@ def test_criterion_03_dominant_coefficient_boundary():
         cases.append(v)
     target = np.array([1 / 3, 1 / 3, 1 / 3, 0.0])
     for v in cases:
-        for rep in (solve_22(v), solve_saturated(SaturatedProblem.from_values(v))):
+        for rep in (solve_22(v), solve_saturated(SaturatedProblem(v))):
             ok = ok and bool(np.array_equal(rep.allocation.p, target))
             ok = ok and rep.objective == pytest.approx(v[3] / 27.0, rel=1e-12)
     _line(3, ok, "dominant-coefficient boundary allocations", f"{len(cases)} instances")
@@ -144,7 +144,7 @@ def test_criterion_05_first_order_conditions():
             v = np.sort(rng_n.uniform(0.05, 10.0, n))
             if v[-1] >= v[:-1].sum() * (1 - 1e-9):
                 continue
-            p = solve_saturated(SaturatedProblem.from_values(v)).allocation.p
+            p = solve_saturated(SaturatedProblem(v)).allocation.p
             ratios = p * (1.0 / (n - 1) - p) / v
             worst_spread = max(worst_spread, (ratios.max() - ratios.min()) / ratios.mean())
     ok = worst_kkt <= 1e-10 and worst_spread <= 1e-10

@@ -61,7 +61,7 @@ def test_tracer_counts_analytic_diagnostics():
     tracer = _load_tracer().Tracer().install()
     try:
         quartic = glmdopt.solver4.solve_22([1.0, 2.0, 3.0, 4.0])
-        interior = glmdopt.saturated.solve_saturated(SaturatedProblem.from_values(range(1, 9)))
+        interior = glmdopt.saturated.solve_saturated(SaturatedProblem(range(1, 9)))
     finally:
         tracer.uninstall()
     assert quartic.case_label == "2x2-case-v"

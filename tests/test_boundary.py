@@ -312,6 +312,26 @@ class TestRegionSweep:
         with pytest.raises(DomainError, match="s_grid_steps"):
             region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 2, LOGIT, s_grid_steps=s_grid_steps)
 
+    @pytest.mark.parametrize("count", [float("nan"), 2.5, "3"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: check_boundary_optimal(_unit_problem([-1.0, 0.5, 0.5]), s_grid_steps=c),
+            lambda c: region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), c, LOGIT, s_grid_steps=21),
+            lambda c: region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 2, LOGIT, s_grid_steps=c),
+        ],
+        ids=["check_s_grid_steps", "sweep_steps", "sweep_s_grid_steps"],
+    )
+    def test_grid_counts_must_be_integers(self, call, count):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(count)
+
+    def test_numpy_integer_grid_counts(self):
+        steps, s_grid_steps = np.int64(3), np.int32(21)
+        got = region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), steps, LOGIT, s_grid_steps=s_grid_steps)
+        ref = region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 3, LOGIT, s_grid_steps=21)
+        assert np.array_equal(got.min_s, ref.min_s) and np.array_equal(got.verdict, ref.verdict)
+
     @pytest.mark.parametrize("s_grid_steps", [201, 401])
     def test_maps_match_recorded_fixture(self, s_grid_steps):
         # 41x41 verdict maps recorded with the L-BFGS-B polish this search replaced

@@ -142,6 +142,32 @@ class TestSolve:
         assert "analytic" in capsys.readouterr().err
         assert main(["solve", path, "--method", "liftone"]) == 0
 
+    def test_auto_falls_back_to_liftone(self, tmp_path, capsys):
+        prob = {
+            "link": "logit",
+            "beta": [0.0, 0.5],
+            "design_points": [[-1], [-0.5], [0.0], [0.5], [1.0]],
+        }
+        path = write_problem(tmp_path, prob)
+        assert main(["solve", path]) == 0
+        auto = capsys.readouterr().out
+        assert json.loads(auto)["case_label"] == "liftone"
+        assert main(["solve", path, "--method", "liftone"]) == 0
+        assert capsys.readouterr().out == auto
+
+    @pytest.mark.parametrize("b", [187.0, 300.0])
+    def test_weights_beyond_float_span(self, tmp_path, capsys, b):
+        path = write_problem(tmp_path, dict(PROB_22, link="log_poisson", beta=[0.0, b, b]))
+        assert main(["solve", path]) == 0
+        analytic = json.loads(capsys.readouterr().out)
+        assert main(["solve", path, "--method", "liftone"]) == 0
+        lift = json.loads(capsys.readouterr().out)
+        assert analytic["case_label"] == "twofactor-2a"
+        assert analytic["allocation"] == pytest.approx(lift["allocation"], abs=1e-9)
+        assert analytic["diagnostics"]["log_objective"] == pytest.approx(
+            lift["diagnostics"]["log_objective"], abs=1e-12
+        )
+
     def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch):
         import glmdopt.cli as cli
 
@@ -220,6 +246,23 @@ class TestRegion:
             rows[(b1, b2)] = verdict
         for (b1, b2), verdict in rows.items():
             assert rows[(b2, b1)] == verdict
+
+    def test_failed_node_prints_failed_token(self, capsys, monkeypatch):
+        import glmdopt.boundary as boundary
+
+        check = boundary.check_boundary_optimal
+
+        def fail_one(cp, s_grid_steps=201):
+            if cp.beta[1] > 0.0 and cp.beta[2] < 0.0:
+                raise SolverError("synthetic node failure")
+            return check(cp, s_grid_steps=s_grid_steps)
+
+        monkeypatch.setattr(boundary, "check_boundary_optimal", fail_one)
+        argv = ["region", "--beta0=-1", "--range=-1:1", "--steps", "2", "--grid-steps", "21"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 4
+        assert [row for row in rows if row.endswith(",failed")] == ["1,-1,nan,failed"]
 
     def test_single_step_single_row(self, capsys):
         assert main(["region", "--beta0=-1", "--range=-2:2", "--steps", "1", "--grid-steps", "41"]) == 0

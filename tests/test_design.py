@@ -11,9 +11,12 @@ from glmdopt import (
     DesignProblem,
     DomainError,
     WeightFunction,
+    back_substitute,
     build_model_matrix,
     expansion_value,
     full_factorial_design,
+    h_ab,
+    kkt_residual,
     objective_det,
     objective_expansion,
     vform_objective,
@@ -189,6 +192,21 @@ class TestValidation:
     def test_allocation_beyond_float_range_rejected(self):
         with pytest.raises(DomainError, match="allocation entries must be finite"):
             Allocation([10**400, 0])
+
+    @pytest.mark.parametrize("bad", [10**400, float("nan")], ids=["overflow", "nan"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: vform_objective([x, 2.0, 3.0, 4.0], [0.25] * 4),
+            lambda x: kkt_residual([1.0, 2.0, 3.0, 4.0], [x, 0.25, 0.25, 0.25]),
+            lambda x: back_substitute(x, [1.0, 2.0, 3.0, 4.0]),
+            lambda x: h_ab(x, 0.0, [0.25] * 4, [0.2, 0.1, 0.15, 0.25]),
+        ],
+        ids=["vform_objective", "kkt_residual", "back_substitute", "h_ab"],
+    )
+    def test_public_helpers_reject_outside_numbers(self, call, bad):
+        with pytest.raises(DomainError, match="finite"):
+            call(bad)
 
 
 class TestMatrixBuilders:

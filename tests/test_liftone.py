@@ -144,14 +144,6 @@ class TestMaximize:
         with pytest.raises(DomainError, match="rank"):
             liftone_maximize(DesignProblem(X, w=np.ones(4)))
 
-    def test_random_order_reproducible(self, rng):
-        problem = DesignProblem(X22, w=rng.uniform(0.05, 0.3, 4))
-        cfg = LiftOneConfig(seed=7)
-        a = liftone_maximize(problem, cfg)
-        b = liftone_maximize(problem, cfg)
-        assert np.array_equal(a.allocation.p, b.allocation.p)
-        assert a.objective == b.objective
-
     def test_vform_wrapper(self, rng):
         v = np.array([1.0, 2.0, 3.0, 4.0])
         obj = MultilinearObjective(lambda p: vform_objective(v, p), 4, 3)

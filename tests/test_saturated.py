@@ -112,7 +112,7 @@ class TestComputeV:
 
 class TestGoldenEightPoint:
     def test_mu_p_and_objective(self):
-        sp = SaturatedProblem.from_values(np.arange(1.0, 9.0))
+        sp = SaturatedProblem(np.arange(1.0, 9.0))
         rep = solve_saturated(sp)
         assert rep.case_label == "saturated-h1"
         assert rep.diagnostics["mu"] == pytest.approx(MU_18, abs=1e-12)
@@ -182,7 +182,7 @@ class TestNearDominance:
         for _ in range(40):
             v = rng.uniform(0.05, 1.0, n - 1)
             v = np.append(v, rng.uniform(0.8, 1.0) * v.sum())
-            rep = solve_saturated(SaturatedProblem.from_values(v))
+            rep = solve_saturated(SaturatedProblem(v))
             vm = [mp.mpf(x) for x in v]
             vn = vm[-1]
             # paper's branch rule: all plus roots exactly when this sum is at most n - 2
@@ -243,49 +243,49 @@ class TestHEvals:
 
 class TestRootMu:
     def test_golden_branch(self):
-        ms = root_mu(SaturatedProblem.from_values(np.arange(1.0, 9.0)))
+        ms = root_mu(SaturatedProblem(np.arange(1.0, 9.0)))
         assert ms.branch == "h1"
         assert ms.mu == pytest.approx(MU_18, abs=1e-11)
         assert ms.residual <= 1e-12
 
     def test_minus_branch_example(self):
-        ms = root_mu(SaturatedProblem.from_values([1.0, 1.0, 2.0, 3.0]))
+        ms = root_mu(SaturatedProblem([1.0, 1.0, 2.0, 3.0]))
         assert ms.branch == "h2"
 
     def test_equal_coefficients_closed_form(self):
         for n in (4, 6, 9):
             v = np.full(n, 2.5)
-            ms = root_mu(SaturatedProblem.from_values(v))
+            ms = root_mu(SaturatedProblem(v))
             expect = (1.0 - ((n - 2.0) / n) ** 2) / 2.5
             assert ms.mu == pytest.approx(expect, rel=1e-12)
 
     def test_dominant_rejected(self):
         with pytest.raises(DomainError):
-            root_mu(SaturatedProblem.from_values([1.0, 2.0, 3.0, 7.0]))
+            root_mu(SaturatedProblem([1.0, 2.0, 3.0, 7.0]))
 
 
 class TestSolveSaturated:
     def test_branch_dichotomy_pairs(self):
-        plus = solve_saturated(SaturatedProblem.from_values([5.0, 5.0, 6.0, 7.0]))
+        plus = solve_saturated(SaturatedProblem([5.0, 5.0, 6.0, 7.0]))
         assert plus.case_label == "saturated-h1"
         assert plus.allocation.p[3] >= 1.0 / 6.0
-        minus = solve_saturated(SaturatedProblem.from_values([1.0, 1.0, 2.0, 3.0]))
+        minus = solve_saturated(SaturatedProblem([1.0, 1.0, 2.0, 3.0]))
         assert minus.case_label == "saturated-h2"
         assert minus.allocation.p[3] < 1.0 / 6.0
 
     def test_dominant_coefficient_boundary(self):
-        rep = solve_saturated(SaturatedProblem.from_values([1.0, 2.0, 3.0, 7.0]))
+        rep = solve_saturated(SaturatedProblem([1.0, 2.0, 3.0, 7.0]))
         assert rep.case_label == "saturated-boundary"
         assert rep.allocation.p == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.0], abs=1e-15)
         assert rep.objective == pytest.approx(7.0 / 27.0, rel=1e-14)
 
     def test_equal_coefficients_uniform(self):
         for n in (3, 5, 8):
-            rep = solve_saturated(SaturatedProblem.from_values(np.full(n, 1.7)))
+            rep = solve_saturated(SaturatedProblem(np.full(n, 1.7)))
             assert rep.allocation.p == pytest.approx(np.full(n, 1.0 / n), abs=1e-12)
 
     def test_zero_coefficients_pinned(self):
-        rep = solve_saturated(SaturatedProblem.from_values([0.0, 0.0, 1.0, 2.0, 3.0, 4.0]))
+        rep = solve_saturated(SaturatedProblem([0.0, 0.0, 1.0, 2.0, 3.0, 4.0]))
         p = rep.allocation.p
         assert p[0] == pytest.approx(0.2, abs=1e-12)
         assert p[1] == pytest.approx(0.2, abs=1e-12)
@@ -293,7 +293,7 @@ class TestSolveSaturated:
 
     def test_input_order_restored(self, rng):
         v = np.array([3.0, 1.0, 2.0, 1.5, 2.5])
-        rep = solve_saturated(SaturatedProblem.from_values(v))
+        rep = solve_saturated(SaturatedProblem(v))
         order = np.argsort(v)
         p_sorted_expect = np.sort(rep.allocation.p)[::-1]
         assert rep.allocation.p[order] == pytest.approx(p_sorted_expect, abs=1e-14)
@@ -310,7 +310,7 @@ class TestInvariants:
     def test_stationarity_ratio_constant(self, n, rng):
         for _ in range(60):
             v = self._random_interior_v(rng, n)
-            rep = solve_saturated(SaturatedProblem.from_values(v))
+            rep = solve_saturated(SaturatedProblem(v))
             p = rep.allocation.p
             ratios = p * (1.0 / (n - 1) - p) / v
             assert (ratios.max() - ratios.min()) / ratios.mean() < 1e-10
@@ -321,7 +321,7 @@ class TestInvariants:
     def test_range_and_ordering(self, n, rng):
         for _ in range(100):
             v = self._random_interior_v(rng, n)
-            p = solve_saturated(SaturatedProblem.from_values(v)).allocation.p
+            p = solve_saturated(SaturatedProblem(v)).allocation.p
             assert np.all(p > 0.0)
             assert np.all(p < 1.0 / (n - 1) + 1e-12)
             order = np.argsort(v, kind="stable")
@@ -331,7 +331,7 @@ class TestInvariants:
         half = 1.0 / (2.0 * (10 - 1))
         for _ in range(100):
             v = self._random_interior_v(rng, 10)
-            rep = solve_saturated(SaturatedProblem.from_values(v))
+            rep = solve_saturated(SaturatedProblem(v))
             below = rep.allocation.p < half - 1e-12
             assert below.sum() <= 1
 
@@ -344,7 +344,7 @@ class TestInvariants:
         for _ in range(50):
             v = np.sort(rng.uniform(0.05, 0.4, n))
             v[-1] = 0.9 * v[:-1].sum()
-            rep = solve_saturated(SaturatedProblem.from_values(v))
+            rep = solve_saturated(SaturatedProblem(v))
             below = rep.allocation.p < half - 1e-12
             assert below.sum() <= 1
             if rep.case_label == "saturated-h2":
@@ -358,7 +358,7 @@ class TestInvariants:
 
         for _ in range(8):
             v = self._random_interior_v(rng, n)
-            rep = solve_saturated(SaturatedProblem.from_values(v))
+            rep = solve_saturated(SaturatedProblem(v))
             obj = MultilinearObjective(lambda p: vform_objective(v, p), n, n - 1)
             lift = liftone_maximize(obj, LiftOneConfig(tol=1e-14, max_sweeps=3000))
             assert rep.objective == pytest.approx(lift.objective, rel=1e-9)
@@ -367,7 +367,7 @@ class TestInvariants:
     def test_four_point_specialization_matches_quartic_solver(self, rng):
         for _ in range(200):
             v = self._random_interior_v(rng, 4)
-            sat = solve_saturated(SaturatedProblem.from_values(v))
+            sat = solve_saturated(SaturatedProblem(v))
             quad = solve_22(v)
             assert sat.allocation.p == pytest.approx(quad.allocation.p, abs=1e-9)
             assert sat.objective == pytest.approx(quad.objective, rel=1e-9)
@@ -376,12 +376,12 @@ class TestInvariants:
         for n in (5, 8):
             for _ in range(100):
                 v = self._random_interior_v(rng, n)
-                p = solve_saturated(SaturatedProblem.from_values(v)).allocation.p
+                p = solve_saturated(SaturatedProblem(v)).allocation.p
                 assert p.min() > 0.0
 
     def test_certificate_recorded(self, rng):
         v = self._random_interior_v(rng, 6)
-        rep = solve_saturated(SaturatedProblem.from_values(v))
+        rep = solve_saturated(SaturatedProblem(v))
         assert abs(rep.diagnostics["equivalence_gap"]) < 1e-12
         assert rep.diagnostics["log_objective"] == pytest.approx(np.log(rep.objective), abs=1e-14)
         # the multiplier is the common partial derivative, (n - 1) f by Euler
@@ -403,18 +403,44 @@ class TestValidation:
     def test_too_many_zeros_rejected(self):
         # two positive coefficients: the larger dominates, so the boundary
         # allocation is exact; only an all-zero v is rejected
-        rep = solve_saturated(SaturatedProblem.from_values([0.0, 2.0, 0.0, 1.0]))
+        rep = solve_saturated(SaturatedProblem([0.0, 2.0, 0.0, 1.0]))
         assert rep.case_label == "saturated-boundary"
         assert np.array_equal(rep.allocation.p, [1 / 3, 0.0, 1 / 3, 1 / 3])
         assert rep.diagnostics["equivalence_gap"] == 0.0
         assert rep.objective == pytest.approx(2.0 / 27.0, rel=1e-15)
         with pytest.raises(DomainError, match="positive"):
-            SaturatedProblem.from_values([0.0, 0.0, 0.0, 0.0])
+            SaturatedProblem([0.0, 0.0, 0.0, 0.0])
 
     def test_minimum_size(self):
         with pytest.raises(DomainError):
-            SaturatedProblem.from_values([1.0, 2.0])
+            SaturatedProblem([1.0, 2.0])
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            SaturatedProblem.from_values([-1.0, 1.0, 2.0, 3.0])
+            SaturatedProblem([-1.0, 1.0, 2.0, 3.0])
+
+
+class TestDerivedFields:
+    def test_order_zeros_and_size_follow_from_v(self):
+        sp = SaturatedProblem([3.0, 0.0, 1.0, 0.0, 2.0])
+        assert np.array_equal(sp.v, [0.0, 0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(sp.perm, [1, 3, 2, 4, 0])
+        assert (sp.n, sp.zero_count, sp.log_scale) == (5, 2, 0.0)
+
+    def test_in_range_input_is_not_rescaled(self):
+        v = [1e-30, 2.0**-128, 5.0, 1e38]
+        sp = SaturatedProblem(v, log_scale=1.5)
+        assert np.array_equal(sp.v, np.sort(v)) and sp.log_scale == 1.5
+
+    def test_underflow_against_the_largest_is_an_exact_zero(self):
+        sp = SaturatedProblem([1e-300, 1.0, 2.0, 1e300])
+        assert sp.zero_count == 1 and sp.v[0] == 0.0
+        assert 0.5 <= sp.v[-1] < 1.0
+        assert sp.log_scale + np.log(sp.v[-1]) == pytest.approx(np.log(1e300), rel=1e-15)
+
+    def test_subnormal_coefficients_solve_as_their_ratios(self):
+        rep = solve_saturated(SaturatedProblem(np.arange(1.0, 6.0) * 1e-310))
+        ref = solve_saturated(SaturatedProblem(np.arange(1.0, 6.0)))
+        assert rep.case_label == ref.case_label
+        assert rep.allocation.p == pytest.approx(ref.allocation.p, abs=1e-12)
+        assert rep.diagnostics["equivalence_gap"] <= 1e-12

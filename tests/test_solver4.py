@@ -330,7 +330,7 @@ class TestInvariants:
         with pytest.raises(DomainError, match="four coefficients"):
             solve_22([1.0, 2.0, 3.0])
         with pytest.raises(DomainError, match="four coefficients"):
-            solve_22(SaturatedProblem.from_values([1.0, 2.0, 3.0]))
+            solve_22(SaturatedProblem([1.0, 2.0, 3.0]))
         with pytest.raises(DomainError, match="positive"):
             solve_22([0.0, 0.0, 0.0, 0.0])
 

@@ -104,6 +104,19 @@ class TestComputeU:
 
 
 class TestSolveFourpoint:
+    @pytest.mark.parametrize("b", [187.0, 300.0])
+    def test_weights_beyond_float_span_solve(self, b):
+        # the weights run from e^-2b to e^2b, so the smallest v underflows against
+        # the largest without being a flagged zero minor; it is an exact zero
+        prob = DesignProblem(X22, beta=[0.0, b, b], weight_fn=WeightFunction.log_poisson())
+        lift, fourpoint = liftone_maximize(prob), solve_fourpoint(prob)
+        assert fourpoint.case_label == "twofactor-2a"
+        for rep in (fourpoint, solve_saturated(compute_v(prob))):
+            assert rep.allocation.p == pytest.approx(lift.allocation.p, abs=1e-9)
+            assert rep.diagnostics["log_objective"] == pytest.approx(
+                lift.diagnostics["log_objective"], abs=1e-12
+            )
+
     def test_rank2_uniform_zero_objective(self):
         rep = solve_fourpoint(DesignProblem(X_RANK2, w=np.ones(4)))
         assert rep.case_label == "degenerate-rank2"
