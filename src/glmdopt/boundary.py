@@ -30,14 +30,13 @@ verdicts.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize  # unused here; perfbench/tracer.py patches this binding
 
 from .design import Allocation
-from .errors import DomainError, SolverError, as_floats
+from .errors import DomainError, SolverError, as_floats, as_int
 from .solver4 import solve_22
 from .weights import WeightFunction
 
@@ -143,7 +142,7 @@ def rescale_problem(cp: ContinuousProblem) -> tuple[ContinuousProblem, RescaleTr
 
 def corner_weights(beta, weight_fn: WeightFunction) -> np.ndarray:
     """Weights at the four unit-square corners, in CORNERS order."""
-    beta = np.asarray(beta, dtype=float).reshape(-1)
+    beta = as_floats(beta, "beta must be finite").reshape(-1)
     return np.asarray(weight_fn(beta[0] + CORNERS @ beta[1:]), dtype=float)
 
 
@@ -179,17 +178,6 @@ def corner_objective(p4, w) -> float:
     return 16.0 * float(q[0] * q[1] * q[2] + q[0] * q[1] * q[3] + q[0] * q[2] * q[3] + q[1] * q[2] * q[3])
 
 
-def _count(value, name: str, least: int) -> int:
-    """``value`` as an int of at least ``least``; anything else is a ``DomainError``."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = least - 1
-    if count < least:
-        raise DomainError(f"{name} must be an integer >= {least}")
-    return count
-
-
 def _edge_point(edge, t):
     """(a, b) at parameter ``t`` along edge ``edge`` of the unit square."""
     a0, da, b0, db = _EDGES[:, edge]
@@ -211,7 +199,7 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
     """
     if tuple(cp.bounds) != (-1.0, 1.0, -1.0, 1.0):
         raise DomainError("problem must be rescaled to the unit square first")
-    s_grid_steps = _count(s_grid_steps, "s_grid_steps", 2)
+    s_grid_steps = as_int(s_grid_steps, "s_grid_steps must be an integer >= 2", 2)
     w = corner_weights(cp.beta, cp.weight_fn)
     p4 = solve_22(1.0 / w).allocation
     f_p4, q = corner_objective(p4, w), p4.p * w
@@ -247,6 +235,7 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
 
 def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
     """``steps`` evenly spaced values on [lo, hi]; the midpoint when steps == 1."""
+    steps = as_int(steps, "steps must be an integer >= 1", 1)
     return np.linspace(lo, hi, steps) if steps > 1 else np.array([0.5 * (lo + hi)])
 
 
@@ -264,7 +253,7 @@ def region_sweep(
     ``SolverError`` is recorded in the ``failed`` mask rather than aborting
     the sweep.
     """
-    steps, s_grid_steps = _count(steps, "steps", 1), _count(s_grid_steps, "s_grid_steps", 2)
+    s_grid_steps = as_int(s_grid_steps, "s_grid_steps must be an integer >= 2", 2)
     message = "beta0 and the slope ranges must be finite numbers"
     beta0 = float(as_floats(beta0, message))
     (lo1, hi1), (lo2, hi2) = as_floats(beta1_range, message), as_floats(beta2_range, message)

@@ -9,7 +9,8 @@ Problem files are JSON with fields:
 * ``design_points``: rows of factor levels (discrete problems), or
 * ``bounds``: ``[lo1, hi1, lo2, hi2]`` (two continuous factors);
 * ``model_terms``: optional, ``"main-effects"`` (default) or a list of
-  factor-index lists per column starting with ``[]`` for the intercept.
+  factor-index lists per column starting with ``[]`` for the intercept;
+  indices must be integers and are never truncated (``0.7`` is an error).
 
 Exit codes: 0 success, 2 input error, 3 solver failure. All floats are
 serialized with 17 significant digits, and non-finite ones as JSON ``null``;
@@ -36,7 +37,7 @@ from .boundary import (
     rescale_problem,
 )
 from .design import DesignProblem, SolveReport, build_model_matrix, full_factorial_design
-from .errors import DomainError, SolverError, as_floats
+from .errors import DomainError, SolverError, as_floats, as_int
 from .liftone import LiftOneConfig, liftone_maximize
 from .saturated import compute_v, solve_saturated
 from .twofactor import solve_fourpoint
@@ -126,17 +127,8 @@ def load_problem_file(path: str):
         elif len(vals) != width:
             raise DomainError(f"design_points[{i}]: expected {width} numbers, got {len(vals)}")
         points.append(vals)
-    terms = raw.get("model_terms", "main-effects")
-    if not isinstance(terms, str):
-        msg = "model_terms: expected 'main-effects' or an array of index arrays"
-        if not isinstance(terms, list):
-            raise DomainError(msg)
-        try:
-            terms = [tuple(int(j) for j in t) for t in terms]
-        except (TypeError, ValueError):
-            raise DomainError(msg) from None
     try:
-        X = build_model_matrix(np.array(points), terms)
+        X = build_model_matrix(np.array(points), raw.get("model_terms", "main-effects"))
     except DomainError as exc:
         raise DomainError(f"model_terms: {exc}") from exc
     problem = DesignProblem(X, beta=np.array(beta), weight_fn=fn)
@@ -216,15 +208,12 @@ def _parse_range(text: str, want_steps: bool):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise DomainError(f"--range: non-numeric bound in {text!r}") from None
-    if want_steps:
-        try:
-            steps = int(parts[2])
-        except ValueError:
-            raise DomainError(f"--range: non-integer step count in {text!r}") from None
-        if steps < 1:
-            raise DomainError("--range: steps must be >= 1")
-        return lo, hi, steps
-    return lo, hi
+    if not want_steps:
+        return lo, hi
+    try:
+        return lo, hi, int(parts[2])
+    except ValueError:
+        raise DomainError(f"--range: non-integer step count in {text!r}") from None
 
 
 def cmd_sweep_beta(args) -> int:
@@ -232,10 +221,8 @@ def cmd_sweep_beta(args) -> int:
     if kind != "discrete":
         raise DomainError("sweep-beta needs a discrete problem (design_points)")
     lo, hi, steps = _parse_range(args.range, want_steps=True)
-    idx = args.vary
     d = problem.X.shape[1]
-    if not 0 <= idx < d:
-        raise DomainError(f"--vary: index {idx} out of range for {d} coefficients")
+    idx = as_int(args.vary, f"--vary: index {args.vary} out of range for {d} coefficients", 0, d)
     values = grid_axis(lo, hi, steps)
     n = problem.X.shape[0]
     header = ["beta_value"] + [f"p{i + 1}" for i in range(n)] + ["objective", "case_label"]
@@ -307,9 +294,7 @@ def _parse_model(text: str):
             k = int(text[2:])
         except ValueError:
             raise DomainError(f"--model: bad factor count in {text!r}") from None
-        if not 2 <= k <= 6:
-            raise DomainError("--model: 2^k supports k from 2 to 6")
-        X, _ = full_factorial_design(k)
+        X, _ = full_factorial_design(as_int(k, "--model: 2^k supports k from 2 to 6", 2, 7))
         return X
     raise DomainError(f"--model: expected 2x2 or 2^K, got {text!r}")
 
@@ -318,10 +303,10 @@ def cmd_bench(args) -> int:
     X = _parse_model(args.model)
     sample = _parse_dist(args.dist)
     fn = WeightFunction.from_name(args.link)
-    if args.n_instances < 0:
-        raise DomainError(f"--n-instances: must be >= 0, got {args.n_instances}")
+    as_int(args.n_instances, f"--n-instances: must be >= 0, got {args.n_instances}", 0)
     LiftOneConfig(tol=args.tol)  # a bad --tol is an input error, not a failure per instance
-    rng = np.random.Generator(np.random.PCG64(args.seed))
+    seed = as_int(args.seed, f"--seed: must be >= 0, got {args.seed}", 0)
+    rng = np.random.Generator(np.random.PCG64(seed))
     betas = sample(rng, (args.n_instances, X.shape[1]))
 
     def run(method):

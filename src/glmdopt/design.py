@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SolverError, as_floats
+from .errors import DomainError, SolverError, as_floats, as_int
 from .weights import WeightFunction
 
 #: decimals used to canonicalize rows before exact duplicate comparison
@@ -63,7 +63,7 @@ class Allocation:
 
     @classmethod
     def uniform(cls, n: int) -> "Allocation":
-        return cls(np.full(n, 1.0 / n))
+        return cls(np.full(n, 1.0 / as_int(n, "n must be an integer >= 1", 1)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class SolveReport:
 
 
 def _as_prob_vector(p, n: int) -> np.ndarray:
-    arr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
+    arr = p.p if isinstance(p, Allocation) else as_floats(p, "allocation entries must be finite")
     if arr.shape != (n,):
         raise DomainError(f"allocation has shape {arr.shape}, expected ({n},)")
     return arr
@@ -162,26 +162,29 @@ def leave_one_out_minors(X):
     """``(minors, zero)`` of an (n, n-1) X: ``minors[i] = det(X without row i)``.
 
     One stacked ``np.linalg.det`` call. When X, its columns scaled to unit
-    norm, has numerical rank below n-1, every minor is roundoff and ``zero``
-    flags them all; otherwise it flags the minors at most ``MINOR_ZERO_REL``
-    times the largest ``|minor|``. Neither test depends on how the factor
-    levels are coded.
+    largest ``|entry|``, has numerical rank below n-1, every minor is roundoff
+    and ``zero`` flags them all; otherwise it flags the minors at most
+    ``MINOR_ZERO_REL`` times the largest ``|minor|``. Neither test depends on
+    how the factor levels are coded; a minor past the float range raises.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     cols = np.arange(n - 1)
     keep = cols + (cols >= np.arange(n)[:, None])  # row i skips index i
-    minors = np.linalg.det(X[keep])
-    # by Cauchy-Binet, vol2 is the squared volume of X with unit columns, so its
-    # sigma_min^2 >= vol2 / (n-1)^(n-2); the SVD runs only when that bound does
-    # not clear matrix_rank's tolerance n * eps * sigma_max <= n * eps * sqrt(n-1)
-    colsq = np.einsum("ij,ij->j", X, X)
-    vol2 = float(minors @ minors) / math.prod(colsq.tolist())
+    # by Cauchy-Binet, vol2 is the squared volume of X with unit-norm columns, so
+    # its sigma_min^2 >= vol2 / (n-1)^(n-2); the SVD runs when that bound does not
+    # clear matrix_rank's tolerance n * eps * sigma_max <= n * eps * sqrt(n-1) or overflows
+    with np.errstate(all="ignore"):
+        minors = np.linalg.det(X[keep])
+        colsq = np.einsum("ij,ij->j", X, X)
+        vol2 = (minors @ minors) / math.prod(colsq.tolist())
+    top = np.max(np.abs(minors))
+    if not math.isfinite(top):
+        raise DomainError("X has a minor beyond the float range")
     certified = vol2 > 0.0 and math.log(vol2) > 2.0 * math.log(n * EPS) + (n - 1) * math.log(n - 1)
-    if not certified and np.linalg.matrix_rank(X / np.sqrt(colsq)) < n - 1:
+    if not certified and (not colsq.all() or np.linalg.matrix_rank(X / np.abs(X).max(axis=0)) < n - 1):
         return minors, np.ones(n, dtype=bool)
-    zero = np.abs(minors) <= MINOR_ZERO_REL * np.max(np.abs(minors))
-    return minors, zero
+    return minors, np.abs(minors) <= MINOR_ZERO_REL * top
 
 
 def objective_expansion(problem: DesignProblem):
@@ -206,7 +209,7 @@ def objective_expansion(problem: DesignProblem):
 
 def expansion_value(terms, p) -> float:
     """Evaluate an expansion returned by :func:`objective_expansion` at p."""
-    arr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
+    arr = p.p if isinstance(p, Allocation) else as_floats(p, "allocation entries must be finite")
     total = 0.0
     for rows, coeff in terms:
         total += coeff * float(np.prod(arr[list(rows)]))
@@ -289,7 +292,7 @@ def build_model_matrix(points, terms="main-effects") -> np.ndarray:
     ``"main-effects"`` (intercept plus one column per factor) or an explicit
     list of factor-index tuples, one per column, where the empty tuple is the
     intercept and must come first; a tuple like (0, 2) yields the product
-    column ``x1 * x3``.
+    column ``x1 * x3``. Each index must be an integer in ``[0, k)``.
     """
     pts = np.atleast_2d(as_floats(points, "factor levels must be finite"))
     n, k = pts.shape
@@ -298,12 +301,15 @@ def build_model_matrix(points, terms="main-effects") -> np.ndarray:
             raise DomainError(f"unknown term spec {terms!r}")
         recipe = [()] + [(j,) for j in range(k)]
     else:
-        recipe = [tuple(t) for t in terms]
+        try:
+            recipe = [tuple(t) for t in terms]
+        except TypeError:
+            raise DomainError("explicit model terms must be a list of factor-index tuples") from None
         if not recipe or recipe[0] != ():
             raise DomainError("explicit model terms must start with the intercept ()")
         for t in recipe:
-            if any(j < 0 or j >= k for j in t):
-                raise DomainError(f"term {t} references a factor outside 0..{k - 1}")
+            for j in t:
+                as_int(j, f"term {t} references a factor outside 0..{k - 1}", 0, k)
     cols = []
     for t in recipe:
         col = np.ones(n)
@@ -322,8 +328,7 @@ def full_factorial_design(k: int):
     interaction of order < k. Deleting any single row leaves a square matrix
     whose squared determinant is 2^(k(2^k - 2)), the saturated family shape.
     """
-    if k < 2:
-        raise DomainError("k must be >= 2")
+    k = as_int(k, "k must be >= 2", 2)
     points = np.array(list(itertools.product([1.0, -1.0], repeat=k)))
     recipe = [()]
     for size in range(1, k):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the gates for numbers and integers from outside the package."""
+
+import math
+import operator
 
 import numpy as np
 
@@ -19,6 +22,19 @@ def as_floats(values, message: str) -> np.ndarray:
         arr = np.asarray(values, dtype=float)
     except OverflowError:
         raise DomainError(message) from None
-    if not np.isfinite(arr).all():
+    if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
         raise DomainError(message)
     return arr
+
+
+def as_int(value, message: str, least: int, bound=math.inf) -> int:
+    """``value`` as an int in ``[least, bound)``: the one gate for integers from outside
+    the package. What ``operator.index`` refuses, a ``bool`` or a value out of range
+    raises ``DomainError(message)``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(message) from None
+    if isinstance(value, bool) or not least <= count < bound:
+        raise DomainError(message)
+    return count

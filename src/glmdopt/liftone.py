@@ -57,8 +57,8 @@ from typing import Callable
 import numpy as np
 from scipy import linalg
 
-from .design import Allocation, DesignProblem, SolveReport
-from .errors import DomainError, as_floats
+from .design import Allocation, DesignProblem, SolveReport, _as_prob_vector
+from .errors import DomainError, as_floats, as_int
 
 
 #: lift-one sweeps that locate the support before the Newton finish
@@ -73,8 +73,8 @@ class LiftOneConfig:
 
     ``tol`` is the relative objective gain still available when the ascent
     stops: certified by ``d log(1 + equivalence_gap) <= tol`` for a design
-    problem, and the gain of the last sweep for a black box. ``max_sweeps``
-    caps lift-one sweeps plus Newton steps.
+    problem, and the gain of the last sweep for a black box. ``max_sweeps``,
+    an integer >= 1, caps lift-one sweeps plus Newton steps.
     """
 
     tol: float = 1e-12
@@ -85,8 +85,7 @@ class LiftOneConfig:
         message = "tol must be a positive finite number"
         if not as_floats(self.tol, message) > 0.0:
             raise DomainError(message)
-        if self.max_sweeps < 1:
-            raise DomainError("max_sweeps must be >= 1")
+        object.__setattr__(self, "max_sweeps", as_int(self.max_sweeps, "max_sweeps must be >= 1", 1))
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class MultilinearObjective:
 
     ``fn(p)`` must be a degree-``degree`` polynomial in which every monomial
     is a product of distinct coordinates (the shape the profile trick
-    requires); ``n_points`` is the allocation length.
+    requires), with integers ``1 <= degree <= n_points``, the allocation length.
 
     Lift-one on a black box stops about ``sqrt(eps)`` from the optimal
     allocation: a lift is taken only if its value exceeds the stored
@@ -108,6 +107,10 @@ class MultilinearObjective:
     fn: Callable[[np.ndarray], float]
     n_points: int
     degree: int
+
+    def __post_init__(self):
+        n = as_int(self.n_points, "n_points must be an integer >= 1", 1)
+        as_int(self.degree, "degree must be an integer in 1..n_points", 1, n + 1)
 
 
 def _callable_profile(obj: MultilinearObjective, p: np.ndarray, i: int) -> tuple[float, float]:
@@ -161,9 +164,10 @@ class _RankOne:
     def __init__(self, problem: DesignProblem, p: np.ndarray):
         X = problem.X
         d = problem.n_terms
-        if np.linalg.matrix_rank(X) < d:
+        scale = np.abs(X).max(axis=0)  # the rank tests must not depend on how levels are coded
+        if not scale.all() or np.linalg.matrix_rank(X / scale) < d:
             raise DomainError("X must have full column rank")
-        if not p.all() and np.linalg.matrix_rank(X[p > 0.0]) < d:
+        if not p.all() and np.linalg.matrix_rank(X[p > 0.0] / scale) < d:
             raise DomainError("degenerate objective: the support of p does not span X")
         # rows in the basis of d heavy rows B (pivoted QR of sqrt(w) X) keep every
         # d_i, and weights spanning many decades then sit on a diagonal that
@@ -200,7 +204,10 @@ class _RankOne:
         self._accept(L)
 
     def objective(self) -> float:
-        return math.exp(self.log_f)
+        try:
+            return math.exp(self.log_f)
+        except OverflowError:
+            return math.inf
 
     def log_objective(self) -> float:
         return self.log_f
@@ -324,11 +331,8 @@ def fi_profile(problem, p, i: int) -> tuple[float, float]:
     """
     kind = _state_class(problem)
     n = problem.n_points
-    arr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
-    if arr.shape != (n,):
-        raise DomainError(f"allocation has length {arr.size}, expected {n}")
-    if not 0 <= i < n:
-        raise DomainError(f"coordinate {i} out of range")
+    arr = _as_prob_vector(p, n)
+    i = as_int(i, f"coordinate {i} out of range", 0, n)
     _check_lift(arr, i)
     if kind is _BlackBox:
         return _callable_profile(problem, arr, i)

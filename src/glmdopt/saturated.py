@@ -92,7 +92,7 @@ class SaturatedProblem:
             raise DomainError("coefficients must be nonnegative")
         if v[-1] <= 0.0:
             raise DomainError("at least one coefficient must be positive")
-        log_scale = float(self.log_scale)
+        log_scale = float(as_floats(self.log_scale, "log_scale must be finite"))
         if not 2.0**-128 <= v[-1] < 2.0**128:
             e = int(np.frexp(v[-1])[1])
             v = np.ldexp(v, -e)
@@ -159,22 +159,22 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
 
 
 def _check_mu_domain(mu: float, vmax: float) -> None:
-    if not np.isfinite(mu) or mu < 0.0 or mu * vmax > 1.0 + 1e-12:
-        raise DomainError(f"mu={mu!r} outside [0, 1/max(v)]")
+    message = f"mu={mu!r} outside [0, 1/max(v)]"
+    if as_floats(mu, message) < 0.0 or mu * vmax > 1.0 + 1e-12:
+        raise DomainError(message)
 
 
 def h1_eval(mu: float, v) -> float:
     """Sum of sqrt(1 - mu v_j) over all points; n at mu=0, decreasing."""
-    varr = np.asarray(v, dtype=float)
+    varr = as_floats(v, "coefficients must be finite")
     _check_mu_domain(mu, float(varr.max()))
     return float(np.sum(np.sqrt(np.clip(1.0 - mu * varr, 0.0, None))))
 
 
 def h2_eval(mu: float, v) -> float:
     """Same sum with the largest-v term subtracted instead of added."""
-    varr = np.asarray(v, dtype=float)
-    vmax = float(varr.max())
-    _check_mu_domain(mu, vmax)
+    varr = as_floats(v, "coefficients must be finite")
+    _check_mu_domain(mu, float(varr.max()))
     r = np.sqrt(np.clip(1.0 - mu * varr, 0.0, None))
     k = int(np.argmax(varr))
     return float(np.sum(r) - 2.0 * r[k])

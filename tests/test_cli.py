@@ -168,6 +168,17 @@ class TestSolve:
             lift["diagnostics"]["log_objective"], abs=1e-12
         )
 
+    def test_log_objective_beyond_float_range(self, tmp_path, capsys):
+        # 2^3 main effects run through auto to lift-one; det(X'WX) = exp(800.28)
+        points = [[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+        prob = {"link": "log_poisson", "beta": [200.0, 0.3, -0.2, 0.1], "design_points": points}
+        assert main(["solve", write_problem(tmp_path, prob)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        diag = payload["diagnostics"]
+        assert payload["case_label"] == "liftone" and payload["objective"] is None
+        assert diag["log_objective"] == pytest.approx(800.2835472475884, rel=1e-14)
+        assert diag["converged"] == 1.0 and diag["equivalence_gap"] < 1e-12
+
     def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch):
         import glmdopt.cli as cli
 
@@ -390,6 +401,11 @@ class TestBench:
         (["region", "--beta0=inf", "--range=-1:1", "--steps", "2", "--grid-steps", "11"], None),
         (["bench", "--tol", "0", "--n-instances", "1"], None),
         (["solve", "--method", "liftone", "--tol", "inf"], {}),
+        (["bench", "--seed", "-1", "--n-instances", "1"], None),
+        (["solve"], {"model_terms": [[], [0], [1], [0.7, 1.2]], "beta": [0.0, 1.0, 0.5, 0.2]}),
+        (["solve"], {"model_terms": [[], [0], [1.0]]}),
+        (["sweep-beta", "--vary", "0", "--range=0:1:0"], {}),
+        (["sweep-beta", "--vary", "3", "--range=0:1:2"], {}),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, fields):

@@ -8,22 +8,35 @@ import pytest
 import glmdopt
 from glmdopt import (
     Allocation,
+    ContinuousProblem,
     DesignProblem,
     DomainError,
+    LiftOneConfig,
+    MultilinearObjective,
+    SaturatedProblem,
     WeightFunction,
     back_substitute,
     build_model_matrix,
+    check_boundary_optimal,
+    corner_weights,
     expansion_value,
+    fi_profile,
     full_factorial_design,
+    h1_eval,
+    h2_eval,
     h_ab,
     kkt_residual,
     objective_det,
     objective_expansion,
+    region_sweep,
     vform_objective,
 )
+from glmdopt.boundary import grid_axis
 from glmdopt.design import leave_one_out_minors
 
 X22 = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+LOGIT = WeightFunction.from_name("logit")
+UNIT_PROBLEM = ContinuousProblem(np.array([-1.0, 0.5, 0.5]), (-1.0, 1.0, -1.0, 1.0), LOGIT)
 
 
 def _problem(X, w):
@@ -201,12 +214,54 @@ class TestValidation:
             lambda x: kkt_residual([1.0, 2.0, 3.0, 4.0], [x, 0.25, 0.25, 0.25]),
             lambda x: back_substitute(x, [1.0, 2.0, 3.0, 4.0]),
             lambda x: h_ab(x, 0.0, [0.25] * 4, [0.2, 0.1, 0.15, 0.25]),
+            lambda x: corner_weights([x, 0.5, 0.5], LOGIT),
+            lambda x: objective_det(_problem(X22, np.ones(4)), [x, 0.25, 0.25, 0.25]),
+            lambda x: expansion_value(objective_expansion(_problem(X22, np.ones(4))), [x, 0.5, 0.5, 0]),
+            lambda x: fi_profile(_problem(X22, np.ones(4)), [x, 0.25, 0.25, 0.25], 1),
+            lambda x: h1_eval(0.01, [x, 1.0, 2.0]),
+            lambda x: h2_eval(0.01, [x, 1.0, 2.0]),
+            lambda x: SaturatedProblem([1.0, 2.0, 3.0], log_scale=x),
         ],
-        ids=["vform_objective", "kkt_residual", "back_substitute", "h_ab"],
+        ids=[
+            "vform_objective", "kkt_residual", "back_substitute", "h_ab", "corner_weights",
+            "objective_det", "expansion_value", "fi_profile", "h1_eval", "h2_eval", "log_scale",
+        ],
     )
     def test_public_helpers_reject_outside_numbers(self, call, bad):
         with pytest.raises(DomainError, match="finite"):
             call(bad)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), 2.5, "3", True, np.True_, None],
+        ids=["nan", "float", "str", "bool", "numpy-bool", "out-of-range"],
+    )
+    @pytest.mark.parametrize(
+        "call, out_of_range",
+        [
+            (lambda c: check_boundary_optimal(UNIT_PROBLEM, s_grid_steps=c), 1),
+            (lambda c: region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), c, LOGIT, s_grid_steps=11), 0),
+            (lambda c: region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 2, LOGIT, s_grid_steps=c), 1),
+            (lambda c: grid_axis(0.0, 1.0, c), 0),
+            (lambda c: Allocation.uniform(c), 0),
+            (lambda c: build_model_matrix([[1.0, 2.0]], [(), (c,)]), 2),
+            (lambda c: full_factorial_design(c), 1),
+            (lambda c: LiftOneConfig(max_sweeps=c), 0),
+            (lambda c: MultilinearObjective(np.prod, c, 1), 0),
+            (lambda c: MultilinearObjective(np.prod, 4, c), 5),
+            (lambda c: fi_profile(_problem(X22, np.ones(4)), [0.25] * 4, c), 4),
+        ],
+        ids=[
+            "s_grid_steps", "sweep_steps", "sweep_s_grid_steps", "grid_axis", "uniform",
+            "term_index", "factorial_k", "max_sweeps", "n_points", "degree", "coordinate",
+        ],
+    )
+    def test_public_integers_pass_one_gate(self, call, out_of_range, bad):
+        with pytest.raises(DomainError):
+            call(out_of_range if bad is None else bad)
+
+    def test_gated_integers_are_python_ints(self):
+        assert type(LiftOneConfig(max_sweeps=np.int32(7)).max_sweeps) is int
+        assert build_model_matrix([[1.0, 2.0]], [(), (np.int64(1),)]).tolist() == [[1.0, 2.0]]
 
 
 class TestMatrixBuilders:
@@ -225,6 +280,13 @@ class TestMatrixBuilders:
     def test_recipe_index_bounds(self):
         with pytest.raises(DomainError):
             build_model_matrix([[1, 2]], [(), (5,)])
+
+    @pytest.mark.parametrize(
+        "terms", [[(), 1], [(), (1.0,)], 7, None], ids=["int-term", "float-index", "int", "none"]
+    )
+    def test_recipe_terms_must_be_index_tuples(self, terms):
+        with pytest.raises(DomainError):
+            build_model_matrix([[1, 2]], terms)
 
     def test_levels_beyond_float_range_rejected(self):
         with pytest.raises(DomainError, match="factor levels must be finite"):

@@ -197,6 +197,34 @@ class TestRankOne:
         assert sign == 1.0
         assert lift.diagnostics["log_objective"] == pytest.approx(logdet, rel=1e-12)
 
+    def test_log_objective_beyond_float_range(self):
+        # 2^6 saturated at levels +-10: det(X'WX) = exp(863), past the float range
+        _, points = full_factorial_design(6)
+        recipe = [()] + [t for size in range(1, 6) for t in itertools.combinations(range(6), size)]
+        X = build_model_matrix(10.0 * points, recipe)
+        problem = DesignProblem(X, w=np.linspace(1.0, 2.0, 64))
+        lift = liftone_maximize(problem)
+        analytic = solve_saturated(compute_v(problem))
+        assert lift.objective == np.inf and lift.diagnostics["converged"] == 1.0
+        assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-9)
+        log_objective = analytic.diagnostics["log_objective"]
+        assert lift.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-12)
+
+    def test_rank_test_ignores_column_scale(self):
+        # a 2x2 coded +-1e120 and a 2^3 saturated X with one column times 1e-15
+        # have full rank, which matrix_rank on the raw columns does not see
+        w = np.arange(1.0, 5.0)
+        ref = solve_fourpoint(DesignProblem(X22, w=w))
+        lift = liftone_maximize(DesignProblem(X22 * np.array([1.0, 1e120, 1e120]), w=w))
+        assert lift.allocation.p == pytest.approx(ref.allocation.p, abs=1e-12)
+        log_objective = ref.diagnostics["log_objective"] + 4.0 * np.log(1e120)
+        assert lift.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-12)
+        X, _ = full_factorial_design(3)
+        problem = DesignProblem(X * np.where(np.arange(7) == 3, 1e-15, 1.0), w=np.linspace(1, 3, 8))
+        lift = liftone_maximize(problem)
+        analytic = solve_saturated(compute_v(problem))
+        assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-12)
+
     def test_equivalence_gap_certificate(self):
         X = _main_effects_2x3()
         rng = np.random.default_rng(3)

@@ -101,6 +101,22 @@ class TestComputeV:
         assert rep.case_label == ref.case_label
         assert rep.allocation.p == pytest.approx(ref.allocation.p, abs=1e-12)
 
+    @pytest.mark.parametrize("k, level", [(5, 100.0), (6, 10.0)])
+    def test_levels_beyond_float_range_match_plus_minus_one(self, rng, k, level):
+        # the squared minors overflow at these levels; scaling each column leaves
+        # the allocation as it is and moves log_objective by the column scales
+        X, points = full_factorial_design(k)
+        recipe = [()] + [t for size in range(1, k) for t in itertools.combinations(range(k), size)]
+        X_level = build_model_matrix(level * points, recipe)
+        w = rng.uniform(0.05, 0.25, 2**k)
+        ref = solve_saturated(compute_v(DesignProblem(X, w=w)))
+        rep = solve_saturated(compute_v(DesignProblem(X_level, w=w)))
+        shift = 2.0 * np.log(level) * sum(len(t) for t in recipe)
+        assert rep.case_label == ref.case_label
+        assert rep.allocation.p == pytest.approx(ref.allocation.p, abs=1e-12)
+        log_objective = ref.diagnostics["log_objective"] + shift
+        assert rep.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-12)
+
     def test_shape_and_rank_errors(self):
         X = np.column_stack([np.ones(5), np.arange(5.0)])
         with pytest.raises(DomainError, match="one more point"):

@@ -123,6 +123,16 @@ class TestSolveFourpoint:
         assert np.array_equal(rep.allocation.p, np.full(4, 0.25))
         assert rep.objective == 0.0
 
+    def test_zero_column_is_rank2(self):
+        X = np.array([[1.0, 0, 1], [1, 0, 2], [1, 0, 3], [1, 0, 5]])
+        assert solve_fourpoint(DesignProblem(X, w=np.ones(4))).case_label == "degenerate-rank2"
+
+    def test_minors_beyond_float_range_rejected(self):
+        # a full-rank layout whose minors overflow is an input error, not rank 2
+        problem = DesignProblem(X22 * np.array([1.0, 1e200, 1e200]), w=np.arange(1.0, 5.0))
+        with pytest.raises(DomainError, match="float range"):
+            solve_fourpoint(problem)
+
     def test_seeded_collinear_layouts_are_rank2(self):
         # every minor of four collinear points is roundoff; a threshold
         # relative to the largest minor once labelled about half of these
