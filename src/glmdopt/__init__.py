@@ -40,16 +40,9 @@ from .saturated import (
     root_mu,
     solve_saturated,
 )
-from .solver4 import (
-    QuarticRoot,
-    back_substitute,
-    kkt_residual,
-    quartic_largest_root,
-    solve_22,
-    solve_quartic,
-)
+from .solver4 import QuarticRoot, back_substitute, solve_22, solve_quartic
 from .twofactor import compute_u, solve_fourpoint
-from .weights import WeightFunction, weight_eval
+from .weights import WeightFunction
 
 __version__ = "0.1.0"
 
@@ -81,11 +74,9 @@ __all__ = [
     "h1_eval",
     "h2_eval",
     "h_ab",
-    "kkt_residual",
     "liftone_maximize",
     "objective_det",
     "objective_expansion",
-    "quartic_largest_root",
     "region_boundary_segments",
     "region_sweep",
     "rescale_problem",
@@ -95,5 +86,4 @@ __all__ = [
     "solve_quartic",
     "solve_saturated",
     "vform_objective",
-    "weight_eval",
 ]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize  # unused here; perfbench/tracer.py patches this binding
 
-from .design import Allocation
+from .design import Allocation, _as_prob_vector
 from .errors import DomainError, SolverError, as_floats, as_int
 from .solver4 import solve_22
 from .weights import WeightFunction
@@ -61,6 +61,14 @@ _CENTRE_EDGES = np.concatenate([np.arange(4), np.repeat(np.arange(4), 2)])[:, No
 _ENDPOINTS = np.tile([-1.0, 1.0], 4)
 
 
+def _as_beta3(beta) -> np.ndarray:
+    message = "beta must be three finite numbers (intercept and two slopes)"
+    arr = as_floats(beta, message).reshape(-1)
+    if arr.shape != (3,):
+        raise DomainError(message)
+    return arr
+
+
 @dataclass(frozen=True)
 class ContinuousProblem:
     """Two continuous factors on a rectangle with known coefficients."""
@@ -70,11 +78,7 @@ class ContinuousProblem:
     weight_fn: WeightFunction
 
     def __post_init__(self):
-        message = "beta must be three finite numbers (intercept and two slopes)"
-        beta = as_floats(self.beta, message).reshape(-1)
-        if beta.shape != (3,):
-            raise DomainError(message)
-        beta = beta.copy()
+        beta = _as_beta3(self.beta).copy()
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
         message = "bounds must be four finite numbers (lo1, hi1, lo2, hi2)"
@@ -142,7 +146,7 @@ def rescale_problem(cp: ContinuousProblem) -> tuple[ContinuousProblem, RescaleTr
 
 def corner_weights(beta, weight_fn: WeightFunction) -> np.ndarray:
     """Weights at the four unit-square corners, in CORNERS order."""
-    beta = as_floats(beta, "beta must be finite").reshape(-1)
+    beta = _as_beta3(beta)
     return np.asarray(weight_fn(beta[0] + CORNERS @ beta[1:]), dtype=float)
 
 
@@ -154,8 +158,10 @@ def h_ab(a, b, p4, w):
     and 2ab terms with products ``q_i q_j = (p_i w_i)(p_j w_j)``.
     """
     message = "h_ab arguments must be finite"
-    parr = p4.p if isinstance(p4, Allocation) else as_floats(p4, message)
-    return _h(as_floats(a, message), as_floats(b, message), parr * as_floats(w, message))
+    warr = as_floats(w, message)
+    if warr.shape != (4,):
+        raise DomainError(f"h_ab needs four corner weights, got shape {warr.shape}")
+    return _h(as_floats(a, message), as_floats(b, message), _as_prob_vector(p4, 4) * warr)
 
 
 def _h(a, b, q):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, SolverError, as_floats, as_int
 from .weights import WeightFunction
 
-#: decimals used to canonicalize rows before exact duplicate comparison
+#: decimals used to canonicalize column-scaled rows before exact duplicate comparison
 ROW_DECIMALS = 12
 
 #: simplex feasibility tolerances for allocations
@@ -58,9 +58,6 @@ class Allocation:
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
 
-    def __len__(self) -> int:
-        return self.p.size
-
     @classmethod
     def uniform(cls, n: int) -> "Allocation":
         return cls(np.full(n, 1.0 / as_int(n, "n must be an integer >= 1", 1)))
@@ -89,8 +86,9 @@ class DesignProblem:
 
     ``w`` may be supplied directly (bypassing ``beta``/``weight_fn``) when the
     weights are known; otherwise it is derived as ``weight_fn(X @ beta)``.
-    Rows must be distinct after rounding to ``ROW_DECIMALS`` decimals and the
-    first column must be all ones.
+    Rows must be distinct after each column is divided by its largest |entry|
+    and rounded to ``ROW_DECIMALS`` decimals, so the test does not depend on
+    how the factor levels are coded; the first column must be all ones.
     """
 
     X: np.ndarray
@@ -100,15 +98,16 @@ class DesignProblem:
 
     def __post_init__(self):
         X = as_floats(self.X, "X must be finite")
-        if X.ndim != 2:
-            raise DomainError("X must be a 2-d matrix")
+        if X.ndim != 2 or X.shape[1] == 0:
+            raise DomainError("X must be a 2-d matrix with an intercept column")
         n, d = X.shape
         if n < d:
             raise DomainError(f"need at least as many design points as model terms, got {n} < {d}")
         if not np.all(X[:, 0] == 1.0):
             raise DomainError("first column of X must be all ones (intercept)")
-        canon = np.round(X, ROW_DECIMALS)
-        if len({tuple(row) for row in canon}) != n:
+        scale = np.abs(X).max(axis=0)
+        canon = np.round(X / np.where(scale > 0.0, scale, 1.0), ROW_DECIMALS)
+        if len(set(map(tuple, canon.tolist()))) != n:
             raise DomainError("rows of X must be distinct")
         X = X.copy()
         X.flags.writeable = False
@@ -210,6 +209,8 @@ def objective_expansion(problem: DesignProblem):
 def expansion_value(terms, p) -> float:
     """Evaluate an expansion returned by :func:`objective_expansion` at p."""
     arr = p.p if isinstance(p, Allocation) else as_floats(p, "allocation entries must be finite")
+    if arr.ndim != 1 or arr.size <= max((r for rows, _ in terms for r in rows), default=-1):
+        raise DomainError(f"allocation has shape {arr.shape}, which does not cover the terms' rows")
     total = 0.0
     for rows, coeff in terms:
         total += coeff * float(np.prod(arr[list(rows)]))

@@ -16,11 +16,12 @@ class SolverError(RuntimeError):
 
 def as_floats(values, message: str) -> np.ndarray:
     """``values`` as a float array: the one gate for numbers from outside the
-    package. A number beyond the float range or a non-finite entry raises
+    package. What does not convert to floats (a ragged array, a non-numeric
+    string), a number beyond the float range or a non-finite entry raises
     ``DomainError(message)``."""
     try:
         arr = np.asarray(values, dtype=float)
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):
         raise DomainError(message) from None
     if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
         raise DomainError(message)

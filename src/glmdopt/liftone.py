@@ -69,7 +69,7 @@ _RCOND = 1e-14
 
 @dataclass(frozen=True)
 class LiftOneConfig:
-    """Stopping rule and initialization for the ascent.
+    """Stopping rule for the ascent, which starts from the uniform allocation.
 
     ``tol`` is the relative objective gain still available when the ascent
     stops: certified by ``d log(1 + equivalence_gap) <= tol`` for a design
@@ -79,12 +79,13 @@ class LiftOneConfig:
 
     tol: float = 1e-12
     max_sweeps: int = 500
-    init_p: np.ndarray | None = None  # starting allocation; None is uniform
 
     def __post_init__(self):
         message = "tol must be a positive finite number"
-        if not as_floats(self.tol, message) > 0.0:
+        tol = float(as_floats(self.tol, message))
+        if not tol > 0.0:
             raise DomainError(message)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "max_sweeps", as_int(self.max_sweeps, "max_sweeps must be >= 1", 1))
 
 
@@ -390,12 +391,7 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
     cfg = config or LiftOneConfig()
     kind = _state_class(problem)
     n = problem.n_points
-    if cfg.init_p is None:
-        p = np.full(n, 1.0 / n)
-    else:
-        p = Allocation(cfg.init_p).p.copy()
-        if p.size != n:
-            raise DomainError(f"init_p has length {p.size}, expected {n}")
+    p = np.full(n, 1.0 / n)
 
     state = kind(problem, p)
     if not np.isfinite(state.log_objective()):

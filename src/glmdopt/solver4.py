@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Allocation, SolveReport, _bisect_root, safe_exp, vform_log_sensitivities
+from .design import Allocation, SolveReport, _bisect_root
 from .errors import DomainError, SolverError, as_floats
 from .saturated import SaturatedProblem
 
@@ -122,20 +122,14 @@ def solve_quartic(c) -> QuarticRoot:
     return QuarticRoot(root, residual, scale_at(root), used_fallback=True)
 
 
-def quartic_largest_root(c) -> float:
-    """Largest real root of the interior-case quartic (always > 1)."""
-    return solve_quartic(c).root
-
-
 def back_substitute(y1: float, v) -> tuple[float, float, Allocation]:
     """Recover (y2, y3) and the allocation from the quartic root y1.
 
-    ``v`` must be strictly ascending interior-case coefficients, or a
-    :class:`~glmdopt.saturated.SaturatedProblem` holding them; the returned
-    allocation is in that sorted order.
+    ``v`` must be an array of strictly ascending interior-case coefficients;
+    the returned allocation is in that sorted order.
     """
     y1 = float(as_floats(y1, "y1 must be finite"))
-    vc = v.v if isinstance(v, SaturatedProblem) else as_floats(v, "coefficients must be finite")
+    vc = as_floats(v, "coefficients must be finite")
     if vc.shape != (4,):
         raise DomainError("need exactly four coefficients")
     if y1 <= 1.0:
@@ -164,25 +158,6 @@ def back_substitute(y1: float, v) -> tuple[float, float, Allocation]:
     total = y1 + y2 + y3 + 1.0
     p = np.array([y1 / total, y2 / total, y3 / total, 1.0 / total])
     return float(y2), float(y3), Allocation(p)
-
-
-def kkt_residual(v, p) -> float:
-    """Max pairwise gap of the objective partial derivatives at interior p.
-
-    Equals ``f * (max_i d_i - min_i d_i)`` with ``(log f, d)`` from
-    :func:`~glmdopt.design.vform_log_sensitivities`. For a
-    :class:`~glmdopt.saturated.SaturatedProblem`, ``p`` is in its sorted
-    order and ``f`` is on the true scale ``exp(log_scale)`` times the stored.
-    """
-    log_scale = v.log_scale if isinstance(v, SaturatedProblem) else 0.0
-    varr = v.v if isinstance(v, SaturatedProblem) else as_floats(v, "coefficients must be finite")
-    parr = p.p if isinstance(p, Allocation) else as_floats(p, "allocation entries must be finite")
-    if varr.shape != (4,) or parr.shape != (4,):
-        raise DomainError("need four coefficients and four allocation entries")
-    if np.any(parr <= 0.0):
-        raise DomainError("residual undefined at boundary: all allocation entries must be positive")
-    log_f, d = vform_log_sensitivities(varr, parr)
-    return safe_exp(log_scale + log_f) * float(d.max() - d.min())
 
 
 def _tie_pair_solution(v: np.ndarray, pair: str) -> np.ndarray:

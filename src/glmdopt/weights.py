@@ -120,8 +120,3 @@ _CATALOG = {
     "identity": WeightFunction.constant,
     "identity_constant": WeightFunction.constant,
 }
-
-
-def weight_eval(fn: WeightFunction, eta: float) -> float:
-    """Evaluate a weight function at a single linear-predictor value."""
-    return float(fn(eta))

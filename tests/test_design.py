@@ -18,6 +18,7 @@ from glmdopt import (
     back_substitute,
     build_model_matrix,
     check_boundary_optimal,
+    compute_v,
     corner_weights,
     expansion_value,
     fi_profile,
@@ -25,10 +26,12 @@ from glmdopt import (
     h1_eval,
     h2_eval,
     h_ab,
-    kkt_residual,
+    liftone_maximize,
     objective_det,
     objective_expansion,
     region_sweep,
+    solve_fourpoint,
+    solve_saturated,
     vform_objective,
 )
 from glmdopt.boundary import grid_axis
@@ -164,6 +167,20 @@ class TestValidation:
         with pytest.raises(DomainError, match="distinct"):
             _problem(X, np.ones(4))
 
+    def test_distinct_rows_ignore_column_scale(self, rng):
+        # rows are compared at the scale of each column, so small codings of a
+        # full-rank layout solve to the allocation of the +-1 coding
+        w = np.arange(1.0, 5.0)
+        ref = solve_fourpoint(_problem(X22, w))
+        small = _problem(X22 * np.array([1.0, 1e-14, 1e-14]), w)
+        assert solve_fourpoint(small).allocation.p == pytest.approx(ref.allocation.p, abs=1e-14)
+        assert liftone_maximize(small).allocation.p == pytest.approx(ref.allocation.p, abs=1e-14)
+        X, _ = full_factorial_design(3)
+        w = rng.uniform(0.05, 0.25, 8)
+        ref = solve_saturated(compute_v(_problem(X, w)))
+        rep = solve_saturated(compute_v(_problem(X * np.where(np.arange(7) == 0, 1.0, 1e-20), w)))
+        assert rep.allocation.p == pytest.approx(ref.allocation.p, abs=1e-14)
+
     def test_intercept_column_required(self):
         X = np.array([[2.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
         with pytest.raises(DomainError, match="ones"):
@@ -211,7 +228,6 @@ class TestValidation:
         "call",
         [
             lambda x: vform_objective([x, 2.0, 3.0, 4.0], [0.25] * 4),
-            lambda x: kkt_residual([1.0, 2.0, 3.0, 4.0], [x, 0.25, 0.25, 0.25]),
             lambda x: back_substitute(x, [1.0, 2.0, 3.0, 4.0]),
             lambda x: h_ab(x, 0.0, [0.25] * 4, [0.2, 0.1, 0.15, 0.25]),
             lambda x: corner_weights([x, 0.5, 0.5], LOGIT),
@@ -223,13 +239,36 @@ class TestValidation:
             lambda x: SaturatedProblem([1.0, 2.0, 3.0], log_scale=x),
         ],
         ids=[
-            "vform_objective", "kkt_residual", "back_substitute", "h_ab", "corner_weights",
+            "vform_objective", "back_substitute", "h_ab", "corner_weights",
             "objective_det", "expansion_value", "fi_profile", "h1_eval", "h2_eval", "log_scale",
         ],
     )
     def test_public_helpers_reject_outside_numbers(self, call, bad):
         with pytest.raises(DomainError, match="finite"):
             call(bad)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: DesignProblem([[1, 0], [1]], w=[1, 1]),
+            lambda: DesignProblem(np.ones((3, 0)), w=[1, 1, 1]),
+            lambda: WeightFunction.constant("abc"),
+            lambda: WeightFunction.constant({}),
+            lambda: corner_weights([0.1, 0.2], LOGIT),
+            lambda: h_ab(0.0, 0.0, [0.5, 0.5], [1.0, 1.0, 1.0, 1.0]),
+            lambda: h_ab(0.0, 0.0, [0.25] * 4, [1.0, 1.0]),
+            lambda: expansion_value(objective_expansion(_problem(X22, np.ones(4))), [0.5, 0.5]),
+            lambda: expansion_value(objective_expansion(_problem(X22, np.ones(4))), 1.0),
+        ],
+        ids=[
+            "ragged_X", "X_without_columns", "constant_string", "constant_dict",
+            "corner_weights_2_betas", "h_ab_2_probs", "h_ab_2_weights", "expansion_short_p",
+            "expansion_scalar_p",
+        ],
+    )
+    def test_malformed_arrays_raise_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
     @pytest.mark.parametrize(
         "bad", [float("nan"), 2.5, "3", True, np.True_, None],
@@ -367,10 +406,10 @@ def test_public_names_pinned():
         "RescaleTransform", "SaturatedProblem", "SolveReport", "SolverError",
         "WeightFunction", "back_substitute", "build_model_matrix",
         "check_boundary_optimal", "compute_u", "compute_v", "corner_weights", "expansion_value",
-        "fi_profile", "full_factorial_design", "h1_eval", "h2_eval", "h_ab", "kkt_residual",
-        "liftone_maximize", "objective_det", "objective_expansion", "quartic_largest_root",
+        "fi_profile", "full_factorial_design", "h1_eval", "h2_eval", "h_ab",
+        "liftone_maximize", "objective_det", "objective_expansion",
         "region_boundary_segments", "region_sweep", "rescale_problem", "root_mu", "solve_22",
-        "solve_fourpoint", "solve_quartic", "solve_saturated", "vform_objective", "weight_eval",
+        "solve_fourpoint", "solve_quartic", "solve_saturated", "vform_objective",
     }
-    assert len(glmdopt.__all__) == 42
+    assert len(glmdopt.__all__) == 39
     assert all(hasattr(glmdopt, name) for name in glmdopt.__all__)

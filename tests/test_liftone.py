@@ -123,21 +123,12 @@ class TestMaximize:
                 f = f_new
                 assert p.sum() == pytest.approx(1.0, abs=1e-13)
 
-    def test_fixed_point_of_analytic_solution(self, rng):
-        w = rng.uniform(0.05, 0.3, 4)
-        problem = DesignProblem(X22, w=w)
-
-        analytic = solve_fourpoint(problem)
-        cfg = LiftOneConfig(init_p=analytic.allocation.p)
-        lift = liftone_maximize(problem, cfg)
-        assert lift.diagnostics["sweeps"] == 1.0
-        assert lift.objective == pytest.approx(analytic.objective, rel=1e-12)
-
     def test_degenerate_objective_rejected(self):
-        problem = DesignProblem(X22, w=np.ones(4))
-        cfg = LiftOneConfig(init_p=np.array([0.5, 0.5, 0.0, 0.0]))
-        with pytest.raises(DomainError, match="degenerate"):
-            liftone_maximize(problem, cfg)
+        # lift-one starts from the uniform allocation; an objective that is zero
+        # there has no ascent direction to follow
+        obj = MultilinearObjective(lambda p: 0.0, 4, 3)
+        with pytest.raises(DomainError, match="degenerate objective: value is zero"):
+            liftone_maximize(obj)
 
     def test_rank_deficient_matrix_rejected(self):
         X = np.array([[1.0, -1, -1], [1, -0.5, -0.5], [1, 0.5, 0.5], [1, 1, 1]])
@@ -172,6 +163,14 @@ class TestConfig:
         # tol = inf would certify any allocation after one sweep
         with pytest.raises(DomainError, match="tol"):
             LiftOneConfig(tol=np.inf)
+
+    @pytest.mark.parametrize("tol, value", [("1e-3", 1e-3), (True, 1.0), (np.float32(0.5), 0.5)])
+    def test_tol_stored_as_gated_float(self, tol, value):
+        cfg = LiftOneConfig(tol=tol)
+        assert type(cfg.tol) is float and cfg.tol == value
+        problem = DesignProblem(X22, w=np.arange(1.0, 5.0))
+        ref = liftone_maximize(problem, LiftOneConfig(tol=value))
+        assert liftone_maximize(problem, cfg).allocation.p.tolist() == ref.allocation.p.tolist()
 
 
 LOGIT = WeightFunction.from_name("logit")

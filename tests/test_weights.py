@@ -3,22 +3,22 @@
 import numpy as np
 import pytest
 
-from glmdopt import DomainError, WeightFunction, weight_eval
+from glmdopt import DomainError, WeightFunction
 
 # frozen at 40-digit precision: exp(2) / (1 + exp(2))^2
 LOGIT_AT_2 = 0.10499358540350652
 
 
 def test_logit_at_zero():
-    assert weight_eval(WeightFunction.logit(), 0.0) == 0.25
+    assert WeightFunction.logit()(0.0) == 0.25
 
 
 def test_log_poisson_at_zero():
-    assert weight_eval(WeightFunction.log_poisson(), 0.0) == 1.0
+    assert WeightFunction.log_poisson()(0.0) == 1.0
 
 
 def test_logit_at_two_matches_extended_precision():
-    assert weight_eval(WeightFunction.logit(), 2.0) == pytest.approx(LOGIT_AT_2, rel=1e-15)
+    assert WeightFunction.logit()(2.0) == pytest.approx(LOGIT_AT_2, rel=1e-15)
 
 
 def test_logit_symmetry(rng):
@@ -37,7 +37,7 @@ def test_positive_over_wide_range():
 
 def test_probit_at_zero():
     # phi(0)^2 / (1/4) = 2/pi
-    assert weight_eval(WeightFunction.probit(), 0.0) == pytest.approx(2.0 / np.pi, rel=1e-14)
+    assert WeightFunction.probit()(0.0) == pytest.approx(2.0 / np.pi, rel=1e-14)
 
 
 def test_constant_ignores_eta(rng):
@@ -92,9 +92,8 @@ def test_nonfinite_eta_rejected():
 
 def test_eta_beyond_float_range_rejected():
     fn = WeightFunction.logit()
-    for call in (fn, lambda eta: weight_eval(fn, eta)):
-        with pytest.raises(DomainError, match="eta must be finite"):
-            call(10**400)
+    with pytest.raises(DomainError, match="eta must be finite"):
+        fn(10**400)
 
 
 def test_from_name_catalog():
@@ -110,4 +109,4 @@ def test_vectorized_matches_scalar(rng):
     eta = rng.normal(0, 3, 20)
     vec = fn(eta)
     for e, w in zip(eta, vec):
-        assert weight_eval(fn, e) == w
+        assert fn(e) == w
