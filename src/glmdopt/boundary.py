@@ -22,6 +22,16 @@ lies on an edge. When ``b1 = b2 = 0`` the same argument applies to the whole
 square. The search therefore scans the edges and refines the best points by
 a zoom, which needs only values of ``s``.
 
+The search is one array kernel over many nodes (coefficient vectors): a
+node's four edges, or its twelve zoom centres, are rows of a 2-D parameter
+array, and its coefficients of ``h``, computed once, broadcast along them.
+Every scan and zoom level keeps each row's least margin as a candidate, and
+one ``argmin`` per node over the candidates in visiting order picks the first
+least margin. Each node's arithmetic is the same whichever nodes share the
+call, so :func:`check_boundary_optimal` (one node) and :func:`region_sweep`
+(a map, in fixed chunks of nodes) agree bit for bit. A margin or corner
+objective beyond the float range is a ``SolverError``, not a warning.
+
 ``p4`` always comes from the analytic four-point solver: the verdict
 threshold is tiny relative to the objective, and a merely near-optimal
 allocation shifts the corner values of ``s`` off zero by enough to corrupt
@@ -30,13 +40,14 @@ verdicts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize  # unused here; perfbench/tracer.py patches this binding
 
 from .design import Allocation, _as_prob_vector
-from .errors import DomainError, SolverError, as_floats, as_int
+from .errors import DomainError, SolverError, as_float, as_floats, as_int
 from .solver4 import solve_22
 from .weights import WeightFunction
 
@@ -57,8 +68,14 @@ _ZOOM_LEVELS = 11
 #: lexicographically least (a, b), as in a row-major scan of the square
 _EDGES = np.array([[-1, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, 1]], dtype=float)
 #: zoom centres: the best node of each edge, then both endpoints of each edge
-_CENTRE_EDGES = np.concatenate([np.arange(4), np.repeat(np.arange(4), 2)])[:, None]
+_CENTRE_EDGES = np.concatenate([np.arange(4), np.repeat(np.arange(4), 2)])
+_CENTRE_ROWS = _EDGES[:, _CENTRE_EDGES, None]
 _ENDPOINTS = np.tile([-1.0, 1.0], 4)
+#: edge of each search candidate in visiting order: the scan's four rows, then each zoom level's
+_CANDIDATE_EDGES = np.concatenate([np.arange(4), np.tile(_CENTRE_EDGES, _ZOOM_LEVELS)])
+#: nodes per edge-search call in region_sweep: 64 nodes x 4 edges x 201 points keeps
+#: each scan temporary near 0.5 MB
+_CHUNK = 64
 
 
 def _as_beta3(beta) -> np.ndarray:
@@ -161,11 +178,16 @@ def h_ab(a, b, p4, w):
     warr = as_floats(w, message)
     if warr.shape != (4,):
         raise DomainError(f"h_ab needs four corner weights, got shape {warr.shape}")
-    return _h(as_floats(a, message), as_floats(b, message), _as_prob_vector(p4, 4) * warr)
+    q = _as_prob_vector(p4, 4) * warr
+    out = _h(as_floats(a, message), as_floats(b, message), _h_coefficients(q))
+    return float(out) if out.ndim == 0 else out
 
 
-def _h(a, b, q):
-    """:func:`h_ab` of checked arrays, with ``q = p4 * w``."""
+def _h_coefficients(q):
+    """The constant, b^2, 2b, a^2, 2a and 2ab groups of ``h`` from ``q = p4 * w``.
+
+    ``q`` holds the four corners along its first axis; the groups keep its other axes.
+    """
     q1, q2, q3, q4 = q
     const = q1 * q2 + q1 * q3 + q2 * q4 + q3 * q4
     b_sq = q1 * q3 + q2 * q3 + q1 * q4 + q2 * q4
@@ -173,21 +195,79 @@ def _h(a, b, q):
     a_sq = q1 * q2 + q2 * q3 + q1 * q4 + q3 * q4
     a_lin = -q1 * q2 + q3 * q4
     ab = q2 * q3 - q1 * q4
-    out = const + b * b * b_sq + 2.0 * b * b_lin + a * a * a_sq + 2.0 * a * a_lin + 2.0 * a * b * ab
-    return float(out) if out.ndim == 0 else out
+    return const, b_sq, b_lin, a_sq, a_lin, ab
+
+
+def _h(a, b, coefficients):
+    """``h`` at (a, b) from the groups of :func:`_h_coefficients`."""
+    const, b_sq, b_lin, a_sq, a_lin, ab = coefficients
+    return const + b * b * b_sq + 2.0 * b * b_lin + a * a * a_sq + 2.0 * a * a_lin + 2.0 * a * b * ab
+
+
+def _corner_det(q):
+    """det(X' W X) of the corner design from ``q = p4 * w``, corners along the first axis."""
+    q1, q2, q3, q4 = q
+    return 16.0 * (q1 * q2 * q3 + q1 * q2 * q4 + q1 * q3 * q4 + q2 * q3 * q4)
 
 
 def corner_objective(p4, w) -> float:
     """det(X' W X) for the unit-square corner design at allocation p4."""
     parr = p4.p if isinstance(p4, Allocation) else np.asarray(p4, dtype=float)
-    q = parr * np.asarray(w, dtype=float)
-    return 16.0 * float(q[0] * q[1] * q[2] + q[0] * q[1] * q[3] + q[0] * q[2] * q[3] + q[1] * q[2] * q[3])
+    return float(_corner_det(parr * np.asarray(w, dtype=float)))
 
 
-def _edge_point(edge, t):
-    """(a, b) at parameter ``t`` along edge ``edge`` of the unit square."""
-    a0, da, b0, db = _EDGES[:, edge]
-    return a0 + t * da, b0 + t * db
+def _corner_step(cp: ContinuousProblem):
+    """Corner weights and the optimal corner allocation of a unit-square problem.
+
+    A corner weight that underflows to zero, or overflows, leaves no finite
+    corner design to compare against, and raises ``DomainError``.
+    """
+    with np.errstate(over="ignore"):
+        w = corner_weights(cp.beta, cp.weight_fn)
+    if not np.all((w > 0.0) & (w < np.inf)):
+        raise DomainError(f"corner weights must be positive and finite, got {w.tolist()}")
+    return w, solve_22(1.0 / w).allocation
+
+
+def _edge_search(beta, q, weight_fn, s_grid_steps):
+    """Least margin over the unit square's edges for N nodes at once (module docstring).
+
+    ``beta`` (N, 3) holds unit-square coefficients and ``q`` (N, 4) the
+    products ``p4 * w``. Returns the columns ``f_p4``, ``min_s``, ``verdict``
+    and the edge point ``a``, ``b``; a corner objective or margin beyond the
+    float range comes back non-finite, without a warning.
+    """
+    n = len(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_p4 = _corner_det(q.T)
+        columns = (0.75 * f_p4, *beta.T, *_h_coefficients(q.T))
+        # one node keeps numpy scalars, which broadcast faster than (1, 1, 1) arrays
+        f34, b0, b1, b2, *coefficients = [c[:, None, None] if n > 1 else c[0] for c in columns]
+        rows = _EDGES[:, :, None]
+        t = np.broadcast_to(np.linspace(-1.0, 1.0, s_grid_steps), (n, 4, s_grid_steps))
+        radius = 2.0 / (s_grid_steps - 1)
+        ts, ss = [], []
+        for level in range(_ZOOM_LEVELS + 1):
+            a0, da, e0, db = rows
+            a, b = a0 + t * da, e0 + t * db
+            S = f34 - np.asarray(weight_fn(b0 + a * b1 + b * b2)) * _h(a, b, coefficients)
+            S, t = S.reshape(-1, S.shape[-1]), t.reshape(-1, S.shape[-1])
+            k = S.argmin(axis=1)
+            at = np.arange(len(k))
+            ts.append(t[at, k].reshape(n, -1))
+            ss.append(S[at, k].reshape(n, -1))
+            centres = ts[-1] if level else np.concatenate([ts[-1], np.tile(_ENDPOINTS, (n, 1))], axis=1)
+            # clipped to the edge; minimum/maximum skip np.clip's per-call overhead
+            t = np.minimum(np.maximum(centres[:, :, None] + radius * _ZOOM_OFFSETS, -1.0), 1.0)
+            rows = _CENTRE_ROWS
+            radius /= _ZOOM_SHRINK
+        ts, ss = np.concatenate(ts, axis=1), np.concatenate(ss, axis=1)
+        c = ss.argmin(axis=1)
+        at = np.arange(n)
+        min_s, t = ss[at, c], ts[at, c]
+        verdict = min_s >= -(VERDICT_REL_TOL * f_p4)
+    a0, da, e0, db = _EDGES[:, _CANDIDATE_EDGES[c]]
+    return f_p4, min_s, verdict, a0 + t * da, e0 + t * db
 
 
 def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> BoundaryVerdict:
@@ -201,48 +281,40 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
     clipped to it, moves each centre to its minimum, and the radius (first
     the grid spacing) shrinks fourfold. The endpoints are centres because
     the corner margins are exactly zero for an interior-optimal ``p4``, so
-    a dip that the scan misses starts beside them.
+    a dip that the scan misses starts beside them. ``min_s`` is the first
+    least margin among the scan and zoom minima, in that order. This is the
+    one-node call of the search :func:`region_sweep` runs over many nodes.
+
+    A corner weight that is zero or not finite raises ``DomainError``; a
+    corner objective or margin beyond the float range raises
+    ``SolverError``.
     """
     if tuple(cp.bounds) != (-1.0, 1.0, -1.0, 1.0):
         raise DomainError("problem must be rescaled to the unit square first")
     s_grid_steps = as_int(s_grid_steps, "s_grid_steps must be an integer >= 2", 2)
-    w = corner_weights(cp.beta, cp.weight_fn)
-    p4 = solve_22(1.0 / w).allocation
-    f_p4, q = corner_objective(p4, w), p4.p * w
-    b0, b1, b2 = cp.beta
+    w, p4 = _corner_step(cp)
+    f_p4, min_s, verdict, a, b = _edge_search(
+        cp.beta[None], (p4.p * w)[None], cp.weight_fn, s_grid_steps
+    )
+    if not np.isfinite(min_s[0]):
+        raise SolverError("corner objective or margin beyond the float range")
+    argmin = (float(a[0]), float(b[0]))
+    return BoundaryVerdict(bool(verdict[0]), float(min_s[0]), argmin, p4, float(f_p4[0]))
 
-    def descend(edge, t):
-        """Per row, the point of ``t`` on ``edge`` with the least margin, and that margin."""
-        a, b = _edge_point(edge, t)
-        S = 0.75 * f_p4 - np.asarray(cp.weight_fn(b0 + a * b1 + b * b2)) * _h(a, b, q)
-        rows = np.arange(len(t))
-        k = np.argmin(S, axis=1)
-        return t[rows, k], S[rows, k]
 
-    edge = np.arange(4)[:, None]
-    best, vals = descend(edge, np.tile(np.linspace(-1.0, 1.0, s_grid_steps), (4, 1)))
-    c = int(np.argmin(vals))
-    min_s, where = float(vals[c]), (c, float(best[c]))
-
-    centres = np.concatenate([best, _ENDPOINTS])
-    radius = 2.0 / (s_grid_steps - 1)
-    for _ in range(_ZOOM_LEVELS):
-        t = np.clip(centres[:, None] + radius * _ZOOM_OFFSETS, -1.0, 1.0)
-        centres, vals = descend(_CENTRE_EDGES, t)
-        c = int(np.argmin(vals))
-        if vals[c] < min_s:
-            min_s, where = float(vals[c]), (int(_CENTRE_EDGES[c, 0]), float(centres[c]))
-        radius /= _ZOOM_SHRINK
-
-    a, b = _edge_point(*where)
-    tol_s = VERDICT_REL_TOL * f_p4
-    return BoundaryVerdict(bool(min_s >= -tol_s), min_s, (float(a), float(b)), p4, f_p4)
+def _as_range(pair, message):
+    """Two finite floats whose difference is finite too, else ``DomainError(message)``."""
+    arr = as_floats(pair, message)
+    if arr.shape != (2,) or not math.isfinite(float(arr[1]) - float(arr[0])):
+        raise DomainError(message)
+    return float(arr[0]), float(arr[1])
 
 
 def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
     """``steps`` evenly spaced values on [lo, hi]; the midpoint when steps == 1."""
     steps = as_int(steps, "steps must be an integer >= 1", 1)
-    return np.linspace(lo, hi, steps) if steps > 1 else np.array([0.5 * (lo + hi)])
+    lo, hi = _as_range((lo, hi), "grid endpoints must be two finite numbers a finite distance apart")
+    return np.linspace(lo, hi, steps) if steps > 1 else np.array([0.5 * lo + 0.5 * hi])
 
 
 def region_sweep(
@@ -255,30 +327,45 @@ def region_sweep(
 ) -> RegionGrid:
     """Corner-support verdicts over a grid of slope pairs at fixed intercept.
 
-    Nodes are independent; a node whose check raises ``DomainError`` or
+    Each node's corner weights and allocation come from a per-node corner
+    step; the edge search of :func:`check_boundary_optimal` then runs on
+    the surviving nodes a fixed chunk at a time, with the same arithmetic
+    per node, so every node's ``min_s`` and verdict equal that function's
+    bit for bit. A node where it would raise ``DomainError`` or
     ``SolverError`` is recorded in the ``failed`` mask rather than aborting
     the sweep.
     """
     s_grid_steps = as_int(s_grid_steps, "s_grid_steps must be an integer >= 2", 2)
     message = "beta0 and the slope ranges must be finite numbers"
-    beta0 = float(as_floats(beta0, message))
-    (lo1, hi1), (lo2, hi2) = as_floats(beta1_range, message), as_floats(beta2_range, message)
-    b1v = grid_axis(lo1, hi1, steps)
-    b2v = grid_axis(lo2, hi2, steps)
-    min_s = np.full((b1v.size, b2v.size), np.nan)
-    verdict = np.zeros((b1v.size, b2v.size), dtype=bool)
-    failed = np.zeros((b1v.size, b2v.size), dtype=bool)
+    beta0 = as_float(beta0, message)
+    b1v = grid_axis(*_as_range(beta1_range, message), steps)
+    b2v = grid_axis(*_as_range(beta2_range, message), steps)
+    shape = (b1v.size, b2v.size)
+    cornered = np.zeros(shape, dtype=bool)
+    betas, qs = [], []
     for i, b1 in enumerate(b1v):
         for j, b2 in enumerate(b2v):
             try:
                 cp = ContinuousProblem(np.array([beta0, b1, b2]), (-1.0, 1.0, -1.0, 1.0), weight_fn)
-                node = check_boundary_optimal(cp, s_grid_steps=s_grid_steps)
+                w, p4 = _corner_step(cp)
             except (DomainError, SolverError):
-                failed[i, j] = True
                 continue
-            min_s[i, j] = node.min_s
-            verdict[i, j] = node.boundary_optimal
-    return RegionGrid(float(beta0), b1v, b2v, min_s, verdict, failed)
+            cornered[i, j] = True
+            betas.append(cp.beta)
+            qs.append(p4.p * w)
+    betas, qs = np.reshape(betas, (-1, 3)), np.reshape(qs, (-1, 4))
+    s, passed = np.empty(len(qs)), np.empty(len(qs), dtype=bool)
+    for start in range(0, len(qs), _CHUNK):
+        at = slice(start, start + _CHUNK)
+        _, s[at], passed[at], _, _ = _edge_search(betas[at], qs[at], weight_fn, s_grid_steps)
+    finite = np.isfinite(s)
+    min_s = np.full(shape, np.nan)
+    verdict = np.zeros(shape, dtype=bool)
+    failed = ~cornered
+    min_s[cornered] = np.where(finite, s, np.nan)
+    verdict[cornered] = passed & finite
+    failed[cornered] = ~finite
+    return RegionGrid(beta0, b1v, b2v, min_s, verdict, failed)
 
 
 # marching-squares edge pairs per cell code (corners: 1=SW, 2=SE, 4=NE, 8=NW;

@@ -296,6 +296,8 @@ def build_model_matrix(points, terms="main-effects") -> np.ndarray:
     column ``x1 * x3``. Each index must be an integer in ``[0, k)``.
     """
     pts = np.atleast_2d(as_floats(points, "factor levels must be finite"))
+    if pts.ndim != 2:
+        raise DomainError(f"factor levels must be an (n, k) matrix, got shape {pts.shape}")
     n, k = pts.shape
     if isinstance(terms, str):
         if terms != "main-effects":

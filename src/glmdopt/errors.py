@@ -28,6 +28,15 @@ def as_floats(values, message: str) -> np.ndarray:
     return arr
 
 
+def as_float(value, message: str) -> float:
+    """``value`` as a float: :func:`as_floats` for one number. An array that is not
+    0-d raises ``DomainError(message)`` too."""
+    arr = as_floats(value, message)
+    if arr.ndim != 0:
+        raise DomainError(message)
+    return float(arr)
+
+
 def as_int(value, message: str, least: int, bound=math.inf) -> int:
     """``value`` as an int in ``[least, bound)``: the one gate for integers from outside
     the package. What ``operator.index`` refuses, a ``bool`` or a value out of range

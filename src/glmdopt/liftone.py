@@ -58,7 +58,7 @@ import numpy as np
 from scipy import linalg
 
 from .design import Allocation, DesignProblem, SolveReport, _as_prob_vector
-from .errors import DomainError, as_floats, as_int
+from .errors import DomainError, as_float, as_int
 
 
 #: lift-one sweeps that locate the support before the Newton finish
@@ -82,7 +82,7 @@ class LiftOneConfig:
 
     def __post_init__(self):
         message = "tol must be a positive finite number"
-        tol = float(as_floats(self.tol, message))
+        tol = as_float(self.tol, message)
         if not tol > 0.0:
             raise DomainError(message)
         object.__setattr__(self, "tol", tol)

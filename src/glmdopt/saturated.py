@@ -57,7 +57,7 @@ from .design import (
     safe_exp,
     vform_log_sensitivities,
 )
-from .errors import DomainError, SolverError, as_floats
+from .errors import DomainError, SolverError, as_float, as_floats
 
 #: dominant-coefficient boundary comparison uses this relative rounding
 BOUNDARY_REL = 1e-12
@@ -92,7 +92,7 @@ class SaturatedProblem:
             raise DomainError("coefficients must be nonnegative")
         if v[-1] <= 0.0:
             raise DomainError("at least one coefficient must be positive")
-        log_scale = float(as_floats(self.log_scale, "log_scale must be finite"))
+        log_scale = as_float(self.log_scale, "log_scale must be finite")
         if not 2.0**-128 <= v[-1] < 2.0**128:
             e = int(np.frexp(v[-1])[1])
             v = np.ldexp(v, -e)
@@ -160,7 +160,7 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
 
 def _check_mu_domain(mu: float, vmax: float) -> None:
     message = f"mu={mu!r} outside [0, 1/max(v)]"
-    if as_floats(mu, message) < 0.0 or mu * vmax > 1.0 + 1e-12:
+    if as_float(mu, message) < 0.0 or mu * vmax > 1.0 + 1e-12:
         raise DomainError(message)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Allocation, SolveReport, _bisect_root
-from .errors import DomainError, SolverError, as_floats
+from .errors import DomainError, SolverError, as_float, as_floats
 from .saturated import SaturatedProblem
 
 #: two coefficients are tied (and a coefficient is zero) below this relative gap
@@ -128,7 +128,7 @@ def back_substitute(y1: float, v) -> tuple[float, float, Allocation]:
     ``v`` must be an array of strictly ascending interior-case coefficients;
     the returned allocation is in that sorted order.
     """
-    y1 = float(as_floats(y1, "y1 must be finite"))
+    y1 = as_float(y1, "y1 must be finite")
     vc = as_floats(v, "coefficients must be finite")
     if vc.shape != (4,):
         raise DomainError("need exactly four coefficients")

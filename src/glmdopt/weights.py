@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, as_floats
+from .errors import DomainError, as_float, as_floats
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -72,7 +72,7 @@ class WeightFunction:
     @classmethod
     def constant(cls, value: float = 1.0) -> "WeightFunction":
         message = "constant weight must be a positive finite number"
-        value = float(as_floats(value, message))
+        value = as_float(value, message)
         if value <= 0.0:
             raise DomainError(message)
 

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import glmdopt.boundary as boundary
 from glmdopt import (
     Allocation,
     ContinuousProblem,
     DesignProblem,
     DomainError,
+    SolverError,
     WeightFunction,
     check_boundary_optimal,
     corner_weights,
@@ -22,7 +24,7 @@ from glmdopt import (
     rescale_problem,
     solve_22,
 )
-from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, corner_objective
+from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, corner_objective, grid_axis
 
 LOGIT = WeightFunction.logit()
 REGION_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "region_verdict_41.json"
@@ -245,6 +247,17 @@ class TestCheckBoundaryOptimal:
             )
             assert a.boundary_optimal == flipped.boundary_optimal
 
+    def test_zero_corner_weight_is_a_domain_error(self):
+        # probit weights at eta = -81 underflow to zero: no corner design to compare with
+        with pytest.raises(DomainError, match="corner weights must be positive and finite"):
+            check_boundary_optimal(_unit_problem([-1.0, 40.0, 40.0], WeightFunction.probit()))
+
+    @pytest.mark.parametrize("slope", [300.0, 350.0, 360.0, 400.0])
+    def test_margin_beyond_float_range_is_a_solver_error(self, slope):
+        # log_poisson weights near exp(slope): h overflows at 300-350, f(p4) from 360
+        with pytest.raises(SolverError, match="beyond the float range"):
+            check_boundary_optimal(_unit_problem([0.0, slope, 0.0], WeightFunction.log_poisson()))
+
 
 class TestEdgeSearch:
     @pytest.mark.parametrize("link, half", [("logit", 3.0), ("probit", 2.0), ("log_poisson", 1.0)])
@@ -342,12 +355,14 @@ class TestRegionSweep:
         assert got == expected[str(s_grid_steps)]
 
     def test_node_domain_error_marks_failed(self, monkeypatch):
-        def reject(cp, s_grid_steps=201):
+        corner_step = boundary._corner_step
+
+        def reject(cp):
             if cp.beta[1] > 0.0:
                 raise DomainError("rejected node")
-            return check_boundary_optimal(cp, s_grid_steps=s_grid_steps)
+            return corner_step(cp)
 
-        monkeypatch.setattr("glmdopt.boundary.check_boundary_optimal", reject)
+        monkeypatch.setattr("glmdopt.boundary._corner_step", reject)
         grid = region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 3, LOGIT, s_grid_steps=21)
         assert np.array_equal(grid.failed[2], [True, True, True])
         assert not grid.failed[:2].any()
@@ -355,12 +370,65 @@ class TestRegionSweep:
         assert np.isfinite(grid.min_s[:2]).all()
 
     def test_node_bug_propagates(self, monkeypatch):
-        def broken(cp, s_grid_steps=201):
+        def broken(cp):
             raise ZeroDivisionError("not a domain failure")
 
-        monkeypatch.setattr("glmdopt.boundary.check_boundary_optimal", broken)
+        monkeypatch.setattr("glmdopt.boundary._corner_step", broken)
         with pytest.raises(ZeroDivisionError):
             region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 2, LOGIT, s_grid_steps=21)
+
+    @pytest.mark.parametrize(
+        "link, beta0, half, steps, s_grid_steps",
+        [("logit", -1.0, 2.0, 9, 101), ("probit", -1.0, 20.0, 11, 61), ("log_poisson", 0.0, 240.0, 11, 61)],
+    )
+    def test_sweep_matches_single_checks_bit_for_bit(self, link, beta0, half, steps, s_grid_steps):
+        # the batched map against one check_boundary_optimal per node, over more nodes than
+        # one chunk; the probit grid holds nodes with zero corner weights, the log_poisson
+        # grid nodes whose margins overflow
+        fn = WeightFunction.from_name(link)
+        grid = region_sweep(beta0, (-half, half), (-half, half), steps, fn, s_grid_steps=s_grid_steps)
+        min_s = np.full((steps, steps), np.nan)
+        verdict = np.zeros((steps, steps), dtype=bool)
+        failed = np.zeros((steps, steps), dtype=bool)
+        for i, b1 in enumerate(grid.beta1):
+            for j, b2 in enumerate(grid.beta2):
+                try:
+                    node = check_boundary_optimal(_unit_problem([beta0, b1, b2], fn), s_grid_steps)
+                except (DomainError, SolverError):
+                    failed[i, j] = True
+                    continue
+                min_s[i, j], verdict[i, j] = node.min_s, node.boundary_optimal
+        assert steps * steps - failed.sum() > boundary._CHUNK
+        assert link == "logit" or failed.any()
+        assert grid.min_s.tobytes() == min_s.tobytes()
+        assert np.array_equal(grid.verdict, verdict) and np.array_equal(grid.failed, failed)
+
+    def test_zero_corner_weights_mark_nodes_failed(self):
+        # 20 of the 25 nodes have a corner |eta| of 41 or more, where probit weights
+        # underflow to zero; they fail without a divide-by-zero warning
+        grid = region_sweep(-1.0, (-40.0, 40.0), (-40.0, 40.0), 5, WeightFunction.probit())
+        assert grid.failed.sum() == 20
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: region_sweep([-1.0, 2.0], (-1.0, 1.0), (-1.0, 1.0), 2, LOGIT),
+            lambda: region_sweep(-1.0, (-1.0,), (-1.0, 1.0), 2, LOGIT),
+            lambda: region_sweep(-1.0, (-1.0, 1.0), (-1.0, 0.0, 1.0), 2, LOGIT),
+            lambda: region_sweep(0.0, (-1e308, 1e308), (-1.0, 1.0), 3, LOGIT),
+        ],
+        ids=["beta0-array", "short-range", "long-range", "range-width-overflow"],
+    )
+    def test_malformed_sweep_inputs_rejected(self, call):
+        with pytest.raises(DomainError, match="beta0 and the slope ranges must be finite numbers"):
+            call()
+
+    @pytest.mark.parametrize(
+        "lo, hi", [([0.0, 1.0], 1.0), (0.0, [1.0]), (-1e308, 1e308)], ids=["array-lo", "array-hi", "overflow"]
+    )
+    def test_grid_axis_rejects_malformed_endpoints(self, lo, hi):
+        with pytest.raises(DomainError, match="grid endpoints"):
+            grid_axis(lo, hi, 3)
 
     def test_margin_continuity_along_a_line(self):
         # smoke bound calibrated on the logistic case: adjacent nodes at

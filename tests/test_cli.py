@@ -261,19 +261,27 @@ class TestRegion:
     def test_failed_node_prints_failed_token(self, capsys, monkeypatch):
         import glmdopt.boundary as boundary
 
-        check = boundary.check_boundary_optimal
+        corner_step = boundary._corner_step
 
-        def fail_one(cp, s_grid_steps=201):
+        def fail_one(cp):
             if cp.beta[1] > 0.0 and cp.beta[2] < 0.0:
                 raise SolverError("synthetic node failure")
-            return check(cp, s_grid_steps=s_grid_steps)
+            return corner_step(cp)
 
-        monkeypatch.setattr(boundary, "check_boundary_optimal", fail_one)
+        monkeypatch.setattr(boundary, "_corner_step", fail_one)
         argv = ["region", "--beta0=-1", "--range=-1:1", "--steps", "2", "--grid-steps", "21"]
         assert main(argv) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 4
         assert [row for row in rows if row.endswith(",failed")] == ["1,-1,nan,failed"]
+
+    def test_overflowing_margins_print_failed(self, capsys):
+        # log_poisson margins beyond the float range: every node but the centre fails
+        argv = ["region", "--link", "log_poisson", "--beta0", "0", "--range=-400:400", "--steps", "3"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[4] == "0,0,0,1"
+        assert all(row.endswith(",nan,failed") for row in rows[:4] + rows[5:])
 
     def test_single_step_single_row(self, capsys):
         assert main(["region", "--beta0=-1", "--range=-2:2", "--steps", "1", "--grid-steps", "41"]) == 0

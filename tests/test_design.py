@@ -259,11 +259,18 @@ class TestValidation:
             lambda: h_ab(0.0, 0.0, [0.25] * 4, [1.0, 1.0]),
             lambda: expansion_value(objective_expansion(_problem(X22, np.ones(4))), [0.5, 0.5]),
             lambda: expansion_value(objective_expansion(_problem(X22, np.ones(4))), 1.0),
+            lambda: LiftOneConfig(tol=[1e-3, 1e-4]),
+            lambda: WeightFunction.constant([1.0, 2.0]),
+            lambda: back_substitute([2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+            lambda: SaturatedProblem([1.0, 2.0, 3.0], log_scale=[0.0, 1.0]),
+            lambda: build_model_matrix(np.ones((2, 2, 2))),
+            lambda: h1_eval([0.01, 0.02], [1.0, 2.0, 3.0]),
         ],
         ids=[
             "ragged_X", "X_without_columns", "constant_string", "constant_dict",
             "corner_weights_2_betas", "h_ab_2_probs", "h_ab_2_weights", "expansion_short_p",
-            "expansion_scalar_p",
+            "expansion_scalar_p", "tol_array", "constant_array", "back_substitute_array_root",
+            "log_scale_array", "points_3d", "h1_eval_array_mu",
         ],
     )
     def test_malformed_arrays_raise_domain_error(self, call):
