@@ -23,10 +23,8 @@ from .design import (
     DesignProblem,
     SolveReport,
     build_model_matrix,
-    expansion_value,
     full_factorial_design,
     objective_det,
-    objective_expansion,
     vform_objective,
 )
 from .errors import DomainError, SolverError
@@ -35,8 +33,6 @@ from .saturated import (
     MuSolve,
     SaturatedProblem,
     compute_v,
-    h1_eval,
-    h2_eval,
     root_mu,
     solve_saturated,
 )
@@ -68,15 +64,11 @@ __all__ = [
     "compute_u",
     "compute_v",
     "corner_weights",
-    "expansion_value",
     "fi_profile",
     "full_factorial_design",
-    "h1_eval",
-    "h2_eval",
     "h_ab",
     "liftone_maximize",
     "objective_det",
-    "objective_expansion",
     "region_boundary_segments",
     "region_sweep",
     "rescale_problem",

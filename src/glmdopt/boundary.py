@@ -210,12 +210,6 @@ def _corner_det(q):
     return 16.0 * (q1 * q2 * q3 + q1 * q2 * q4 + q1 * q3 * q4 + q2 * q3 * q4)
 
 
-def corner_objective(p4, w) -> float:
-    """det(X' W X) for the unit-square corner design at allocation p4."""
-    parr = p4.p if isinstance(p4, Allocation) else np.asarray(p4, dtype=float)
-    return float(_corner_det(parr * np.asarray(w, dtype=float)))
-
-
 def _corner_step(cp: ContinuousProblem):
     """Corner weights and the optimal corner allocation of a unit-square problem.
 

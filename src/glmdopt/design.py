@@ -10,8 +10,8 @@ every ``d``-row subset contributes ``det(X[rows])^2 * prod(w[rows])`` times
 the product of the corresponding ``p``'s. The analytic solvers evaluate their
 reduced (v-form) objectives and sensitivities with
 :func:`vform_log_sensitivities`, and lift-one works from the sensitivities of
-``X' W X``; the dense determinant and the subset expansion serve as
-references for cross-checks only.
+``X' W X``; the dense determinant :func:`objective_det` serves as a reference
+for cross-checks only, and the subset expansion is left to the tests.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ ALLOC_SUM_TOL = 1e-12
 #: a leave-one-out minor counts as zero below this fraction of the largest |minor|
 MINOR_ZERO_REL = 1e-12
 EPS = float(np.finfo(float).eps)
-#: largest n for which objective_expansion enumerates the C(n, d) row subsets
-EXPANSION_MAX_POINTS = 20
+#: scale_columns rescales a column of a d-column X whose largest |entry| is 2^e with
+#: d |e| above this, so d in-range column scales multiply to within 2^-512..2^512
+COLUMN_EXP_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -157,16 +158,27 @@ def objective_det(problem: DesignProblem, p) -> float:
     return float(np.linalg.det(problem.X.T @ scaled))
 
 
-def leave_one_out_minors(X):
-    """``(minors, zero)`` of an (n, n-1) X: ``minors[i] = det(X without row i)``.
+def scale_columns(X):
+    """``(X / 2^e, sum(e))``: ``e_j`` brings an out-of-range column j to a largest
+    ``|entry|`` in [1, 2), so a +-2^k coding becomes +-1, and is 0 for the
+    other columns, which keep every bit."""
+    # Python floats beat numpy's per-call overhead on the few columns of X
+    e = [math.frexp(t)[1] - 1 for t in np.abs(X).max(axis=0).tolist()]
+    e = [k if abs(k) * len(e) > COLUMN_EXP_BUDGET else 0 for k in e]
+    return (np.ldexp(X, np.negative(e)) if any(e) else X), sum(e)
 
-    One stacked ``np.linalg.det`` call. When X, its columns scaled to unit
-    largest ``|entry|``, has numerical rank below n-1, every minor is roundoff
-    and ``zero`` flags them all; otherwise it flags the minors at most
-    ``MINOR_ZERO_REL`` times the largest ``|minor|``. Neither test depends on
-    how the factor levels are coded; a minor past the float range raises.
+
+def leave_one_out_minors(X):
+    """``(minors, zero, shift)`` of an (n, n-1) X: ``minors[i] 2^shift = det(X without row i)``.
+
+    One stacked ``np.linalg.det`` call, on X rescaled by :func:`scale_columns`.
+    When X, its columns scaled to unit largest ``|entry|``, has numerical rank
+    below n-1, every minor is roundoff and ``zero`` flags them all; otherwise it
+    flags the minors at most ``MINOR_ZERO_REL`` times the largest ``|minor|``.
+    Neither test depends on how the factor levels are coded; a minor past the
+    float range raises.
     """
-    X = np.asarray(X, dtype=float)
+    X, shift = scale_columns(np.asarray(X, dtype=float))
     n = X.shape[0]
     cols = np.arange(n - 1)
     keep = cols + (cols >= np.arange(n)[:, None])  # row i skips index i
@@ -182,39 +194,8 @@ def leave_one_out_minors(X):
         raise DomainError("X has a minor beyond the float range")
     certified = vol2 > 0.0 and math.log(vol2) > 2.0 * math.log(n * EPS) + (n - 1) * math.log(n - 1)
     if not certified and (not colsq.all() or np.linalg.matrix_rank(X / np.abs(X).max(axis=0)) < n - 1):
-        return minors, np.ones(n, dtype=bool)
-    return minors, np.abs(minors) <= MINOR_ZERO_REL * top
-
-
-def objective_expansion(problem: DesignProblem):
-    """All d-row subsets with their objective coefficients.
-
-    Returns ``[(rows, coeff), ...]`` where ``coeff = det(X[rows])^2 *
-    prod(w[rows])``, so that ``sum(coeff * prod(p[rows]))`` over the list
-    equals :func:`objective_det`. Guarded by ``EXPANSION_MAX_POINTS`` because
-    the subset count grows as C(n, d).
-    """
-    n, d = problem.X.shape
-    if n > EXPANSION_MAX_POINTS:
-        raise DomainError(f"expansion too large: n={n} exceeds the guard {EXPANSION_MAX_POINTS}")
-    terms = []
-    for rows in itertools.combinations(range(n), d):
-        sub = problem.X[list(rows), :]
-        minor = np.linalg.det(sub)
-        coeff = minor * minor * float(np.prod(problem.w[list(rows)]))
-        terms.append((rows, coeff))
-    return terms
-
-
-def expansion_value(terms, p) -> float:
-    """Evaluate an expansion returned by :func:`objective_expansion` at p."""
-    arr = p.p if isinstance(p, Allocation) else as_floats(p, "allocation entries must be finite")
-    if arr.ndim != 1 or arr.size <= max((r for rows, _ in terms for r in rows), default=-1):
-        raise DomainError(f"allocation has shape {arr.shape}, which does not cover the terms' rows")
-    total = 0.0
-    for rows, coeff in terms:
-        total += coeff * float(np.prod(arr[list(rows)]))
-    return total
+        return minors, np.ones(n, dtype=bool), shift
+    return minors, np.abs(minors) <= MINOR_ZERO_REL * top, shift
 
 
 def vform_log_sensitivities(v, p):

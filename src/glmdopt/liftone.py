@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 from scipy import linalg
 
-from .design import Allocation, DesignProblem, SolveReport, _as_prob_vector
+from .design import Allocation, DesignProblem, SolveReport, _as_prob_vector, scale_columns
 from .errors import DomainError, as_float, as_int
 
 
@@ -172,11 +172,13 @@ class _RankOne:
             raise DomainError("degenerate objective: the support of p does not span X")
         # rows in the basis of d heavy rows B (pivoted QR of sqrt(w) X) keep every
         # d_i, and weights spanning many decades then sit on a diagonal that
-        # Cholesky scales out
+        # Cholesky scales out; out-of-range columns are first divided by powers
+        # of two, which the basis change X inv(X[B]) does not see
+        X, shift = scale_columns(X)
         B = linalg.qr((np.sqrt(problem.w)[:, None] * X).T, mode="r", pivoting=True)[1][:d]
         self.X = X @ np.linalg.inv(X[B])
         self.X[B] = np.eye(d)
-        self.log_det_B = np.linalg.slogdet(X[B])[1]
+        self.log_det_B = np.linalg.slogdet(X[B])[1] + shift * math.log(2.0)
         self.w = problem.w
         self.Z = np.sqrt(self.w)[:, None] * self.X
         self.degree = d

@@ -124,15 +124,15 @@ class MuSolve:
     residual: float
 
 
-def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray) -> SaturatedProblem:
-    """``v_j = minors_j^2 * prod_{i != j} w_i`` from the leave-one-out minors.
+def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray, shift: int) -> SaturatedProblem:
+    """``v_j = (minors_j 2^shift)^2 * prod_{i != j} w_i`` from the leave-one-out minors.
 
     ``v_j / prod(w) = minors_j^2 / w_j`` is formed from mantissas and integer
     exponents (``frexp``) and scaled by a power of two, so that the largest
     ``v`` lies in [1/4, 2) however extreme the weights, the rounding is that
-    of the direct ratio, and ``log_scale`` carries the scale. Minors flagged
-    in ``zero`` give exact zeros; their exponents are clamped, since a
-    roundoff minor over a tiny weight may exceed the float range.
+    of the direct ratio, and ``log_scale`` carries the scale, ``2 shift`` too.
+    Minors flagged in ``zero`` give exact zeros; their exponents are clamped,
+    since a roundoff minor over a tiny weight may exceed the float range.
     """
     fm, em = np.frexp(minors)
     fw, ew = np.frexp(w)
@@ -140,7 +140,7 @@ def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray) -> SaturatedPro
     e_top = int(e[~zero].max())
     v = np.ldexp(fm * fm / fw, np.minimum(e - e_top, 0))
     v[zero] = 0.0
-    return SaturatedProblem(v, e_top * math.log(2.0) + float(np.log(w).sum()))
+    return SaturatedProblem(v, (e_top + 2 * shift) * math.log(2.0) + float(np.log(w).sum()))
 
 
 def compute_v(problem: DesignProblem) -> SaturatedProblem:
@@ -152,32 +152,10 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
     n, d = problem.X.shape
     if n != d + 1:
         raise DomainError(f"need exactly one more point than model terms, got {n} points, {d} terms")
-    minors, zero = leave_one_out_minors(problem.X)
+    minors, zero, shift = leave_one_out_minors(problem.X)
     if zero.all():
         raise DomainError("X has rank below the number of model terms; reparametrize the model")
-    return _reduce(minors, zero, problem.w)
-
-
-def _check_mu_domain(mu: float, vmax: float) -> None:
-    message = f"mu={mu!r} outside [0, 1/max(v)]"
-    if as_float(mu, message) < 0.0 or mu * vmax > 1.0 + 1e-12:
-        raise DomainError(message)
-
-
-def h1_eval(mu: float, v) -> float:
-    """Sum of sqrt(1 - mu v_j) over all points; n at mu=0, decreasing."""
-    varr = as_floats(v, "coefficients must be finite")
-    _check_mu_domain(mu, float(varr.max()))
-    return float(np.sum(np.sqrt(np.clip(1.0 - mu * varr, 0.0, None))))
-
-
-def h2_eval(mu: float, v) -> float:
-    """Same sum with the largest-v term subtracted instead of added."""
-    varr = as_floats(v, "coefficients must be finite")
-    _check_mu_domain(mu, float(varr.max()))
-    r = np.sqrt(np.clip(1.0 - mu * varr, 0.0, None))
-    k = int(np.argmax(varr))
-    return float(np.sum(r) - 2.0 * r[k])
+    return _reduce(minors, zero, problem.w, shift)
 
 
 def root_mu(sp: SaturatedProblem) -> MuSolve:

@@ -25,12 +25,12 @@ def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
     X = problem.X
     if X.shape != (4, 3):
         raise DomainError(f"need a 4x3 design matrix, got {X.shape}")
-    minors, zero = leave_one_out_minors(X)
+    minors, zero, shift = leave_one_out_minors(X)
     # Two or three near-zero minors cannot happen for distinct rows with an
     # intercept column except through roundoff on a rank-2 matrix.
     if zero.sum() >= 2:
         return None
-    return _reduce(minors, zero, problem.w)
+    return _reduce(minors, zero, problem.w, shift)
 
 
 def solve_fourpoint(problem: DesignProblem) -> SolveReport:
@@ -39,12 +39,12 @@ def solve_fourpoint(problem: DesignProblem) -> SolveReport:
     The reported objective is ``det(X' W X)``, carried in log space as the
     ``log_objective`` diagnostic; ``equivalence_gap`` is the
     Kiefer-Wolfowitz certificate of :func:`~glmdopt.solver4.solve_22`. A
-    rank-2 layout reports neither.
+    rank-2 layout reports neither. The case label is that of ``solve_22``
+    with ``twofactor-`` for its ``2x2-`` prefix.
     """
     sp = compute_u(problem)
     if sp is None:
         return SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {})
     report = solve_22(sp)
-    prefix = "twofactor-" if sp.zero_count else "twofactor-case-"
-    label = prefix + report.case_label.removeprefix("2x2-case-")
+    label = report.case_label.replace("2x2-", "twofactor-", 1)
     return SolveReport(report.allocation, report.objective, label, report.diagnostics)

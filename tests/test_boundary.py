@@ -19,14 +19,15 @@ from glmdopt import (
     corner_weights,
     h_ab,
     objective_det,
-    objective_expansion,
     region_sweep,
     rescale_problem,
     solve_22,
 )
-from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, corner_objective, grid_axis
+from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, grid_axis
+from reference import objective_expansion
 
 LOGIT = WeightFunction.logit()
+X_CORNERS = np.column_stack([np.ones(4), CORNERS])
 REGION_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "region_verdict_41.json"
 
 
@@ -188,7 +189,7 @@ class TestCheckBoundaryOptimal:
             cp = _unit_problem(beta)
             w = corner_weights(beta, LOGIT)
             p4 = solve_22(1.0 / w).allocation
-            f_p4 = corner_objective(p4, w)
+            f_p4 = objective_det(DesignProblem(X_CORNERS, w=w), p4)
             for a, b in CORNERS:
                 s = 0.75 * f_p4 - LOGIT(beta[0] + a * beta[1] + b * beta[2]) * h_ab(a, b, p4, w)
                 assert s >= -1e-10 * f_p4

@@ -162,7 +162,7 @@ class TestSolve:
         analytic = json.loads(capsys.readouterr().out)
         assert main(["solve", path, "--method", "liftone"]) == 0
         lift = json.loads(capsys.readouterr().out)
-        assert analytic["case_label"] == "twofactor-2a"
+        assert analytic["case_label"] == "twofactor-case-2a"
         assert analytic["allocation"] == pytest.approx(lift["allocation"], abs=1e-9)
         assert analytic["diagnostics"]["log_objective"] == pytest.approx(
             lift["diagnostics"]["log_objective"], abs=1e-12

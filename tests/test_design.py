@@ -20,15 +20,11 @@ from glmdopt import (
     check_boundary_optimal,
     compute_v,
     corner_weights,
-    expansion_value,
     fi_profile,
     full_factorial_design,
-    h1_eval,
-    h2_eval,
     h_ab,
     liftone_maximize,
     objective_det,
-    objective_expansion,
     region_sweep,
     solve_fourpoint,
     solve_saturated,
@@ -36,6 +32,7 @@ from glmdopt import (
 )
 from glmdopt.boundary import grid_axis
 from glmdopt.design import leave_one_out_minors
+from reference import expansion_value, objective_expansion
 
 X22 = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
 LOGIT = WeightFunction.from_name("logit")
@@ -232,15 +229,12 @@ class TestValidation:
             lambda x: h_ab(x, 0.0, [0.25] * 4, [0.2, 0.1, 0.15, 0.25]),
             lambda x: corner_weights([x, 0.5, 0.5], LOGIT),
             lambda x: objective_det(_problem(X22, np.ones(4)), [x, 0.25, 0.25, 0.25]),
-            lambda x: expansion_value(objective_expansion(_problem(X22, np.ones(4))), [x, 0.5, 0.5, 0]),
             lambda x: fi_profile(_problem(X22, np.ones(4)), [x, 0.25, 0.25, 0.25], 1),
-            lambda x: h1_eval(0.01, [x, 1.0, 2.0]),
-            lambda x: h2_eval(0.01, [x, 1.0, 2.0]),
             lambda x: SaturatedProblem([1.0, 2.0, 3.0], log_scale=x),
         ],
         ids=[
             "vform_objective", "back_substitute", "h_ab", "corner_weights",
-            "objective_det", "expansion_value", "fi_profile", "h1_eval", "h2_eval", "log_scale",
+            "objective_det", "fi_profile", "log_scale",
         ],
     )
     def test_public_helpers_reject_outside_numbers(self, call, bad):
@@ -257,20 +251,16 @@ class TestValidation:
             lambda: corner_weights([0.1, 0.2], LOGIT),
             lambda: h_ab(0.0, 0.0, [0.5, 0.5], [1.0, 1.0, 1.0, 1.0]),
             lambda: h_ab(0.0, 0.0, [0.25] * 4, [1.0, 1.0]),
-            lambda: expansion_value(objective_expansion(_problem(X22, np.ones(4))), [0.5, 0.5]),
-            lambda: expansion_value(objective_expansion(_problem(X22, np.ones(4))), 1.0),
             lambda: LiftOneConfig(tol=[1e-3, 1e-4]),
             lambda: WeightFunction.constant([1.0, 2.0]),
             lambda: back_substitute([2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
             lambda: SaturatedProblem([1.0, 2.0, 3.0], log_scale=[0.0, 1.0]),
             lambda: build_model_matrix(np.ones((2, 2, 2))),
-            lambda: h1_eval([0.01, 0.02], [1.0, 2.0, 3.0]),
         ],
         ids=[
             "ragged_X", "X_without_columns", "constant_string", "constant_dict",
-            "corner_weights_2_betas", "h_ab_2_probs", "h_ab_2_weights", "expansion_short_p",
-            "expansion_scalar_p", "tol_array", "constant_array", "back_substitute_array_root",
-            "log_scale_array", "points_3d", "h1_eval_array_mu",
+            "corner_weights_2_betas", "h_ab_2_probs", "h_ab_2_weights", "tol_array",
+            "constant_array", "back_substitute_array_root", "log_scale_array", "points_3d",
         ],
     )
     def test_malformed_arrays_raise_domain_error(self, call):
@@ -370,7 +360,7 @@ class TestLeaveOneOutMinors:
     def test_bitwise_equal_to_row_deletion(self, rng, n):
         for _ in range(20):
             X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, n - 2))])
-            minors, _ = leave_one_out_minors(X)
+            minors, _, _ = leave_one_out_minors(X)
             expected = [np.linalg.det(np.delete(X, i, axis=0)) for i in range(n)]
             assert minors.tobytes() == np.array(expected).tobytes()
 
@@ -379,7 +369,7 @@ class TestLeaveOneOutMinors:
         rank2 = np.array([[1.0, -1, -1], [1, -0.5, -0.5], [1, 0.5, 0.5], [1, 1, 1]])
         assert leave_one_out_minors(X22)[1].tolist() == [False] * 4
         assert leave_one_out_minors(one_zero)[1].tolist() == [True, False, False, False]
-        minors, zero = leave_one_out_minors(rank2)
+        minors, zero, _ = leave_one_out_minors(rank2)
         # every minor is roundoff, far below the Hadamard bound of X
         assert zero.tolist() == [True] * 4
         assert np.abs(minors).max() < 1e-15
@@ -393,17 +383,28 @@ class TestLeaveOneOutMinors:
         _, points = full_factorial_design(k)
         recipe = [()] + [t for size in range(1, k) for t in itertools.combinations(range(k), size)]
         X = build_model_matrix(np.where(points > 0.0, high, low), recipe)
-        minors, zero = leave_one_out_minors(X)
+        minors, zero, shift = leave_one_out_minors(X)
         assert np.abs(minors) == pytest.approx(np.ones(2**k), rel=1e-9)
-        assert not zero.any()
+        assert not zero.any() and shift == 0
 
     def test_zero_mask_ignores_column_scale(self):
-        # a 32-point layout takes the SVD rank test, which must see the columns
-        # at unit norm: unscaled, this one would have numerical rank 30
+        # unscaled, this 32-point layout would have numerical rank 30; the
+        # small column is brought back near unit scale before any rank test
         X, _ = full_factorial_design(5)
         X = X * np.where(np.arange(31) == 7, 1e-15, 1.0)
         assert np.linalg.matrix_rank(X) == 30
         assert not leave_one_out_minors(X)[1].any()
+
+    @pytest.mark.parametrize("e", [-400, 300])
+    def test_columns_beyond_float_range_are_rescaled(self, e):
+        # unscaled, every minor under- or overflows; rescaled columns are +-1
+        # again, and the power of two comes back as the shift
+        X, _ = full_factorial_design(3)
+        minors, zero, shift = leave_one_out_minors(X)
+        scaled = leave_one_out_minors(X * np.where(np.arange(7) == 0, 1.0, 2.0**e))
+        assert scaled[0].tobytes() == minors.tobytes()
+        assert scaled[1].tolist() == zero.tolist() == [False] * 8
+        assert (shift, scaled[2]) == (0, 6 * e)
 
 
 def test_public_names_pinned():
@@ -412,11 +413,10 @@ def test_public_names_pinned():
         "LiftOneConfig", "MultilinearObjective", "MuSolve", "QuarticRoot", "RegionGrid",
         "RescaleTransform", "SaturatedProblem", "SolveReport", "SolverError",
         "WeightFunction", "back_substitute", "build_model_matrix",
-        "check_boundary_optimal", "compute_u", "compute_v", "corner_weights", "expansion_value",
-        "fi_profile", "full_factorial_design", "h1_eval", "h2_eval", "h_ab",
-        "liftone_maximize", "objective_det", "objective_expansion",
+        "check_boundary_optimal", "compute_u", "compute_v", "corner_weights",
+        "fi_profile", "full_factorial_design", "h_ab", "liftone_maximize", "objective_det",
         "region_boundary_segments", "region_sweep", "rescale_problem", "root_mu", "solve_22",
         "solve_fourpoint", "solve_quartic", "solve_saturated", "vform_objective",
     }
-    assert len(glmdopt.__all__) == 39
+    assert len(glmdopt.__all__) == 35
     assert all(hasattr(glmdopt, name) for name in glmdopt.__all__)

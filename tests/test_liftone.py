@@ -12,18 +12,17 @@ from glmdopt import (
     WeightFunction,
     build_model_matrix,
     compute_v,
-    expansion_value,
     fi_profile,
     full_factorial_design,
     liftone_maximize,
     objective_det,
-    objective_expansion,
     solve_22,
     solve_fourpoint,
     solve_saturated,
     vform_objective,
 )
 from glmdopt.liftone import MultilinearObjective, profile_value
+from reference import expansion_value, objective_expansion
 
 X22 = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
 
@@ -211,7 +210,9 @@ class TestRankOne:
 
     def test_rank_test_ignores_column_scale(self):
         # a 2x2 coded +-1e120 and a 2^3 saturated X with one column times 1e-15
-        # have full rank, which matrix_rank on the raw columns does not see
+        # have full rank, which matrix_rank on the raw columns does not see;
+        # 2^3 main effects coded +-2^300 solve as the +-1 coding does, which
+        # needs the pivoted QR and the basis change on rescaled columns
         w = np.arange(1.0, 5.0)
         ref = solve_fourpoint(DesignProblem(X22, w=w))
         lift = liftone_maximize(DesignProblem(X22 * np.array([1.0, 1e120, 1e120]), w=w))
@@ -223,6 +224,16 @@ class TestRankOne:
         lift = liftone_maximize(problem)
         analytic = solve_saturated(compute_v(problem))
         assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-12)
+        X = _main_effects_2x3()
+        X_scaled = X * np.array([1.0, 2.0**300, 2.0**300, 2.0**300])
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            w = np.exp(rng.uniform(-5.0, 5.0, 8))
+            ref = liftone_maximize(DesignProblem(X, w=w))
+            lift = liftone_maximize(DesignProblem(X_scaled, w=w))
+            assert np.array_equal(lift.allocation.p, ref.allocation.p)
+            log_objective = ref.diagnostics["log_objective"] + 1800.0 * np.log(2.0)
+            assert lift.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-14)
 
     def test_equivalence_gap_certificate(self):
         X = _main_effects_2x3()

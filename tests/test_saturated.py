@@ -13,10 +13,7 @@ from glmdopt import (
     build_model_matrix,
     compute_v,
     full_factorial_design,
-    h1_eval,
-    h2_eval,
     liftone_maximize,
-    objective_det,
     root_mu,
     solve_22,
     solve_saturated,
@@ -101,10 +98,11 @@ class TestComputeV:
         assert rep.case_label == ref.case_label
         assert rep.allocation.p == pytest.approx(ref.allocation.p, abs=1e-12)
 
-    @pytest.mark.parametrize("k, level", [(5, 100.0), (6, 10.0)])
+    @pytest.mark.parametrize("k, level", [(5, 100.0), (6, 10.0), (3, 2.0**-400), (3, 2.0**300)])
     def test_levels_beyond_float_range_match_plus_minus_one(self, rng, k, level):
-        # the squared minors overflow at these levels; scaling each column leaves
-        # the allocation as it is and moves log_objective by the column scales
+        # the squared minors overflow at levels 100 and 10, and at +-2^-400 and
+        # +-2^300 the minors themselves under- or overflow; scaling each column
+        # leaves the allocation as it is and moves log_objective by the column scales
         X, points = full_factorial_design(k)
         recipe = [()] + [t for size in range(1, k) for t in itertools.combinations(range(k), size)]
         X_level = build_model_matrix(level * points, recipe)
@@ -226,35 +224,12 @@ class TestNearDominance:
                 p[-1] = (1 - r[-1]) / (2 * (n - 1))
             worst_p = max(worst_p, max(float(abs(a - b)) for a, b in zip(rep.allocation.p, p)))
             worst_mu = max(worst_mu, float(abs(rep.diagnostics["mu"] - mu) / mu))
-            h_eval = h1_eval if plus else h2_eval
-            assert h_eval(rep.diagnostics["mu"], v) == pytest.approx(n - 2, abs=1e-12)
+            assert abs(h(mp.mpf(rep.diagnostics["mu"]))) <= 1e-12
         # measured worst over n = 4 / 8 / 16: allocation 1.8 / 1.2 / 1.2e-16 and
         # mu 4.3e-14 / 9.4e-15 / 2.1e-14 relative. Bisecting h2 itself, next to
         # its trivial root, gave 8.2 / 4.7 / 24e-15 and 2.5e-12 / 1.1e-12 / 9.6e-11.
         assert worst_p <= 1e-15
         assert worst_mu <= 5e-13
-
-
-class TestHEvals:
-    def test_values_at_zero(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert h1_eval(0.0, v) == 3.0
-        assert h2_eval(0.0, v) == 1.0
-
-    def test_value_at_right_endpoint(self):
-        v = np.array([1.0, 2.0, 4.0])
-        expect = np.sqrt(1 - 0.25) + np.sqrt(1 - 0.5)
-        assert h1_eval(0.25, v) == pytest.approx(expect, rel=1e-14)
-
-    def test_golden_mu_hits_target(self):
-        assert h1_eval(MU_18, np.arange(1.0, 9.0)) == pytest.approx(6.0, abs=1e-9)
-
-    def test_domain_errors(self):
-        v = np.array([1.0, 2.0])
-        with pytest.raises(DomainError):
-            h1_eval(-0.1, v)
-        with pytest.raises(DomainError):
-            h2_eval(0.6, v)
 
 
 class TestRootMu:

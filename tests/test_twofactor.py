@@ -50,8 +50,8 @@ class TestComputeU:
         w = rng.uniform(0.05, 0.25, 4)
         sp = compute_u(DesignProblem(X22, w=w))
         assert sp.n == 4 and sp.zero_count == 0
-        minors, zero = leave_one_out_minors(X22)
-        assert not zero.any()
+        minors, zero, shift = leave_one_out_minors(X22)
+        assert not zero.any() and shift == 0
         assert np.abs(minors) == pytest.approx(np.full(4, 4.0), rel=1e-12)
         # v_j = minor_j^2 prod_{i != j} w_i
         assert _true_v(sp) == pytest.approx(16.0 * np.prod(w) / w, rel=1e-12)
@@ -59,14 +59,14 @@ class TestComputeU:
     def test_rectangle_corner_minors(self):
         a1, b1, a2, b2 = -1.0, 1.0, -1.0, 1.0
         X = np.array([[1.0, b1, b2], [1, b1, a2], [1, a1, b2], [1, a1, a2]])
-        minors, _ = leave_one_out_minors(X)
+        minors, _, _ = leave_one_out_minors(X)
         span = (b1 - a1) * (b2 - a2)
         assert np.abs(minors) == pytest.approx(np.full(4, abs(span)), rel=1e-12)
 
     def test_general_rectangle_corner_minors(self):
         a1, b1, a2, b2 = 0.5, 2.0, -3.0, -1.0
         X = np.array([[1.0, b1, b2], [1, b1, a2], [1, a1, b2], [1, a1, a2]])
-        minors, _ = leave_one_out_minors(X)
+        minors, _, _ = leave_one_out_minors(X)
         span = (b1 - a1) * (b2 - a2)
         # deleting row 4 or 3 flips the orientation relative to deleting 1 or 2
         assert minors[3] == pytest.approx(-span, rel=1e-12)
@@ -91,7 +91,7 @@ class TestComputeU:
         sp = compute_u(DesignProblem(X_ONE_ZERO, w=w))
         assert sp.zero_count == 1 and sp.perm[0] == 0
         rep = solve_fourpoint(DesignProblem(X_ONE_ZERO, w=w))
-        assert rep.case_label == "twofactor-2a"
+        assert rep.case_label == "twofactor-case-2a"
         assert rep.diagnostics["equivalence_gap"] <= 1e-12
 
     def test_rank2_detected(self):
@@ -104,13 +104,15 @@ class TestComputeU:
 
 
 class TestSolveFourpoint:
-    @pytest.mark.parametrize("b", [187.0, 300.0])
+    @pytest.mark.parametrize("b", [185.0, 187.0, 300.0])
     def test_weights_beyond_float_span_solve(self, b):
-        # the weights run from e^-2b to e^2b, so the smallest v underflows against
-        # the largest without being a flagged zero minor; it is an exact zero
+        # the weights run from e^-2b to e^2b, so from b = 187 on the smallest v
+        # underflows against the largest without being a flagged zero minor; it
+        # is an exact zero. At b = 185 it is tiny but positive: the label is the
+        # same, since it does not follow underflow
         prob = DesignProblem(X22, beta=[0.0, b, b], weight_fn=WeightFunction.log_poisson())
         lift, fourpoint = liftone_maximize(prob), solve_fourpoint(prob)
-        assert fourpoint.case_label == "twofactor-2a"
+        assert fourpoint.case_label == "twofactor-case-2a"
         for rep in (fourpoint, solve_saturated(compute_v(prob))):
             assert rep.allocation.p == pytest.approx(lift.allocation.p, abs=1e-9)
             assert rep.diagnostics["log_objective"] == pytest.approx(
@@ -127,11 +129,21 @@ class TestSolveFourpoint:
         X = np.array([[1.0, 0, 1], [1, 0, 2], [1, 0, 3], [1, 0, 5]])
         assert solve_fourpoint(DesignProblem(X, w=np.ones(4))).case_label == "degenerate-rank2"
 
-    def test_minors_beyond_float_range_rejected(self):
-        # a full-rank layout whose minors overflow is an input error, not rank 2
-        problem = DesignProblem(X22 * np.array([1.0, 1e200, 1e200]), w=np.arange(1.0, 5.0))
-        with pytest.raises(DomainError, match="float range"):
-            solve_fourpoint(problem)
+    def test_minors_beyond_float_range_solve(self):
+        # the minors of these full-rank layouts over- or underflow unless their
+        # columns are first rescaled by powers of two; lift-one solves them too
+        w = np.arange(1.0, 5.0)
+        ref = solve_fourpoint(DesignProblem(X22, w=w))
+        assert ref.case_label == "twofactor-case-v"
+        for scale in (1e200, 1e-200):
+            problem = DesignProblem(X22 * np.array([1.0, scale, scale]), w=w)
+            rep = solve_fourpoint(problem)
+            assert rep.case_label == ref.case_label
+            assert rep.allocation.p == pytest.approx(ref.allocation.p, abs=1e-15)
+            log_objective = ref.diagnostics["log_objective"] + 4.0 * np.log(scale)
+            assert rep.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-14)
+            lift = liftone_maximize(problem)
+            assert lift.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-12)
 
     def test_seeded_collinear_layouts_are_rank2(self):
         # every minor of four collinear points is roundoff; a threshold
@@ -156,14 +168,14 @@ class TestSolveFourpoint:
 
     def test_dominant_zero_case(self):
         rep = solve_fourpoint(_one_zero_problem([0.0, 1.0, 1.0, 3.0]))
-        assert rep.case_label == "twofactor-2a"
+        assert rep.case_label == "twofactor-case-2a"
         p = rep.allocation.p
         assert p[3] == pytest.approx(0.0, abs=1e-15)
         assert sorted(p)[1:] == pytest.approx([1 / 3] * 3, abs=1e-12)
 
     def test_strict_zero_case_closed_form(self):
         rep = solve_fourpoint(_one_zero_problem([0.0, 1.0, 2.0, 2.5]))
-        assert rep.case_label == "twofactor-2d"
+        assert rep.case_label == "twofactor-case-2d"
         # delta = 7.75: p = (1/3, 7/23.25, 6/23.25, 2.5/23.25)
         assert rep.allocation.p == pytest.approx(
             [1 / 3, 7 / 23.25, 6 / 23.25, 2.5 / 23.25], abs=1e-12
@@ -173,7 +185,7 @@ class TestSolveFourpoint:
 
     def test_tied_zero_case(self):
         rep = solve_fourpoint(_one_zero_problem([0.0, 1.0, 1.0, 1.0]))
-        assert rep.case_label == "twofactor-2b"
+        assert rep.case_label == "twofactor-case-2b"
         assert rep.allocation.p == pytest.approx([1 / 3, 2 / 9, 2 / 9, 2 / 9], abs=1e-12)
 
     def test_all_positive_delegates(self, rng):
@@ -206,7 +218,7 @@ class TestInvariants:
         for _ in range(50):
             u = self._random_one_zero_u(rng)
             rep = solve_fourpoint(_one_zero_problem(u))
-            if rep.case_label == "twofactor-2d":
+            if rep.case_label == "twofactor-case-2d":
                 assert rep.allocation.p[0] == 1.0 / 3.0
 
     def test_dominates_random_allocations_and_liftone(self, rng):
