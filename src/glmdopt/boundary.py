@@ -29,8 +29,15 @@ Every scan and zoom level keeps each row's least margin as a candidate, and
 one ``argmin`` per node over the candidates in visiting order picks the first
 least margin. Each node's arithmetic is the same whichever nodes share the
 call, so :func:`check_boundary_optimal` (one node) and :func:`region_sweep`
-(a map, in fixed chunks of nodes) agree bit for bit. A margin or corner
-objective beyond the float range is a ``SolverError``, not a warning.
+(a map, in fixed chunks of nodes) agree bit for bit.
+
+``s`` and ``f(p4)`` scale as the cube of a common weight factor, so each
+node is searched in a power-of-two frame where tiny weights cannot underflow
+them: ``q = p4 * w`` times ``2^-e`` (``e <= 0`` the exponent of the largest
+``q``) and ``h``'s groups times one more ``2^-e`` scale both by ``2^-3e``
+exactly. The verdict is taken in the frame; ``min_s`` and ``f(p4)`` are
+scaled back, and may underflow to zero. A margin beyond the float range, or
+an ``f(p4)`` not a positive normal float in the frame, is a ``SolverError``.
 
 ``p4`` always comes from the analytic four-point solver: the verdict
 threshold is tiny relative to the objective, and a merely near-optimal
@@ -213,14 +220,17 @@ def _corner_det(q):
 def _corner_step(cp: ContinuousProblem):
     """Corner weights and the optimal corner allocation of a unit-square problem.
 
-    A corner weight that underflows to zero, or overflows, leaves no finite
-    corner design to compare against, and raises ``DomainError``.
+    A corner weight that underflows to zero, or overflows, or whose
+    reciprocal overflows, leaves no finite corner design to compare against,
+    and raises ``DomainError``.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         w = corner_weights(cp.beta, cp.weight_fn)
-    if not np.all((w > 0.0) & (w < np.inf)):
-        raise DomainError(f"corner weights must be positive and finite, got {w.tolist()}")
-    return w, solve_22(1.0 / w).allocation
+        v = 1.0 / w
+    if not np.all((w > 0.0) & (w < np.inf) & (v < np.inf)):
+        message = "corner weights must be positive and finite, with finite reciprocals"
+        raise DomainError(f"{message}, got {w.tolist()}")
+    return w, solve_22(v).allocation
 
 
 def _edge_search(beta, q, weight_fn, s_grid_steps):
@@ -228,13 +238,16 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
 
     ``beta`` (N, 3) holds unit-square coefficients and ``q`` (N, 4) the
     products ``p4 * w``. Returns the columns ``f_p4``, ``min_s``, ``verdict``
-    and the edge point ``a``, ``b``; a corner objective or margin beyond the
-    float range comes back non-finite, without a warning.
+    and the edge point ``a``, ``b``; a node that fails (module docstring)
+    gets a non-finite ``min_s``, without a warning.
     """
     n = len(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        f_p4 = _corner_det(q.T)
-        columns = (0.75 * f_p4, *beta.T, *_h_coefficients(q.T))
+        # each node's power-of-two frame (module docstring)
+        e = np.minimum(np.frexp(q.max(axis=1))[1], 0)
+        q = np.ldexp(q, -e[:, None]).T
+        f_p4 = _corner_det(q)
+        columns = (0.75 * f_p4, *beta.T, *np.ldexp(_h_coefficients(q), -e))
         # one node keeps numpy scalars, which broadcast faster than (1, 1, 1) arrays
         f34, b0, b1, b2, *coefficients = [c[:, None, None] if n > 1 else c[0] for c in columns]
         rows = _EDGES[:, :, None]
@@ -260,8 +273,9 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
         at = np.arange(n)
         min_s, t = ss[at, c], ts[at, c]
         verdict = min_s >= -(VERDICT_REL_TOL * f_p4)
+        min_s = np.where((f_p4 >= np.finfo(float).tiny) & (f_p4 < np.inf), min_s, np.nan)
     a0, da, e0, db = _EDGES[:, _CANDIDATE_EDGES[c]]
-    return f_p4, min_s, verdict, a0 + t * da, e0 + t * db
+    return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a0 + t * da, e0 + t * db
 
 
 def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> BoundaryVerdict:
@@ -279,9 +293,10 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
     least margin among the scan and zoom minima, in that order. This is the
     one-node call of the search :func:`region_sweep` runs over many nodes.
 
-    A corner weight that is zero or not finite raises ``DomainError``; a
-    corner objective or margin beyond the float range raises
-    ``SolverError``.
+    A corner weight that is zero or not finite, or whose reciprocal
+    overflows, raises ``DomainError``; a margin beyond the float range, or a
+    corner objective outside the normal float range even in the node's
+    frame (module docstring), raises ``SolverError``.
     """
     if tuple(cp.bounds) != (-1.0, 1.0, -1.0, 1.0):
         raise DomainError("problem must be rescaled to the unit square first")

@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--range", required=True, help="LO:HI:STEPS")
     p_sweep.add_argument("--method", choices=["auto", "analytic", "liftone"], default="analytic")
     p_sweep.add_argument("--tol", type=float, default=1e-12, help=tol_help)
-    p_sweep.add_argument("--format", choices=["csv"], default="csv")
     p_sweep.set_defaults(func=cmd_sweep_beta)
 
     p_region = sub.add_parser("region", help="corner-support verdicts over a slope grid")
@@ -392,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--link", default="logit")
     p_region.add_argument("--grid-steps", type=int, default=201, dest="grid_steps", help=grid_help)
     p_region.add_argument("--boundary", help="also write region-edge segments to this CSV path")
-    p_region.add_argument("--format", choices=["csv"], default="csv")
     p_region.set_defaults(func=cmd_region)
 
     p_bench = sub.add_parser("bench", help="analytic vs lift-one on random instances")

@@ -58,7 +58,7 @@ import numpy as np
 from scipy import linalg
 
 from .design import Allocation, DesignProblem, SolveReport, _as_prob_vector, scale_columns
-from .errors import DomainError, as_float, as_int
+from .errors import DomainError, SolverError, as_float, as_int
 
 
 #: lift-one sweeps that locate the support before the Newton finish
@@ -330,7 +330,8 @@ def fi_profile(problem, p, i: int) -> tuple[float, float]:
 
     ``f_i(z) = alpha * z(1-z)^(d-1) + beta * (1-z)^d`` reproduces the
     objective along the lift-one path of coordinate i. A design problem
-    needs a nonsingular ``X' W X`` at p.
+    needs a nonsingular ``X' W X`` at p, and coefficients within the float
+    range (``SolverError`` otherwise; lift-one itself works in log space).
     """
     kind = _state_class(problem)
     n = problem.n_points
@@ -342,7 +343,10 @@ def fi_profile(problem, p, i: int) -> tuple[float, float]:
     state = _RankOne(problem, arr)
     alpha, beta = _relative_profile(float(arr[i]), state.sensitivity(i)[1], state.degree)
     f = state.objective()
-    return alpha * f, beta * f
+    alpha, beta = alpha * f, beta * f
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise SolverError("profile coefficients beyond the float range")
+    return alpha, beta
 
 
 def profile_value(alpha: float, beta: float, degree: int, z: float) -> float:

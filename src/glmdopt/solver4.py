@@ -6,18 +6,20 @@ The reduced objective on the probability simplex over four points is
 
 with nonnegative coefficients ``v``: the n = 4 saturated problem, carried
 as a :class:`~glmdopt.saturated.SaturatedProblem`. The maximizer is unique
-and is found by a case dispatch on the sorted coefficients:
+and is found by one case dispatch on the sorted coefficients. A smallest
+coefficient at most ``TIE_REL`` times the largest counts as exactly zero;
+in that zero band the same tests give the one-zero cases 2a-2d in place of
+cases i-v, and the zero point's mass is exactly 1/3:
 
 * dominant coefficient (``v4 >= v1 + v2 + v3``): mass 1/3 on the other
-  three points;
-* a tied pair: closed forms built from a single square root;
-* strictly ordered interior case: ``y1 = p1/p4`` solves a quartic whose
-  unique root above 1 is evaluated by radicals (complex arithmetic,
-  principal branches), then ``y2 = p2/p4`` and ``y3 = p3/p4`` follow by
-  back-substitution;
-* a zero smallest coefficient: rational closed forms; with more than one
-  zero the first of them (2a) applies, mass 1/3 on every point but the
-  largest coefficient's.
+  three points (case i, or 2a; with more than one zero 2a always applies);
+* a tied adjacent pair: one closed form built from a single square root
+  (ii-iv, or 2b and 2c, where the zero point's pair is not scanned);
+* otherwise, in the zero band, a rational closed form (2d);
+* otherwise the strictly ordered interior case (v): ``y1 = p1/p4`` solves
+  a quartic whose unique root above 1 is evaluated by radicals (complex
+  arithmetic, principal branches), then ``y2 = p2/p4`` and ``y3 = p3/p4``
+  follow by back-substitution.
 
 A residual check guards the radical evaluation; on failure the root is
 re-isolated by bisection on (1, B) where B bounds all roots. Whatever the
@@ -174,37 +176,12 @@ def _tie_pair_solution(v: np.ndarray, pair: str) -> np.ndarray:
     return p
 
 
-def _one_zero_sorted(u: np.ndarray):
-    """Closed forms for sorted coefficients with u[0] == 0 (rank-3 one-zero).
-
-    Returns (p_sorted, case_suffix). The first point's coefficient is treated
-    as exactly zero; ties among the rest use the same relative threshold as
-    the all-positive dispatch.
-    """
+def _one_zero_rational(u: np.ndarray) -> np.ndarray:
+    """Case 2d: sorted ``u`` with ``u[0] == 0``, no dominant coefficient and no tie."""
     _, u2, u3, u4 = u
-    tie = TIE_REL * u4
-    if u4 >= u2 + u3:
-        return np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0]), "2a"
-    if u3 - u2 <= tie:
-        den = 3.0 * (4.0 * u2 - u4)
-        shared = 2.0 * u2 / den
-        p = np.array([1.0 / 3.0, shared, shared, 0.5 - (4.0 * u2 + u4) / (2.0 * den)])
-        return p, "2b"
-    if u4 - u3 <= tie:
-        den = 3.0 * (4.0 * u3 - u2)
-        shared = 2.0 * u3 / den
-        p = np.array([1.0 / 3.0, 0.5 - (u2 + 4.0 * u3) / (2.0 * den), shared, shared])
-        return p, "2c"
-    delta = 2.0 * u2 * u3 + 2.0 * u2 * u4 + 2.0 * u3 * u4 - u2 * u2 - u3 * u3 - u4 * u4
-    p = np.array(
-        [
-            1.0 / 3.0,
-            2.0 * u2 * (u3 + u4 - u2) / (3.0 * delta),
-            2.0 * u3 * (u2 + u4 - u3) / (3.0 * delta),
-            2.0 * u4 * (u2 + u3 - u4) / (3.0 * delta),
-        ]
-    )
-    return p, "2d"
+    den = 3.0 * (2.0 * u2 * u3 + 2.0 * u2 * u4 + 2.0 * u3 * u4 - u2 * u2 - u3 * u3 - u4 * u4)
+    p2, p3 = 2.0 * u2 * (u3 + u4 - u2) / den, 2.0 * u3 * (u2 + u4 - u3) / den
+    return np.array([1.0 / 3.0, p2, p3, 2.0 * u4 * (u2 + u3 - u4) / den])
 
 
 def _interior_quartic(v: np.ndarray):
@@ -239,23 +216,25 @@ def solve_22(v) -> SolveReport:
     if sp.n != 4:
         raise DomainError(f"need exactly four coefficients, got {sp.n}")
     s = sp.v
+    # in the zero band the smallest coefficient counts as exactly 0, and the same
+    # dominance test and tie scan give the one-zero cases 2a-2c
+    zero = bool(s[0] <= TIE_REL * s[-1])
+    u = np.array([0.0, s[1], s[2], s[3]]) if zero else s
+    names = ("2a", "", "2b", "2c", "2d") if zero else ("i", "ii", "iii", "iv", "v")
     diag: dict = {}
-
-    if s[0] <= TIE_REL * s[-1]:
-        p_sorted, suffix = _one_zero_sorted(s)
-        label = f"2x2-case-{suffix}"
-    elif s[3] >= s[0] + s[1] + s[2]:
-        p_sorted = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0])
-        label = "2x2-case-i"
+    tie = TIE_REL * u[3]
+    if u[3] >= u[0] + u[1] + u[2]:
+        p_sorted, case = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0]), names[0]
     else:
-        tie = TIE_REL * s[-1]
-        for k, case in enumerate(("ii", "iii", "iv")):
-            if s[k + 1] - s[k] <= tie:
-                p_sorted = _tie_pair_solution(s, f"{k + 1}{k + 2}")
-                label = f"2x2-case-{case}"
+        # in the zero band only pairs of positive coefficients are scanned
+        for k in range(zero, 3):
+            if u[k + 1] - u[k] <= tie:
+                p_sorted, case = _tie_pair_solution(u, f"{k + 1}{k + 2}"), names[k + 1]
                 break
         else:
-            p_sorted, diag = _interior_quartic(s)
-            label = "2x2-case-v"
-
-    return sp.report(np.clip(p_sorted, 0.0, None), label, diag)
+            p_sorted, diag = (_one_zero_rational(u), diag) if zero else _interior_quartic(u)
+            case = names[4]
+    if zero:
+        # the tie pair's form leaves the zero point at 1/3 up to rounding
+        p_sorted[0] = 1.0 / 3.0
+    return sp.report(np.clip(p_sorted, 0.0, None), f"2x2-case-{case}", diag)

@@ -35,6 +35,22 @@ def _unit_problem(beta, fn=LOGIT):
     return ContinuousProblem(np.asarray(beta, float), (-1.0, 1.0, -1.0, 1.0), fn)
 
 
+def _mp_d(mp, beta, p4, a, b):
+    """Probit d(x) = 4 nu(x) h(x) / f(p4) at (a, b) in the precision of ``mp``, with
+    ``h`` in its pair form (a sum of q_i q_j times squared linear terms, q = p4 * w)."""
+    b0, b1, b2 = (mp.mpf(float(x)) for x in beta)
+
+    def weight(eta):
+        return mp.npdf(eta) ** 2 / (mp.ncdf(eta) * mp.ncdf(-eta))
+
+    q = [mp.mpf(float(p)) * weight(b0 + x * b1 + y * b2) for p, (x, y) in zip(p4, CORNERS)]
+    a, b = mp.mpf(a), mp.mpf(b)
+    h = (q[0] * q[1] * (1 - a) ** 2 + q[0] * q[2] * (1 - b) ** 2 + q[1] * q[3] * (1 + b) ** 2
+         + q[2] * q[3] * (1 + a) ** 2 + q[1] * q[2] * (a + b) ** 2 + q[0] * q[3] * (a - b) ** 2)
+    f = 16 * (q[0] * q[1] * q[2] + q[0] * q[1] * q[3] + q[0] * q[2] * q[3] + q[1] * q[2] * q[3])
+    return 4 * weight(b0 + a * b1 + b * b2) * h / f
+
+
 def x5_matrix(a, b):
     return np.vstack([np.column_stack([np.ones(4), CORNERS]), [1.0, a, b]])
 
@@ -253,6 +269,31 @@ class TestCheckBoundaryOptimal:
         with pytest.raises(DomainError, match="corner weights must be positive and finite"):
             check_boundary_optimal(_unit_problem([-1.0, 40.0, 40.0], WeightFunction.probit()))
 
+    def test_subnormal_corner_weight_is_a_domain_error(self):
+        # logit weights near 2e-313 at eta = -719 are positive, but 1/w overflows
+        with pytest.raises(DomainError, match="with finite reciprocals"):
+            check_boundary_optimal(_unit_problem([0.0, 360.0, 360.0]))
+
+    @pytest.mark.parametrize("slope", [30.0, 20.0])
+    def test_underflowing_corner_objective_is_not_optimal(self, slope):
+        # corner weights near 1e-182 and 1e-208 at slope 30: f(p4) and the margins
+        # underflow in linear space, and the verdict is taken in a power-of-two frame;
+        # a 50-digit d(x) at the reported argmin is far above 3
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        probit = WeightFunction.probit()
+        verdict = check_boundary_optimal(_unit_problem([-1.0, slope, 0.0], probit))
+        assert not verdict.boundary_optimal
+        assert _mp_d(mp, [-1.0, slope, 0.0], verdict.p4.p, *verdict.argmin) > 1e90
+
+    def test_corner_objective_below_the_normal_range_is_a_solver_error(self):
+        # corner weights (1, 1e-160, 1e-160, 1e-160): f(p4) is subnormal even with the
+        # largest q scaled into [1/2, 1), so the relative verdict tolerance means nothing
+        fn = WeightFunction.tabulated([-2.0, 0.0, 2.0], [1e-160, 1e-160, 1.0])
+        with pytest.raises(SolverError, match="beyond the float range"):
+            check_boundary_optimal(_unit_problem([0.0, 1.0, 1.0], fn))
+
     @pytest.mark.parametrize("slope", [300.0, 350.0, 360.0, 400.0])
     def test_margin_beyond_float_range_is_a_solver_error(self, slope):
         # log_poisson weights near exp(slope): h overflows at 300-350, f(p4) from 360
@@ -380,12 +421,18 @@ class TestRegionSweep:
 
     @pytest.mark.parametrize(
         "link, beta0, half, steps, s_grid_steps",
-        [("logit", -1.0, 2.0, 9, 101), ("probit", -1.0, 20.0, 11, 61), ("log_poisson", 0.0, 240.0, 11, 61)],
+        [
+            ("logit", -1.0, 2.0, 9, 101),
+            ("probit", -1.0, 20.0, 11, 61),
+            ("log_poisson", 0.0, 240.0, 11, 61),
+            ("logit", -1.0, 400.0, 9, 61),
+        ],
     )
     def test_sweep_matches_single_checks_bit_for_bit(self, link, beta0, half, steps, s_grid_steps):
         # the batched map against one check_boundary_optimal per node, over more nodes than
         # one chunk; the probit grid holds nodes with zero corner weights, the log_poisson
-        # grid nodes whose margins overflow
+        # grid nodes whose margins overflow, the logit +-400 grid nodes whose corner
+        # objectives underflow outside their power-of-two frames
         fn = WeightFunction.from_name(link)
         grid = region_sweep(beta0, (-half, half), (-half, half), steps, fn, s_grid_steps=s_grid_steps)
         min_s = np.full((steps, steps), np.nan)

@@ -283,6 +283,14 @@ class TestRegion:
         assert rows[4] == "0,0,0,1"
         assert all(row.endswith(",nan,failed") for row in rows[:4] + rows[5:])
 
+    def test_subnormal_corner_weights_print_failed(self, capsys):
+        # logit weights near 2e-313 at the four corner nodes: 1/w would overflow, and
+        # those nodes fail without a warning
+        assert main(["region", "--beta0", "0", "--range=-360:360", "--steps", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        failed = [row.split(",")[:2] for row in rows if row.endswith(",failed")]
+        assert failed == [["-360", "-360"], ["-360", "360"], ["360", "-360"], ["360", "360"]]
+
     def test_single_step_single_row(self, capsys):
         assert main(["region", "--beta0=-1", "--range=-2:2", "--steps", "1", "--grid-steps", "41"]) == 0
         lines = capsys.readouterr().out.splitlines()

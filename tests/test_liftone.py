@@ -9,6 +9,7 @@ from glmdopt import (
     DesignProblem,
     DomainError,
     LiftOneConfig,
+    SolverError,
     WeightFunction,
     build_model_matrix,
     compute_v,
@@ -354,3 +355,8 @@ class TestRankOne:
         problem = DesignProblem(X22, w=np.ones(4))
         with pytest.raises(DomainError, match="degenerate objective"):
             fi_profile(problem, np.array([0.5, 0.5, 0.0, 0.0]), 0)
+        # an objective beyond the float range has no float profile
+        for scale in (1e120, 1e200):
+            wide = DesignProblem(X22 * np.array([1.0, scale, scale]), w=np.arange(1.0, 5.0))
+            with pytest.raises(SolverError, match="beyond the float range"):
+                fi_profile(wide, np.full(4, 0.25), 0)

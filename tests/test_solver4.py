@@ -16,7 +16,7 @@ from glmdopt import (
 )
 from glmdopt.design import vform_log_sensitivities
 from glmdopt.liftone import MultilinearObjective
-from glmdopt.solver4 import _interior_quartic, _one_zero_sorted, _quartic_coeffs
+from glmdopt.solver4 import _interior_quartic, _one_zero_rational, _quartic_coeffs
 
 # closed-form solution for v = (1, 1, 2, 3), verified by a first-order gap
 # below 1e-15 and by the grid oracle
@@ -342,12 +342,14 @@ class TestDiscontinuityGuard:
     forms rather than take the interior-formula limit."""
 
     def test_dispatch_and_dominance(self):
-        p_2d, _ = _one_zero_sorted(np.array([0.0, 1.0, 2.0, 2.5]))
+        p_2d = _one_zero_rational(np.array([0.0, 1.0, 2.0, 2.5]))
         for eps in (1e-3, 1e-6, 1e-9):
             v = np.array([eps, 1.0, 2.0, 2.5])
             rep = solve_22(v)
             routed_to_2d = rep.case_label == "2x2-case-2d"
             assert routed_to_2d == (eps <= 1e-9 * 2.5)
+            # in the zero band the smallest coefficient counts as exactly 0
+            assert np.array_equal(rep.allocation.p, p_2d) == routed_to_2d
             # the dispatched answer never loses to the raw interior formulas
             p_interior, _ = _interior_quartic(v)
             assert rep.objective >= vform_objective(v, p_interior) - 1e-12 * rep.objective
