@@ -36,11 +36,26 @@ from .boundary import (
     region_sweep,
     rescale_problem,
 )
-from .design import DesignProblem, SolveReport, build_model_matrix, full_factorial_design
+from .design import (
+    DesignProblem,
+    SolveReport,
+    build_model_matrix,
+    full_factorial_design,
+    leave_one_out_minors,
+)
 from .errors import DomainError, SolverError, as_floats, as_int
 from .liftone import LiftOneConfig, liftone_maximize
-from .saturated import compute_v, solve_saturated
-from .twofactor import solve_fourpoint
+from .saturated import (
+    SaturatedProblem,
+    _finish,
+    _on_boundary,
+    _reduce,
+    _root_mu_rows,
+    _saturated_minors,
+    compute_v,
+    solve_saturated,
+)
+from .twofactor import _reduce_rank3, _solve_u, solve_fourpoint
 from .weights import WeightFunction
 
 
@@ -153,6 +168,91 @@ def dispatch_solve(problem: DesignProblem, method: str, tol: float) -> SolveRepo
     return liftone_maximize(problem, LiftOneConfig(tol=tol))
 
 
+def _attempt(solve, *args):
+    """``solve(*args)``, or the ``DomainError`` or ``SolverError`` it raises."""
+    try:
+        return solve(*args)
+    except (DomainError, SolverError) as exc:
+        return exc
+
+
+def _solve_each(problem: DesignProblem, betas, method: str, tol: float):
+    """:func:`dispatch_solve` row by row, lazily, so a caller that stops at an error
+    stops the solves there."""
+
+    def solve(beta):
+        row = DesignProblem(problem.X, beta=beta, weight_fn=problem.weight_fn)
+        return dispatch_solve(row, method, tol)
+
+    return (_attempt(solve, beta) for beta in betas)
+
+
+def _row_weights(problem: DesignProblem, betas):
+    """``(W, errors)``: row i of W is ``weight_fn(X @ betas[i])`` where that passes
+    the gates of :class:`DesignProblem`, and ``errors[i]`` the ``DomainError`` it
+    raises otherwise (None where it passes)."""
+    X, fn = problem.X, problem.weight_fn
+    # one X @ beta per row: a stacked B @ X.T rounds differently; the weight
+    # call is elementwise and takes the stack
+    etas = np.array([X @ beta for beta in betas]).reshape(len(betas), X.shape[0])
+    finite = np.isfinite(etas).all(axis=1)
+    W = np.full_like(etas, np.nan)
+    W[finite] = fn(etas[finite])
+    errors: list = [None] * len(W)
+    for i in np.flatnonzero(~(np.isfinite(W) & (W > 0.0)).all(axis=1)):
+        # the row's own DesignProblem raises the row's own error
+        try:
+            W[i] = DesignProblem(X, beta=betas[i], weight_fn=fn).w
+        except DomainError as exc:
+            errors[i] = exc
+    return W, errors
+
+
+def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
+    """:func:`dispatch_solve` of ``problem`` with each row of ``betas`` as its
+    coefficients, in row order: the report, or the ``DomainError`` or
+    ``SolverError`` that row raises.
+
+    ``problem`` gives X and the weight function. On a saturated shape
+    (``n == d + 1``, the four-point 4x3 one included) with method ``analytic``
+    or ``auto``, the leave-one-out minors and the rank decision are made once,
+    four-point rows go through ``solve_22`` and interior saturated rows share
+    one lockstep bisection; each entry equals the row's own solve bit for
+    bit. Other shapes and methods are solved one row at a time, lazily; so
+    are all rows when a predictor or weight raises a floating-point event
+    that the caller's ``np.errstate`` reports, which then comes where the
+    per-row loop meets it.
+    """
+    X = problem.X
+    n, d = X.shape
+    if method not in ("auto", "analytic") or n != d + 1:
+        return _solve_each(problem, betas, method, tol)
+    loud = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    try:
+        with np.errstate(**loud):
+            W, out = _row_weights(problem, betas)
+    except FloatingPointError:
+        return _solve_each(problem, betas, method, tol)
+    four = n == 4
+    try:
+        minors, zero, shift = (leave_one_out_minors if four else _saturated_minors)(X)
+    except DomainError as exc:
+        return [exc if err is None else err for err in out]
+
+    def solve_row(w):
+        """The row's report, or its SaturatedProblem when it needs the bisection."""
+        if four:
+            return _solve_u(_reduce_rank3(minors, zero, shift, w))
+        sp = _reduce(minors, zero, w, shift)
+        return _finish(sp, None) if _on_boundary(sp) else sp
+
+    out = [_attempt(solve_row, w) if err is None else err for w, err in zip(W, out)]
+    interior = [i for i, row in enumerate(out) if isinstance(row, SaturatedProblem)]
+    for i, ms in zip(interior, _root_mu_rows([out[i] for i in interior])):
+        out[i] = ms if isinstance(ms, Exception) else _attempt(_finish, out[i], ms)
+    return out
+
+
 def _report_dict(report: SolveReport) -> dict:
     return {
         "allocation": [float(x) for x in report.allocation.p],
@@ -226,12 +326,12 @@ def cmd_sweep_beta(args) -> int:
     values = grid_axis(lo, hi, steps)
     n = problem.X.shape[0]
     header = ["beta_value"] + [f"p{i + 1}" for i in range(n)] + ["objective", "case_label"]
+    betas = np.tile(problem.beta, (values.size, 1))
+    betas[:, idx] = values
     rows = []
-    for val in values:
-        beta = problem.beta.copy()
-        beta[idx] = val
-        prob = DesignProblem(problem.X, beta=beta, weight_fn=problem.weight_fn)
-        report = dispatch_solve(prob, args.method, args.tol)
+    for val, report in zip(values, dispatch_rows(problem, betas, args.method, args.tol)):
+        if not isinstance(report, SolveReport):
+            raise report
         rows.append([val] + list(report.allocation.p) + [report.objective, report.case_label])
     sys.stdout.write(_csv_lines(header, rows))
     return 0
@@ -308,18 +408,15 @@ def cmd_bench(args) -> int:
     seed = as_int(args.seed, f"--seed: must be >= 0, got {args.seed}", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     betas = sample(rng, (args.n_instances, X.shape[1]))
+    problem = DesignProblem(X, weight_fn=fn, w=np.ones(X.shape[0]))
 
     def run(method):
         """Log-objective per instance (None where the solve failed) and the wall time."""
-        log_objectives = []
         start = time.perf_counter()
-        for beta in betas:
-            try:
-                problem = DesignProblem(X, beta=beta, weight_fn=fn)
-                report = dispatch_solve(problem, method, args.tol)
-                log_objectives.append(report.diagnostics["log_objective"])
-            except (DomainError, SolverError):
-                log_objectives.append(None)
+        log_objectives = [
+            report.diagnostics["log_objective"] if isinstance(report, SolveReport) else None
+            for report in dispatch_rows(problem, betas, method, args.tol)
+        ]
         return log_objectives, time.perf_counter() - start
 
     log_analytic, time_a = run("analytic")

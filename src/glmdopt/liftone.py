@@ -330,8 +330,10 @@ def fi_profile(problem, p, i: int) -> tuple[float, float]:
 
     ``f_i(z) = alpha * z(1-z)^(d-1) + beta * (1-z)^d`` reproduces the
     objective along the lift-one path of coordinate i. A design problem
-    needs a nonsingular ``X' W X`` at p, and coefficients within the float
-    range (``SolverError`` otherwise; lift-one itself works in log space).
+    needs a nonsingular ``X' W X`` at p whose determinant and profile
+    coefficients lie within the float range: past it, or with a determinant
+    that underflows to zero, it raises ``SolverError`` (lift-one itself works
+    in log space).
     """
     kind = _state_class(problem)
     n = problem.n_points
@@ -343,6 +345,8 @@ def fi_profile(problem, p, i: int) -> tuple[float, float]:
     state = _RankOne(problem, arr)
     alpha, beta = _relative_profile(float(arr[i]), state.sensitivity(i)[1], state.degree)
     f = state.objective()
+    if f == 0.0:
+        raise SolverError("objective below the float range: det(X'WX) underflows to zero")
     alpha, beta = alpha * f, beta * f
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise SolverError("profile coefficients beyond the float range")

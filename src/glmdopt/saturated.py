@@ -61,6 +61,10 @@ from .errors import DomainError, SolverError, as_float, as_floats
 
 #: dominant-coefficient boundary comparison uses this relative rounding
 BOUNDARY_REL = 1e-12
+#: step cap of the mu bisection
+_BISECT_STEPS = 200
+#: root_mu's error when the largest coefficient dominates
+_DOMINANT = "dominant largest coefficient: the boundary allocation is optimal"
 
 
 @dataclass(frozen=True)
@@ -143,19 +147,41 @@ def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray, shift: int) -> 
     return SaturatedProblem(v, (e_top + 2 * shift) * math.log(2.0) + float(np.log(w).sum()))
 
 
+def _saturated_minors(X):
+    """:func:`~glmdopt.design.leave_one_out_minors` of an (n, n-1) X of rank n - 1."""
+    n, d = X.shape
+    if n != d + 1:
+        raise DomainError(f"need exactly one more point than model terms, got {n} points, {d} terms")
+    minors, zero, shift = leave_one_out_minors(X)
+    if zero.all():
+        raise DomainError("X has rank below the number of model terms; reparametrize the model")
+    return minors, zero, shift
+
+
 def compute_v(problem: DesignProblem) -> SaturatedProblem:
     """Reduced coefficients from the leave-one-row-out determinants.
 
     Requires ``n == d + 1`` and rank ``n - 1``, as decided by
     :func:`~glmdopt.design.leave_one_out_minors`.
     """
-    n, d = problem.X.shape
-    if n != d + 1:
-        raise DomainError(f"need exactly one more point than model terms, got {n} points, {d} terms")
-    minors, zero, shift = leave_one_out_minors(problem.X)
-    if zero.all():
-        raise DomainError("X has rank below the number of model terms; reparametrize the model")
+    minors, zero, shift = _saturated_minors(problem.X)
     return _reduce(minors, zero, problem.w, shift)
+
+
+def _m(t, z, zz):
+    """``M(z)`` of the module docstring over the last axis of ``t``, the ratios
+    ``t_j = v_j / v_n``; ``zz`` is ``z * z`` shaped to broadcast against ``t``."""
+    # 1 - (1 - z^2) t, exactly 1 at z = -1 and without cancellation at z = 0
+    r = np.sqrt((1.0 - t) + zz * t)
+    return 1.0 - (1.0 - z) * (t / (1.0 + r)).sum(axis=-1)
+
+
+def _mu_solve(sp: SaturatedProblem, z: float, iters: int, residual: float) -> MuSolve:
+    """The root ``z`` of ``M`` as a :class:`MuSolve`, or ``SolverError`` if it missed."""
+    if residual > 1e-9 * max(1.0, sp.n - 2.0):
+        raise SolverError(f"mu bisection failed to converge: residual {residual!r}")
+    vn = sp.v[-1]
+    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if z >= 0.0 else "h2", iters, residual)
 
 
 def root_mu(sp: SaturatedProblem) -> MuSolve:
@@ -168,36 +194,78 @@ def root_mu(sp: SaturatedProblem) -> MuSolve:
     ``h2`` otherwise. The residual is that of ``h(mu) = n - 2``, which equals
     ``(1 + z) M(z)``.
     """
-    vn = sp.v[-1]
-    t = sp.v[:-1] / vn
+    t = sp.v[:-1] / sp.v[-1]
 
     def m(z: float) -> float:
-        # 1 - (1 - z^2) t, exactly 1 at z = -1 and without cancellation at z = 0
-        r = np.sqrt((1.0 - t) + z * z * t)
-        return 1.0 - (1.0 - z) * float(np.sum(t / (1.0 + r)))
+        return float(_m(t, z, z * z))
 
     if m(-1.0) >= 0.0:
-        raise DomainError("dominant largest coefficient: the boundary allocation is optimal")
-    z, iters = _bisect_root(m, -1.0, 1.0)
-    residual = abs((1.0 + z) * m(z))
-    if residual > 1e-9 * max(1.0, sp.n - 2.0):
-        raise SolverError(f"mu bisection failed to converge: residual {residual!r}")
-    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if z >= 0.0 else "h2", iters, residual)
+        raise DomainError(_DOMINANT)
+    z, iters = _bisect_root(m, -1.0, 1.0, _BISECT_STEPS)
+    return _mu_solve(sp, z, iters, abs((1.0 + z) * m(z)))
 
 
-def solve_saturated(sp: SaturatedProblem) -> SolveReport:
-    """Optimal allocation for a saturated problem, in the input point order.
+def _root_mu_rows(sps) -> list:
+    """:func:`root_mu` of saturated problems of one size, as one lockstep bisection.
 
-    The objective is on the true scale, carried in log space as the
-    ``log_objective`` diagnostic next to the Kiefer-Wolfowitz
-    ``equivalence_gap``, zero exactly at the optimum. Interior solutions also
-    report ``mu`` and the multiplier ``lambda`` on the true scale and the
-    bisection quality.
+    Every row replays :func:`~glmdopt.design._bisect_root` on [-1, 1] with
+    ``M`` from the same :func:`_m`: the same midpoints, the same stops at
+    ``M(mid) == 0`` and at a midpoint equal to an end, and the same cap of
+    ``_BISECT_STEPS`` steps, so each result equals ``root_mu``'s bit for bit.
+    ``M(1)`` is exactly 1, so the bracket holds once ``M(-1) < 0``. A row
+    leaves the batch when it stops. Entry i is the ``MuSolve`` of ``sps[i]``,
+    or the ``DomainError`` or ``SolverError`` that ``root_mu`` raises for it.
     """
+    out: list = [None] * len(sps)
+    if not sps:
+        return out
+    V = np.stack([sp.v for sp in sps])
+    T = V[:, :-1] / V[:, -1:]
+    live = []
+    for i, f_lo in enumerate(_m(T, -1.0, 1.0).tolist()):
+        if f_lo >= 0.0:
+            out[i] = DomainError(_DOMINANT)
+        else:
+            live.append(i)
+    rows = np.array(live, dtype=np.intp)
+    z = np.empty(len(sps))
+    iters = np.full(len(sps), _BISECT_STEPS)
+    t, lo, hi = T[rows], np.full(rows.size, -1.0), np.full(rows.size, 1.0)
+    for it in range(1, _BISECT_STEPS + 1):
+        if not rows.size:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = _m(t, mid, (mid * mid)[:, None])
+        done = (mid == lo) | (mid == hi) | (fm == 0.0)
+        up = fm > 0.0
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+        if done.any():
+            z[rows[done]] = mid[done]
+            iters[rows[done]] = it
+            keep = ~done
+            rows, t, lo, hi = rows[keep], t[keep], lo[keep], hi[keep]
+    z[rows] = 0.5 * (lo + hi)
+    zs = z[live]
+    residual = np.abs((1.0 + zs) * _m(T[live], zs, (zs * zs)[:, None]))
+    for i, zi, res in zip(live, zs.tolist(), residual.tolist()):
+        try:
+            out[i] = _mu_solve(sps[i], zi, int(iters[i]), res)
+        except SolverError as exc:
+            out[i] = exc
+    return out
+
+
+def _on_boundary(sp: SaturatedProblem) -> bool:
+    """The largest coefficient dominates: the optimum is the point ``z = -1``."""
+    return sp.v[-1] >= float(np.sum(sp.v[:-1])) * (1.0 - BOUNDARY_REL)
+
+
+def _finish(sp: SaturatedProblem, ms: MuSolve | None) -> SolveReport:
+    """Report of ``sp`` at the boundary allocation (``ms`` is None) or at the root ``ms``."""
     v = sp.v
     n = sp.n
     vn = v[-1]
-    ms = None if vn >= float(np.sum(v[:-1])) * (1.0 - BOUNDARY_REL) else root_mu(sp)
     # the point z = -1 (mu = 0) is the boundary allocation; z itself is taken
     # from the constraint sum_{j<n} r_j + z = n - 2, accurate also near z = 0
     x = 0.0 if ms is None else ms.mu * vn
@@ -219,3 +287,15 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
         }
         label = f"saturated-{ms.branch}"
     return sp.report(p_sorted, label, diag)
+
+
+def solve_saturated(sp: SaturatedProblem) -> SolveReport:
+    """Optimal allocation for a saturated problem, in the input point order.
+
+    The objective is on the true scale, carried in log space as the
+    ``log_objective`` diagnostic next to the Kiefer-Wolfowitz
+    ``equivalence_gap``, zero exactly at the optimum. Interior solutions also
+    report ``mu`` and the multiplier ``lambda`` on the true scale and the
+    bisection quality.
+    """
+    return _finish(sp, None if _on_boundary(sp) else root_mu(sp))

@@ -20,17 +20,31 @@ from .saturated import SaturatedProblem, _reduce
 from .solver4 import solve_22
 
 
+def _reduce_rank3(minors, zero, shift, w) -> SaturatedProblem | None:
+    """:func:`~glmdopt.saturated._reduce`, or ``None`` when the minors say rank 2."""
+    # Two or three near-zero minors cannot happen for distinct rows with an
+    # intercept column except through roundoff on a rank-2 matrix.
+    if zero.sum() >= 2:
+        return None
+    return _reduce(minors, zero, w, shift)
+
+
 def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
     """Reduced coefficients of a 4x3 X, or ``None`` when it has rank 2."""
     X = problem.X
     if X.shape != (4, 3):
         raise DomainError(f"need a 4x3 design matrix, got {X.shape}")
     minors, zero, shift = leave_one_out_minors(X)
-    # Two or three near-zero minors cannot happen for distinct rows with an
-    # intercept column except through roundoff on a rank-2 matrix.
-    if zero.sum() >= 2:
-        return None
-    return _reduce(minors, zero, problem.w, shift)
+    return _reduce_rank3(minors, zero, shift, problem.w)
+
+
+def _solve_u(sp: SaturatedProblem | None) -> SolveReport:
+    """:func:`solve_fourpoint` from the reduced coefficients of :func:`compute_u`."""
+    if sp is None:
+        return SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {})
+    report = solve_22(sp)
+    label = report.case_label.replace("2x2-", "twofactor-", 1)
+    return SolveReport(report.allocation, report.objective, label, report.diagnostics)
 
 
 def solve_fourpoint(problem: DesignProblem) -> SolveReport:
@@ -42,9 +56,4 @@ def solve_fourpoint(problem: DesignProblem) -> SolveReport:
     rank-2 layout reports neither. The case label is that of ``solve_22``
     with ``twofactor-`` for its ``2x2-`` prefix.
     """
-    sp = compute_u(problem)
-    if sp is None:
-        return SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {})
-    report = solve_22(sp)
-    label = report.case_label.replace("2x2-", "twofactor-", 1)
-    return SolveReport(report.allocation, report.objective, label, report.diagnostics)
+    return _solve_u(compute_u(problem))

@@ -362,15 +362,18 @@ class TestBench:
         # analytic solves of chosen instances fail; the efficiency must still
         # compare the two methods on the same instance
         calls = {"analytic": 0, "liftone": 0}
-        dispatch = cli.dispatch_solve
+        dispatch = cli.dispatch_rows
 
-        def failing_dispatch(problem, method, tol):
-            calls[method] += 1
-            if method == "analytic" and calls[method] in (1, 4, 5, 9):
-                raise SolverError("injected failure")
-            return dispatch(problem, method, tol)
+        def failing_dispatch(problem, betas, method, tol):
+            out = []
+            for row in dispatch(problem, betas, method, tol):
+                calls[method] += 1
+                if method == "analytic" and calls[method] in (1, 4, 5, 9):
+                    row = SolverError("injected failure")
+                out.append(row)
+            return out
 
-        monkeypatch.setattr(cli, "dispatch_solve", failing_dispatch)
+        monkeypatch.setattr(cli, "dispatch_rows", failing_dispatch)
         args = ["bench", "--dist", "uniform:-3:3", "--n-instances", "20", "--seed", "2"]
         assert main(args) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -360,3 +360,11 @@ class TestRankOne:
             wide = DesignProblem(X22 * np.array([1.0, scale, scale]), w=np.arange(1.0, 5.0))
             with pytest.raises(SolverError, match="beyond the float range"):
                 fi_profile(wide, np.full(4, 0.25), 0)
+
+    def test_underflowing_objective_has_no_profile(self):
+        # full rank, and lift-one solves it in log space, but det(X'WX) is at
+        # most e^-1839.4, about 1e-799, below the float range
+        tiny = DesignProblem(X22 * 1e-200 + np.array([1.0, 0.0, 0.0]), w=np.arange(1.0, 5.0))
+        assert liftone_maximize(tiny).diagnostics["log_objective"] == pytest.approx(-1839.4, abs=0.1)
+        with pytest.raises(SolverError, match="below the float range"):
+            fi_profile(tiny, np.full(4, 0.25), 0)

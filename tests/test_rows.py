@@ -1,0 +1,278 @@
+"""The row path of ``sweep-beta`` and ``bench`` against one solve per row.
+
+:func:`glmdopt.cli.dispatch_rows` shares the X-only work of a saturated
+shape across rows and bisects every interior row in lockstep; each row must
+still come out exactly as its own :func:`glmdopt.cli.dispatch_solve`.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from glmdopt import (
+    DesignProblem,
+    DomainError,
+    SaturatedProblem,
+    SolverError,
+    WeightFunction,
+    build_model_matrix,
+    full_factorial_design,
+    root_mu,
+)
+from glmdopt import cli, saturated
+from glmdopt.cli import dispatch_rows, main
+from glmdopt.saturated import _root_mu_rows
+
+INTERACTION = [[], [0], [1], [0, 1]]
+LAYOUTS = {
+    "2x2": (build_model_matrix([[1, 1], [1, -1], [-1, 1], [-1, -1]]), 3.0),
+    "generic": (build_model_matrix([[-0.9, -0.6], [0.8, -0.7], [0.3, 0.9], [-0.5, 0.2]]), 3.0),
+    # three points on a line: one zero minor, the one-zero cases 2a-2d
+    "span": (build_model_matrix([[0, 0], [1, 1], [-1, -1], [1, -1]]), 3.0),
+    "rank2": (build_model_matrix([[0, 0], [1, 1], [2, 2], [-1, -1]]), 3.0),
+    "2^3": (full_factorial_design(3)[0], 1.0),
+    "2^4": (full_factorial_design(4)[0], 0.5),
+    "2^5": (full_factorial_design(5)[0], 0.3),
+    "five": (build_model_matrix([[-1, -1], [1, -1], [-1, 1], [1, 1], [0.3, 0.5]], INTERACTION), 1.5),
+    # four of the five points have x1 = x2: a dependent row, a zero v
+    "five-dependent": (
+        build_model_matrix([[0, 0], [1, 1], [-1, -1], [2, 2], [1, -1]], INTERACTION),
+        0.7,
+    ),
+}
+LINKS = ("logit", "probit", "log_poisson")
+
+
+def fingerprint(result):
+    """Everything a row reports, as exact bits: label, allocation, objective, diagnostics."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    diag = sorted((k, float(v).hex()) for k, v in result.diagnostics.items())
+    alloc = result.allocation.p.tobytes()
+    return result.case_label, alloc, float(result.objective).hex(), diag
+
+
+def solve_each(problem, betas, method):
+    out = []
+    for beta in betas:
+        try:
+            row = DesignProblem(problem.X, beta=beta, weight_fn=problem.weight_fn)
+            out.append(cli.dispatch_solve(row, method, 1e-12))
+        except (DomainError, SolverError) as exc:
+            out.append(exc)
+    return out
+
+
+def coefficient_rows(rng, d, box):
+    """Seeded draws near zero and out to the boundary cases, plus special rows."""
+    rows = [
+        rng.uniform(-box, box, (40, d)),
+        rng.uniform(-4.0 * box, 4.0 * box, (8, d)),
+        np.zeros((1, d)),  # equal weights, so equal coefficients on a factorial
+        # every weight near exp(-600): the scale lives in log_scale alone
+        np.array([[-600.0] + [0.1] * (d - 1)]),
+        # probit weights that underflow to zero: those rows fail
+        np.array([[45.0] + [0.0] * (d - 1), [0.5, 45.0] + [0.0] * (d - 2)]),
+    ]
+    return np.vstack(rows)
+
+
+def test_rows_match_one_solve_per_row():
+    rng = np.random.default_rng(20261019)
+    labels = set()
+    records = 0
+    for name, (X, box) in LAYOUTS.items():
+        for link in LINKS:
+            problem = DesignProblem(X, weight_fn=WeightFunction.from_name(link), w=np.ones(len(X)))
+            betas = coefficient_rows(rng, X.shape[1], box)
+            for method in ("analytic", "auto"):
+                got = dispatch_rows(problem, betas, method, 1e-12)
+                # the shared path, not the per-row fallback
+                assert isinstance(got, list), (name, link)
+                want = solve_each(problem, betas, method)
+                assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want], (name, link)
+                records += len(want)
+            labels |= {r.case_label for r in want if not isinstance(r, Exception)}
+            if name == "five-dependent":
+                solved = [r for r in want if not isinstance(r, Exception)]
+                assert any(r.diagnostics["zero_count"] > 0 for r in solved)
+    assert records > 2500
+    assert {
+        "saturated-boundary",
+        "saturated-h1",
+        "saturated-h2",
+        "twofactor-case-i",
+        "twofactor-case-v",
+        "twofactor-case-2a",
+        "twofactor-case-2d",
+        "degenerate-rank2",
+    } <= labels
+
+
+def test_x_errors_reach_every_row_after_its_weight_gate():
+    # rank-deficient saturated X: the rank error, except where the weights fail first
+    X = build_model_matrix([[0, 0], [1, 1], [-1, -1], [2, 2], [3, 3]], INTERACTION)
+    problem = DesignProblem(X, weight_fn=WeightFunction.probit(), w=np.ones(5))
+    betas = np.array([[0.1, 0.2, 0.3, 0.0], [45.0, 0.0, 0.0, 0.0], [0.0, 0.1, 0.0, 0.0]])
+    got = [fingerprint(r) for r in dispatch_rows(problem, betas, "analytic", 1e-12)]
+    assert got == [fingerprint(r) for r in solve_each(problem, betas, "analytic")]
+    assert got[0][1].startswith("X has rank below") and got[1][1].startswith("weights must")
+
+
+def test_other_shapes_and_methods_solve_row_by_row():
+    X = build_model_matrix([[1, 1], [1, -1], [-1, 1], [-1, -1], [0, 0]])
+    problem = DesignProblem(X, weight_fn=WeightFunction.logit(), w=np.ones(5))
+    betas = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 3))
+    for method in ("auto", "liftone", "analytic"):
+        got = [fingerprint(r) for r in dispatch_rows(problem, betas, method, 1e-12)]
+        assert got == [fingerprint(r) for r in solve_each(problem, betas, method)]
+
+
+def test_floating_point_events_keep_the_per_row_loop():
+    # exp overflows on the last row: under errstate(over="raise") the batch
+    # leaves every row to the per-row loop, which raises where it used to
+    X, _ = full_factorial_design(2)
+    problem = DesignProblem(X, weight_fn=WeightFunction.log_poisson(), w=np.ones(4))
+    betas = np.array([[0.1, 0.2, 0.3], [800.0, 0.0, 0.0]])
+    with np.errstate(over="raise"):
+        rows = dispatch_rows(problem, betas, "analytic", 1e-12)
+        assert fingerprint(next(rows)) == fingerprint(solve_each(problem, betas[:1], "analytic")[0])
+        with pytest.raises(FloatingPointError):
+            next(rows)
+    with np.errstate(over="ignore"):
+        got = dispatch_rows(problem, betas, "analytic", 1e-12)
+        assert isinstance(got, list)
+        want = solve_each(problem, betas, "analytic")
+        assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
+
+
+def lockstep_draws(rng, n):
+    """Coefficient vectors of size n: uniform, near dominance (as in
+    TestNearDominance), near ties, with zeros, dominant, and far-scaled."""
+    draws = []
+    for _ in range(40):
+        draws.append(rng.uniform(0.05, 1.0, n))
+        v = rng.uniform(0.05, 1.0, n - 1)
+        draws.append(np.append(v, rng.uniform(0.8, 1.0) * v.sum()))
+        draws.append(np.append(v, rng.uniform(0.999999, 1.0) * v.sum()))
+        draws.append(1.0 + rng.uniform(0.0, 1e-9, n))
+        zeros = rng.uniform(0.05, 1.0, n)
+        zeros[rng.choice(n, size=max(1, n // 4), replace=False)] = 0.0
+        draws.append(zeros)
+        draws.append(np.append(v, rng.uniform(1.0, 2.0) * v.sum()))
+        draws.append(rng.uniform(0.05, 1.0, n) * 2.0 ** rng.integers(-900, 900))
+    return [SaturatedProblem(v) for v in draws if np.count_nonzero(v) >= 1]
+
+
+def mu_fingerprint(result):
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return (
+        float(result.mu).hex(),
+        result.branch,
+        result.iterations,
+        float(result.residual).hex(),
+    )
+
+
+def root_mu_each(sps):
+    out = []
+    for sp in sps:
+        try:
+            out.append(root_mu(sp))
+        except (DomainError, SolverError) as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 32])
+def test_lockstep_bisection_matches_root_mu(n):
+    sps = lockstep_draws(np.random.default_rng(500 + n), n)
+    if n == 3:
+        # M(0) is exactly 0: the bisection stops at its first midpoint
+        sps.append(SaturatedProblem([0.75, 0.75, 1.0]))
+    got = [mu_fingerprint(r) for r in _root_mu_rows(sps)]
+    want = [mu_fingerprint(r) for r in root_mu_each(sps)]
+    assert got == want
+    if n == 3:
+        assert want[-1][2] == 1
+    iterations = [w[2] for w in want if len(w) == 4]
+    assert len(set(iterations)) > 1
+
+
+@pytest.mark.parametrize("cap", [10, 40])
+def test_lockstep_step_cap_matches_root_mu(monkeypatch, cap):
+    # a lower cap stops rows before they converge: at 10 steps their residual
+    # is a SolverError, at 40 they pass it with `cap` iterations
+    monkeypatch.setattr(saturated, "_BISECT_STEPS", cap)
+    sps = lockstep_draws(np.random.default_rng(77), 8)
+    got = [mu_fingerprint(r) for r in _root_mu_rows(sps)]
+    want = [mu_fingerprint(r) for r in root_mu_each(sps)]
+    assert got == want
+    if cap == 10:
+        assert any(w[0] == "SolverError" for w in want)
+    else:
+        assert any(len(w) == 4 and w[2] == cap for w in want)
+
+
+def test_lockstep_of_no_rows():
+    assert _root_mu_rows([]) == []
+
+
+def write_problem(tmp_path, payload):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+SAT3 = {
+    "link": "probit",
+    "beta": [0.1, -0.2, 0.3, 0.05, -0.1, 0.2, 0.15],
+    "design_points": [[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)],
+    "model_terms": [[], [0], [1], [2], [0, 1], [0, 2], [1, 2]],
+}
+
+
+def per_row_main(monkeypatch, argv, capsys):
+    """``main(argv)`` with the rows solved one at a time, as before the row path."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "dispatch_rows", lambda problem, betas, method, _: solve_each(problem, betas, method))
+        rc = main(argv)
+    return rc, capsys.readouterr()
+
+
+def test_sweep_stops_at_the_first_failing_row(tmp_path, capsys, monkeypatch):
+    # the middle row's probit weights underflow to zero (|eta| >= 40)
+    argv = ["sweep-beta", write_problem(tmp_path, SAT3), "--vary", "1", "--range=-1:81:3"]
+    want_rc, want = per_row_main(monkeypatch, argv, capsys)
+    assert main(argv) == want_rc == 2
+    got = capsys.readouterr()
+    assert got.out == want.out == ""
+    assert got.err == want.err == "input error: weights must be positive and finite\n"
+
+
+def test_sweep_rows_match_the_per_row_loop(tmp_path, capsys, monkeypatch):
+    argv = ["sweep-beta", write_problem(tmp_path, SAT3), "--vary", "2", "--range=-1:1:9"]
+    want_rc, want = per_row_main(monkeypatch, argv, capsys)
+    assert main(argv) == want_rc == 0
+    got = capsys.readouterr()
+    assert got.out == want.out
+    assert len(got.out.splitlines()) == 10
+
+
+def without_time(text):
+    return [line.split(",")[:3] + line.split(",")[4:] for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("model", ["2x2", "2^3"])
+def test_bench_with_failing_instances_matches_the_per_row_loop(capsys, monkeypatch, model):
+    argv = ["bench", "--model", model, "--link", "probit", "--dist", "uniform:-40:40"]
+    argv += ["--n-instances", "30", "--seed", "4"]
+    want_rc, want = per_row_main(monkeypatch, argv, capsys)
+    assert main(argv) == want_rc == 0
+    got = without_time(capsys.readouterr().out)
+    assert got == without_time(want.out)
+    # most instances fail on both methods; the rest are paired for efficiency
+    analytic, liftone = got[1], got[2]
+    assert int(analytic[2]) == int(liftone[2]) > 0
