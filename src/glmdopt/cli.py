@@ -45,16 +45,7 @@ from .design import (
 )
 from .errors import DomainError, SolverError, as_floats, as_int
 from .liftone import LiftOneConfig, liftone_maximize
-from .saturated import (
-    SaturatedProblem,
-    _finish,
-    _on_boundary,
-    _reduce,
-    _root_mu_rows,
-    _saturated_minors,
-    compute_v,
-    solve_saturated,
-)
+from .saturated import _reduce, _saturated_minors, compute_v, solve_saturated
 from .twofactor import _reduce_rank3, _solve_u, solve_fourpoint
 from .weights import WeightFunction
 
@@ -215,13 +206,13 @@ def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
 
     ``problem`` gives X and the weight function. On a saturated shape
     (``n == d + 1``, the four-point 4x3 one included) with method ``analytic``
-    or ``auto``, the leave-one-out minors and the rank decision are made once,
-    four-point rows go through ``solve_22`` and interior saturated rows share
-    one lockstep bisection; each entry equals the row's own solve bit for
-    bit. Other shapes and methods are solved one row at a time, lazily; so
-    are all rows when a predictor or weight raises a floating-point event
-    that the caller's ``np.errstate`` reports, which then comes where the
-    per-row loop meets it.
+    or ``auto``, the leave-one-out minors and the rank decision are made once
+    and the weights of all rows come from one call; each row then goes
+    through ``solve_22`` (four points) or :func:`solve_saturated`, and its
+    entry equals the row's own solve bit for bit. Other shapes and methods
+    are solved one row at a time, lazily; so are all rows when a predictor
+    or weight raises a floating-point event that the caller's
+    ``np.errstate`` reports, which then comes where the per-row loop meets it.
     """
     X = problem.X
     n, d = X.shape
@@ -240,17 +231,11 @@ def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
         return [exc if err is None else err for err in out]
 
     def solve_row(w):
-        """The row's report, or its SaturatedProblem when it needs the bisection."""
         if four:
             return _solve_u(_reduce_rank3(minors, zero, shift, w))
-        sp = _reduce(minors, zero, w, shift)
-        return _finish(sp, None) if _on_boundary(sp) else sp
+        return solve_saturated(_reduce(minors, zero, w, shift))
 
-    out = [_attempt(solve_row, w) if err is None else err for w, err in zip(W, out)]
-    interior = [i for i, row in enumerate(out) if isinstance(row, SaturatedProblem)]
-    for i, ms in zip(interior, _root_mu_rows([out[i] for i in interior])):
-        out[i] = ms if isinstance(ms, Exception) else _attempt(_finish, out[i], ms)
-    return out
+    return [_attempt(solve_row, w) if err is None else err for w, err in zip(W, out)]
 
 
 def _report_dict(report: SolveReport) -> dict:

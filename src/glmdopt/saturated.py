@@ -29,7 +29,9 @@ Sorted ascending, with ``t_j = v_j / v_n``:
   ``h2``; from 0 to 1 it runs back down on ``h1``. The residual thus falls
   then rises, starting from 0 with slope ``M(-1)``: M, with ``M(1) = 1``,
   changes sign exactly once when ``M(-1) < 0`` and never otherwise.
-  ``z >= 0`` is the ``h1`` branch, ``z < 0`` the ``h2`` one;
+  ``z >= 0`` is the ``h1`` branch, ``z < 0`` the ``h2`` one, so the sign of
+  ``M(0) = sum_{j<n} sqrt(1 - t_j) - (n - 2)`` is the branch rule and picks
+  the half bracket, [0, 1] or [-1, 0], on which Brent's method finds ``z``;
 * ``M(-1) = 1 - sum_{j<n} t_j >= 0`` means the largest coefficient
   dominates the others; the optimum is then the point ``z = -1``: mass
   1/(n-1) on every other point (objective ``v_n / (n-1)^(n-1)``).
@@ -47,12 +49,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .design import (
+    EPS,
     Allocation,
     DesignProblem,
     SolveReport,
-    _bisect_root,
     leave_one_out_minors,
     safe_exp,
     vform_log_sensitivities,
@@ -61,10 +64,9 @@ from .errors import DomainError, SolverError, as_float, as_floats
 
 #: dominant-coefficient boundary comparison uses this relative rounding
 BOUNDARY_REL = 1e-12
-#: step cap of the mu bisection
-_BISECT_STEPS = 200
-#: root_mu's error when the largest coefficient dominates
-_DOMINANT = "dominant largest coefficient: the boundary allocation is optimal"
+#: absolute and relative tolerances of the root search for z (brentq's smallest rtol)
+_XTOL = 2.0**-60
+_RTOL = 4.0 * EPS
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,8 @@ class SaturatedProblem:
 
 @dataclass(frozen=True)
 class MuSolve:
-    """Root of the radical-sum equation: value, branch, and solve quality."""
+    """Root of the radical-sum equation: value, branch, and root-search quality
+    (evaluations of ``M`` and the residual of ``h(mu) = n - 2``)."""
 
     mu: float
     branch: str  # "h1" (all plus roots) or "h2" (last point on the minus root)
@@ -168,125 +171,43 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
     return _reduce(minors, zero, problem.w, shift)
 
 
-def _m(t, z, zz):
-    """``M(z)`` of the module docstring over the last axis of ``t``, the ratios
-    ``t_j = v_j / v_n``; ``zz`` is ``z * z`` shaped to broadcast against ``t``."""
-    # 1 - (1 - z^2) t, exactly 1 at z = -1 and without cancellation at z = 0
-    r = np.sqrt((1.0 - t) + zz * t)
-    return 1.0 - (1.0 - z) * (t / (1.0 + r)).sum(axis=-1)
-
-
-def _mu_solve(sp: SaturatedProblem, z: float, iters: int, residual: float) -> MuSolve:
-    """The root ``z`` of ``M`` as a :class:`MuSolve`, or ``SolverError`` if it missed."""
-    if residual > 1e-9 * max(1.0, sp.n - 2.0):
-        raise SolverError(f"mu bisection failed to converge: residual {residual!r}")
-    vn = sp.v[-1]
-    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if z >= 0.0 else "h2", iters, residual)
-
-
 def root_mu(sp: SaturatedProblem) -> MuSolve:
-    """Solve the radical-sum equation for mu; the branch follows from the root.
+    """Solve the radical-sum equation for mu; the branch is the sign of ``M(0)``.
 
-    One bisection of ``M(z)`` on [-1, 1] (see the module docstring), where
-    ``z`` is the signed root of the largest point: ``M(-1) < 0`` unless the
-    largest coefficient dominates, ``M(1) = 1``, and the sign changes once.
-    ``mu = (1 - z)(1 + z) / v_n``; the branch is ``h1`` for ``z >= 0`` and
-    ``h2`` otherwise. The residual is that of ``h(mu) = n - 2``, which equals
-    ``(1 + z) M(z)``.
+    Brent's method (:func:`scipy.optimize.brentq`) finds the root ``z`` of
+    ``M`` (see the module docstring) on [0, 1] (``h1``) when ``M(0) < 0`` and
+    on [-1, 0] (``h2``) when ``M(0) > 0``; ``M(0) = 0`` is the root ``z = 0``
+    on ``h1``. ``mu = (1 - z)(1 + z) / v_n``; ``iterations`` counts the
+    evaluations of ``M``, and the residual, that of ``h(mu) = n - 2``, is
+    ``(1 + z) M(z)``. A dominant largest coefficient is a ``DomainError``.
     """
-    t = sp.v[:-1] / sp.v[-1]
+    vn = sp.v[-1]
+    t = sp.v[:-1] / vn
+    s = 1.0 - t
+    calls = 0
 
     def m(z: float) -> float:
-        return float(_m(t, z, z * z))
+        nonlocal calls
+        calls += 1
+        # 1 - (1 - z^2) t, exactly 1 at z = -1 and without cancellation at z = 0
+        r = np.sqrt(s + (z * z) * t)
+        return float(1.0 - (1.0 - z) * (t / (1.0 + r)).sum())
 
     if m(-1.0) >= 0.0:
-        raise DomainError(_DOMINANT)
-    z, iters = _bisect_root(m, -1.0, 1.0, _BISECT_STEPS)
-    return _mu_solve(sp, z, iters, abs((1.0 + z) * m(z)))
-
-
-def _root_mu_rows(sps) -> list:
-    """:func:`root_mu` of saturated problems of one size, as one lockstep bisection.
-
-    Every row replays :func:`~glmdopt.design._bisect_root` on [-1, 1] with
-    ``M`` from the same :func:`_m`: the same midpoints, the same stops at
-    ``M(mid) == 0`` and at a midpoint equal to an end, and the same cap of
-    ``_BISECT_STEPS`` steps, so each result equals ``root_mu``'s bit for bit.
-    ``M(1)`` is exactly 1, so the bracket holds once ``M(-1) < 0``. A row
-    leaves the batch when it stops. Entry i is the ``MuSolve`` of ``sps[i]``,
-    or the ``DomainError`` or ``SolverError`` that ``root_mu`` raises for it.
-    """
-    out: list = [None] * len(sps)
-    if not sps:
-        return out
-    V = np.stack([sp.v for sp in sps])
-    T = V[:, :-1] / V[:, -1:]
-    live = []
-    for i, f_lo in enumerate(_m(T, -1.0, 1.0).tolist()):
-        if f_lo >= 0.0:
-            out[i] = DomainError(_DOMINANT)
-        else:
-            live.append(i)
-    rows = np.array(live, dtype=np.intp)
-    z = np.empty(len(sps))
-    iters = np.full(len(sps), _BISECT_STEPS)
-    t, lo, hi = T[rows], np.full(rows.size, -1.0), np.full(rows.size, 1.0)
-    for it in range(1, _BISECT_STEPS + 1):
-        if not rows.size:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = _m(t, mid, (mid * mid)[:, None])
-        done = (mid == lo) | (mid == hi) | (fm == 0.0)
-        up = fm > 0.0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-        if done.any():
-            z[rows[done]] = mid[done]
-            iters[rows[done]] = it
-            keep = ~done
-            rows, t, lo, hi = rows[keep], t[keep], lo[keep], hi[keep]
-    z[rows] = 0.5 * (lo + hi)
-    zs = z[live]
-    residual = np.abs((1.0 + zs) * _m(T[live], zs, (zs * zs)[:, None]))
-    for i, zi, res in zip(live, zs.tolist(), residual.tolist()):
+        raise DomainError("dominant largest coefficient: the boundary allocation is optimal")
+    m0 = m(0.0)
+    z = 0.0
+    if m0 != 0.0:
+        lo, hi = (0.0, 1.0) if m0 < 0.0 else (-1.0, 0.0)
         try:
-            out[i] = _mu_solve(sps[i], zi, int(iters[i]), res)
-        except SolverError as exc:
-            out[i] = exc
-    return out
-
-
-def _on_boundary(sp: SaturatedProblem) -> bool:
-    """The largest coefficient dominates: the optimum is the point ``z = -1``."""
-    return sp.v[-1] >= float(np.sum(sp.v[:-1])) * (1.0 - BOUNDARY_REL)
-
-
-def _finish(sp: SaturatedProblem, ms: MuSolve | None) -> SolveReport:
-    """Report of ``sp`` at the boundary allocation (``ms`` is None) or at the root ``ms``."""
-    v = sp.v
-    n = sp.n
-    vn = v[-1]
-    # the point z = -1 (mu = 0) is the boundary allocation; z itself is taken
-    # from the constraint sum_{j<n} r_j + z = n - 2, accurate also near z = 0
-    x = 0.0 if ms is None else ms.mu * vn
-    r = np.sqrt(np.clip(1.0 - x * (v[:-1] / vn), 0.0, None))
-    p_sorted = (1.0 + np.append(r, (n - 2) - float(np.sum(r)))) / (2.0 * (n - 1))
-    if ms is None:
-        diag = {"zero_count": float(sp.zero_count)}
-        label = "saturated-boundary"
-    else:
-        prod_p = float(np.prod(p_sorted))
-        diag = {
-            "mu": ms.mu * safe_exp(-sp.log_scale),
-            "mu_scaled": ms.mu,
-            "log_scale": sp.log_scale,
-            "lambda": 4.0 * (n - 1) ** 2 * prod_p / ms.mu * safe_exp(sp.log_scale),
-            "mu_residual": ms.residual,
-            "bisect_iterations": float(ms.iterations),
-            "zero_count": float(sp.zero_count),
-        }
-        label = f"saturated-{ms.branch}"
-    return sp.report(p_sorted, label, diag)
+            z = brentq(m, lo, hi, xtol=_XTOL, rtol=_RTOL)
+        except RuntimeError as exc:
+            raise SolverError(f"mu root search failed to converge: {exc}") from None
+    iterations = calls
+    residual = abs((1.0 + z) * m(z))
+    if residual > 1e-9 * max(1.0, sp.n - 2.0):
+        raise SolverError(f"mu root search failed to converge: residual {residual!r}")
+    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if m0 <= 0.0 else "h2", iterations, residual)
 
 
 def solve_saturated(sp: SaturatedProblem) -> SolveReport:
@@ -296,6 +217,28 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
     ``log_objective`` diagnostic next to the Kiefer-Wolfowitz
     ``equivalence_gap``, zero exactly at the optimum. Interior solutions also
     report ``mu`` and the multiplier ``lambda`` on the true scale and the
-    bisection quality.
+    root-search quality of :func:`root_mu`.
     """
-    return _finish(sp, None if _on_boundary(sp) else root_mu(sp))
+    v = sp.v
+    n = sp.n
+    vn = v[-1]
+    # a dominant largest coefficient puts the optimum at the point z = -1 (mu = 0),
+    # the boundary allocation
+    ms = None if vn >= float(np.sum(v[:-1])) * (1.0 - BOUNDARY_REL) else root_mu(sp)
+    # z itself is taken from the constraint sum_{j<n} r_j + z = n - 2, accurate
+    # also near z = 0
+    x = 0.0 if ms is None else ms.mu * vn
+    r = np.sqrt(np.clip(1.0 - x * (v[:-1] / vn), 0.0, None))
+    p_sorted = (1.0 + np.append(r, (n - 2) - float(np.sum(r)))) / (2.0 * (n - 1))
+    if ms is None:
+        return sp.report(p_sorted, "saturated-boundary", {"zero_count": float(sp.zero_count)})
+    diag = {
+        "mu": ms.mu * safe_exp(-sp.log_scale),
+        "mu_scaled": ms.mu,
+        "log_scale": sp.log_scale,
+        "lambda": 4.0 * (n - 1) ** 2 * float(np.prod(p_sorted)) / ms.mu * safe_exp(sp.log_scale),
+        "mu_residual": ms.residual,
+        "bisect_iterations": float(ms.iterations),
+        "zero_count": float(sp.zero_count),
+    }
+    return sp.report(p_sorted, f"saturated-{ms.branch}", diag)

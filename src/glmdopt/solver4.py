@@ -22,7 +22,7 @@ cases i-v, and the zero point's mass is exactly 1/3:
   follow by back-substitution.
 
 A residual check guards the radical evaluation; on failure the root is
-re-isolated by bisection on (1, B) where B bounds all roots. Whatever the
+re-isolated by Brent's method on (1, B] where B bounds all roots. Whatever the
 case, the report is certified by the Kiefer-Wolfowitz equivalence gap
 computed from :func:`~glmdopt.design.vform_log_sensitivities`.
 """
@@ -33,10 +33,11 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .design import Allocation, SolveReport, _bisect_root
+from .design import Allocation, SolveReport
 from .errors import DomainError, SolverError, as_float, as_floats
-from .saturated import SaturatedProblem
+from .saturated import _RTOL, _XTOL, SaturatedProblem
 
 #: two coefficients are tied (and a coefficient is zero) below this relative gap
 TIE_REL = 1e-9
@@ -119,7 +120,12 @@ def solve_quartic(c) -> QuarticRoot:
         if _quartic_value(c, hi) > 0.0:
             break
         hi *= 2.0
-    root, _ = _bisect_root(lambda y: _quartic_value(c, y), 1.0, hi)
+    if _quartic_value(c, hi) < 0.0:
+        raise SolverError(f"quartic has no sign change on (1, {hi!r}]")
+    try:
+        root = brentq(lambda y: _quartic_value(c, y), 1.0, hi, xtol=_XTOL, rtol=_RTOL)
+    except RuntimeError as exc:
+        raise SolverError(f"quartic root search failed to converge: {exc}") from None
     residual = abs(_quartic_value(c, root))
     return QuarticRoot(root, residual, scale_at(root), used_fallback=True)
 

@@ -1,7 +1,7 @@
 """The row path of ``sweep-beta`` and ``bench`` against one solve per row.
 
 :func:`glmdopt.cli.dispatch_rows` shares the X-only work of a saturated
-shape across rows and bisects every interior row in lockstep; each row must
+shape across rows and makes one weight call for all of them; each row must
 still come out exactly as its own :func:`glmdopt.cli.dispatch_solve`.
 """
 
@@ -13,16 +13,13 @@ import pytest
 from glmdopt import (
     DesignProblem,
     DomainError,
-    SaturatedProblem,
     SolverError,
     WeightFunction,
     build_model_matrix,
     full_factorial_design,
-    root_mu,
 )
-from glmdopt import cli, saturated
+from glmdopt import cli
 from glmdopt.cli import dispatch_rows, main
-from glmdopt.saturated import _root_mu_rows
 
 INTERACTION = [[], [0], [1], [0, 1]]
 LAYOUTS = {
@@ -145,79 +142,6 @@ def test_floating_point_events_keep_the_per_row_loop():
         assert isinstance(got, list)
         want = solve_each(problem, betas, "analytic")
         assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
-
-
-def lockstep_draws(rng, n):
-    """Coefficient vectors of size n: uniform, near dominance (as in
-    TestNearDominance), near ties, with zeros, dominant, and far-scaled."""
-    draws = []
-    for _ in range(40):
-        draws.append(rng.uniform(0.05, 1.0, n))
-        v = rng.uniform(0.05, 1.0, n - 1)
-        draws.append(np.append(v, rng.uniform(0.8, 1.0) * v.sum()))
-        draws.append(np.append(v, rng.uniform(0.999999, 1.0) * v.sum()))
-        draws.append(1.0 + rng.uniform(0.0, 1e-9, n))
-        zeros = rng.uniform(0.05, 1.0, n)
-        zeros[rng.choice(n, size=max(1, n // 4), replace=False)] = 0.0
-        draws.append(zeros)
-        draws.append(np.append(v, rng.uniform(1.0, 2.0) * v.sum()))
-        draws.append(rng.uniform(0.05, 1.0, n) * 2.0 ** rng.integers(-900, 900))
-    return [SaturatedProblem(v) for v in draws if np.count_nonzero(v) >= 1]
-
-
-def mu_fingerprint(result):
-    if isinstance(result, Exception):
-        return type(result).__name__, str(result)
-    return (
-        float(result.mu).hex(),
-        result.branch,
-        result.iterations,
-        float(result.residual).hex(),
-    )
-
-
-def root_mu_each(sps):
-    out = []
-    for sp in sps:
-        try:
-            out.append(root_mu(sp))
-        except (DomainError, SolverError) as exc:
-            out.append(exc)
-    return out
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 32])
-def test_lockstep_bisection_matches_root_mu(n):
-    sps = lockstep_draws(np.random.default_rng(500 + n), n)
-    if n == 3:
-        # M(0) is exactly 0: the bisection stops at its first midpoint
-        sps.append(SaturatedProblem([0.75, 0.75, 1.0]))
-    got = [mu_fingerprint(r) for r in _root_mu_rows(sps)]
-    want = [mu_fingerprint(r) for r in root_mu_each(sps)]
-    assert got == want
-    if n == 3:
-        assert want[-1][2] == 1
-    iterations = [w[2] for w in want if len(w) == 4]
-    assert len(set(iterations)) > 1
-
-
-@pytest.mark.parametrize("cap", [10, 40])
-def test_lockstep_step_cap_matches_root_mu(monkeypatch, cap):
-    # a lower cap stops rows before they converge: at 10 steps their residual
-    # is a SolverError, at 40 they pass it with `cap` iterations
-    monkeypatch.setattr(saturated, "_BISECT_STEPS", cap)
-    sps = lockstep_draws(np.random.default_rng(77), 8)
-    got = [mu_fingerprint(r) for r in _root_mu_rows(sps)]
-    want = [mu_fingerprint(r) for r in root_mu_each(sps)]
-    assert got == want
-    if cap == 10:
-        assert any(w[0] == "SolverError" for w in want)
-    else:
-        assert any(len(w) == 4 and w[2] == cap for w in want)
-
-
-def test_lockstep_of_no_rows():
-    assert _root_mu_rows([]) == []
 
 
 def write_problem(tmp_path, payload):

@@ -158,16 +158,16 @@ class TestQuartic:
             assert c[0] > 0.0 and c[1] > 0.0 and c[4] > 0.0
             assert sum(c) < 0.0  # value at y = 1
 
-    def test_bisection_fallback_agrees_with_radical(self, rng):
-        from glmdopt.solver4 import _bisect_root, _quartic_value
+    def test_bisection_fallback_agrees_with_radical(self, rng, monkeypatch):
+        from glmdopt import solver4
 
-        for _ in range(20):
-            v = random_interior_v4(rng)
-            c = _quartic_coeffs(v)
-            radical = solve_quartic(c)
-            hi = 1.0 + sum(map(abs, c)) / c[4]
-            root, _ = _bisect_root(lambda y: _quartic_value(c, y), 1.0, hi)
-            assert root == pytest.approx(radical.root, rel=1e-12)
+        coeffs = [_quartic_coeffs(random_interior_v4(rng)) for _ in range(20)]
+        radical = [solve_quartic(c) for c in coeffs]
+        monkeypatch.setattr(solver4, "_radical_root", lambda c: np.nan)
+        for c, want in zip(coeffs, radical):
+            got = solve_quartic(c)
+            assert got.used_fallback and not want.used_fallback
+            assert got.root == pytest.approx(want.root, rel=1e-12)
 
     def test_invalid_signs_rejected(self):
         with pytest.raises(DomainError):
