@@ -42,7 +42,10 @@ an ``f(p4)`` not a positive normal float in the frame, is a ``SolverError``.
 ``p4`` always comes from the analytic four-point solver: the verdict
 threshold is tiny relative to the objective, and a merely near-optimal
 allocation shifts the corner values of ``s`` off zero by enough to corrupt
-verdicts.
+verdicts. The corner step that feeds the search is batched too: the corner
+weights of many nodes come from one weight call, and their allocations from
+the four-point row stack of :mod:`~glmdopt.saturated` with ``solve_22``'s
+case dispatch per node. :func:`check_boundary_optimal` is its one-node call.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ from scipy import optimize  # unused here; perfbench/tracer.py patches this bind
 
 from .design import Allocation, _as_prob_vector
 from .errors import DomainError, SolverError, as_float, as_floats, as_int
-from .solver4 import solve_22
+from .saturated import SaturatedProblem, _solve_rows
+from .solver4 import _case_22
 from .weights import WeightFunction
 
 #: corner order of the unit square: matches the four-point solver convention
@@ -217,20 +221,38 @@ def _corner_det(q):
     return 16.0 * (q1 * q2 * q3 + q1 * q2 * q4 + q1 * q3 * q4 + q2 * q3 * q4)
 
 
-def _corner_step(cp: ContinuousProblem):
-    """Corner weights and the optimal corner allocation of a unit-square problem.
+def _corner_steps(beta, weight_fn) -> list:
+    """Corner weights and optimal corner allocations of N unit-square nodes at once.
 
-    A corner weight that underflows to zero, or overflows, or whose
-    reciprocal overflows, leaves no finite corner design to compare against,
-    and raises ``DomainError``.
+    ``beta`` (N, 3) holds the nodes' coefficients. Per node the result is
+    ``(w, p4)``, or the ``DomainError`` or ``SolverError`` that node raises:
+    a corner weight that underflows to zero, or overflows, or whose
+    reciprocal overflows, leaves no finite corner design to compare against.
+    The weights come from one call on ``beta0 + B @ CORNERS.T``, and the
+    allocations from the four-point row stack, ``solve_22``'s case dispatch
+    per node. The ``CORNERS`` entries are +-1, so each predictor is exactly
+    that of :func:`corner_weights`, and a node's result does not depend on
+    the nodes that share the call.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        w = corner_weights(cp.beta, cp.weight_fn)
+        eta = beta[:, :1] + beta[:, 1:] @ CORNERS.T
+        finite = np.isfinite(eta).all(axis=1)
+        w = np.full(eta.shape, np.nan)
+        w[finite] = weight_fn(eta[finite])
         v = 1.0 / w
-    if not np.all((w > 0.0) & (w < np.inf) & (v < np.inf)):
-        message = "corner weights must be positive and finite, with finite reciprocals"
-        raise DomainError(f"{message}, got {w.tolist()}")
-    return w, solve_22(v).allocation
+    good = ((w > 0.0) & (w < np.inf) & (v < np.inf)).all(axis=1)
+    message = "corner weights must be positive and finite, with finite reciprocals"
+    out = [None if ok else DomainError(f"{message}, got {row.tolist()}") for ok, row in zip(good, w)]
+    for i in np.flatnonzero(~finite).tolist():
+        try:  # a predictor past the float range fails the weight function's own gate
+            weight_fn(eta[i])
+        except DomainError as exc:
+            out[i] = exc
+    live = np.flatnonzero(good)
+    sps = SaturatedProblem._rows(v[live], np.zeros(live.size))
+    for i, report in zip(live.tolist(), _solve_rows(sps, _case_22)):
+        out[i] = report if isinstance(report, Exception) else (w[i], report.allocation)
+    return out
 
 
 def _edge_search(beta, q, weight_fn, s_grid_steps):
@@ -301,7 +323,10 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
     if tuple(cp.bounds) != (-1.0, 1.0, -1.0, 1.0):
         raise DomainError("problem must be rescaled to the unit square first")
     s_grid_steps = as_int(s_grid_steps, "s_grid_steps must be an integer >= 2", 2)
-    w, p4 = _corner_step(cp)
+    (step,) = _corner_steps(cp.beta[None], cp.weight_fn)
+    if isinstance(step, Exception):
+        raise step
+    w, p4 = step
     f_p4, min_s, verdict, a, b = _edge_search(
         cp.beta[None], (p4.p * w)[None], cp.weight_fn, s_grid_steps
     )
@@ -336,11 +361,14 @@ def region_sweep(
 ) -> RegionGrid:
     """Corner-support verdicts over a grid of slope pairs at fixed intercept.
 
-    Each node's corner weights and allocation come from a per-node corner
-    step; the edge search of :func:`check_boundary_optimal` then runs on
-    the surviving nodes a fixed chunk at a time, with the same arithmetic
-    per node, so every node's ``min_s`` and verdict equal that function's
-    bit for bit. A node where it would raise ``DomainError`` or
+    The corner weights of all nodes come from one weight call on
+    ``beta0 + B @ CORNERS.T`` (exact, the corners being +-1), and the
+    optimal corner allocations from one pass of the four-point row stack
+    (the corner step of :func:`check_boundary_optimal`, which is its
+    one-node call). The edge search then runs on the surviving nodes a fixed
+    chunk at a time. Each node's arithmetic is the same whichever nodes
+    share a call, so every node's ``min_s`` and verdict equal that
+    function's bit for bit. A node where it would raise ``DomainError`` or
     ``SolverError`` is recorded in the ``failed`` mask rather than aborting
     the sweep.
     """
@@ -350,19 +378,16 @@ def region_sweep(
     b1v = grid_axis(*_as_range(beta1_range, message), steps)
     b2v = grid_axis(*_as_range(beta2_range, message), steps)
     shape = (b1v.size, b2v.size)
-    cornered = np.zeros(shape, dtype=bool)
-    betas, qs = [], []
-    for i, b1 in enumerate(b1v):
-        for j, b2 in enumerate(b2v):
-            try:
-                cp = ContinuousProblem(np.array([beta0, b1, b2]), (-1.0, 1.0, -1.0, 1.0), weight_fn)
-                w, p4 = _corner_step(cp)
-            except (DomainError, SolverError):
-                continue
-            cornered[i, j] = True
-            betas.append(cp.beta)
-            qs.append(p4.p * w)
-    betas, qs = np.reshape(betas, (-1, 3)), np.reshape(qs, (-1, 4))
+    # one row per node, row-major: (beta0, b1v[i], b2v[j]) is row i * len(b2v) + j
+    size = b1v.size * b2v.size
+    nodes = np.column_stack([np.full(size, beta0), np.repeat(b1v, b2v.size), np.tile(b2v, b1v.size)])
+    corner = _corner_steps(nodes, weight_fn)
+    done = [k for k, step in enumerate(corner) if not isinstance(step, Exception)]
+    cornered = np.zeros(size, dtype=bool)
+    cornered[done] = True
+    cornered = cornered.reshape(shape)
+    betas = nodes[done]
+    qs = np.reshape([corner[k][1].p * corner[k][0] for k in done], (-1, 4))
     s, passed = np.empty(len(qs)), np.empty(len(qs), dtype=bool)
     for start in range(0, len(qs), _CHUNK):
         at = slice(start, start + _CHUNK)

@@ -43,10 +43,17 @@ from .design import (
     full_factorial_design,
     leave_one_out_minors,
 )
-from .errors import DomainError, SolverError, as_floats, as_int
+from .errors import DomainError, SolverError, _attempt, as_floats, as_int
 from .liftone import LiftOneConfig, liftone_maximize
-from .saturated import _reduce, _saturated_minors, compute_v, solve_saturated
-from .twofactor import _reduce_rank3, _solve_u, solve_fourpoint
+from .saturated import (
+    _reduce,
+    _saturated_case,
+    _saturated_minors,
+    _solve_rows,
+    compute_v,
+    solve_saturated,
+)
+from .twofactor import _solve_rows_u, solve_fourpoint
 from .weights import WeightFunction
 
 
@@ -159,14 +166,6 @@ def dispatch_solve(problem: DesignProblem, method: str, tol: float) -> SolveRepo
     return liftone_maximize(problem, LiftOneConfig(tol=tol))
 
 
-def _attempt(solve, *args):
-    """``solve(*args)``, or the ``DomainError`` or ``SolverError`` it raises."""
-    try:
-        return solve(*args)
-    except (DomainError, SolverError) as exc:
-        return exc
-
-
 def _solve_each(problem: DesignProblem, betas, method: str, tol: float):
     """:func:`dispatch_solve` row by row, lazily, so a caller that stops at an error
     stops the solves there."""
@@ -207,12 +206,15 @@ def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
     ``problem`` gives X and the weight function. On a saturated shape
     (``n == d + 1``, the four-point 4x3 one included) with method ``analytic``
     or ``auto``, the leave-one-out minors and the rank decision are made once
-    and the weights of all rows come from one call; each row then goes
-    through ``solve_22`` (four points) or :func:`solve_saturated`, and its
-    entry equals the row's own solve bit for bit. Other shapes and methods
-    are solved one row at a time, lazily; so are all rows when a predictor
-    or weight raises a floating-point event that the caller's
-    ``np.errstate`` reports, which then comes where the per-row loop meets it.
+    and the rows go through the solvers as one stack: one weight call, one
+    reduction to coefficients with its sort and scale step, and one call for
+    the certificates of all rows. Only the case dispatch (``solve_22``'s, or
+    :func:`solve_saturated`'s with its ``root_mu``) and the report's
+    validation run row by row, and each entry equals the row's own solve bit
+    for bit. Other shapes and methods are solved one row at a time, lazily;
+    so are all rows when a predictor or weight raises a floating-point event
+    that the caller's ``np.errstate`` reports, which then comes where the
+    per-row loop meets it.
     """
     X = problem.X
     n, d = X.shape
@@ -229,13 +231,14 @@ def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
         minors, zero, shift = (leave_one_out_minors if four else _saturated_minors)(X)
     except DomainError as exc:
         return [exc if err is None else err for err in out]
-
-    def solve_row(w):
-        if four:
-            return _solve_u(_reduce_rank3(minors, zero, shift, w))
-        return solve_saturated(_reduce(minors, zero, w, shift))
-
-    return [_attempt(solve_row, w) if err is None else err for w, err in zip(W, out)]
+    live = [i for i, err in enumerate(out) if err is None]
+    if four:
+        solved = _solve_rows_u(minors, zero, shift, W[live])
+    else:
+        solved = _solve_rows(_reduce(minors, zero, W[live], shift), _saturated_case)
+    for i, report in zip(live, solved):
+        out[i] = report
+    return out
 
 
 def _report_dict(report: SolveReport) -> dict:
@@ -248,6 +251,7 @@ def _report_dict(report: SolveReport) -> dict:
 
 
 def cmd_solve(args) -> int:
+    LiftOneConfig(tol=args.tol)  # a bad --tol is an input error on every shape
     kind, problem = load_problem_file(args.problem)
     if kind == "continuous":
         if args.format != "json":
@@ -302,6 +306,7 @@ def _parse_range(text: str, want_steps: bool):
 
 
 def cmd_sweep_beta(args) -> int:
+    LiftOneConfig(tol=args.tol)  # a bad --tol is an input error on every shape
     kind, problem = load_problem_file(args.problem)
     if kind != "discrete":
         raise DomainError("sweep-beta needs a discrete problem (design_points)")

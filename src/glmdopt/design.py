@@ -16,6 +16,7 @@ for cross-checks only, and the subset expansion is left to the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -51,7 +52,7 @@ class Allocation:
 
     def __post_init__(self):
         arr = as_floats(self.p, "allocation entries must be finite").reshape(-1).copy()
-        if np.any(arr < -ALLOC_NEG_TOL):
+        if (arr < -ALLOC_NEG_TOL).any():
             raise DomainError(f"allocation entries must be nonnegative, got min {arr.min()!r}")
         arr[arr < 0.0] = 0.0
         if abs(arr.sum() - 1.0) > ALLOC_SUM_TOL:
@@ -104,7 +105,7 @@ class DesignProblem:
         n, d = X.shape
         if n < d:
             raise DomainError(f"need at least as many design points as model terms, got {n} < {d}")
-        if not np.all(X[:, 0] == 1.0):
+        if not (X[:, 0] == 1.0).all():
             raise DomainError("first column of X must be all ones (intercept)")
         scale = np.abs(X).max(axis=0)
         canon = np.round(X / np.where(scale > 0.0, scale, 1.0), ROW_DECIMALS)
@@ -132,7 +133,7 @@ class DesignProblem:
             w = as_floats(self.w, message).reshape(-1).copy()
         if w.shape != (n,):
             raise DomainError(f"w has length {w.size}, expected {n}")
-        if np.any(w <= 0.0):
+        if (w <= 0.0).any():
             raise DomainError(message)
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
@@ -168,6 +169,15 @@ def scale_columns(X):
     return (np.ldexp(X, np.negative(e)) if any(e) else X), sum(e)
 
 
+@functools.lru_cache(maxsize=64)
+def _leave_one_out_rows(n: int) -> np.ndarray:
+    """Read-only (n, n-1) row indices: row i lists every row of an n-row matrix but i."""
+    cols = np.arange(n - 1)
+    keep = cols + (cols >= np.arange(n)[:, None])
+    keep.flags.writeable = False
+    return keep
+
+
 def leave_one_out_minors(X):
     """``(minors, zero, shift)`` of an (n, n-1) X: ``minors[i] 2^shift = det(X without row i)``.
 
@@ -180,8 +190,7 @@ def leave_one_out_minors(X):
     """
     X, shift = scale_columns(np.asarray(X, dtype=float))
     n = X.shape[0]
-    cols = np.arange(n - 1)
-    keep = cols + (cols >= np.arange(n)[:, None])  # row i skips index i
+    keep = _leave_one_out_rows(n)
     # by Cauchy-Binet, vol2 is the squared volume of X with unit-norm columns, so
     # its sigma_min^2 >= vol2 / (n-1)^(n-2); the SVD runs when that bound does not
     # clear matrix_rank's tolerance n * eps * sigma_max <= n * eps * sqrt(n-1) or overflows
@@ -198,6 +207,14 @@ def leave_one_out_minors(X):
     return minors, np.abs(minors) <= MINOR_ZERO_REL * top, shift
 
 
+@functools.lru_cache(maxsize=64)
+def _marked(n: int) -> np.ndarray:
+    """Read-only ``eye(n + 1, n, -1)`` mask of :func:`vform_log_sensitivities`."""
+    marked = np.eye(n + 1, n, -1, dtype=bool)
+    marked.flags.writeable = False
+    return marked
+
+
 def vform_log_sensitivities(v, p):
     """``(log f, d)`` for the v-form ``f(p) = sum_j v_j * prod_{i != j} p_i``.
 
@@ -207,27 +224,38 @@ def vform_log_sensitivities(v, p):
     product is a leave-one-out or leave-two-out product of prefix and suffix
     products, O(n^2) in all, so zero entries of ``p`` are handled exactly.
     Where ``f`` is zero, ``log f`` is ``-inf`` and ``d`` is not finite.
+
+    ``v`` and ``p`` are one row (n,) or a stack of N rows (N, n), which gives
+    an (N,) array of ``log f`` and an (N, n) ``d``; each row comes out as its
+    own call would give it.
     """
     varr = np.asarray(v, dtype=float)
     parr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
-    if varr.ndim != 1 or varr.shape != parr.shape:
+    if varr.ndim not in (1, 2) or varr.shape != parr.shape:
         raise DomainError("v and p must have the same length")
-    n = parr.size
-    # row 0 is (v, p); row 1 + i has v_i = 0 and p_i = 1, so its leave-one-out
-    # sum is the leave-two-out sum df/dp_i
-    marked = np.eye(n + 1, n, -1, dtype=bool)
-    P = np.where(marked, 1.0, parr)
+    n = parr.shape[-1]
+    # row 0 of each layer is (v, p); row 1 + i has v_i = 0 and p_i = 1, so its
+    # leave-one-out sum is the leave-two-out sum df/dp_i
+    marked = _marked(n)
+    P = np.where(marked, 1.0, parr.reshape(-1, 1, n))
     # exclusive prefix products (layer 0) and reversed suffix products (layer 1)
-    ends = np.ones((2, n + 1, n))
-    ends[0, :, 1:] = P[:, :-1]
-    ends[1, :, 1:] = P[:, :0:-1]
-    cp = np.cumprod(ends, axis=2)
-    sums = np.sum(np.where(marked, 0.0, varr) * cp[0] * cp[1, :, ::-1], axis=1)
-    f, grad = sums[0], sums[1:]
-    if f > 0.0:
-        return math.log(f), grad / f
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.log(f)), grad / f
+    ends = np.ones((2,) + P.shape)
+    ends[0, :, :, 1:] = P[:, :, :-1]
+    ends[1, :, :, 1:] = P[:, :, :0:-1]
+    cp = np.cumprod(ends, axis=3)
+    sums = np.sum(np.where(marked, 0.0, varr.reshape(-1, 1, n)) * cp[0] * cp[1, :, :, ::-1], axis=2)
+    f = sums[:, 0]
+    log_f = f.tolist()
+    if all(x > 0.0 for x in log_f):
+        # math.log, not numpy's vector log, which may differ from it in the last bit
+        log_f, d = [math.log(x) for x in log_f], sums[:, 1:] / f[:, None]
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_f = [math.log(x) if x > 0.0 else float(np.log(x)) for x in log_f]
+            d = sums[:, 1:] / f[:, None]
+    if varr.ndim == 1:
+        return log_f[0], d[0]
+    return np.array(log_f), d
 
 
 def vform_objective(v, p) -> float:
@@ -238,6 +266,8 @@ def vform_objective(v, p) -> float:
 
 def safe_exp(x: float) -> float:
     """``exp(x)``, returning ``inf`` instead of raising past the float range."""
+    if x < 709.0:  # exp(709) ~ 8.2e307: no overflow to silence
+        return float(np.exp(x))
     with np.errstate(over="ignore"):
         return float(np.exp(x))
 

@@ -48,3 +48,11 @@ def as_int(value, message: str, least: int, bound=math.inf) -> int:
     if isinstance(value, bool) or not least <= count < bound:
         raise DomainError(message)
     return count
+
+
+def _attempt(solve, *args):
+    """``solve(*args)``, or the ``DomainError`` or ``SolverError`` it raises."""
+    try:
+        return solve(*args)
+    except (DomainError, SolverError) as exc:
+        return exc

@@ -41,6 +41,12 @@ Zero coefficients (a row lying in the span of some of the others) force
 at ``v_i = 0``, so they need no special case, nor does one that underflows
 against the largest (an exact zero); with at most two positive
 coefficients the largest dominates and the boundary allocation is exact.
+
+Rows of one shape are solved as a stack (:func:`_solve_rows`): the reduction
+from the weights, the order and scale step with its gates, and the
+certificates take (N, n) arrays, and a single problem is their N = 1 call.
+Only a solver's case dispatch, its root search and the validation of each
+report run row by row.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from .design import (
     safe_exp,
     vform_log_sensitivities,
 )
-from .errors import DomainError, SolverError, as_float, as_floats
+from .errors import DomainError, SolverError, _attempt, as_float, as_floats
 
 #: dominant-coefficient boundary comparison uses this relative rounding
 BOUNDARY_REL = 1e-12
@@ -89,35 +95,71 @@ class SaturatedProblem:
     zero_count: int = field(init=False)
 
     def __post_init__(self):
-        raw = as_floats(self.v, "coefficients must be finite").reshape(-1)
-        if raw.size < 3:
-            raise DomainError("need at least three design points")
-        perm = np.argsort(raw, kind="stable")
-        v = raw[perm]
-        if v[0] < 0.0:
-            raise DomainError("coefficients must be nonnegative")
-        if v[-1] <= 0.0:
-            raise DomainError("at least one coefficient must be positive")
-        log_scale = as_float(self.log_scale, "log_scale must be finite")
-        if not 2.0**-128 <= v[-1] < 2.0**128:
-            e = int(np.frexp(v[-1])[1])
-            v = np.ldexp(v, -e)
-            log_scale += e * math.log(2.0)
+        raw = as_floats(self.v, "coefficients must be finite").reshape(1, -1)
+        try:
+            log_scale = as_float(self.log_scale, _LOG_SCALE_MESSAGE)
+        except DomainError:
+            log_scale = math.nan  # the stack's gate rejects it after the gates of v
+        (sp,) = self._rows(raw, np.array([log_scale]))
+        if isinstance(sp, DomainError):
+            raise sp
+        vars(self).update(vars(sp))  # frozen: no __setattr__
+
+    @classmethod
+    def _rows(cls, V: np.ndarray, log_scale: np.ndarray) -> list:
+        """The gates, order, zeros and power-of-two scale of every row of the float
+        stack ``V`` (N, n) with ``log_scale`` (N,) at once: per row its problem,
+        or the ``DomainError`` of the first gate it fails."""
+        N, n = V.shape
+        if n < 3:
+            messages = ("coefficients must be finite", "need at least three design points")
+            return [DomainError(messages[ok]) for ok in np.isfinite(V).all(axis=1).tolist()]
+        perm = V.argsort(axis=1, kind="stable")
+        v = V[np.arange(N)[:, None], perm]
+        lo, top = v[:, 0], v[:, -1]
+        # rows that pass every gate and need no scale (NaN sorts last, so a
+        # non-finite row fails one of the bounds on lo and top)
+        plain = (lo >= 0.0) & (top >= 2.0**-128) & (top < 2.0**128) & np.isfinite(log_scale)
+        out: list = [None] * N
+        if not plain.all():
+            fails = [
+                (~np.isfinite(V).all(axis=1), "coefficients must be finite"),
+                (lo < 0.0, "coefficients must be nonnegative"),
+                (~(top > 0.0), "at least one coefficient must be positive"),
+                (~np.isfinite(log_scale), _LOG_SCALE_MESSAGE),
+            ]
+            for fail, message in reversed(fails):  # the first gate's message wins
+                for i in np.flatnonzero(fail).tolist():
+                    out[i] = DomainError(message)
+            far = ~plain
+            far[[i for i, sp in enumerate(out) if sp is not None]] = False
+            e = np.frexp(top[far])[1]
+            v[far] = np.ldexp(v[far], -e[:, None])
+            log_scale = log_scale.copy()
+            log_scale[far] += e * math.log(2.0)
         v.flags.writeable = perm.flags.writeable = False
-        zeros = int(np.count_nonzero(v == 0.0))
-        derived = dict(v=v, log_scale=log_scale, perm=perm, n=v.size, zero_count=zeros)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        for i, (row, ls) in enumerate(zip(v.tolist(), log_scale.tolist())):
+            if out[i] is None:
+                out[i] = sp = object.__new__(cls)
+                vars(sp).update(v=v[i], log_scale=ls, perm=perm[i], n=n, zero_count=row.count(0.0))
+        return out
 
     def report(self, p_sorted: np.ndarray, label: str, diag: dict) -> SolveReport:
         """Report of ``p_sorted`` (sorted order) in point order, with ``log_objective =
-        log_scale + log f`` and ``equivalence_gap = max_i d_i / (n - 1) - 1`` added to ``diag``."""
-        log_f, d = vform_log_sensitivities(self.v, p_sorted)
+        log_scale + log f`` and ``equivalence_gap = max_i d_i / (n - 1) - 1`` added to
+        ``diag``: the one-row call of the stacked certificates of :func:`_solve_rows`."""
+        (log_f,), (gap,) = _certificates([self], [p_sorted])
+        return self._assemble(p_sorted, label, diag, log_f, gap)
+
+    def _assemble(self, p_sorted, label, diag, log_f, gap) -> SolveReport:
         diag["log_objective"] = self.log_scale + log_f
-        diag["equivalence_gap"] = float(d.max()) / (self.n - 1) - 1.0
+        diag["equivalence_gap"] = gap
         p_out = np.empty(self.n)
         p_out[self.perm] = p_sorted
         return SolveReport(Allocation(p_out), safe_exp(diag["log_objective"]), label, diag)
+
+
+_LOG_SCALE_MESSAGE = "log_scale must be finite"
 
 
 @dataclass(frozen=True)
@@ -131,23 +173,65 @@ class MuSolve:
     residual: float
 
 
-def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray, shift: int) -> SaturatedProblem:
+#: exponent that stands in for a zero minor's: its v underflows to an exact zero
+_ZERO_EXPONENT = -(2**20)
+
+
+def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray, shift: int):
     """``v_j = (minors_j 2^shift)^2 * prod_{i != j} w_i`` from the leave-one-out minors.
 
     ``v_j / prod(w) = minors_j^2 / w_j`` is formed from mantissas and integer
     exponents (``frexp``) and scaled by a power of two, so that the largest
     ``v`` lies in [1/4, 2) however extreme the weights, the rounding is that
     of the direct ratio, and ``log_scale`` carries the scale, ``2 shift`` too.
-    Minors flagged in ``zero`` give exact zeros; their exponents are clamped,
-    since a roundoff minor over a tiny weight may exceed the float range.
+    Minors flagged in ``zero`` give exact zeros: their exponents are replaced
+    by one far below the others', since a roundoff minor over a tiny weight
+    may exceed the float range.
+
+    One weight row ``w`` (n,) gives its :class:`SaturatedProblem`; a stack of
+    N rows (N, n) gives a list with each row's problem, or the ``DomainError``
+    its gates raise.
     """
+    W = w.reshape(-1, w.shape[-1])
     fm, em = np.frexp(minors)
-    fw, ew = np.frexp(w)
-    e = 2 * em - ew
-    e_top = int(e[~zero].max())
-    v = np.ldexp(fm * fm / fw, np.minimum(e - e_top, 0))
-    v[zero] = 0.0
-    return SaturatedProblem(v, (e_top + 2 * shift) * math.log(2.0) + float(np.log(w).sum()))
+    fw, ew = np.frexp(W)
+    e = np.where(zero, _ZERO_EXPONENT, 2 * em) - ew
+    e_top = np.maximum.reduce(e, axis=1)
+    v = np.ldexp(fm * fm / fw, np.minimum(e - e_top[:, None], 0))
+    log_scale = (e_top + 2 * shift) * math.log(2.0) + np.add.reduce(np.log(W), axis=1)
+    rows = SaturatedProblem._rows(v, log_scale)
+    if w.ndim == 2:
+        return rows
+    if isinstance(rows[0], DomainError):
+        raise rows[0]
+    return rows[0]
+
+
+def _certificates(sps: list, p_sorted: list):
+    """``(log f, equivalence gap)`` lists for sorted allocations of problems of one
+    size, from one stacked :func:`~glmdopt.design.vform_log_sensitivities` call."""
+    log_f, d = vform_log_sensitivities(np.array([sp.v for sp in sps]), np.array(p_sorted))
+    n1 = sps[0].n - 1
+    return log_f.tolist(), [top / n1 - 1.0 for top in np.maximum.reduce(d, axis=1).tolist()]
+
+
+def _solve_rows(sps: list, case) -> list:
+    """Reports of the problems ``sps`` (all of one size; an entry may be a ``DomainError``).
+
+    ``case`` is a solver's per-row dispatch, returning the sorted allocation,
+    the label and the diagnostics; the certificates of all rows come from
+    one stacked call, and each report is assembled and validated per row.
+    A row whose problem, dispatch or report raises ``DomainError`` or
+    ``SolverError`` gets that error, and every row equals its own
+    ``sp.report(*case(sp))`` bit for bit.
+    """
+    out = [sp if isinstance(sp, DomainError) else _attempt(case, sp) for sp in sps]
+    live = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
+    if live:
+        certified = _certificates([sps[i] for i in live], [out[i][0] for i in live])
+        for i, cert in zip(live, zip(*certified)):
+            out[i] = _attempt(sps[i]._assemble, *out[i], *cert)
+    return out
 
 
 def _saturated_minors(X):
@@ -219,6 +303,11 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
     report ``mu`` and the multiplier ``lambda`` on the true scale and the
     root-search quality of :func:`root_mu`.
     """
+    return sp.report(*_saturated_case(sp))
+
+
+def _saturated_case(sp: SaturatedProblem):
+    """:func:`solve_saturated`'s sorted allocation, label and diagnostics, before the report."""
     v = sp.v
     n = sp.n
     vn = v[-1]
@@ -228,10 +317,10 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
     # z itself is taken from the constraint sum_{j<n} r_j + z = n - 2, accurate
     # also near z = 0
     x = 0.0 if ms is None else ms.mu * vn
-    r = np.sqrt(np.clip(1.0 - x * (v[:-1] / vn), 0.0, None))
+    r = np.sqrt(np.maximum(1.0 - x * (v[:-1] / vn), 0.0))
     p_sorted = (1.0 + np.append(r, (n - 2) - float(np.sum(r)))) / (2.0 * (n - 1))
     if ms is None:
-        return sp.report(p_sorted, "saturated-boundary", {"zero_count": float(sp.zero_count)})
+        return p_sorted, "saturated-boundary", {"zero_count": float(sp.zero_count)}
     diag = {
         "mu": ms.mu * safe_exp(-sp.log_scale),
         "mu_scaled": ms.mu,
@@ -241,4 +330,4 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
         "bisect_iterations": float(ms.iterations),
         "zero_count": float(sp.zero_count),
     }
-    return sp.report(p_sorted, f"saturated-{ms.branch}", diag)
+    return p_sorted, f"saturated-{ms.branch}", diag

@@ -219,6 +219,12 @@ def solve_22(v) -> SolveReport:
     Kiefer-Wolfowitz ``equivalence_gap``, zero exactly at the optimum.
     """
     sp = v if isinstance(v, SaturatedProblem) else SaturatedProblem(v)
+    return sp.report(*_case_22(sp))
+
+
+def _case_22(sp: SaturatedProblem):
+    """The case dispatch of :func:`solve_22` on one problem: sorted allocation,
+    label and diagnostics, before the report."""
     if sp.n != 4:
         raise DomainError(f"need exactly four coefficients, got {sp.n}")
     s = sp.v
@@ -243,4 +249,4 @@ def solve_22(v) -> SolveReport:
     if zero:
         # the tie pair's form leaves the zero point at 1/3 up to rounding
         p_sorted[0] = 1.0 / 3.0
-    return sp.report(np.clip(p_sorted, 0.0, None), f"2x2-case-{case}", diag)
+    return np.maximum(p_sorted, 0.0), f"2x2-case-{case}", diag

@@ -16,17 +16,15 @@ from __future__ import annotations
 
 from .design import Allocation, DesignProblem, SolveReport, leave_one_out_minors
 from .errors import DomainError
-from .saturated import SaturatedProblem, _reduce
-from .solver4 import solve_22
+from .saturated import SaturatedProblem, _reduce, _solve_rows
+from .solver4 import _case_22, solve_22
 
 
-def _reduce_rank3(minors, zero, shift, w) -> SaturatedProblem | None:
-    """:func:`~glmdopt.saturated._reduce`, or ``None`` when the minors say rank 2."""
+def _rank2(zero) -> bool:
+    """Whether the zero flags of :func:`~glmdopt.design.leave_one_out_minors` say rank 2."""
     # Two or three near-zero minors cannot happen for distinct rows with an
     # intercept column except through roundoff on a rank-2 matrix.
-    if zero.sum() >= 2:
-        return None
-    return _reduce(minors, zero, w, shift)
+    return zero.sum() >= 2
 
 
 def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
@@ -35,16 +33,39 @@ def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
     if X.shape != (4, 3):
         raise DomainError(f"need a 4x3 design matrix, got {X.shape}")
     minors, zero, shift = leave_one_out_minors(X)
-    return _reduce_rank3(minors, zero, shift, problem.w)
+    return None if _rank2(zero) else _reduce(minors, zero, problem.w, shift)
+
+
+def _degenerate() -> SolveReport:
+    return SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {})
+
+
+def _label(label: str) -> str:
+    return label.replace("2x2-", "twofactor-", 1)
 
 
 def _solve_u(sp: SaturatedProblem | None) -> SolveReport:
     """:func:`solve_fourpoint` from the reduced coefficients of :func:`compute_u`."""
     if sp is None:
-        return SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {})
+        return _degenerate()
     report = solve_22(sp)
-    label = report.case_label.replace("2x2-", "twofactor-", 1)
-    return SolveReport(report.allocation, report.objective, label, report.diagnostics)
+    return SolveReport(report.allocation, report.objective, _label(report.case_label), report.diagnostics)
+
+
+def _fourpoint_case(sp: SaturatedProblem):
+    p_sorted, label, diag = _case_22(sp)
+    return p_sorted, _label(label), diag
+
+
+def _solve_rows_u(minors, zero, shift, W) -> list:
+    """:func:`_solve_u` of the four-point problems with the weight rows ``W`` (N, 4)
+    and the leave-one-out minors of their X: per row the report, or the
+    ``DomainError`` or ``SolverError`` it raises, each equal to the row's own
+    solve bit for bit. The reduction, the sort and scale step and the
+    certificates run on the stack; ``solve_22``'s case dispatch runs per row."""
+    if _rank2(zero):
+        return [_degenerate() for _ in W]
+    return _solve_rows(_reduce(minors, zero, W, shift), _fourpoint_case)
 
 
 def solve_fourpoint(problem: DesignProblem) -> SolveReport:

@@ -397,25 +397,33 @@ class TestRegionSweep:
         assert got == expected[str(s_grid_steps)]
 
     def test_node_domain_error_marks_failed(self, monkeypatch):
-        corner_step = boundary._corner_step
+        corner_steps = boundary._corner_steps
 
-        def reject(cp):
-            if cp.beta[1] > 0.0:
-                raise DomainError("rejected node")
-            return corner_step(cp)
+        def reject(beta, weight_fn):
+            steps = corner_steps(beta, weight_fn)
+            return [DomainError("rejected node") if b[1] > 0.0 else s for b, s in zip(beta, steps)]
 
-        monkeypatch.setattr("glmdopt.boundary._corner_step", reject)
+        monkeypatch.setattr("glmdopt.boundary._corner_steps", reject)
         grid = region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 3, LOGIT, s_grid_steps=21)
         assert np.array_equal(grid.failed[2], [True, True, True])
         assert not grid.failed[:2].any()
         assert np.isnan(grid.min_s[2]).all() and not grid.verdict[2].any()
         assert np.isfinite(grid.min_s[:2]).all()
 
+    def test_predictor_past_the_float_range_fails_its_node(self):
+        # b0 + b1 overflows to inf at some corners: those nodes fail in the weight
+        # function's gate, the others on their zero corner weights, and the map goes on
+        grid = region_sweep(1e308, (0.0, 1e308), (0.0, 1e308), 2, LOGIT, s_grid_steps=21)
+        assert grid.failed.all() and np.isnan(grid.min_s).all()
+        cp = ContinuousProblem([1e308, 1e308, 0.0], (-1.0, 1.0, -1.0, 1.0), LOGIT)
+        with pytest.raises(DomainError, match="eta must be finite"):
+            check_boundary_optimal(cp, s_grid_steps=21)
+
     def test_node_bug_propagates(self, monkeypatch):
-        def broken(cp):
+        def broken(beta, weight_fn):
             raise ZeroDivisionError("not a domain failure")
 
-        monkeypatch.setattr("glmdopt.boundary._corner_step", broken)
+        monkeypatch.setattr("glmdopt.boundary._corner_steps", broken)
         with pytest.raises(ZeroDivisionError):
             region_sweep(-1.0, (-1.0, 1.0), (-1.0, 1.0), 2, LOGIT, s_grid_steps=21)
 

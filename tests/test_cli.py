@@ -261,14 +261,14 @@ class TestRegion:
     def test_failed_node_prints_failed_token(self, capsys, monkeypatch):
         import glmdopt.boundary as boundary
 
-        corner_step = boundary._corner_step
+        corner_steps = boundary._corner_steps
 
-        def fail_one(cp):
-            if cp.beta[1] > 0.0 and cp.beta[2] < 0.0:
-                raise SolverError("synthetic node failure")
-            return corner_step(cp)
+        def fail_one(beta, weight_fn):
+            steps = corner_steps(beta, weight_fn)
+            fail = SolverError("synthetic node failure")
+            return [fail if b[1] > 0.0 and b[2] < 0.0 else s for b, s in zip(beta, steps)]
 
-        monkeypatch.setattr(boundary, "_corner_step", fail_one)
+        monkeypatch.setattr(boundary, "_corner_steps", fail_one)
         argv = ["region", "--beta0=-1", "--range=-1:1", "--steps", "2", "--grid-steps", "21"]
         assert main(argv) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
@@ -420,6 +420,11 @@ class TestBench:
         (["region", "--beta0=inf", "--range=-1:1", "--steps", "2", "--grid-steps", "11"], None),
         (["bench", "--tol", "0", "--n-instances", "1"], None),
         (["solve", "--method", "liftone", "--tol", "inf"], {}),
+        (["solve", "--tol", "nan"], {}),
+        (["solve", "--tol", "inf"], {}),
+        (["solve", "--tol", "0"], {}),
+        (["sweep-beta", "--vary", "1", "--range=0:1:3", "--tol", "-5"], {}),
+        (["sweep-beta", "--vary", "1", "--range=0:1:3", "--tol", "nan"], {}),
         (["bench", "--seed", "-1", "--n-instances", "1"], None),
         (["solve"], {"model_terms": [[], [0], [1], [0.7, 1.2]], "beta": [0.0, 1.0, 0.5, 0.2]}),
         (["solve"], {"model_terms": [[], [0], [1.0]]}),

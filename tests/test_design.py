@@ -1,6 +1,7 @@
 """Objective evaluation, subset expansion, and design-matrix helpers."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from glmdopt import (
     vform_objective,
 )
 from glmdopt.boundary import grid_axis
-from glmdopt.design import leave_one_out_minors
+from glmdopt.design import leave_one_out_minors, vform_log_sensitivities
 from reference import expansion_value, objective_expansion
 
 X22 = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
@@ -420,3 +421,46 @@ def test_public_names_pinned():
     }
     assert len(glmdopt.__all__) == 35
     assert all(hasattr(glmdopt, name) for name in glmdopt.__all__)
+
+
+class TestStackedSensitivities:
+    """``vform_log_sensitivities`` on an (N, n) stack against one call per row, bit for bit."""
+
+    @staticmethod
+    def rows(rng, n):
+        v = rng.uniform(0.0, 2.0, (60, n)) * np.exp(rng.uniform(-30.0, 30.0, (60, 1)))
+        p = rng.dirichlet(np.ones(n), 60)
+        p[:12, 0] = 0.0  # one exact zero: f > 0, d finite
+        p[12:20, :2] = 0.0  # two exact zeros: f = 0, log f = -inf
+        v[20:26] = 0.0  # f = 0 with every p positive
+        v[26:30, 1:] = 0.0  # only v_0 positive, and a zero p_1 in its product: f = 0
+        p[26:30, 1] = 0.0
+        return v, p
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 32])
+    def test_stack_matches_rows(self, rng, n):
+        v, p = self.rows(rng, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_f, d = vform_log_sensitivities(v, p)
+            singles = [vform_log_sensitivities(vi, pi) for vi, pi in zip(v, p)]
+        assert log_f.shape == (len(v),) and d.shape == v.shape
+        assert [float(x).hex() for x in log_f] == [float(x).hex() for x, _ in singles]
+        assert d.tobytes() == np.array([di for _, di in singles]).tobytes()
+        zero = np.isneginf(log_f)
+        assert zero[12:30].all() and not zero[:12].any() and not zero[30:].any()
+        assert not np.isfinite(d[zero]).all(axis=1).any()
+        assert np.isfinite(d[~zero]).all()
+
+    def test_one_row_stack_is_the_row(self):
+        v, p = np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.1, 0.2, 0.3, 0.4])
+        log_f, d = vform_log_sensitivities(v, p)
+        log_fs, ds = vform_log_sensitivities(v[None], p[None])
+        assert isinstance(log_f, float) and float(log_fs[0]).hex() == log_f.hex()
+        assert ds[0].tobytes() == d.tobytes()
+
+    def test_shapes_must_match(self):
+        with pytest.raises(DomainError):
+            vform_log_sensitivities(np.ones((2, 4)), np.ones((3, 4)) / 4)
+        with pytest.raises(DomainError):
+            vform_log_sensitivities(np.ones((1, 2, 4)), np.ones((1, 2, 4)) / 4)

@@ -18,7 +18,7 @@ from glmdopt import (
     build_model_matrix,
     full_factorial_design,
 )
-from glmdopt import cli
+from glmdopt import cli, saturated, solver4
 from glmdopt.cli import dispatch_rows, main
 
 INTERACTION = [[], [0], [1], [0, 1]]
@@ -105,6 +105,94 @@ def test_rows_match_one_solve_per_row():
         "twofactor-case-2d",
         "degenerate-rank2",
     } <= labels
+
+
+# beta = (0, 1, 2) puts the points of each layout at the knots of a tabulated weight:
+# eta = (3, -1, 1, -3) on the 2x2 points, (0, 3, -3, -1) on the span points
+KNOTS = [-3.0, -1.0, 0.0, 1.0, 3.0]
+P22 = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+SPAN = [[0, 0], [1, 1], [-1, -1], [1, -1]]
+RANK2 = [[0, 0], [1, 1], [2, 2], [-1, -1]]
+#: label -> (points, weight of each point); the 2x2 minors are equal, so v_j ~ 1 / w_j,
+#: and the span minors squared are (16, 4, 4, 0), so v ~ (16 / w_1, 4 / w_2, 4 / w_3, 0);
+#: equal weights give exactly tied coefficients
+LABEL_ROWS = {
+    "twofactor-case-i": (P22, [1.0, 1.0, 1.0, 0.1]),
+    "twofactor-case-ii": (P22, [1.0, 1.0, 0.5, 0.4]),
+    "twofactor-case-iii": (P22, [1.0, 0.5, 0.5, 0.4]),
+    "twofactor-case-iv": (P22, [1.0, 0.5, 0.4, 0.4]),
+    "twofactor-case-v": (P22, [1.0, 0.5, 0.4, 0.3]),
+    "twofactor-case-2a": (SPAN, [1.0, 1.0, 1.0, 1.0]),
+    "twofactor-case-2b": (SPAN, [0.4, 0.125, 0.125, 1.0]),
+    "twofactor-case-2c": (SPAN, [0.4, 0.0625, 0.0625, 1.0]),
+    "twofactor-case-2d": (SPAN, [0.3, 0.125, 0.1, 1.0]),
+    "degenerate-rank2": (RANK2, [1.0, 1.0, 1.0, 1.0]),
+}
+
+
+def label_problem(label):
+    """The layout of ``label`` with a weight table that gives its row at beta = (0, 1, 2)."""
+    points, w = LABEL_ROWS[label]
+    X = build_model_matrix(points)
+    eta = X @ [0.0, 1.0, 2.0]
+    table = [w[list(eta).index(k)] if k in eta else 0.5 for k in KNOTS]
+    fn = WeightFunction.tabulated(KNOTS, table)
+    return DesignProblem(X, weight_fn=fn, w=np.ones(4))
+
+
+def label_rows(rng):
+    """The label row in the middle of seeded rows, some of them interior."""
+    return np.vstack([rng.uniform(-1.0, 1.0, (5, 3)), [[0.0, 1.0, 2.0]], rng.uniform(-1.0, 1.0, (5, 3))])
+
+
+@pytest.mark.parametrize("label", sorted(LABEL_ROWS))
+def test_every_four_point_label_through_the_row_stack(label):
+    problem = label_problem(label)
+    betas = label_rows(np.random.default_rng(7))
+    got = dispatch_rows(problem, betas, "analytic", 1e-12)
+    want = solve_each(problem, betas, "analytic")
+    assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
+    assert got[5].case_label == label
+
+
+def test_radical_failure_falls_back_in_the_row_stack(monkeypatch):
+    # every interior row takes the quartic's brentq fallback, on both paths
+    monkeypatch.setattr(solver4, "_radical_root", lambda c: float("nan"))
+    problem = DesignProblem(LAYOUTS["2x2"][0], weight_fn=WeightFunction.logit(), w=np.ones(4))
+    betas = np.random.default_rng(11).uniform(-3.0, 3.0, (40, 3))
+    got = dispatch_rows(problem, betas, "analytic", 1e-12)
+    want = solve_each(problem, betas, "analytic")
+    assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
+    interior = [r for r in got if r.case_label == "twofactor-case-v"]
+    assert interior and all(r.diagnostics["quartic_fallback"] == 1.0 for r in interior)
+
+
+def test_rows_that_raise_mid_batch(monkeypatch):
+    # the interior rows' root search fails (SolverError in the dispatch), and one
+    # allocation is refused (DomainError in the report); the other rows go on
+    monkeypatch.setattr(solver4, "_radical_root", lambda c: float("nan"))
+
+    def no_root(*args, **kwargs):
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(solver4, "brentq", no_root)
+    allocation = saturated.Allocation
+
+    def refuse(p):
+        if p[0] == 1.0 / 3.0 and p[3] == 0.0:
+            raise DomainError("synthetic refusal")
+        return allocation(p)
+
+    monkeypatch.setattr(saturated, "Allocation", refuse)
+    problem = DesignProblem(LAYOUTS["2x2"][0], weight_fn=WeightFunction.logit(), w=np.ones(4))
+    betas = np.random.default_rng(12).uniform(-3.0, 3.0, (60, 3))
+    got = dispatch_rows(problem, betas, "analytic", 1e-12)
+    want = solve_each(problem, betas, "analytic")
+    assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
+    kinds = [type(r).__name__ for r in got]
+    assert {"SolverError", "DomainError", "SolveReport"} <= set(kinds)
+    # failures sit between reports, not only at the ends of the batch
+    assert "SolveReport" in kinds[kinds.index("SolverError"):]
 
 
 def test_x_errors_reach_every_row_after_its_weight_gate():

@@ -474,3 +474,35 @@ class TestDerivedFields:
         assert rep.case_label == ref.case_label
         assert rep.allocation.p == pytest.approx(ref.allocation.p, abs=1e-12)
         assert rep.diagnostics["equivalence_gap"] <= 1e-12
+
+
+def test_stacked_rows_match_one_problem_per_row():
+    # the order, zero and scale step and its gates on a stack, against one
+    # SaturatedProblem per row: derived fields bit for bit, errors by message
+    rows = [
+        ([3.0, 1.0, 2.0, 0.5], 0.0),
+        ([0.0, 2.0, 0.0, 1.0], 1.5),
+        ([1e-300, 1.0, 2.0, 1e300], -2.0),  # scaled, its smallest entry underflows
+        ([1e-200, 3e-200, 2e-200, 0.0], 0.25),  # scaled up
+        ([np.nan, 1.0, 2.0, 3.0], 0.0),
+        ([np.inf, 1.0, 2.0, 3.0], 0.0),
+        ([-1.0, 1.0, 2.0, 3.0], 0.0),
+        ([0.0, 0.0, 0.0, 0.0], 0.0),
+        ([-1.0, 0.0, 0.0, 0.0], np.nan),
+        ([1.0, 2.0, 3.0, 4.0], np.inf),
+        ([np.nan, -1.0, 0.0, 0.0], np.nan),
+    ]
+    V = np.array([v for v, _ in rows])
+    got = SaturatedProblem._rows(V, np.array([ls for _, ls in rows]))
+    for (v, ls), sp in zip(rows, got):
+        try:
+            want = SaturatedProblem(v, log_scale=ls)
+        except DomainError as exc:
+            assert isinstance(sp, DomainError) and str(sp) == str(exc)
+            continue
+        assert isinstance(sp, SaturatedProblem)
+        assert sp.v.tobytes() == want.v.tobytes() and sp.perm.tobytes() == want.perm.tobytes()
+        assert (sp.n, sp.zero_count) == (want.n, want.zero_count)
+        assert float(sp.log_scale).hex() == float(want.log_scale).hex()
+        assert not sp.v.flags.writeable and not sp.perm.flags.writeable
+    assert sum(isinstance(sp, DomainError) for sp in got) == 7
