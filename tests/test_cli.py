@@ -420,16 +420,16 @@ class TestBench:
         (["region", "--beta0=inf", "--range=-1:1", "--steps", "2", "--grid-steps", "11"], None),
         (["bench", "--tol", "0", "--n-instances", "1"], None),
         (["solve", "--method", "liftone", "--tol", "inf"], {}),
-        (["solve", "--tol", "nan"], {}),
-        (["solve", "--tol", "inf"], {}),
-        (["solve", "--tol", "0"], {}),
-        (["sweep-beta", "--vary", "1", "--range=0:1:3", "--tol", "-5"], {}),
-        (["sweep-beta", "--vary", "1", "--range=0:1:3", "--tol", "nan"], {}),
         (["bench", "--seed", "-1", "--n-instances", "1"], None),
         (["solve"], {"model_terms": [[], [0], [1], [0.7, 1.2]], "beta": [0.0, 1.0, 0.5, 0.2]}),
         (["solve"], {"model_terms": [[], [0], [1.0]]}),
         (["sweep-beta", "--vary", "0", "--range=0:1:0"], {}),
         (["sweep-beta", "--vary", "3", "--range=0:1:2"], {}),
+        (["solve", "--tol", "nan"], {}),
+        (["solve", "--tol", "inf"], {}),
+        (["solve", "--tol", "0"], {}),
+        (["sweep-beta", "--vary", "1", "--range=0:1:3", "--tol", "-5"], {}),
+        (["sweep-beta", "--vary", "1", "--range=0:1:3", "--tol", "nan"], {}),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, fields):
