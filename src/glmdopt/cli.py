@@ -22,6 +22,7 @@ platforms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -44,7 +45,7 @@ from .design import (
     leave_one_out_minors,
 )
 from .errors import DomainError, SolverError, _attempt, as_floats, as_int
-from .liftone import LiftOneConfig, liftone_maximize
+from .liftone import LiftOneConfig, _maximize_rows, liftone_maximize
 from .saturated import (
     _reduce,
     _saturated_case,
@@ -160,10 +161,12 @@ def dispatch_solve(problem: DesignProblem, method: str, tol: float) -> SolveRepo
     if n == d + 1:
         return solve_saturated(compute_v(problem))
     if method == "analytic":
-        raise DomainError(
-            f"no analytic solver covers shape n={n}, d={d}; use --method liftone (or auto)"
-        )
+        raise _no_analytic_solver(n, d)
     return liftone_maximize(problem, LiftOneConfig(tol=tol))
+
+
+def _no_analytic_solver(n: int, d: int) -> DomainError:
+    return DomainError(f"no analytic solver covers shape n={n}, d={d}; use --method liftone (or auto)")
 
 
 def _solve_each(problem: DesignProblem, betas, method: str, tol: float):
@@ -203,22 +206,25 @@ def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
     coefficients, in row order: the report, or the ``DomainError`` or
     ``SolverError`` that row raises.
 
-    ``problem`` gives X and the weight function. On a saturated shape
-    (``n == d + 1``, the four-point 4x3 one included) with method ``analytic``
-    or ``auto``, the leave-one-out minors and the rank decision are made once
-    and the rows go through the solvers as one stack: one weight call, one
+    ``problem`` gives X and the weight function; the rows share one weight
+    call, gated per row as :class:`DesignProblem` gates it. On a saturated
+    shape (``n == d + 1``, the four-point 4x3 one included) with method
+    ``analytic`` or ``auto``, the leave-one-out minors and the rank decision
+    are made once and the rows go through the solvers as one stack: one
     reduction to coefficients with its sort and scale step, and one call for
     the certificates of all rows. Only the case dispatch (``solve_22``'s, or
     :func:`solve_saturated`'s with its ``root_mu``) and the report's
-    validation run row by row, and each entry equals the row's own solve bit
-    for bit. Other shapes and methods are solved one row at a time, lazily;
-    so are all rows when a predictor or weight raises a floating-point event
-    that the caller's ``np.errstate`` reports, which then comes where the
-    per-row loop meets it.
+    validation run row by row. Rows for lift-one (method ``liftone`` on every
+    shape, ``auto`` on shapes with no analytic solver) run as one lockstep
+    lift-one stack, whose rank test is made once. Each entry equals the
+    row's own solve bit for bit. An unknown method is reported row by row,
+    lazily; so are all rows when a predictor or weight raises a
+    floating-point event that the caller's ``np.errstate`` reports, which
+    then comes where the per-row loop meets it.
     """
     X = problem.X
     n, d = X.shape
-    if method not in ("auto", "analytic") or n != d + 1:
+    if method not in ("auto", "analytic", "liftone"):
         return _solve_each(problem, betas, method, tol)
     loud = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
     try:
@@ -226,16 +232,26 @@ def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
             W, out = _row_weights(problem, betas)
     except FloatingPointError:
         return _solve_each(problem, betas, method, tol)
-    four = n == 4
-    try:
-        minors, zero, shift = (leave_one_out_minors if four else _saturated_minors)(X)
-    except DomainError as exc:
-        return [exc if err is None else err for err in out]
     live = [i for i, err in enumerate(out) if err is None]
-    if four:
-        solved = _solve_rows_u(minors, zero, shift, W[live])
+    if method == "liftone" or (method == "auto" and n != d + 1):
+        try:
+            config = LiftOneConfig(tol=tol)
+        except DomainError as exc:  # a bad tol fails every row after its weight gate
+            solved = [exc] * len(live)
+        else:
+            solved = _maximize_rows(X, W[live], config)
+    elif n != d + 1:
+        solved = [_no_analytic_solver(n, d)] * len(live)
     else:
-        solved = _solve_rows(_reduce(minors, zero, W[live], shift), _saturated_case)
+        four = n == 4
+        try:
+            minors, zero, shift = (leave_one_out_minors if four else _saturated_minors)(X)
+        except DomainError as exc:
+            return [exc if err is None else err for err in out]
+        if four:
+            solved = _solve_rows_u(minors, zero, shift, W[live])
+        else:
+            solved = _solve_rows(_reduce(minors, zero, W[live], shift), _saturated_case)
     for i, report in zip(live, solved):
         out[i] = report
     return out
@@ -492,9 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

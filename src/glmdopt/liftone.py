@@ -44,20 +44,40 @@ pin, ``beta = f_i(0)`` and ``alpha = 2^d f_i(1/2) - beta``; it runs plain
 lift-one, stops once a sweep gains less than ``tol`` relative, and is the
 reference that the analytic solvers are cross-checked against.
 
+Design problems are solved as a stack: N weight rows that share X, each
+with its own allocation, driven in lockstep by one ascent loop. Every row
+makes exactly one move per iteration (two sweeps, then a Newton step or
+the sweep that stands in for it), so the rows stay on the same iteration
+and a row leaves the stack when its own stopping rule holds or when it
+fails; a failure is that row's ``DomainError`` and the other rows go on.
+The rank test and the column scaling depend on X alone and run once per
+X, which is remembered by its bytes; each row picks its own pivoted-QR
+basis. The basis change, the Cholesky factors, ``M^-1``, the rank-one
+updates and the eigenvalue problems are stacked numpy and LAPACK calls,
+which give each row the bits of its own call; the KKT systems are grouped
+by the size of their free set. The one-dimensional steps (profile, best
+step and the update coefficients), the ratio test's choice, the ``fsum``
+part of the gain and the stopping tests run on Python floats per row:
+numpy's ``**`` and reductions round differently from them, and on these
+few scalars the loop costs less than the array calls would. A single
+solve is the one-row stack, and a black box runs through the same loop as
+a one-row state.
+
 This is the numerical baseline for the analytic solvers and the
 general-matrix solver for shapes outside the analytic families.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
-from .design import Allocation, DesignProblem, SolveReport, _as_prob_vector, scale_columns
+from .design import EPS, Allocation, DesignProblem, SolveReport, _as_prob_vector, scale_columns
 from .errors import DomainError, SolverError, as_float, as_int
 
 
@@ -65,6 +85,9 @@ from .errors import DomainError, SolverError, as_float, as_int
 _SWEEPS_BEFORE_NEWTON = 2
 #: eigenvalues of the Newton system below this fraction of the largest are singular
 _RCOND = 1e-14
+#: a stack of design rows holds at most about this many entries per (rows, n, d) array
+_STACK_ENTRIES = 1 << 20
+_FULL_MASS = "degenerate profile: coordinate already carries all mass"
 
 
 @dataclass(frozen=True)
@@ -133,112 +156,237 @@ def _relative_profile(p_i: float, d_i: float, degree: int) -> tuple[float, float
 
 
 class _BlackBox:
-    """Ascent state of a :class:`MultilinearObjective`: its exact value ``f``."""
+    """Ascent state of a :class:`MultilinearObjective`, one row: its exact value ``f``."""
 
-    def __init__(self, obj: MultilinearObjective, p: np.ndarray):
+    certified = False
+
+    def __init__(self, obj: MultilinearObjective):
         self.obj = obj
         self.degree = obj.degree
-        self.refresh(p)
 
-    def refresh(self, p):
-        self.f = self.obj.fn(p)
+    def refresh(self, P) -> list:
+        self.f = self.obj.fn(P[0])
+        self.log_f = np.array([math.log(self.f) if self.f > 0.0 else -math.inf])
+        return [None]
 
-    def objective(self) -> float:
+    def objective(self, r: int) -> float:
         return self.f
 
-    def log_objective(self) -> float:
-        return math.log(self.f) if self.f > 0.0 else -math.inf
+    def begin_sweep(self):
+        pass
 
-    def lift(self, p, i: int) -> float | None:
-        """Maximize coordinate i's profile: the new ``p_i``, or None if no step gains."""
-        z, value = _best_step(*_callable_profile(self.obj, p, i), self.degree)
+    def lift(self, P, i: int, errors: list):
+        """Maximize coordinate i's profile; see :meth:`_RankOneStack.lift`."""
+        p_i = float(P[0, i])
+        if errors[0] is not None:
+            return None
+        if p_i >= 1.0:
+            errors[0] = DomainError(_FULL_MASS)
+            return None
+        z, value = _best_step(*_callable_profile(self.obj, P[0], i), self.degree)
         if value <= self.f:
             return None
         self.f = value
-        return z
+        return [z], np.array([[(1.0 - z) / (1.0 - p_i)]])
 
 
-class _RankOne:
-    """Ascent state of a :class:`DesignProblem`: ``M^-1``, ``log det M`` and,
-    as of the last factorization, the sensitivities ``d_i``."""
+@functools.lru_cache(maxsize=16)
+def _x_frame(shape, data: bytes):
+    """What lift-one needs of X alone, by its bytes: X after :func:`scale_columns`,
+    read-only, the power of two divided out, and the work size that
+    ``scipy.linalg.qr`` queries for a pivoted QR of ``X'``. Raises
+    ``DomainError`` when X has less than full column rank."""
+    X = np.frombuffer(data).reshape(shape)
+    scale = np.abs(X).max(axis=0)  # the rank tests must not depend on how levels are coded
+    if not scale.all() or np.linalg.matrix_rank(X / scale) < shape[1]:
+        raise DomainError("X must have full column rank")
+    X, shift = scale_columns(X)
+    X.flags.writeable = False
+    return X, shift, int(lapack.dgeqp3(X.T, lwork=-1)[3][0])
 
-    def __init__(self, problem: DesignProblem, p: np.ndarray):
-        X = problem.X
-        d = problem.n_terms
-        scale = np.abs(X).max(axis=0)  # the rank tests must not depend on how levels are coded
-        if not scale.all() or np.linalg.matrix_rank(X / scale) < d:
-            raise DomainError("X must have full column rank")
-        if not p.all() and np.linalg.matrix_rank(X[p > 0.0] / scale) < d:
-            raise DomainError("degenerate objective: the support of p does not span X")
-        # rows in the basis of d heavy rows B (pivoted QR of sqrt(w) X) keep every
-        # d_i, and weights spanning many decades then sit on a diagonal that
-        # Cholesky scales out; out-of-range columns are first divided by powers
-        # of two, which the basis change X inv(X[B]) does not see
-        X, shift = scale_columns(X)
-        B = linalg.qr((np.sqrt(problem.w)[:, None] * X).T, mode="r", pivoting=True)[1][:d]
-        self.X = X @ np.linalg.inv(X[B])
-        self.X[B] = np.eye(d)
-        self.log_det_B = np.linalg.slogdet(X[B])[1] + shift * math.log(2.0)
-        self.w = problem.w
-        self.Z = np.sqrt(self.w)[:, None] * self.X
+
+def _heaviest_basis(X, w) -> list:
+    """d rows of a full-rank X, chosen greedily by weight: a row joins unless it
+    lies in the span of the rows chosen before it (relative to its own norm)."""
+    d = X.shape[1]
+    chosen, basis = [], np.zeros((0, d))
+    for j in np.argsort(-w, kind="stable").tolist():
+        row = X[j] / np.linalg.norm(X[j])
+        rest = row - basis.T @ (basis @ row)
+        size = np.linalg.norm(rest)
+        if size > d * EPS:
+            chosen.append(j)
+            basis = np.vstack([basis, rest / size])
+            if len(chosen) == d:
+                break
+    return chosen
+
+
+class _RankOneStack:
+    """Ascent state of N weight rows that share X: per row the inverse Cholesky
+    factor of M (and ``M^-1`` during a sweep), ``log det M`` and, as of the
+    last factorization, the sensitivities ``d_i``.
+
+    Row r holds X in the basis of d heavy rows ``B_r`` (pivoted QR of
+    ``sqrt(w_r) X``), which keeps every ``d_i``: weights spanning many
+    decades then sit on a diagonal that Cholesky scales out. Out-of-range
+    columns are first divided by powers of two, which the basis change
+    ``X inv(X[B_r])`` does not see.
+    """
+
+    certified = True
+    #: arrays with one entry per row, which take() selects
+    _ROWS = ("X", "w", "Z", "log_det_B", "alive", "L_inv", "V", "d", "d_max", "log_f")
+    #: the ones a sweep changes, which put() writes back
+    _SWEPT = ("L_inv", "V", "d", "d_max", "log_f")
+
+    def __init__(self, X, W):
+        d = X.shape[1]
+        X, shift, lwork = _x_frame(X.shape, X.tobytes())
+        roots = np.sqrt(W)
+        # LAPACK's pivoted QR as scipy.linalg.qr(pivoting=True) calls it, less
+        # its per-call checks
+        heavy = (roots[:, :, None] * X).transpose(0, 2, 1)
+        B = np.empty((len(W), d), dtype=np.intp)
+        for r, a in enumerate(heavy):
+            B[r] = lapack.dgeqp3(a, lwork=lwork)[1][:d]
+        B -= 1
+        XB = X[B]
+        sign, log_det_B = np.linalg.slogdet(XB)
+        try:
+            XB_inv = np.linalg.inv(XB)
+        except np.linalg.LinAlgError:
+            # a pivot can be roundoff rather than a point: with three collinear
+            # points, the residual of the third can outweigh a light point off
+            # the line; such rows take the heaviest independent points instead
+            for r in np.flatnonzero(sign == 0.0).tolist():
+                B[r] = _heaviest_basis(X, W[r])
+            XB = X[B]
+            log_det_B = np.linalg.slogdet(XB)[1]
+            XB_inv = np.linalg.inv(XB)
+        self.X = X @ XB_inv
+        self.X[np.arange(len(W))[:, None], B] = np.eye(d)
+        self.log_det_B = log_det_B + shift * math.log(2.0)
+        self.w = W
+        self.Z = roots[:, :, None] * self.X
         self.degree = d
         # points the Harman-Pronzato bound has not ruled out of the optimal support
-        self.alive = np.ones(X.shape[0], dtype=bool)
-        self.refresh(p)
+        self.alive = np.ones(W.shape, dtype=bool)
 
-    def _cholesky(self, p):
+    def take(self, rows) -> "_RankOneStack":
+        """The state of ``rows`` alone, copied."""
+        sub = object.__new__(_RankOneStack)
+        sub.degree = self.degree
+        for name in self._ROWS:
+            setattr(sub, name, getattr(self, name)[rows])
+        return sub
+
+    def put(self, rows, sub: "_RankOneStack"):
+        """Write back what a sweep of ``self.take(rows)`` changed."""
+        for name in self._SWEPT:
+            getattr(self, name)[rows] = getattr(sub, name)
+
+    def _factor(self, P, rows=None):
+        """``(L, failed)``: Cholesky factors of ``X'WX`` at ``P`` for ``rows`` (all
+        rows when None); a row whose ``X'WX`` is not positive definite is listed
+        in ``failed`` and gets the identity."""
+        X, w = (self.X, self.w) if rows is None else (self.X[rows], self.w[rows])
+        M = X.transpose(0, 2, 1) @ (X * (P * w)[:, :, None])
         try:
-            return np.linalg.cholesky(self.X.T @ (self.X * (p * self.w)[:, None]))
+            return np.linalg.cholesky(M), []
         except np.linalg.LinAlgError:
-            return None
+            pass
+        L, failed = np.empty_like(M), []
+        for r, Mr in enumerate(M):
+            try:
+                L[r] = np.linalg.cholesky(Mr)
+            except np.linalg.LinAlgError:
+                L[r] = np.eye(len(Mr))
+                failed.append(r)
+        return L, failed
 
-    def _accept(self, L):
+    def _accept(self, L, rows=None):
+        """Take the factors L of ``rows`` (all rows when None) as current."""
+        log_det_B, Z = (self.log_det_B, self.Z) if rows is None else (self.log_det_B[rows], self.Z[rows])
         L_inv = np.linalg.inv(L)
-        self.M_inv = L_inv.T @ L_inv
-        self.log_f = 2.0 * float(np.sum(np.log(np.diag(L))) + self.log_det_B)
+        log_f = 2.0 * (np.log(L.diagonal(0, 1, 2)).sum(axis=1) + log_det_B)
         # rows whitened by M: G = V V' has the sensitivities on its diagonal
-        self.V = self.Z @ L_inv.T
-        self.d = np.einsum("ij,ij->i", self.V, self.V)
+        V = Z @ L_inv.transpose(0, 2, 1)
+        d = np.einsum("rij,rij->ri", V, V)
+        d_max = d.max(axis=1)
+        if rows is None:
+            self.L_inv, self.log_f, self.V, self.d, self.d_max = L_inv, log_f, V, d, d_max
+        else:
+            self.L_inv[rows], self.log_f[rows], self.V[rows], self.d[rows], self.d_max[rows] = (
+                L_inv, log_f, V, d, d_max
+            )
 
-    def refresh(self, p):
-        L = self._cholesky(p)
-        if L is None:
-            raise DomainError("degenerate objective: X'WX is not positive definite")
+    def begin_sweep(self):
+        """``M^-1`` from the current factors, which the lifts of a sweep update."""
+        self.M_inv = self.L_inv.transpose(0, 2, 1) @ self.L_inv
+        self.w_cols = self.w.T.tolist()
+
+    def refresh(self, P) -> list:
+        """Factor every row at P: each row's ``DomainError``, or None."""
+        L, failed = self._factor(P)
         self._accept(L)
+        errors = [None] * len(P)
+        for r in failed:
+            errors[r] = DomainError("degenerate objective: X'WX is not positive definite")
+        return errors
 
-    def objective(self) -> float:
+    def objective(self, r: int) -> float:
         try:
-            return math.exp(self.log_f)
+            return math.exp(self.log_f[r])
         except OverflowError:
             return math.inf
 
-    def log_objective(self) -> float:
-        return self.log_f
+    def equivalence_gaps(self) -> list:
+        m = self.degree
+        return [top / m - 1.0 for top in self.d_max.tolist()]
 
-    def sensitivity(self, i: int) -> tuple[np.ndarray, float]:
-        """``(M^-1 x_i, d_i)``."""
-        u = self.M_inv @ self.X[i]
-        return u, float(self.w[i] * (self.X[i] @ u))
+    def sensitivities(self, i: int):
+        """``(M^-1 x_i, x_i' M^-1 x_i)`` of every row, shaped (N, d, 1) and (N,);
+        ``d_i`` is the second times ``w_i``."""
+        x = self.X[:, i, :, None]
+        u = self.M_inv @ x
+        return u, (x.transpose(0, 2, 1) @ u).ravel()
 
-    def lift(self, p, i: int) -> float | None:
-        """Maximize coordinate i's profile: the new ``p_i``, or None if no step gains."""
-        u, d_i = self.sensitivity(i)
-        p_i = float(p[i])
-        z, value = _best_step(*_relative_profile(p_i, d_i, self.degree), self.degree)
-        if value <= 1.0:  # the profile is relative to the current objective
+    def lift(self, P, i: int, errors: list):
+        """Maximize coordinate i's profile on every row whose entry of ``errors``
+        is None, updating ``M^-1``: None when no row steps, else the new ``p_i``
+        and the factor ``(1 - z) / (1 - p_i)`` of the other coordinates, shaped
+        (N, 1), per row (the old ``p_i`` and 1.0 where a row does not step). A
+        row whose ``p_i`` is 1 gets its ``DomainError`` in ``errors``."""
+        u, xu = self.sensitivities(i)
+        m = self.degree
+        z = P[:, i].tolist()
+        c, k = [1.0] * len(z), [0.0] * len(z)
+        stepped = False
+        for r, (p_i, xu_r, w_i) in enumerate(zip(z, xu.tolist(), self.w_cols[i])):
+            if errors[r] is not None:
+                continue
+            if p_i >= 1.0:
+                errors[r] = DomainError(_FULL_MASS)
+                continue
+            d_i = w_i * xu_r
+            z_r, value = _best_step(*_relative_profile(p_i, d_i, m), m)
+            if value <= 1.0:  # the profile is relative to the current objective
+                continue
+            # M moves to c (M + s w_i x_i x_i') with c = (1 - z) / (1 - p_i)
+            c_r = (1.0 - z_r) / (1.0 - p_i)
+            s = (z_r - c_r * p_i) / c_r
+            z[r], c[r], k[r] = z_r, c_r, s * w_i / (1.0 + s * d_i)
+            stepped = True
+        if not stepped:
             return None
-        # M moves to c (M + s w_i x_i x_i') with c = (1 - z) / (1 - p_i)
-        c = (1.0 - z) / (1.0 - p_i)
-        s = (z - c * p_i) / c
-        k = s * self.w[i] / (1.0 + s * d_i)
-        self.M_inv = (self.M_inv - u[:, None] * (k * u)) / c
-        return z
+        # a row that does not step has k = 0 and c = 1, which leave its M^-1 as it is
+        c, k = np.array((c, k))[:, :, None, None]
+        self.M_inv = (self.M_inv - u * (u.transpose(0, 2, 1) * k)) / c
+        return z, c[:, 0]
 
-    def equivalence_gap(self) -> float:
-        return float(self.d.max()) / self.degree - 1.0
-
-    def _gain(self, p, q) -> float:
-        """``log f(q) - log f(p)`` on the simplex, from ``q - p``.
+    def _gain(self, P, Q) -> list:
+        """``log f(Q) - log f(P)`` per row on the simplex, from ``Q - P``.
 
         Near the optimum a Newton step gains far less than the rounding of
         ``log det``, so two factorized log dets cannot order it; the
@@ -246,83 +394,147 @@ class _RankOne:
         change of ``sum(q)`` comes out exactly because ``log f`` gains
         ``d log c`` when ``p`` is scaled by ``c``.
         """
-        D = q - p
-        lam = np.linalg.eigvalsh(self.V.T @ (self.V * D[:, None]))
-        if lam.min() <= -1.0:
-            return -math.inf
-        return float(np.sum(np.log1p(lam))) - self.degree * math.log1p(math.fsum(D) / math.fsum(p))
+        D = Q - P
+        lam = np.linalg.eigvalsh(self.V.transpose(0, 2, 1) @ (self.V * D[:, :, None]))
+        lost = (lam[:, 0] <= -1.0).tolist()  # eigvalsh sorts lam
+        if any(lost):
+            lam[np.array(lost)] = 0.0
+        sums = np.log1p(lam).sum(axis=1).tolist()
+        m = self.degree
+        return [
+            -math.inf if lost_r else s - m * math.log1p(math.fsum(D_r) / math.fsum(p_r))
+            for lost_r, s, D_r, p_r in zip(lost, sums, D.tolist(), P.tolist())
+        ]
 
-    def _newton_direction(self, p, free):
-        """Newton step on the free set, which it shrinks by every zero-mass
-        point the step would push negative; returns ``(idx, step)``."""
-        while True:
-            idx = np.flatnonzero(free)
-            k = idx.size
-            Vf = self.V[idx]
-            K = np.ones((k + 1, k + 1))
-            K[:k, :k] = (Vf @ Vf.T) ** 2
-            K[k, k] = 0.0
-            rhs = np.zeros(k + 1)
-            rhs[:k] = self.d[idx] - self.degree
-            lam, Q = np.linalg.eigh(K)
-            c = Q.T @ rhs
-            # least squares drops the singular directions, which carry no slope;
-            # a nearly singular one that carries most of it is followed uphill
-            # until the ratio test stops it
-            cut = _RCOND * np.abs(lam).max()
-            flat = np.abs(lam) <= cut
-            lam[flat] = math.inf if c[flat] @ c[flat] <= 0.25 * (c @ c) else cut
-            step = (Q @ (c / lam))[:k]
-            entering = (p[idx] == 0.0) & (step < 0.0)
-            if not entering.any():
-                return idx, step
-            free[idx[entering]] = False
+    def _newton_points(self, P, free):
+        """Each row's allocation after its ratio-tested Newton step.
 
-    def newton(self, p) -> float:
-        """One projected Newton step on ``log det M`` over the simplex, in place.
-
-        Returns the gain in ``log f``; 0.0, with p untouched, when the
-        ratio-tested step does not gain.
+        The step solves the KKT system on the row's free set, which shrinks
+        by every zero-mass point the step would push negative; rows with free
+        sets of one size share one stacked ``eigh``. Free points are indexed
+        by their flat position in the rows' (rows, n) arrays.
         """
+        m, n = self.degree, P.shape[1]
+        Q = None
+        todo = None  # every row
+        while True:
+            sizes = (free if todo is None else free[todo]).sum(axis=1).tolist()
+            ks = sorted(set(sizes))
+            redo = []
+            for k in ks:
+                g = todo
+                if len(ks) > 1:
+                    g = np.flatnonzero(np.array(sizes) == k)
+                    g = g if todo is None else todo[g]
+                if g is None:
+                    V, d, p, f = self.V, self.d, P, free
+                else:
+                    V, d, p, f = self.V[g], self.d[g], P[g], free[g]
+                G = len(p)
+                pos = f.reshape(-1).nonzero()[0].reshape(G, k)
+                Vf = V.reshape(G * n, -1).take(pos, axis=0)
+                K = np.ones((G, k + 1, k + 1))
+                np.square(Vf @ Vf.transpose(0, 2, 1), out=K[:, :k, :k])
+                K[:, k, k] = 0.0
+                rhs = np.zeros((G, k + 1))
+                np.subtract(d.take(pos), m, out=rhs[:, :k])
+                lam, E = np.linalg.eigh(K)
+                c = (E.transpose(0, 2, 1) @ rhs[:, :, None])[:, :, 0]
+                # least squares drops the singular directions, which carry no slope;
+                # a nearly singular one that carries most of it is followed uphill
+                # until the ratio test stops it. eigh sorts lam, so the largest
+                # |lam| is at one end
+                cut = _RCOND * np.maximum(-lam[:, 0], lam[:, -1])
+                flat = np.abs(lam) <= cut[:, None]
+                if np.count_nonzero(flat):  # count_nonzero: any() costs three times as much
+                    for r in np.flatnonzero(flat.any(axis=1)).tolist():
+                        c_r, flat_r = c[r], flat[r]
+                        slope = c_r[flat_r] @ c_r[flat_r] <= 0.25 * (c_r @ c_r)
+                        lam[r, flat_r] = math.inf if slope else cut[r]
+                step = (E @ (c / lam)[:, :, None])[:, :k, 0]
+                p_free = p.take(pos)
+                shrink = step < 0.0
+                entering = shrink & (p_free == 0.0)
+                if np.count_nonzero(entering):
+                    # the entering points leave the free set, in the rows' own place
+                    moved = pos if g is None else pos + ((g - np.arange(G)) * n)[:, None]
+                    free.reshape(-1)[moved[entering]] = False
+                    stuck = entering.any(axis=1)
+                    redo.append(np.flatnonzero(stuck) if g is None else g[stuck])
+                    keep = np.flatnonzero(~stuck)
+                    if not keep.size:
+                        continue
+                    g = keep if g is None else g[keep]
+                    pos = pos[keep] - ((keep - np.arange(keep.size)) * n)[:, None]
+                    p, step, p_free, shrink = p[keep], step[keep], p_free[keep], shrink[keep]
+                    G = keep.size
+                # ratio test: the longest step in [0, 1] that keeps p >= 0
+                ratios = np.full(step.shape, math.inf)
+                np.divide(p_free, -step, out=ratios, where=shrink)
+                t = ratios.min(axis=1)
+                block = t < 1.0
+                np.minimum(t, 1.0, out=t)
+                q = p.copy()
+                q.put(pos, p_free + t[:, None] * step)
+                if np.count_nonzero(block):
+                    first = ratios.argmin(axis=1) + np.arange(0, G * k, k)
+                    q.put(pos.take(first[block]), 0.0)
+                if g is None:
+                    Q = q
+                else:
+                    if Q is None:
+                        Q = np.empty_like(P)
+                    Q[g] = q
+            if not redo:
+                break
+            todo = np.concatenate(redo)
+            if len(todo) == len(P):
+                todo = None  # every row again: views, not copies
+        np.maximum(Q, 0.0, out=Q)
+        Q /= Q.sum(axis=1, keepdims=True)
+        return Q
+
+    def newton(self, P) -> list:
+        """One projected Newton step on ``log det M`` over the simplex for every
+        row, in place: the gain in ``log f`` per row; 0.0, with the row
+        untouched, where the ratio-tested step does not gain."""
         m, d = self.degree, self.d
         # Harman & Pronzato (2007): no optimal design puts mass where d_i < h(eps)
-        eps = max(float(d.max()) - m, 0.0)
-        self.alive &= d >= m * (1.0 + 0.5 * eps - 0.5 * math.sqrt(eps * (4.0 + eps - 4.0 / m)))
-        idx, step = self._newton_direction(p, (p > 0.0) | (self.alive & (d > m)))
-        # ratio test: the longest step in [0, 1] that keeps p >= 0
-        t, block = 1.0, -1
-        shrink = np.flatnonzero(step < 0.0)
-        if shrink.size:
-            ratios = p[idx[shrink]] / -step[shrink]
-            j = int(np.argmin(ratios))
-            if ratios[j] < 1.0:
-                t, block = float(ratios[j]), int(idx[shrink[j]])
-        q = p.copy()
-        q[idx] += t * step
-        if block >= 0:
-            q[block] = 0.0
-        q = np.maximum(q, 0.0)
-        q /= q.sum()
-        gain = self._gain(p, q)
-        L = self._cholesky(q) if gain > 0.0 else None
-        if L is None:
-            return 0.0
-        p[:] = q
-        self._accept(L)
+        h = []
+        for top in self.d_max.tolist():
+            eps = max(top - m, 0.0)
+            h.append(m * (1.0 + 0.5 * eps - 0.5 * math.sqrt(eps * (4.0 + eps - 4.0 / m))))
+        self.alive &= d >= np.array(h)[:, None]
+        Q = self._newton_points(P, (P > 0.0) | (self.alive & (d > m)))
+        gain = [g if g > 0.0 else 0.0 for g in self._gain(P, Q)]
+        up = [r for r, g in enumerate(gain) if g > 0.0]
+        if not up:
+            return gain
+        rows = None if len(up) == len(P) else np.array(up)
+        L, failed = self._factor(Q if rows is None else Q[rows], rows)
+        if failed:
+            for r in failed:
+                gain[up[r]] = 0.0
+            kept = np.delete(np.arange(len(up)), failed)
+            L, rows = L[kept], np.array(up)[kept]
+            if not rows.size:
+                return gain
+        if rows is None:
+            P[:] = Q
+        else:
+            P[rows] = Q[rows]
+        self._accept(L, rows)
         return gain
 
 
-def _state_class(problem):
-    if isinstance(problem, MultilinearObjective):
-        return _BlackBox
-    if isinstance(problem, DesignProblem):
-        return _RankOne
-    raise DomainError(f"cannot interpret {type(problem).__name__} as an objective")
+def _check_problem(problem):
+    if not isinstance(problem, (MultilinearObjective, DesignProblem)):
+        raise DomainError(f"cannot interpret {type(problem).__name__} as an objective")
 
 
 def _check_lift(p, i: int):
     if p[i] >= 1.0:
-        raise DomainError("degenerate profile: coordinate already carries all mass")
+        raise DomainError(_FULL_MASS)
 
 
 def fi_profile(problem, p, i: int) -> tuple[float, float]:
@@ -335,16 +547,24 @@ def fi_profile(problem, p, i: int) -> tuple[float, float]:
     that underflows to zero, it raises ``SolverError`` (lift-one itself works
     in log space).
     """
-    kind = _state_class(problem)
+    _check_problem(problem)
     n = problem.n_points
     arr = _as_prob_vector(p, n)
     i = as_int(i, f"coordinate {i} out of range", 0, n)
     _check_lift(arr, i)
-    if kind is _BlackBox:
+    if isinstance(problem, MultilinearObjective):
         return _callable_profile(problem, arr, i)
-    state = _RankOne(problem, arr)
-    alpha, beta = _relative_profile(float(arr[i]), state.sensitivity(i)[1], state.degree)
-    f = state.objective()
+    state = _RankOneStack(problem.X, problem.w[None])
+    X = problem.X
+    if not arr.all() and np.linalg.matrix_rank(X[arr > 0.0] / np.abs(X).max(axis=0)) < X.shape[1]:
+        raise DomainError("degenerate objective: the support of p does not span X")
+    (error,) = state.refresh(arr[None])
+    if error is not None:
+        raise error
+    state.begin_sweep()
+    d_i = float(problem.w[i] * state.sensitivities(i)[1][0])
+    alpha, beta = _relative_profile(float(arr[i]), d_i, state.degree)
+    f = state.objective(0)
     if f == 0.0:
         raise SolverError("objective below the float range: det(X'WX) underflows to zero")
     alpha, beta = alpha * f, beta * f
@@ -373,6 +593,128 @@ def _best_step(alpha: float, beta: float, degree: int) -> tuple[float, float]:
     return best_z, best_val
 
 
+def _sweep(state, P) -> list:
+    """One lift-one sweep of every row of ``state``, in place: each row's
+    ``DomainError``, or None."""
+    errors = [None] * len(P)
+    state.begin_sweep()
+    for i in range(P.shape[1]):
+        step = state.lift(P, i, errors)
+        if step is not None:
+            z, c = step
+            P *= c
+            P[:, i] = z
+    P /= P.sum(axis=1, keepdims=True)
+    return [old or new for old, new in zip(errors, state.refresh(P))]
+
+
+def _ascend(state, P, cfg: LiftOneConfig) -> list:
+    """The ascent of every row of ``state`` in lockstep from the allocations
+    ``P``: per row its report, or the ``DomainError`` that stopped it."""
+    certified = state.certified
+    out: list = [None] * len(P)
+    rows = list(range(len(P)))  # the row of the batch behind each row of the state
+    sweeps, steps, last, converged = [0] * len(P), [0] * len(P), [0.0] * len(P), [False] * len(P)
+    log_f: list = []
+    gaps: list = []
+
+    def report(r):
+        diag = {
+            "sweeps": float(sweeps[r]),
+            "newton_steps": float(steps[r]),
+            "converged": 1.0 if converged[r] else 0.0,
+            "last_rel_improvement": float(last[r]),
+            "log_objective": log_f[r],
+        }
+        if certified:
+            diag["equivalence_gap"] = gaps[r]
+        return SolveReport(Allocation(P[r]), state.objective(r), "liftone", diag)
+
+    def leave(ends) -> bool:
+        """Settle every row whose end is an error or True; keep the rows whose end
+        is None, and tell whether there are any."""
+        nonlocal state, P, rows, sweeps, steps, last, converged
+        keep = [r for r, end in enumerate(ends) if end is None]
+        for r, end in enumerate(ends):
+            if end is not None:
+                out[rows[r]] = report(r) if end is True else end
+        if keep and len(keep) < len(rows):
+            state, P = state.take(keep), P[keep]
+            rows, sweeps, steps, last, converged = (
+                [seq[r] for r in keep] for seq in (rows, sweeps, steps, last, converged)
+            )
+        return bool(keep)
+
+    errors = state.refresh(P)
+    for r, value in enumerate(state.log_f.tolist()):
+        if errors[r] is None and not math.isfinite(value):
+            errors[r] = DomainError("degenerate objective: value is zero at the starting allocation")
+    if not leave(errors):
+        return out
+    for iteration in range(cfg.max_sweeps):
+        newton = certified and iteration >= _SWEEPS_BEFORE_NEWTON
+        gain = state.newton(P) if newton else [0.0] * len(P)
+        # a row whose Newton step does not gain sweeps instead, from where it was
+        lazy = [r for r, g in enumerate(gain) if g == 0.0]
+        log_start = state.log_f.tolist() if lazy else []
+        if len(lazy) == len(P):
+            errors = _sweep(state, P)
+        else:
+            errors = [None] * len(P)
+            if lazy:
+                sub, P_sub = state.take(lazy), P[lazy]
+                for r, exc in zip(lazy, _sweep(sub, P_sub)):
+                    errors[r] = exc
+                state.put(lazy, sub)
+                P[lazy] = P_sub
+        log_f = state.log_f.tolist()
+        if certified:
+            gaps = state.equivalence_gaps()
+        ends = []
+        for r, g in enumerate(gain):
+            if errors[r] is not None:
+                ends.append(errors[r])
+                continue
+            if g > 0.0:
+                steps[r] += 1
+                last[r] = -math.expm1(-g)
+            else:
+                sweeps[r] += 1
+                last[r] = -math.expm1(log_start[r] - log_f[r])
+            if certified:
+                converged[r] = state.degree * math.log1p(gaps[r]) <= cfg.tol
+                done = converged[r] or (newton and g == 0.0 and last[r] <= cfg.tol)
+            else:
+                converged[r] = done = last[r] <= cfg.tol
+            ends.append(True if done else None)
+        if not leave(ends):
+            return out
+    for r, row in enumerate(rows):
+        out[row] = report(r)
+    return out
+
+
+def _maximize_rows(X, W, config: LiftOneConfig) -> list:
+    """:func:`liftone_maximize` of ``DesignProblem(X, w=W[r])`` for every row r of
+    ``W``, in row order: the report, or the ``DomainError`` that row raises.
+
+    The rows run as stacks of at most about ``_STACK_ENTRIES`` entries per
+    (rows, n, d) array, and each row comes out as its own call gives it.
+    """
+    n, d = X.shape
+    size = max(1, _STACK_ENTRIES // (n * d))
+    out: list = []
+    for start in range(0, len(W), size):
+        chunk = W[start : start + size]
+        try:
+            state = _RankOneStack(X, chunk)
+        except DomainError as exc:
+            out += [exc] * len(chunk)
+            continue
+        out += _ascend(state, np.full(chunk.shape, 1.0 / n), config)
+    return out
+
+
 def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveReport:
     """Maximize a multilinear design objective over the simplex.
 
@@ -399,50 +741,12 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
     the D-optimum (Kiefer-Wolfowitz), from the final factorization.
     """
     cfg = config or LiftOneConfig()
-    kind = _state_class(problem)
-    n = problem.n_points
-    p = np.full(n, 1.0 / n)
-
-    state = kind(problem, p)
-    if not np.isfinite(state.log_objective()):
-        raise DomainError("degenerate objective: value is zero at the starting allocation")
-
-    certified = kind is _RankOne
-    sweeps = newton_steps = 0
-    while sweeps + newton_steps < cfg.max_sweeps:
-        newton = certified and sweeps >= _SWEEPS_BEFORE_NEWTON
-        gain = state.newton(p) if newton else 0.0
-        if gain > 0.0:
-            newton_steps += 1
-            last_rel = -math.expm1(-gain)
-        else:
-            log_start = state.log_objective()
-            for i in range(n):
-                _check_lift(p, i)
-                z = state.lift(p, i)
-                if z is not None:
-                    p *= (1.0 - z) / (1.0 - p[i])
-                    p[i] = z
-            p /= p.sum()
-            state.refresh(p)
-            sweeps += 1
-            last_rel = -math.expm1(log_start - state.log_objective())
-        if certified:
-            converged = state.degree * math.log1p(state.equivalence_gap()) <= cfg.tol
-            if converged or (newton and gain == 0.0 and last_rel <= cfg.tol):
-                break
-        else:
-            converged = last_rel <= cfg.tol
-            if converged:
-                break
-
-    diag = {
-        "sweeps": float(sweeps),
-        "newton_steps": float(newton_steps),
-        "converged": 1.0 if converged else 0.0,
-        "last_rel_improvement": float(last_rel),
-        "log_objective": state.log_objective(),
-    }
-    if certified:
-        diag["equivalence_gap"] = state.equivalence_gap()
-    return SolveReport(Allocation(p), state.objective(), "liftone", diag)
+    _check_problem(problem)
+    if isinstance(problem, DesignProblem):
+        (result,) = _maximize_rows(problem.X, problem.w[None], cfg)
+    else:
+        n = problem.n_points
+        (result,) = _ascend(_BlackBox(problem), np.full((1, n), 1.0 / n), cfg)
+    if isinstance(result, DomainError):
+        raise result
+    return result

@@ -446,3 +446,28 @@ def test_seventeen_digit_serialization(tmp_path, capsys):
     objective = lines[1].split(",")[1]
     assert float(objective) == pytest.approx(0.0014560789064650484, rel=1e-16)
     assert len(objective.replace("0.", "")) >= 16
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # main() reuses one parser; parsing must leave it as build_parser() made it
+    build = cli.build_parser
+    calls = []
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(None) or build())
+    cli._parser.cache_clear()
+    try:
+        argv = ["bench", "--n-instances", "3", "--seed", "2"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(["bench", "--model", "2^3", "--n-instances", "1"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        again = capsys.readouterr().out
+
+        def without_time(text):
+            return [row[:3] + row[4:] for row in (line.split(",") for line in text.splitlines())]
+
+        assert without_time(again) == without_time(first)
+        assert len(calls) == 1
+        assert cli._parser().format_help() == build().format_help()
+    finally:
+        cli._parser.cache_clear()

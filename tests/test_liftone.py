@@ -236,6 +236,20 @@ class TestRankOne:
             log_objective = ref.diagnostics["log_objective"] + 1800.0 * np.log(2.0)
             assert lift.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-14)
 
+    def test_collinear_points_with_decades_wide_weights(self):
+        # three of the four points lie on a line; the pivoted QR of sqrt(w) X
+        # takes the third one's roundoff residual for a pivot, ahead of the
+        # point off the line whose probit weight is about 1e-46 or 1e-114
+        X = build_model_matrix([[0, 0], [1, 1], [-1, -1], [1, -1]])
+        for beta in ([2.38273693, -6.01585989, 10.99473386], [3.37643808, 8.73411021, -10.87181995]):
+            problem = DesignProblem(X, beta=beta, weight_fn=WeightFunction.from_name("probit"))
+            lift = liftone_maximize(problem)
+            analytic = solve_fourpoint(problem)
+            assert lift.diagnostics["converged"] == 1.0
+            assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-12)
+            log_objective = analytic.diagnostics["log_objective"]
+            assert lift.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-12)
+
     def test_equivalence_gap_certificate(self):
         X = _main_effects_2x3()
         rng = np.random.default_rng(3)
@@ -328,21 +342,22 @@ class TestRankOne:
     def test_sweep_stands_in_for_a_newton_step_that_does_not_gain(self, monkeypatch):
         # the first Newton step reports no gain; the sweep that replaces it is
         # then the only recovery, and the solve must still certify the optimum
-        from glmdopt.liftone import _RankOne
+        from glmdopt.liftone import _RankOneStack
 
         X = _main_effects_2x3()
         rng = np.random.default_rng(19)
         betas = rng.uniform(-1.0, 1.0, (10, 4))
         expected = [liftone_maximize(DesignProblem(X, beta=b, weight_fn=LOGIT)) for b in betas]
-        gain = _RankOne._gain
+        gain = _RankOneStack._gain
         for beta, ref in zip(betas, expected):
             calls = []
 
-            def first_step_fails(self, p, q):
+            def first_step_fails(self, P, Q):
+                # the gain of every row of the stack; a single solve is one row
                 calls.append(None)
-                return 0.0 if len(calls) == 1 else gain(self, p, q)
+                return [0.0] * len(P) if len(calls) == 1 else gain(self, P, Q)
 
-            monkeypatch.setattr(_RankOne, "_gain", first_step_fails)
+            monkeypatch.setattr(_RankOneStack, "_gain", first_step_fails)
             lift = liftone_maximize(DesignProblem(X, beta=beta, weight_fn=LOGIT))
             assert lift.diagnostics["converged"] == 1.0
             assert lift.diagnostics["equivalence_gap"] <= 1e-9

@@ -1,8 +1,9 @@
 """The row path of ``sweep-beta`` and ``bench`` against one solve per row.
 
-:func:`glmdopt.cli.dispatch_rows` shares the X-only work of a saturated
-shape across rows and makes one weight call for all of them; each row must
-still come out exactly as its own :func:`glmdopt.cli.dispatch_solve`.
+:func:`glmdopt.cli.dispatch_rows` makes one weight call for all rows, shares
+the X-only work of a saturated shape across them and runs lift-one rows as
+one lockstep stack; each row must still come out exactly as its own
+:func:`glmdopt.cli.dispatch_solve`.
 """
 
 import json
@@ -18,7 +19,7 @@ from glmdopt import (
     build_model_matrix,
     full_factorial_design,
 )
-from glmdopt import cli, saturated, solver4
+from glmdopt import cli, liftone, saturated, solver4
 from glmdopt.cli import dispatch_rows, main
 
 INTERACTION = [[], [0], [1], [0, 1]]
@@ -79,21 +80,33 @@ def test_rows_match_one_solve_per_row():
     rng = np.random.default_rng(20261019)
     labels = set()
     records = 0
+    lifted = []
     for name, (X, box) in LAYOUTS.items():
         for link in LINKS:
             problem = DesignProblem(X, weight_fn=WeightFunction.from_name(link), w=np.ones(len(X)))
             betas = coefficient_rows(rng, X.shape[1], box)
-            for method in ("analytic", "auto"):
+            for method in ("liftone", "analytic", "auto"):
                 got = dispatch_rows(problem, betas, method, 1e-12)
                 # the shared path, not the per-row fallback
                 assert isinstance(got, list), (name, link)
                 want = solve_each(problem, betas, method)
                 assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want], (name, link)
                 records += len(want)
+                if method == "liftone":
+                    lifted += [(name, r) for r in got]
             labels |= {r.case_label for r in want if not isinstance(r, Exception)}
             if name == "five-dependent":
                 solved = [r for r in want if not isinstance(r, Exception)]
                 assert any(r.diagnostics["zero_count"] > 0 for r in solved)
+    # lift-one certifies every row whose weights pass and whose X has full rank;
+    # the rank-deficient layout fails on every row, each after its weight gate
+    failures = {(name == "rank2", str(r)) for name, r in lifted if isinstance(r, Exception)}
+    assert failures == {
+        (True, "X must have full column rank"),
+        (True, "weights must be positive and finite"),
+        (False, "weights must be positive and finite"),
+    }
+    assert all(r.diagnostics["converged"] == 1.0 for _, r in lifted if not isinstance(r, Exception))
     assert records > 2500
     assert {
         "saturated-boundary",
@@ -206,12 +219,80 @@ def test_x_errors_reach_every_row_after_its_weight_gate():
 
 
 def test_other_shapes_and_methods_solve_row_by_row():
+    # n = 5, d = 3 has no analytic solver: the liftone and auto rows run as one
+    # lift-one stack and every analytic row gets the shape error, and each entry
+    # must still equal that row's own solve
     X = build_model_matrix([[1, 1], [1, -1], [-1, 1], [-1, -1], [0, 0]])
     problem = DesignProblem(X, weight_fn=WeightFunction.logit(), w=np.ones(5))
     betas = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 3))
     for method in ("auto", "liftone", "analytic"):
         got = [fingerprint(r) for r in dispatch_rows(problem, betas, method, 1e-12)]
         assert got == [fingerprint(r) for r in solve_each(problem, betas, method)]
+
+
+AUTO_LIFTONE = {
+    "2^3 main effects": build_model_matrix(full_factorial_design(3)[1]),
+    "3^2 interaction": build_model_matrix(
+        [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)], INTERACTION
+    ),
+    "2^6 main effects": build_model_matrix(full_factorial_design(6)[1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUTO_LIFTONE))
+def test_auto_rows_on_shapes_without_an_analytic_solver(name):
+    X = AUTO_LIFTONE[name]
+    problem = DesignProblem(X, weight_fn=WeightFunction.probit(), w=np.ones(len(X)))
+    rng = np.random.default_rng(21)
+    d = X.shape[1]
+    # probit weights underflow on the rows with a coefficient of 45, mid-batch
+    underflow = [[45.0] + [0.0] * (d - 1)]
+    betas = np.vstack([rng.uniform(-0.5, 0.5, (6, d)), underflow, rng.uniform(-0.5, 0.5, (5, d))])
+    got = dispatch_rows(problem, betas, "auto", 1e-12)
+    want = solve_each(problem, betas, "auto")
+    assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
+    kinds = ["error" if isinstance(r, Exception) else r.case_label for r in got]
+    assert kinds == ["liftone"] * 6 + ["error"] + ["liftone"] * 5
+    assert all(r.diagnostics["converged"] == 1.0 for r in got if not isinstance(r, Exception))
+
+
+def test_liftone_rows_in_several_stacks(monkeypatch):
+    # a stack holds at most _STACK_ENTRIES entries per (rows, n, d) array: with
+    # room for three 8x4 rows, ten rows run as four stacks
+    monkeypatch.setattr(liftone, "_STACK_ENTRIES", 3 * 32)
+    X = build_model_matrix(full_factorial_design(3)[1])
+    problem = DesignProblem(X, weight_fn=WeightFunction.logit(), w=np.ones(8))
+    betas = np.random.default_rng(22).uniform(-1.0, 1.0, (10, 4))
+    got = dispatch_rows(problem, betas, "auto", 1e-12)
+    assert [fingerprint(r) for r in got] == [fingerprint(r) for r in solve_each(problem, betas, "auto")]
+
+
+def test_liftone_row_whose_information_matrix_underflows():
+    # logit weights near 5e-324 pass the weight gate, but X'WX underflows to
+    # zero: that row's own error, between rows that solve
+    X = build_model_matrix(full_factorial_design(3)[1])
+    problem = DesignProblem(X, weight_fn=WeightFunction.logit(), w=np.ones(8))
+    betas = np.array([[0.2, 0.1, -0.3, 0.4], [-744.0, 0.0, 0.0, 0.0], [-0.5, 0.3, 0.2, -0.1]])
+    got = dispatch_rows(problem, betas, "liftone", 1e-12)
+    want = solve_each(problem, betas, "liftone")
+    assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
+    assert str(got[1]) == "degenerate objective: X'WX is not positive definite"
+    assert got[0].case_label == got[2].case_label == "liftone"
+
+
+def test_liftone_x_errors_reach_every_row_after_its_weight_gate():
+    # five points on a line: no analytic shape, rank 2 of 3 columns
+    X = build_model_matrix([[0, 0], [1, 1], [-1, -1], [2, 2], [3, 3]])
+    problem = DesignProblem(X, weight_fn=WeightFunction.probit(), w=np.ones(5))
+    betas = np.array([[0.1, 0.2, 0.3], [45.0, 0.0, 0.0], [0.0, 0.1, 0.0]])
+    for method in ("auto", "liftone"):
+        got = [fingerprint(r) for r in dispatch_rows(problem, betas, method, 1e-12)]
+        assert got == [fingerprint(r) for r in solve_each(problem, betas, method)]
+        assert [message for _, message in got] == [
+            "X must have full column rank",
+            "weights must be positive and finite",
+            "X must have full column rank",
+        ]
 
 
 def test_floating_point_events_keep_the_per_row_loop():
@@ -275,6 +356,15 @@ def test_sweep_rows_match_the_per_row_loop(tmp_path, capsys, monkeypatch):
 
 def without_time(text):
     return [line.split(",")[:3] + line.split(",")[4:] for line in text.splitlines()]
+
+
+def test_bench_without_instances(capsys):
+    assert main(["bench", "--model", "2^3", "--n-instances", "0"]) == 0
+    assert without_time(capsys.readouterr().out) == [
+        ["method", "n_instances", "failures", "efficiency_mean", "efficiency_p01", "efficiency_min"],
+        ["analytic", "0", "0", "1", "1", "1"],
+        ["liftone", "0", "0", "nan", "nan", "nan"],
+    ]
 
 
 @pytest.mark.parametrize("model", ["2x2", "2^3"])
