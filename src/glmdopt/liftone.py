@@ -193,16 +193,18 @@ class _BlackBox:
 @functools.lru_cache(maxsize=16)
 def _x_frame(shape, data: bytes):
     """What lift-one needs of X alone, by its bytes: X after :func:`scale_columns`,
-    read-only, the power of two divided out, and the work size that
-    ``scipy.linalg.qr`` queries for a pivoted QR of ``X'``. Raises
-    ``DomainError`` when X has less than full column rank."""
+    read-only, the power of two divided out, the largest ``|entry|`` of each
+    of its columns, and the work size that ``scipy.linalg.qr`` queries for a
+    pivoted QR of ``X'``. Raises ``DomainError`` when X has less than full
+    column rank."""
     X = np.frombuffer(data).reshape(shape)
     scale = np.abs(X).max(axis=0)  # the rank tests must not depend on how levels are coded
     if not scale.all() or np.linalg.matrix_rank(X / scale) < shape[1]:
         raise DomainError("X must have full column rank")
     X, shift = scale_columns(X)
-    X.flags.writeable = False
-    return X, shift, int(lapack.dgeqp3(X.T, lwork=-1)[3][0])
+    size = np.abs(X).max(axis=0)
+    X.flags.writeable = size.flags.writeable = False
+    return X, shift, size, int(lapack.dgeqp3(X.T, lwork=-1)[3][0])
 
 
 def _heaviest_basis(X, w) -> list:
@@ -231,7 +233,9 @@ class _RankOneStack:
     ``sqrt(w_r) X``), which keeps every ``d_i``: weights spanning many
     decades then sit on a diagonal that Cholesky scales out. Out-of-range
     columns are first divided by powers of two, which the basis change
-    ``X inv(X[B_r])`` does not see.
+    ``X inv(X[B_r])`` does not see. A basis that is singular up to roundoff
+    gives way to the heaviest independent rows, and a coordinate at the
+    rounding level of its row is set to the zero it is in exact arithmetic.
     """
 
     certified = True
@@ -240,9 +244,9 @@ class _RankOneStack:
     #: the ones a sweep changes, which put() writes back
     _SWEPT = ("L_inv", "V", "d", "d_max", "log_f")
 
-    def __init__(self, X, W):
+    def __init__(self, frame, W):
+        X, shift, size, lwork = frame
         d = X.shape[1]
-        X, shift, lwork = _x_frame(X.shape, X.tobytes())
         roots = np.sqrt(W)
         # LAPACK's pivoted QR as scipy.linalg.qr(pivoting=True) calls it, less
         # its per-call checks
@@ -253,18 +257,27 @@ class _RankOneStack:
         B -= 1
         XB = X[B]
         sign, log_det_B = np.linalg.slogdet(XB)
-        try:
-            XB_inv = np.linalg.inv(XB)
-        except np.linalg.LinAlgError:
-            # a pivot can be roundoff rather than a point: with three collinear
-            # points, the residual of the third can outweigh a light point off
-            # the line; such rows take the heaviest independent points instead
-            for r in np.flatnonzero(sign == 0.0).tolist():
+        singular = sign == 0.0
+        XB_inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(d), XB) if singular.any() else XB)
+        # a pivot can be roundoff rather than a point: with three collinear
+        # points, the residual of the third can outweigh a light point off the
+        # line. X[B] is then singular up to roundoff at the scale of X's
+        # columns, and the row takes the heaviest independent points instead
+        rough = singular | (np.abs(size[:, None] * XB_inv).max(axis=(1, 2)) > 1.0 / (d * EPS))
+        if rough.any():
+            for r in np.flatnonzero(rough).tolist():
                 B[r] = _heaviest_basis(X, W[r])
             XB = X[B]
             log_det_B = np.linalg.slogdet(XB)[1]
             XB_inv = np.linalg.inv(XB)
         self.X = X @ XB_inv
+        # a coordinate at the rounding level of its row, such as a collinear
+        # point's off the line, is zero in exact arithmetic, and its square
+        # would outweigh a light point that the basis holds
+        A = np.abs(self.X)
+        tiny = A <= (d * EPS) * A.max(axis=2, keepdims=True)
+        if np.count_nonzero(tiny):
+            self.X[tiny] = 0.0
         self.X[np.arange(len(W))[:, None], B] = np.eye(d)
         self.log_det_B = log_det_B + shift * math.log(2.0)
         self.w = W
@@ -341,29 +354,28 @@ class _RankOneStack:
         except OverflowError:
             return math.inf
 
-    def equivalence_gaps(self) -> list:
-        m = self.degree
-        return [top / m - 1.0 for top in self.d_max.tolist()]
+    def equivalence_gap(self, r: int) -> float:
+        return self.d_max[r].item() / self.degree - 1.0
 
     def sensitivities(self, i: int):
-        """``(M^-1 x_i, x_i' M^-1 x_i)`` of every row, shaped (N, d, 1) and (N,);
-        ``d_i`` is the second times ``w_i``."""
-        x = self.X[:, i, :, None]
-        u = self.M_inv @ x
-        return u, (x.transpose(0, 2, 1) @ u).ravel()
+        """``(M^-1 x_i, x_i' M^-1 x_i)`` of every row, an (N, d, 1) array and a
+        list; ``d_i`` is the second times ``w_i``."""
+        u = self.M_inv @ self.X[:, i, :, None]
+        return u, (self.X[:, i, None, :] @ u).ravel().tolist()
 
     def lift(self, P, i: int, errors: list):
         """Maximize coordinate i's profile on every row whose entry of ``errors``
         is None, updating ``M^-1``: None when no row steps, else the new ``p_i``
-        and the factor ``(1 - z) / (1 - p_i)`` of the other coordinates, shaped
-        (N, 1), per row (the old ``p_i`` and 1.0 where a row does not step). A
-        row whose ``p_i`` is 1 gets its ``DomainError`` in ``errors``."""
+        and the factor ``(1 - z) / (1 - p_i)`` of the other coordinates per row,
+        a list and an (N, 1) array (the old ``p_i`` and 1.0 where a row does
+        not step), or two floats for a one-row stack. A row whose ``p_i`` is 1
+        gets its ``DomainError`` in ``errors``."""
         u, xu = self.sensitivities(i)
         m = self.degree
         z = P[:, i].tolist()
         c, k = [1.0] * len(z), [0.0] * len(z)
         stepped = False
-        for r, (p_i, xu_r, w_i) in enumerate(zip(z, xu.tolist(), self.w_cols[i])):
+        for r, (p_i, xu_r, w_i) in enumerate(zip(z, xu, self.w_cols[i])):
             if errors[r] is not None:
                 continue
             if p_i >= 1.0:
@@ -380,10 +392,18 @@ class _RankOneStack:
             stepped = True
         if not stepped:
             return None
-        # a row that does not step has k = 0 and c = 1, which leave its M^-1 as it is
-        c, k = np.array((c, k))[:, :, None, None]
-        self.M_inv = (self.M_inv - u * (u.transpose(0, 2, 1) * k)) / c
-        return z, c[:, 0]
+        if len(z) == 1:
+            # one row: Python floats, which round as (1, 1, 1) arrays would
+            (z,), (c,), (k,) = z, c, k
+            factor = c
+        else:
+            # a row that does not step has k = 0 and c = 1, which leave its M^-1 as it is
+            c, k = np.array((c, k))[:, :, None, None]
+            factor = c[:, 0]
+        if i + 1 < len(self.w_cols):  # after the last lift a refresh replaces M^-1
+            self.M_inv -= u * (u.transpose(0, 2, 1) * k)
+            self.M_inv /= c
+        return z, factor
 
     def _gain(self, P, Q) -> list:
         """``log f(Q) - log f(P)`` per row on the simplex, from ``Q - P``.
@@ -554,7 +574,7 @@ def fi_profile(problem, p, i: int) -> tuple[float, float]:
     _check_lift(arr, i)
     if isinstance(problem, MultilinearObjective):
         return _callable_profile(problem, arr, i)
-    state = _RankOneStack(problem.X, problem.w[None])
+    state = _RankOneStack(_x_frame(problem.X.shape, problem.X.tobytes()), problem.w[None])
     X = problem.X
     if not arr.all() and np.linalg.matrix_rank(X[arr > 0.0] / np.abs(X).max(axis=0)) < X.shape[1]:
         raise DomainError("degenerate objective: the support of p does not span X")
@@ -615,8 +635,6 @@ def _ascend(state, P, cfg: LiftOneConfig) -> list:
     out: list = [None] * len(P)
     rows = list(range(len(P)))  # the row of the batch behind each row of the state
     sweeps, steps, last, converged = [0] * len(P), [0] * len(P), [0.0] * len(P), [False] * len(P)
-    log_f: list = []
-    gaps: list = []
 
     def report(r):
         diag = {
@@ -624,10 +642,10 @@ def _ascend(state, P, cfg: LiftOneConfig) -> list:
             "newton_steps": float(steps[r]),
             "converged": 1.0 if converged[r] else 0.0,
             "last_rel_improvement": float(last[r]),
-            "log_objective": log_f[r],
+            "log_objective": state.log_f[r].item(),
         }
         if certified:
-            diag["equivalence_gap"] = gaps[r]
+            diag["equivalence_gap"] = state.equivalence_gap(r)
         return SolveReport(Allocation(P[r]), state.objective(r), "liftone", diag)
 
     def leave(ends) -> bool:
@@ -668,8 +686,6 @@ def _ascend(state, P, cfg: LiftOneConfig) -> list:
                 state.put(lazy, sub)
                 P[lazy] = P_sub
         log_f = state.log_f.tolist()
-        if certified:
-            gaps = state.equivalence_gaps()
         ends = []
         for r, g in enumerate(gain):
             if errors[r] is not None:
@@ -682,7 +698,7 @@ def _ascend(state, P, cfg: LiftOneConfig) -> list:
                 sweeps[r] += 1
                 last[r] = -math.expm1(log_start[r] - log_f[r])
             if certified:
-                converged[r] = state.degree * math.log1p(gaps[r]) <= cfg.tol
+                converged[r] = state.degree * math.log1p(state.equivalence_gap(r)) <= cfg.tol
                 done = converged[r] or (newton and g == 0.0 and last[r] <= cfg.tol)
             else:
                 converged[r] = done = last[r] <= cfg.tol
@@ -699,19 +715,20 @@ def _maximize_rows(X, W, config: LiftOneConfig) -> list:
     ``W``, in row order: the report, or the ``DomainError`` that row raises.
 
     The rows run as stacks of at most about ``_STACK_ENTRIES`` entries per
-    (rows, n, d) array, and each row comes out as its own call gives it.
+    array: the (rows, n, d) ones and the Newton step's (rows, k + 1, k + 1)
+    ones, whose free set of k points can hold all n. Each row comes out as
+    its own call gives it.
     """
+    try:
+        frame = _x_frame(X.shape, X.tobytes())
+    except DomainError as exc:
+        return [exc] * len(W)
     n, d = X.shape
-    size = max(1, _STACK_ENTRIES // (n * d))
+    size = max(1, _STACK_ENTRIES // (n * max(n + 1, d)))
     out: list = []
     for start in range(0, len(W), size):
         chunk = W[start : start + size]
-        try:
-            state = _RankOneStack(X, chunk)
-        except DomainError as exc:
-            out += [exc] * len(chunk)
-            continue
-        out += _ascend(state, np.full(chunk.shape, 1.0 / n), config)
+        out += _ascend(_RankOneStack(frame, chunk), np.full(chunk.shape, 1.0 / n), config)
     return out
 
 

@@ -250,6 +250,28 @@ class TestRankOne:
             log_objective = analytic.diagnostics["log_objective"]
             assert lift.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "points, beta",
+        [
+            # X[B] singular up to roundoff only: its determinant is not zero
+            ([[0.1, 0.1], [0.37, 0.37], [-0.73, -0.73], [0.6, -0.4]], [-17.8, -13.0, 24.2]),
+            ([[0.1, 0.1], [0.37, 0.37], [-0.73, -0.73], [0.6, -0.4]], [7.9, 31.7, -18.5]),
+            # X[B] exactly singular, but the basis change is not exact
+            ([[0, 0], [0.3, 0.3], [-0.3, -0.3], [0.3, -0.3]], [9.8, 39.1, -22.8]),
+        ],
+    )
+    def test_collinear_points_off_the_binary_grid(self, points, beta):
+        # the roundoff of a collinear point's coordinates, squared and weighted
+        # by about 1e-40, outweighs the point off the line (1e-174 to 1e-269):
+        # lift-one must not certify a design on the three collinear points
+        problem = DesignProblem(build_model_matrix(points), beta=beta, weight_fn=WeightFunction.from_name("probit"))
+        lift = liftone_maximize(problem)
+        analytic = solve_fourpoint(problem)
+        assert lift.diagnostics["converged"] == 1.0
+        assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-12)
+        log_objective = analytic.diagnostics["log_objective"]
+        assert lift.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-12)
+
     def test_equivalence_gap_certificate(self):
         X = _main_effects_2x3()
         rng = np.random.default_rng(3)

@@ -14,6 +14,7 @@ import pytest
 from glmdopt import (
     DesignProblem,
     DomainError,
+    LiftOneConfig,
     SolverError,
     WeightFunction,
     build_model_matrix,
@@ -265,6 +266,42 @@ def test_liftone_rows_in_several_stacks(monkeypatch):
     betas = np.random.default_rng(22).uniform(-1.0, 1.0, (10, 4))
     got = dispatch_rows(problem, betas, "auto", 1e-12)
     assert [fingerprint(r) for r in got] == [fingerprint(r) for r in solve_each(problem, betas, "auto")]
+
+
+def test_liftone_stacks_bound_the_newton_arrays(monkeypatch):
+    # the first Newton step's free set holds all n points, so a stack of a
+    # 27-point, 4-term X is sized by its (rows, 28, 28) KKT arrays, not by
+    # its (rows, 27, 4) ones: room for three such rows makes ten rows four stacks
+    monkeypatch.setattr(liftone, "_STACK_ENTRIES", 3 * 27 * 28)
+    sizes = []
+    ascend = liftone._ascend
+    monkeypatch.setattr(liftone, "_ascend", lambda state, P, cfg: sizes.append(len(P)) or ascend(state, P, cfg))
+    X = build_model_matrix([[a, b, c] for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)])
+    assert X.shape == (27, 4)
+    problem = DesignProblem(X, weight_fn=WeightFunction.logit(), w=np.ones(27))
+    betas = np.random.default_rng(23).uniform(-1.0, 1.0, (10, 4))
+    got = dispatch_rows(problem, betas, "liftone", 1e-12)
+    assert sizes == [3, 3, 3, 1]
+    assert [fingerprint(r) for r in got] == [fingerprint(r) for r in solve_each(problem, betas, "liftone")]
+
+
+def test_liftone_rows_at_the_sweep_cap():
+    # with max_sweeps = 5 some rows certify on the last iteration and leave the
+    # stack just before the rows that hit the cap are reported: each row must
+    # still report its own objective and gap, as its own solve does
+    X = build_model_matrix(full_factorial_design(3)[1])
+    rng = np.random.default_rng(5)
+    betas = np.vstack([rng.uniform(-1.0, 1.0, (6, 4)), [[0.8, 0.22, -0.21, 0.24], [0.05, 0.02, -0.03, 0.01]]])
+    problems = [DesignProblem(X, beta=b, weight_fn=WeightFunction.logit()) for b in betas]
+    config = LiftOneConfig(max_sweeps=5)
+    got = liftone._maximize_rows(X, np.array([p.w for p in problems]), config)
+    assert [fingerprint(r) for r in got] == [fingerprint(liftone.liftone_maximize(p, config)) for p in problems]
+    moves = [r.diagnostics["sweeps"] + r.diagnostics["newton_steps"] for r in got]
+    converged = [r.diagnostics["converged"] for r in got]
+    assert moves == [5.0] * len(got)
+    # a row that certifies comes before one that is capped
+    assert 0.0 in converged[converged.index(1.0) :]
+    assert len(set(r.diagnostics["log_objective"] for r in got)) == len(got)
 
 
 def test_liftone_row_whose_information_matrix_underflows():
