@@ -42,7 +42,6 @@ from .design import (
     SolveReport,
     build_model_matrix,
     full_factorial_design,
-    leave_one_out_minors,
 )
 from .errors import DomainError, SolverError, _attempt, as_floats, as_int
 from .liftone import LiftOneConfig, _maximize_rows, liftone_maximize
@@ -207,23 +206,22 @@ def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
     ``SolverError`` that row raises.
 
     ``problem`` gives X and the weight function; the rows share one weight
-    call, gated per row as :class:`DesignProblem` gates it. On a saturated
-    shape (``n == d + 1``, the four-point 4x3 one included) with method
-    ``analytic`` or ``auto``, the leave-one-out minors and the rank decision
-    are made once and the rows go through the solvers as one stack: one
-    reduction to coefficients with its sort and scale step, and one call for
-    the certificates of all rows. Only the case dispatch (``solve_22``'s, or
-    :func:`solve_saturated`'s with its ``root_mu``) and the report's
-    validation run row by row. Rows for lift-one (method ``liftone`` on every
-    shape, ``auto`` on shapes with no analytic solver) run as one lockstep
-    lift-one stack, whose rank test is made once. Each entry equals the
-    row's own solve bit for bit. An unknown method is reported row by row,
+    call, gated per row as :class:`DesignProblem` gates it. The work on X
+    alone comes from the X frame of ``problem`` (see :mod:`glmdopt.design`),
+    made once per X. On a saturated shape (``n == d + 1``, the four-point one
+    included) with method ``analytic`` or ``auto``, the rows go through the
+    solvers as one stack: one reduction to coefficients with its sort and
+    scale step, and one call for the certificates of all rows. Only the case
+    dispatch (``solve_22``'s, or :func:`solve_saturated`'s with its
+    ``root_mu``) and the report's validation run row by row. Rows for
+    lift-one (method ``liftone`` on every shape, ``auto`` on shapes with no
+    analytic solver) run as one lockstep lift-one stack. Each entry equals
+    the row's own solve bit for bit. An unknown method is reported row by row,
     lazily; so are all rows when a predictor or weight raises a
     floating-point event that the caller's ``np.errstate`` reports, which
     then comes where the per-row loop meets it.
     """
-    X = problem.X
-    n, d = X.shape
+    n, d = problem.X.shape
     if method not in ("auto", "analytic", "liftone"):
         return _solve_each(problem, betas, method, tol)
     loud = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
@@ -239,13 +237,13 @@ def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
         except DomainError as exc:  # a bad tol fails every row after its weight gate
             solved = [exc] * len(live)
         else:
-            solved = _maximize_rows(X, W[live], config)
+            solved = _maximize_rows(problem._frame, W[live], config)
     elif n != d + 1:
         solved = [_no_analytic_solver(n, d)] * len(live)
     else:
         four = n == 4
         try:
-            minors, zero, shift = (leave_one_out_minors if four else _saturated_minors)(X)
+            minors, zero, shift = problem._frame.minors if four else _saturated_minors(problem._frame)
         except DomainError as exc:
             return [exc if err is None else err for err in out]
         if four:

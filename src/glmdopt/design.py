@@ -12,6 +12,14 @@ reduced (v-form) objectives and sensitivities with
 :func:`vform_log_sensitivities`, and lift-one works from the sensitivities of
 ``X' W X``; the dense determinant :func:`objective_det` serves as a reference
 for cross-checks only, and the subset expansion is left to the tests.
+
+Callers sweep or draw many ``beta`` on one X, so the work on X alone is done
+once per X, in an X frame: the checked read-only X and, each made on first
+use, the leave-one-out minors with their rank decision and lift-one's rank
+test, column scaling and QR work size. The last 16 frames are remembered by
+the shape and bytes of X. A check or part that raises is not remembered, so
+a bad X raises the same error on every call, and every result is bit for
+bit the one computed without the frame.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DomainError, SolverError, as_floats, as_int
 from .weights import WeightFunction
@@ -82,24 +91,13 @@ def _as_prob_vector(p, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class DesignProblem:
-    """Candidate design points, model parameters, and derived weights.
+class _XFrame:
+    """The X frame (see the module docstring); its arrays are read-only. ``minors``
+    is :func:`leave_one_out_minors` of an (n, n-1) X; ``liftone`` is X after
+    :func:`scale_columns`, the power of two divided out, each column's largest
+    ``|entry|`` and the work size ``scipy.linalg.qr`` queries for a pivoted QR of X'."""
 
-    ``w`` may be supplied directly (bypassing ``beta``/``weight_fn``) when the
-    weights are known; otherwise it is derived as ``weight_fn(X @ beta)``.
-    Rows must be distinct after each column is divided by its largest |entry|
-    and rounded to ``ROW_DECIMALS`` decimals, so the test does not depend on
-    how the factor levels are coded; the first column must be all ones.
-    """
-
-    X: np.ndarray
-    beta: np.ndarray | None = None
-    weight_fn: WeightFunction | None = None
-    w: np.ndarray | None = None
-
-    def __post_init__(self):
-        X = as_floats(self.X, "X must be finite")
+    def __init__(self, X):
         if X.ndim != 2 or X.shape[1] == 0:
             raise DomainError("X must be a 2-d matrix with an intercept column")
         n, d = X.shape
@@ -111,9 +109,58 @@ class DesignProblem:
         canon = np.round(X / np.where(scale > 0.0, scale, 1.0), ROW_DECIMALS)
         if len(set(map(tuple, canon.tolist()))) != n:
             raise DomainError("rows of X must be distinct")
-        X = X.copy()
-        X.flags.writeable = False
+        self.X = X
+
+    @functools.cached_property
+    def minors(self):
+        minors, zero, shift = leave_one_out_minors(self.X)
+        minors.flags.writeable = zero.flags.writeable = False
+        return minors, zero, shift
+
+    @functools.cached_property
+    def liftone(self):
+        X = self.X
+        scale = np.abs(X).max(axis=0)  # the rank tests must not depend on how levels are coded
+        if not scale.all() or np.linalg.matrix_rank(X / scale) < X.shape[1]:
+            raise DomainError("X must have full column rank")
+        X, shift = scale_columns(X)
+        size = np.abs(X).max(axis=0)
+        X.flags.writeable = size.flags.writeable = False
+        return X, shift, size, int(lapack.dgeqp3(X.T, lwork=-1)[3][0])
+
+
+@functools.lru_cache(maxsize=16)
+def _x_frame(shape, data: bytes) -> _XFrame:
+    """The frame of the float X with this shape and these bytes."""
+    return _XFrame(np.frombuffer(data).reshape(shape))
+
+
+@dataclass(frozen=True)
+class DesignProblem:
+    """Candidate design points, model parameters, and derived weights.
+
+    ``w`` may be supplied directly (bypassing ``beta``/``weight_fn``) when the
+    weights are known; otherwise it is derived as ``weight_fn(X @ beta)``.
+    Rows must be distinct after each column is divided by its largest |entry|
+    and rounded to ``ROW_DECIMALS`` decimals, so the test does not depend on
+    how the factor levels are coded; the first column must be all ones.
+    ``X`` is the read-only copy of its X frame (see the module docstring), so
+    the checks of X and the solvers' work on X alone run once per X.
+    """
+
+    X: np.ndarray
+    beta: np.ndarray | None = None
+    weight_fn: WeightFunction | None = None
+    w: np.ndarray | None = None
+    _frame: _XFrame = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        X = as_floats(self.X, "X must be finite")
+        frame = _x_frame(X.shape, X.tobytes())
+        X = frame.X
+        n, d = X.shape
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "_frame", frame)
 
         beta = self.beta
         if beta is not None:
@@ -169,15 +216,6 @@ def scale_columns(X):
     return (np.ldexp(X, np.negative(e)) if any(e) else X), sum(e)
 
 
-@functools.lru_cache(maxsize=64)
-def _leave_one_out_rows(n: int) -> np.ndarray:
-    """Read-only (n, n-1) row indices: row i lists every row of an n-row matrix but i."""
-    cols = np.arange(n - 1)
-    keep = cols + (cols >= np.arange(n)[:, None])
-    keep.flags.writeable = False
-    return keep
-
-
 def leave_one_out_minors(X):
     """``(minors, zero, shift)`` of an (n, n-1) X: ``minors[i] 2^shift = det(X without row i)``.
 
@@ -186,11 +224,13 @@ def leave_one_out_minors(X):
     below n-1, every minor is roundoff and ``zero`` flags them all; otherwise it
     flags the minors at most ``MINOR_ZERO_REL`` times the largest ``|minor|``.
     Neither test depends on how the factor levels are coded; a minor past the
-    float range raises.
+    float range raises. The solvers take these from the X frame of their
+    :class:`DesignProblem`, which calls this once per X.
     """
     X, shift = scale_columns(np.asarray(X, dtype=float))
     n = X.shape[0]
-    keep = _leave_one_out_rows(n)
+    cols = np.arange(n - 1)
+    keep = cols + (cols >= np.arange(n)[:, None])  # row i: every row but i
     # by Cauchy-Binet, vol2 is the squared volume of X with unit-norm columns, so
     # its sigma_min^2 >= vol2 / (n-1)^(n-2); the SVD runs when that bound does not
     # clear matrix_rank's tolerance n * eps * sigma_max <= n * eps * sqrt(n-1) or overflows

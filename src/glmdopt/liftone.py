@@ -49,11 +49,11 @@ with its own allocation, driven in lockstep by one ascent loop. Every row
 makes exactly one move per iteration (two sweeps, then a Newton step or
 the sweep that stands in for it), so the rows stay on the same iteration
 and a row leaves the stack when its own stopping rule holds or when it
-fails; a failure is that row's ``DomainError`` and the other rows go on.
-The rank test and the column scaling depend on X alone and run once per
-X, which is remembered by its bytes; each row picks its own pivoted-QR
-basis. The basis change, the Cholesky factors, ``M^-1``, the rank-one
-updates and the eigenvalue problems are stacked numpy and LAPACK calls,
+fails; a failure is that row's ``DomainError`` or ``SolverError`` and the
+other rows go on. The rank test and the column scaling depend on X alone
+and come from its X frame (see :mod:`glmdopt.design`); each row picks its
+own pivoted-QR basis. The basis change, the Cholesky factors, ``M^-1``, the
+rank-one updates and the eigenvalue problems are stacked numpy and LAPACK calls,
 which give each row the bits of its own call; the KKT systems are grouped
 by the size of their free set. The one-dimensional steps (profile, best
 step and the update coefficients), the ratio test's choice, the ``fsum``
@@ -69,7 +69,6 @@ general-matrix solver for shapes outside the analytic families.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -77,7 +76,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lapack
 
-from .design import EPS, Allocation, DesignProblem, SolveReport, _as_prob_vector, scale_columns
+from .design import EPS, Allocation, DesignProblem, SolveReport, _as_prob_vector
 from .errors import DomainError, SolverError, as_float, as_int
 
 
@@ -88,6 +87,7 @@ _RCOND = 1e-14
 #: a stack of design rows holds at most about this many entries per (rows, n, d) array
 _STACK_ENTRIES = 1 << 20
 _FULL_MASS = "degenerate profile: coordinate already carries all mass"
+_LOST_INVERSE = "M^-1 beyond the float range: the weights span too many decades for lift-one"
 
 
 @dataclass(frozen=True)
@@ -190,23 +190,6 @@ class _BlackBox:
         return [z], np.array([[(1.0 - z) / (1.0 - p_i)]])
 
 
-@functools.lru_cache(maxsize=16)
-def _x_frame(shape, data: bytes):
-    """What lift-one needs of X alone, by its bytes: X after :func:`scale_columns`,
-    read-only, the power of two divided out, the largest ``|entry|`` of each
-    of its columns, and the work size that ``scipy.linalg.qr`` queries for a
-    pivoted QR of ``X'``. Raises ``DomainError`` when X has less than full
-    column rank."""
-    X = np.frombuffer(data).reshape(shape)
-    scale = np.abs(X).max(axis=0)  # the rank tests must not depend on how levels are coded
-    if not scale.all() or np.linalg.matrix_rank(X / scale) < shape[1]:
-        raise DomainError("X must have full column rank")
-    X, shift = scale_columns(X)
-    size = np.abs(X).max(axis=0)
-    X.flags.writeable = size.flags.writeable = False
-    return X, shift, size, int(lapack.dgeqp3(X.T, lwork=-1)[3][0])
-
-
 def _heaviest_basis(X, w) -> list:
     """d rows of a full-rank X, chosen greedily by weight: a row joins unless it
     lies in the span of the rows chosen before it (relative to its own norm)."""
@@ -244,8 +227,8 @@ class _RankOneStack:
     #: the ones a sweep changes, which put() writes back
     _SWEPT = ("L_inv", "V", "d", "d_max", "log_f")
 
-    def __init__(self, frame, W):
-        X, shift, size, lwork = frame
+    def __init__(self, lifted, W):
+        X, shift, size, lwork = lifted  # the ``liftone`` part of X's frame
         d = X.shape[1]
         roots = np.sqrt(W)
         # LAPACK's pivoted QR as scipy.linalg.qr(pivoting=True) calls it, less
@@ -369,7 +352,8 @@ class _RankOneStack:
         and the factor ``(1 - z) / (1 - p_i)`` of the other coordinates per row,
         a list and an (N, 1) array (the old ``p_i`` and 1.0 where a row does
         not step), or two floats for a one-row stack. A row whose ``p_i`` is 1
-        gets its ``DomainError`` in ``errors``."""
+        gets its ``DomainError`` in ``errors``, and one whose ``M^-1`` has left
+        the float range (its ``d_i`` is then not finite) its ``SolverError``."""
         u, xu = self.sensitivities(i)
         m = self.degree
         z = P[:, i].tolist()
@@ -382,6 +366,9 @@ class _RankOneStack:
                 errors[r] = DomainError(_FULL_MASS)
                 continue
             d_i = w_i * xu_r
+            if not math.isfinite(d_i):
+                errors[r] = SolverError(_LOST_INVERSE)
+                continue
             z_r, value = _best_step(*_relative_profile(p_i, d_i, m), m)
             if value <= 1.0:  # the profile is relative to the current objective
                 continue
@@ -574,15 +561,16 @@ def fi_profile(problem, p, i: int) -> tuple[float, float]:
     _check_lift(arr, i)
     if isinstance(problem, MultilinearObjective):
         return _callable_profile(problem, arr, i)
-    state = _RankOneStack(_x_frame(problem.X.shape, problem.X.tobytes()), problem.w[None])
+    state = _RankOneStack(problem._frame.liftone, problem.w[None])
     X = problem.X
     if not arr.all() and np.linalg.matrix_rank(X[arr > 0.0] / np.abs(X).max(axis=0)) < X.shape[1]:
         raise DomainError("degenerate objective: the support of p does not span X")
     (error,) = state.refresh(arr[None])
     if error is not None:
         raise error
-    state.begin_sweep()
-    d_i = float(problem.w[i] * state.sensitivities(i)[1][0])
+    with np.errstate(over="ignore", invalid="ignore"):  # see _sweep; checked below
+        state.begin_sweep()
+        d_i = float(problem.w[i] * state.sensitivities(i)[1][0])
     alpha, beta = _relative_profile(float(arr[i]), d_i, state.degree)
     f = state.objective(0)
     if f == 0.0:
@@ -615,22 +603,25 @@ def _best_step(alpha: float, beta: float, degree: int) -> tuple[float, float]:
 
 def _sweep(state, P) -> list:
     """One lift-one sweep of every row of ``state``, in place: each row's
-    ``DomainError``, or None."""
+    ``DomainError`` or ``SolverError``, or None."""
     errors = [None] * len(P)
-    state.begin_sweep()
-    for i in range(P.shape[1]):
-        step = state.lift(P, i, errors)
-        if step is not None:
-            z, c = step
-            P *= c
-            P[:, i] = z
+    # a row whose M^-1 overflows gets its SolverError from lift; no other row reads it
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.begin_sweep()
+        for i in range(P.shape[1]):
+            step = state.lift(P, i, errors)
+            if step is not None:
+                z, c = step
+                P *= c
+                P[:, i] = z
     P /= P.sum(axis=1, keepdims=True)
     return [old or new for old, new in zip(errors, state.refresh(P))]
 
 
 def _ascend(state, P, cfg: LiftOneConfig) -> list:
     """The ascent of every row of ``state`` in lockstep from the allocations
-    ``P``: per row its report, or the ``DomainError`` that stopped it."""
+    ``P``: per row its report, or the ``DomainError`` or ``SolverError`` that
+    stopped it."""
     certified = state.certified
     out: list = [None] * len(P)
     rows = list(range(len(P)))  # the row of the batch behind each row of the state
@@ -710,9 +701,10 @@ def _ascend(state, P, cfg: LiftOneConfig) -> list:
     return out
 
 
-def _maximize_rows(X, W, config: LiftOneConfig) -> list:
+def _maximize_rows(frame, W, config: LiftOneConfig) -> list:
     """:func:`liftone_maximize` of ``DesignProblem(X, w=W[r])`` for every row r of
-    ``W``, in row order: the report, or the ``DomainError`` that row raises.
+    ``W``, with X that of the X ``frame``, in row order: the report, or the
+    ``DomainError`` or ``SolverError`` that row raises.
 
     The rows run as stacks of at most about ``_STACK_ENTRIES`` entries per
     array: the (rows, n, d) ones and the Newton step's (rows, k + 1, k + 1)
@@ -720,15 +712,15 @@ def _maximize_rows(X, W, config: LiftOneConfig) -> list:
     its own call gives it.
     """
     try:
-        frame = _x_frame(X.shape, X.tobytes())
+        lifted = frame.liftone
     except DomainError as exc:
         return [exc] * len(W)
-    n, d = X.shape
+    n, d = frame.X.shape
     size = max(1, _STACK_ENTRIES // (n * max(n + 1, d)))
     out: list = []
     for start in range(0, len(W), size):
         chunk = W[start : start + size]
-        out += _ascend(_RankOneStack(frame, chunk), np.full(chunk.shape, 1.0 / n), config)
+        out += _ascend(_RankOneStack(lifted, chunk), np.full(chunk.shape, 1.0 / n), config)
     return out
 
 
@@ -760,10 +752,10 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
     cfg = config or LiftOneConfig()
     _check_problem(problem)
     if isinstance(problem, DesignProblem):
-        (result,) = _maximize_rows(problem.X, problem.w[None], cfg)
+        (result,) = _maximize_rows(problem._frame, problem.w[None], cfg)
     else:
         n = problem.n_points
         (result,) = _ascend(_BlackBox(problem), np.full((1, n), 1.0 / n), cfg)
-    if isinstance(result, DomainError):
+    if isinstance(result, Exception):
         raise result
     return result

@@ -62,7 +62,6 @@ from .design import (
     Allocation,
     DesignProblem,
     SolveReport,
-    leave_one_out_minors,
     safe_exp,
     vform_log_sensitivities,
 )
@@ -234,12 +233,12 @@ def _solve_rows(sps: list, case) -> list:
     return out
 
 
-def _saturated_minors(X):
-    """:func:`~glmdopt.design.leave_one_out_minors` of an (n, n-1) X of rank n - 1."""
-    n, d = X.shape
+def _saturated_minors(frame):
+    """The leave-one-out minors of an X frame whose X is (n, n-1) of rank n - 1."""
+    n, d = frame.X.shape
     if n != d + 1:
         raise DomainError(f"need exactly one more point than model terms, got {n} points, {d} terms")
-    minors, zero, shift = leave_one_out_minors(X)
+    minors, zero, shift = frame.minors
     if zero.all():
         raise DomainError("X has rank below the number of model terms; reparametrize the model")
     return minors, zero, shift
@@ -248,10 +247,10 @@ def _saturated_minors(X):
 def compute_v(problem: DesignProblem) -> SaturatedProblem:
     """Reduced coefficients from the leave-one-row-out determinants.
 
-    Requires ``n == d + 1`` and rank ``n - 1``, as decided by
-    :func:`~glmdopt.design.leave_one_out_minors`.
+    Requires ``n == d + 1`` and rank ``n - 1``, as decided once per X by the
+    X frame of ``problem`` (see :mod:`glmdopt.design`).
     """
-    minors, zero, shift = _saturated_minors(problem.X)
+    minors, zero, shift = _saturated_minors(problem._frame)
     return _reduce(minors, zero, problem.w, shift)
 
 

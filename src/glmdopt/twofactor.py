@@ -14,7 +14,7 @@ exact zero too: :class:`~glmdopt.saturated.SaturatedProblem` owns its scale.
 
 from __future__ import annotations
 
-from .design import Allocation, DesignProblem, SolveReport, leave_one_out_minors
+from .design import Allocation, DesignProblem, SolveReport
 from .errors import DomainError
 from .saturated import SaturatedProblem, _reduce, _solve_rows
 from .solver4 import _case_22, solve_22
@@ -28,11 +28,12 @@ def _rank2(zero) -> bool:
 
 
 def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
-    """Reduced coefficients of a 4x3 X, or ``None`` when it has rank 2."""
+    """Reduced coefficients of a 4x3 X, or ``None`` when it has rank 2; the minors
+    and the rank decision come from the X frame (see :mod:`glmdopt.design`)."""
     X = problem.X
     if X.shape != (4, 3):
         raise DomainError(f"need a 4x3 design matrix, got {X.shape}")
-    minors, zero, shift = leave_one_out_minors(X)
+    minors, zero, shift = problem._frame.minors
     return None if _rank2(zero) else _reduce(minors, zero, problem.w, shift)
 
 

@@ -1,6 +1,8 @@
 """Lift-one coordinate ascent: profile exactness, monotonicity, convergence."""
 
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from glmdopt import (
     DomainError,
     LiftOneConfig,
     SolverError,
+    SolveReport,
     WeightFunction,
     build_model_matrix,
     compute_v,
@@ -22,10 +25,18 @@ from glmdopt import (
     solve_saturated,
     vform_objective,
 )
+from glmdopt.cli import dispatch_rows, dispatch_solve, main
 from glmdopt.liftone import MultilinearObjective, profile_value
 from reference import expansion_value, objective_expansion
 
 X22 = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+
+
+def _fingerprint(result):
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    diag = sorted((k, float(v).hex()) for k, v in result.diagnostics.items())
+    return result.allocation.p.tobytes(), float(result.objective).hex(), diag
 
 
 def _scaled(p, i, z):
@@ -271,6 +282,38 @@ class TestRankOne:
         assert lift.allocation.p == pytest.approx(analytic.allocation.p, abs=1e-12)
         log_objective = analytic.diagnostics["log_objective"]
         assert lift.diagnostics["log_objective"] == pytest.approx(log_objective, rel=1e-12)
+
+    def test_overflowing_inverse_is_a_solver_error(self, tmp_path):
+        # a subnormal weight on the point off the line overflows M^-1 in the
+        # first sweep; that row fails with a SolverError, without a
+        # RuntimeWarning (an error in this suite), and the rows stacked with it
+        # come out as their own solves
+        probit = WeightFunction.from_name("probit")
+        message = "M^-1 beyond the float range"
+        points = [[0, 0], [0.3, 0.3], [-0.3, -0.3], [0.3, -0.3]]
+        beta = [-26.807118820938488, -11.25420538789958, 27.050540826273792]
+        with pytest.raises(SolverError, match=re.escape(message)):
+            liftone_maximize(DesignProblem(build_model_matrix(points), beta, probit))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"link": "probit", "beta": beta, "design_points": points}))
+        assert main(["solve", str(path), "--method", "liftone"]) == 3
+        rng = np.random.default_rng(0)
+        failed = []
+        for points in (points, [[0.1, 0.1], [0.37, 0.37], [-0.73, -0.73], [0.6, -0.4]]):
+            problem = DesignProblem(build_model_matrix(points), weight_fn=probit, w=np.ones(4))
+            betas = rng.uniform(-12.0, 12.0, (3000, 3)) / 0.37
+            rows = dispatch_rows(problem, betas, "liftone", 1e-12)
+            lost = [i for i, r in enumerate(rows) if isinstance(r, SolverError)]
+            assert all(isinstance(r, (SolveReport, DomainError, SolverError)) for r in rows)
+            assert all(str(rows[i]).startswith(message) for i in lost)
+            for i in lost + list(range(0, 3000, 150)):
+                try:
+                    own = dispatch_solve(DesignProblem(problem.X, betas[i], probit), "liftone", 1e-12)
+                except (DomainError, SolverError) as exc:
+                    own = exc
+                assert _fingerprint(rows[i]) == _fingerprint(own)
+            failed.append(len(lost))
+        assert failed == [14, 25]
 
     def test_equivalence_gap_certificate(self):
         X = _main_effects_2x3()

@@ -294,7 +294,7 @@ def test_liftone_rows_at_the_sweep_cap():
     betas = np.vstack([rng.uniform(-1.0, 1.0, (6, 4)), [[0.8, 0.22, -0.21, 0.24], [0.05, 0.02, -0.03, 0.01]]])
     problems = [DesignProblem(X, beta=b, weight_fn=WeightFunction.logit()) for b in betas]
     config = LiftOneConfig(max_sweeps=5)
-    got = liftone._maximize_rows(X, np.array([p.w for p in problems]), config)
+    got = liftone._maximize_rows(problems[0]._frame, np.array([p.w for p in problems]), config)
     assert [fingerprint(r) for r in got] == [fingerprint(liftone.liftone_maximize(p, config)) for p in problems]
     moves = [r.diagnostics["sweeps"] + r.diagnostics["newton_steps"] for r in got]
     converged = [r.diagnostics["converged"] for r in got]
