@@ -36,7 +36,7 @@ from .saturated import (
     root_mu,
     solve_saturated,
 )
-from .solver4 import QuarticRoot, back_substitute, solve_22, solve_quartic
+from .solver4 import QuarticRoot, solve_22, solve_quartic
 from .twofactor import compute_u, solve_fourpoint
 from .weights import WeightFunction
 
@@ -58,7 +58,6 @@ __all__ = [
     "SolveReport",
     "SolverError",
     "WeightFunction",
-    "back_substitute",
     "build_model_matrix",
     "check_boundary_optimal",
     "compute_u",

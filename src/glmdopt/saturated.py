@@ -31,7 +31,10 @@ Sorted ascending, with ``t_j = v_j / v_n``:
   changes sign exactly once when ``M(-1) < 0`` and never otherwise.
   ``z >= 0`` is the ``h1`` branch, ``z < 0`` the ``h2`` one, so the sign of
   ``M(0) = sum_{j<n} sqrt(1 - t_j) - (n - 2)`` is the branch rule and picks
-  the half bracket, [0, 1] or [-1, 0], on which Brent's method finds ``z``;
+  the half bracket, [0, 1] or [-1, 0], on which Brent's method finds ``z``.
+  ``M`` is evaluated on Python floats, for every n, and ``p`` follows from
+  the root by the constraint. The four-point solver of
+  :mod:`glmdopt.solver4` takes its allocations from the same two steps;
 * ``M(-1) = 1 - sum_{j<n} t_j >= 0`` means the largest coefficient
   dominates the others; the optimum is then the point ``z = -1``: mass
   1/(n-1) on every other point (objective ``v_n / (n-1)^(n-1)``).
@@ -41,6 +44,8 @@ Zero coefficients (a row lying in the span of some of the others) force
 at ``v_i = 0``, so they need no special case, nor does one that underflows
 against the largest (an exact zero); with at most two positive
 coefficients the largest dominates and the boundary allocation is exact.
+Points tied with the largest share its root ``z``, which is then on
+``h1``, so exact ties get equal mass.
 
 Rows of one shape are solved as a stack (:func:`_solve_rows`): the reduction
 from the weights, the order and scale step with its gates, and the
@@ -83,8 +88,7 @@ class SaturatedProblem:
     ``true v = v * exp(log_scale)``. A largest entry outside [2^-128, 2^128)
     is scaled into [1/2, 1) by a power of two that moves into ``log_scale``,
     and an entry that underflows against it is an exact zero. In-range input
-    stays unscaled: the four-point quartic coefficients overflow only near
-    1e77, and numpy's ``v**3`` is not exactly homogeneous.
+    stays unscaled.
     """
 
     v: np.ndarray
@@ -264,20 +268,34 @@ def root_mu(sp: SaturatedProblem) -> MuSolve:
     evaluations of ``M``, and the residual, that of ``h(mu) = n - 2``, is
     ``(1 + z) M(z)``. A dominant largest coefficient is a ``DomainError``.
     """
-    vn = sp.v[-1]
-    t = sp.v[:-1] / vn
-    s = 1.0 - t
+    ms = _root_mu(sp.v)
+    if ms is None:
+        raise DomainError("dominant largest coefficient: the boundary allocation is optimal")
+    return ms
+
+
+def _root_mu(v: np.ndarray) -> MuSolve | None:
+    """:func:`root_mu` on ascending coefficients ``v``, or ``None`` where ``M(-1) >= 0``.
+    ``M`` is summed on Python floats, left to right as numpy sums fewer than
+    eight terms: a brentq step costs a few microseconds, not the tens of
+    numpy's per-call overhead."""
+    n = v.shape[0]
+    vn = float(v[-1])
+    ts = [(t, 1.0 - t) for t in (v[:-1] / vn).tolist()]
     calls = 0
 
     def m(z: float) -> float:
         nonlocal calls
         calls += 1
-        # 1 - (1 - z^2) t, exactly 1 at z = -1 and without cancellation at z = 0
-        r = np.sqrt(s + (z * z) * t)
-        return float(1.0 - (1.0 - z) * (t / (1.0 + r)).sum())
+        z2 = z * z
+        acc = 0.0
+        for t, s in ts:
+            # 1 - (1 - z^2) t, exactly 1 at z = -1 and without cancellation at z = 0
+            acc += t / (1.0 + math.sqrt(s + z2 * t))
+        return 1.0 - (1.0 - z) * acc
 
     if m(-1.0) >= 0.0:
-        raise DomainError("dominant largest coefficient: the boundary allocation is optimal")
+        return None
     m0 = m(0.0)
     z = 0.0
     if m0 != 0.0:
@@ -288,7 +306,7 @@ def root_mu(sp: SaturatedProblem) -> MuSolve:
             raise SolverError(f"mu root search failed to converge: {exc}") from None
     iterations = calls
     residual = abs((1.0 + z) * m(z))
-    if residual > 1e-9 * max(1.0, sp.n - 2.0):
+    if residual > 1e-9 * max(1.0, n - 2.0):
         raise SolverError(f"mu root search failed to converge: residual {residual!r}")
     return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if m0 <= 0.0 else "h2", iterations, residual)
 
@@ -308,25 +326,48 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
 def _saturated_case(sp: SaturatedProblem):
     """:func:`solve_saturated`'s sorted allocation, label and diagnostics, before the report."""
     v = sp.v
-    n = sp.n
-    vn = v[-1]
-    # a dominant largest coefficient puts the optimum at the point z = -1 (mu = 0),
-    # the boundary allocation
-    ms = None if vn >= float(np.sum(v[:-1])) * (1.0 - BOUNDARY_REL) else root_mu(sp)
-    # z itself is taken from the constraint sum_{j<n} r_j + z = n - 2, accurate
-    # also near z = 0
-    x = 0.0 if ms is None else ms.mu * vn
-    r = np.sqrt(np.maximum(1.0 - x * (v[:-1] / vn), 0.0))
-    p_sorted = (1.0 + np.append(r, (n - 2) - float(np.sum(r)))) / (2.0 * (n - 1))
+    # a largest coefficient that dominates the others, up to BOUNDARY_REL, puts the
+    # optimum at the point z = -1 (mu = 0), the boundary allocation
+    near = v[-1] >= float(np.sum(v[:-1])) * (1.0 - BOUNDARY_REL)
+    p_sorted, branch, diag = _boundary(sp) if near else _root_allocation(v, sp)
+    return p_sorted, f"saturated-{branch}", diag
+
+
+def _boundary(sp: SaturatedProblem):
+    """Mass 1/(n-1) on every point but the largest-v one: the allocation at ``z = -1``."""
+    p_sorted = np.append(np.full(sp.n - 1, 1.0 / (sp.n - 1)), 0.0)
+    return p_sorted, "boundary", {"zero_count": float(sp.zero_count)}
+
+
+def _root_allocation(v: np.ndarray, sp: SaturatedProblem):
+    """Sorted allocation, branch and diagnostics at the root of ``M`` on the ascending
+    coefficients ``v``: ``sp.v``, or the four-point solver's with its zero-band entry
+    set to 0. ``sp`` gives the scale and the zero count of the diagnostics. Where
+    ``M(-1) >= 0`` in rounding, though the caller's dominance test said otherwise,
+    the root is ``z = -1``: the boundary allocation."""
+    ms = _root_mu(v)
     if ms is None:
-        return p_sorted, "saturated-boundary", {"zero_count": float(sp.zero_count)}
+        return _boundary(sp)
+    n = v.shape[0]
+    vn = float(v[-1])
+    x = ms.mu * vn
+    r = [math.sqrt(max(1.0 - x * t, 0.0)) for t in (v[:-1] / vn).tolist() if t < 1.0]
+    # z itself is taken from the constraint sum_{j<n} r_j + z = n - 2, accurate
+    # also near z = 0; the points tied with the largest share its root z >= 0,
+    # and rounding may not take z below -1
+    top = n - len(r)
+    acc = 0.0
+    for rj in r:  # left to right, as M; sum() compensates from Python 3.12 on
+        acc += rj
+    r += [max(((n - 2) - acc) / top, -1.0)] * top
+    p = [(1.0 + rj) / (2.0 * (n - 1)) for rj in r]
     diag = {
         "mu": ms.mu * safe_exp(-sp.log_scale),
         "mu_scaled": ms.mu,
         "log_scale": sp.log_scale,
-        "lambda": 4.0 * (n - 1) ** 2 * float(np.prod(p_sorted)) / ms.mu * safe_exp(sp.log_scale),
+        "lambda": 4.0 * (n - 1) ** 2 * math.prod(p) / ms.mu * safe_exp(sp.log_scale),
         "mu_residual": ms.residual,
         "bisect_iterations": float(ms.iterations),
         "zero_count": float(sp.zero_count),
     }
-    return p_sorted, f"saturated-{ms.branch}", diag
+    return np.array(p), ms.branch, diag

@@ -5,26 +5,30 @@ The reduced objective on the probability simplex over four points is
     f(p) = v1 p2 p3 p4 + v2 p1 p3 p4 + v3 p1 p2 p4 + v4 p1 p2 p3
 
 with nonnegative coefficients ``v``: the n = 4 saturated problem, carried
-as a :class:`~glmdopt.saturated.SaturatedProblem`. The maximizer is unique
-and is found by one case dispatch on the sorted coefficients. A smallest
-coefficient at most ``TIE_REL`` times the largest counts as exactly zero;
-in that zero band the same tests give the one-zero cases 2a-2d in place of
-cases i-v, and the zero point's mass is exactly 1/3:
+as a :class:`~glmdopt.saturated.SaturatedProblem`. The maximizer is unique.
+Its case label comes from one dispatch on the sorted coefficients. A
+smallest coefficient at most ``TIE_REL`` times the largest counts as exactly
+zero; in that zero band the same tests give the one-zero cases 2a-2d in
+place of cases i-v:
 
 * dominant coefficient (``v4 >= v1 + v2 + v3``): mass 1/3 on the other
   three points (case i, or 2a; with more than one zero 2a always applies);
-* a tied adjacent pair: one closed form built from a single square root
-  (ii-iv, or 2b and 2c, where the zero point's pair is not scanned);
-* otherwise, in the zero band, a rational closed form (2d);
-* otherwise the strictly ordered interior case (v): ``y1 = p1/p4`` solves
-  a quartic whose unique root above 1 is evaluated by radicals (complex
-  arithmetic, principal branches), then ``y2 = p2/p4`` and ``y3 = p3/p4``
-  follow by back-substitution.
+* a tied adjacent pair (ii-iv, or 2b and 2c, where the zero point's pair
+  is not scanned);
+* otherwise the one-zero case 2d in the zero band, or the strictly ordered
+  interior case v.
 
-A residual check guards the radical evaluation; on failure the root is
-re-isolated by Brent's method on (1, B] where B bounds all roots. Whatever the
-case, the report is certified by the Kiefer-Wolfowitz equivalence gap
-computed from :func:`~glmdopt.design.vform_log_sensitivities`.
+Every case but the dominant one takes its allocation from the root search
+of :mod:`glmdopt.saturated`, the paper's radical-sum equation with n = 4:
+``p_j = (1 + r_j) / 6``. Exact ties come out equal, and the zero point's
+mass is ``2/6``, exactly 1/3. Whatever the case, the report is certified by
+the Kiefer-Wolfowitz equivalence gap computed from
+:func:`~glmdopt.design.vform_log_sensitivities`.
+
+The paper's own closed form for case v, the largest root ``y1 = p1/p4`` of
+a quartic by radicals, stays here as :func:`solve_quartic`, off the solve
+path: its coefficients cancel near the dominance boundary, where the root
+search does not.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .design import Allocation, SolveReport
-from .errors import DomainError, SolverError, as_float, as_floats
-from .saturated import _RTOL, _XTOL, SaturatedProblem
+from .design import SolveReport
+from .errors import DomainError, SolverError, as_floats
+from .saturated import _RTOL, _XTOL, SaturatedProblem, _root_allocation
 
 #: two coefficients are tied (and a coefficient is zero) below this relative gap
 TIE_REL = 1e-9
@@ -90,7 +94,13 @@ def _radical_root(c) -> float:
 
 
 def solve_quartic(c) -> QuarticRoot:
-    """Unique root above 1 of the interior-case quartic, with residual check."""
+    """Unique root above 1 of the interior-case quartic in ``y1 = p1/p4``.
+
+    The root is evaluated by radicals (complex arithmetic, principal
+    branches) and accepted when its residual is at most
+    ``QUARTIC_RESIDUAL_REL`` times ``max|c| y1^4``; otherwise Brent's method
+    re-isolates it on (1, B], where B bounds all roots.
+    """
     c = tuple(as_floats(c, "quartic coefficients must be finite").reshape(-1).tolist())
     if len(c) != 5:
         raise DomainError("need five quartic coefficients")
@@ -130,93 +140,16 @@ def solve_quartic(c) -> QuarticRoot:
     return QuarticRoot(root, residual, scale_at(root), used_fallback=True)
 
 
-def back_substitute(y1: float, v) -> tuple[float, float, Allocation]:
-    """Recover (y2, y3) and the allocation from the quartic root y1.
-
-    ``v`` must be an array of strictly ascending interior-case coefficients;
-    the returned allocation is in that sorted order.
-    """
-    y1 = as_float(y1, "y1 must be finite")
-    vc = as_floats(v, "coefficients must be finite")
-    if vc.shape != (4,):
-        raise DomainError("need exactly four coefficients")
-    if y1 <= 1.0:
-        raise DomainError(f"y1 must exceed 1, got {y1!r}")
-    v1, v2, v3, v4 = (float(x) for x in vc)
-    t = v1 + v4 * y1
-    lead = t * t - (v3 - v2) * v4 * y1 * y1
-    tail = 4.0 * v2 * (v4 - v3) * t * t * y1 * y1
-    D2 = lead * lead - tail
-    if D2 < 0.0:
-        if D2 >= -1e-12 * (lead * lead + tail):
-            D2 = 0.0
-        else:
-            raise SolverError(
-                f"negative discriminant {D2!r} in back-substitution; upstream root is inconsistent"
-            )
-    y2 = (
-        0.5
-        + (v3 - v2) * y1 / (2.0 * t)
-        - (v2 + v3 - v4) * y1 / (2.0 * v1)
-        + np.sqrt(D2) / (2.0 * v1 * t)
-    )
-    y3 = 1.0 + (v4 - v3) * y1 * y2 / (v2 * y1 + v1 * y2)
-    if not (y2 > 1.0 - 1e-9 and y3 > 1.0 - 1e-9):
-        raise SolverError(f"back-substitution left the interior region: y2={y2!r}, y3={y3!r}")
-    total = y1 + y2 + y3 + 1.0
-    p = np.array([y1 / total, y2 / total, y3 / total, 1.0 / total])
-    return float(y2), float(y3), Allocation(p)
-
-
-def _tie_pair_solution(v: np.ndarray, pair: str) -> np.ndarray:
-    """Closed form for sorted v tied at positions ``pair`` (e.g. "23"); a < b are the rest."""
-    i, j = int(pair[0]) - 1, int(pair[1]) - 1
-    k, m = (idx for idx in range(4) if idx not in (i, j))
-    t, a, b = v[i], v[k], v[m]
-    delta = a + b - 4.0 * t
-    den = -2.0 * delta + np.sqrt(delta * delta + 12.0 * a * b)
-    p = np.empty(4)
-    p[i] = p[j] = 2.0 * t / den
-    p[k] = 0.5 + (b - a - 4.0 * t) / (2.0 * den)
-    p[m] = 0.5 - (b - a + 4.0 * t) / (2.0 * den)
-    return p
-
-
-def _one_zero_rational(u: np.ndarray) -> np.ndarray:
-    """Case 2d: sorted ``u`` with ``u[0] == 0``, no dominant coefficient and no tie."""
-    _, u2, u3, u4 = u
-    den = 3.0 * (2.0 * u2 * u3 + 2.0 * u2 * u4 + 2.0 * u3 * u4 - u2 * u2 - u3 * u3 - u4 * u4)
-    p2, p3 = 2.0 * u2 * (u3 + u4 - u2) / den, 2.0 * u3 * (u2 + u4 - u3) / den
-    return np.array([1.0 / 3.0, p2, p3, 2.0 * u4 * (u2 + u3 - u4) / den])
-
-
-def _interior_quartic(v: np.ndarray):
-    """Strictly-ordered interior case: quartic root plus back-substitution.
-
-    Returns (p_sorted, diagnostics). Exposed for tests that compare the
-    interior-case formulas against the one-zero closed forms near v1 -> 0.
-    """
-    qr = solve_quartic(_quartic_coeffs(v))
-    y2, y3, alloc = back_substitute(qr.root, v)
-    diag = {
-        "y1": qr.root,
-        "y2": y2,
-        "y3": y3,
-        "quartic_residual": qr.residual,
-        "quartic_fallback": 1.0 if qr.used_fallback else 0.0,
-    }
-    return alloc.p, diag
-
-
 def solve_22(v) -> SolveReport:
     """Maximize the four-point reduced objective over the simplex.
 
     Accepts four nonnegative coefficients in any order, at least one of them
     positive, or an n = 4 :class:`~glmdopt.saturated.SaturatedProblem`, and
     returns the optimal allocation in the input order. The case label
-    records which closed form fired. Diagnostics carry the quartic
-    intermediates for the interior case, and always ``log_objective`` and the
-    Kiefer-Wolfowitz ``equivalence_gap``, zero exactly at the optimum.
+    records which case of the paper the coefficients fall in. Diagnostics
+    carry ``log_objective`` and the Kiefer-Wolfowitz ``equivalence_gap``,
+    zero exactly at the optimum, and on rows that take the root search
+    those of :func:`~glmdopt.saturated.solve_saturated`.
     """
     sp = v if isinstance(v, SaturatedProblem) else SaturatedProblem(v)
     return sp.report(*_case_22(sp))
@@ -233,20 +166,10 @@ def _case_22(sp: SaturatedProblem):
     zero = bool(s[0] <= TIE_REL * s[-1])
     u = np.array([0.0, s[1], s[2], s[3]]) if zero else s
     names = ("2a", "", "2b", "2c", "2d") if zero else ("i", "ii", "iii", "iv", "v")
-    diag: dict = {}
-    tie = TIE_REL * u[3]
     if u[3] >= u[0] + u[1] + u[2]:
-        p_sorted, case = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0]), names[0]
-    else:
-        # in the zero band only pairs of positive coefficients are scanned
-        for k in range(zero, 3):
-            if u[k + 1] - u[k] <= tie:
-                p_sorted, case = _tie_pair_solution(u, f"{k + 1}{k + 2}"), names[k + 1]
-                break
-        else:
-            p_sorted, diag = (_one_zero_rational(u), diag) if zero else _interior_quartic(u)
-            case = names[4]
-    if zero:
-        # the tie pair's form leaves the zero point at 1/3 up to rounding
-        p_sorted[0] = 1.0 / 3.0
-    return np.maximum(p_sorted, 0.0), f"2x2-case-{case}", diag
+        return np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0]), f"2x2-case-{names[0]}", {}
+    # in the zero band only pairs of positive coefficients are scanned
+    tie = TIE_REL * u[3]
+    k = next((k for k in range(zero, 3) if u[k + 1] - u[k] <= tie), 3)
+    p_sorted, _, diag = _root_allocation(u, sp)
+    return p_sorted, f"2x2-case-{names[k + 1]}", diag

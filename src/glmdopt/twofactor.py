@@ -7,7 +7,7 @@ the same function as :func:`~glmdopt.saturated.compute_v`. With two or more
 zero minors (rank 2) the objective vanishes identically and the uniform
 allocation is reported as the canonical, permutation-equivariant choice.
 Otherwise :func:`~glmdopt.solver4.solve_22` applies verbatim; a zero ``v_j``
-(one row in the span of two others) sends it to its rational closed forms.
+(one row in the span of two others) gives its one-zero cases 2a-2d.
 A ``v_j`` that underflows against the largest (weights decades apart) is an
 exact zero too: :class:`~glmdopt.saturated.SaturatedProblem` owns its scale.
 """

@@ -1,17 +1,26 @@
-"""Reference evaluations that the package does not ship: the subset expansion.
+"""Reference evaluations that the package does not ship.
 
-The D-optimality objective ``det(X' W X)`` is an order-``d`` homogeneous
-polynomial in the allocation (Cauchy-Binet): every ``d``-row subset
-contributes ``det(X[rows])^2 * prod(w[rows])`` times the product of the
+The subset expansion: the D-optimality objective ``det(X' W X)`` is an
+order-``d`` homogeneous polynomial in the allocation (Cauchy-Binet): every
+``d``-row subset contributes ``det(X[rows])^2 * prod(w[rows])`` times the product of the
 corresponding ``p``'s. Summed term by term, it stays accurate where the
 dense determinant loses all accuracy, e.g. for weights spanning many decades.
+
+The paper's closed forms for the four-point reduced objective ``f(p) =
+sum_j v_j prod_{i != j} p_i``, on ascending coefficients: the interior
+case's back-substitution from the quartic root ``y1 = p1/p4``, the tied
+pair's square-root form and the one-zero case's rational form. The package
+solves every four-point case by the saturated root search instead; these
+cross-check it, and are badly conditioned near the dominance boundary
+``v4 = v1 + v2 + v3`` when the smallest coefficient is small.
 """
 
 import itertools
 
 import numpy as np
 
-from glmdopt import Allocation, DomainError
+from glmdopt import Allocation, DomainError, SolverError
+from glmdopt.errors import as_float, as_floats
 
 #: largest n for which objective_expansion enumerates the C(n, d) row subsets
 EXPANSION_MAX_POINTS = 20
@@ -39,3 +48,63 @@ def expansion_value(terms, p) -> float:
     """Evaluate an expansion returned by :func:`objective_expansion` at p."""
     arr = p.p if isinstance(p, Allocation) else np.asarray(p, dtype=float)
     return sum(coeff * float(np.prod(arr[list(rows)])) for rows, coeff in terms)
+
+
+def back_substitute(y1: float, v) -> tuple[float, float, Allocation]:
+    """Recover (y2, y3) and the allocation from the quartic root y1.
+
+    ``v`` must be an array of strictly ascending interior-case coefficients;
+    the returned allocation is in that sorted order.
+    """
+    y1 = as_float(y1, "y1 must be finite")
+    vc = as_floats(v, "coefficients must be finite")
+    if vc.shape != (4,):
+        raise DomainError("need exactly four coefficients")
+    if y1 <= 1.0:
+        raise DomainError(f"y1 must exceed 1, got {y1!r}")
+    v1, v2, v3, v4 = (float(x) for x in vc)
+    t = v1 + v4 * y1
+    lead = t * t - (v3 - v2) * v4 * y1 * y1
+    tail = 4.0 * v2 * (v4 - v3) * t * t * y1 * y1
+    D2 = lead * lead - tail
+    if D2 < 0.0:
+        if D2 >= -1e-12 * (lead * lead + tail):
+            D2 = 0.0
+        else:
+            raise SolverError(
+                f"negative discriminant {D2!r} in back-substitution; upstream root is inconsistent"
+            )
+    y2 = (
+        0.5
+        + (v3 - v2) * y1 / (2.0 * t)
+        - (v2 + v3 - v4) * y1 / (2.0 * v1)
+        + np.sqrt(D2) / (2.0 * v1 * t)
+    )
+    y3 = 1.0 + (v4 - v3) * y1 * y2 / (v2 * y1 + v1 * y2)
+    if not (y2 > 1.0 - 1e-9 and y3 > 1.0 - 1e-9):
+        raise SolverError(f"back-substitution left the interior region: y2={y2!r}, y3={y3!r}")
+    total = y1 + y2 + y3 + 1.0
+    p = np.array([y1 / total, y2 / total, y3 / total, 1.0 / total])
+    return float(y2), float(y3), Allocation(p)
+
+
+def tie_pair_solution(v: np.ndarray, pair: str) -> np.ndarray:
+    """Closed form for sorted v tied at positions ``pair`` (e.g. "23"); a < b are the rest."""
+    i, j = int(pair[0]) - 1, int(pair[1]) - 1
+    k, m = (idx for idx in range(4) if idx not in (i, j))
+    t, a, b = v[i], v[k], v[m]
+    delta = a + b - 4.0 * t
+    den = -2.0 * delta + np.sqrt(delta * delta + 12.0 * a * b)
+    p = np.empty(4)
+    p[i] = p[j] = 2.0 * t / den
+    p[k] = 0.5 + (b - a - 4.0 * t) / (2.0 * den)
+    p[m] = 0.5 - (b - a + 4.0 * t) / (2.0 * den)
+    return p
+
+
+def one_zero_rational(u: np.ndarray) -> np.ndarray:
+    """Case 2d: sorted ``u`` with ``u[0] == 0``, no dominant coefficient and no tie."""
+    _, u2, u3, u4 = u
+    den = 3.0 * (2.0 * u2 * u3 + 2.0 * u2 * u4 + 2.0 * u3 * u4 - u2 * u2 - u3 * u3 - u4 * u4)
+    p2, p3 = 2.0 * u2 * (u3 + u4 - u2) / den, 2.0 * u3 * (u2 + u4 - u3) / den
+    return np.array([1.0 / 3.0, p2, p3, 2.0 * u4 * (u2 + u3 - u4) / den])

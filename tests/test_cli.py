@@ -98,6 +98,19 @@ class TestSolve:
         assert payload["case_label"] == "twofactor-case-v"
         assert payload["diagnostics"]["equivalence_gap"] <= 1e-9
 
+    def test_near_dominance_certified(self, tmp_path, capsys):
+        # v = (1e-8, 0.3, 0.7, 1) up to order and scale; the paper's closed forms
+        # printed a gap of 7.1e-2 here
+        link = {"kind": "tabulated", "eta": [-3, -1, 1, 3], "w": [1, 1 / 0.7, 1 / 0.3, 1e8]}
+        path = write_problem(tmp_path, dict(PROB_22, link=link, beta=[0, 1, 2]))
+        assert main(["solve", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["case_label"] == "twofactor-case-v"
+        assert payload["diagnostics"]["equivalence_gap"] <= 1e-12
+        assert main(["solve", path, "--method", "liftone"]) == 0
+        lift = json.loads(capsys.readouterr().out)
+        assert payload["objective"] == pytest.approx(lift["objective"], rel=1e-12)
+
     def test_non_finite_values_print_as_null(self, tmp_path, capsys):
         # mu on the true scale is exp(897) times mu_scaled: past the float range
         prob = dict(

@@ -16,7 +16,6 @@ from glmdopt import (
     MultilinearObjective,
     SaturatedProblem,
     WeightFunction,
-    back_substitute,
     build_model_matrix,
     check_boundary_optimal,
     compute_v,
@@ -33,7 +32,7 @@ from glmdopt import (
 )
 from glmdopt.boundary import grid_axis
 from glmdopt.design import leave_one_out_minors, vform_log_sensitivities
-from reference import expansion_value, objective_expansion
+from reference import back_substitute, expansion_value, objective_expansion
 
 X22 = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
 LOGIT = WeightFunction.from_name("logit")
@@ -221,6 +220,8 @@ class TestValidation:
         with pytest.raises(DomainError, match="allocation entries must be finite"):
             Allocation([10**400, 0])
 
+    # back_substitute is the paper's closed form in tests/reference.py; its
+    # gate is pinned with the package's
     @pytest.mark.parametrize("bad", [10**400, float("nan")], ids=["overflow", "nan"])
     @pytest.mark.parametrize(
         "call",
@@ -413,13 +414,13 @@ def test_public_names_pinned():
         "Allocation", "BoundaryVerdict", "ContinuousProblem", "DesignProblem", "DomainError",
         "LiftOneConfig", "MultilinearObjective", "MuSolve", "QuarticRoot", "RegionGrid",
         "RescaleTransform", "SaturatedProblem", "SolveReport", "SolverError",
-        "WeightFunction", "back_substitute", "build_model_matrix",
+        "WeightFunction", "build_model_matrix",
         "check_boundary_optimal", "compute_u", "compute_v", "corner_weights",
         "fi_profile", "full_factorial_design", "h_ab", "liftone_maximize", "objective_det",
         "region_boundary_segments", "region_sweep", "rescale_problem", "root_mu", "solve_22",
         "solve_fourpoint", "solve_quartic", "solve_saturated", "vform_objective",
     }
-    assert len(glmdopt.__all__) == 35
+    assert len(glmdopt.__all__) == 34
     assert all(hasattr(glmdopt, name) for name in glmdopt.__all__)
 
 

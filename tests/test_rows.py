@@ -18,9 +18,11 @@ from glmdopt import (
     SolverError,
     WeightFunction,
     build_model_matrix,
+    compute_v,
     full_factorial_design,
+    solve_saturated,
 )
-from glmdopt import cli, liftone, saturated, solver4
+from glmdopt import cli, liftone, saturated
 from glmdopt.cli import dispatch_rows, main
 
 INTERACTION = [[], [0], [1], [0, 1]]
@@ -169,27 +171,35 @@ def test_every_four_point_label_through_the_row_stack(label):
     assert got[5].case_label == label
 
 
-def test_radical_failure_falls_back_in_the_row_stack(monkeypatch):
-    # every interior row takes the quartic's brentq fallback, on both paths
-    monkeypatch.setattr(solver4, "_radical_root", lambda c: float("nan"))
-    problem = DesignProblem(LAYOUTS["2x2"][0], weight_fn=WeightFunction.logit(), w=np.ones(4))
-    betas = np.random.default_rng(11).uniform(-3.0, 3.0, (40, 3))
-    got = dispatch_rows(problem, betas, "analytic", 1e-12)
-    want = solve_each(problem, betas, "analytic")
-    assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
-    interior = [r for r in got if r.case_label == "twofactor-case-v"]
-    assert interior and all(r.diagnostics["quartic_fallback"] == 1.0 for r in interior)
+#: a 2x2 problem whose coefficients, v = (1e-8, 0.3, 0.7, 1) up to order and scale,
+#: sit near the dominance boundary: the paper's closed forms left a gap of 7.1e-2
+NEAR_DOMINANCE = {
+    "link": {"kind": "tabulated", "eta": [-3, -1, 1, 3], "w": [1, 1 / 0.7, 1 / 0.3, 1e8]},
+    "beta": [0, 1, 2],
+    "design_points": P22,
+}
+
+
+def test_near_dominance_file_certified_alone_and_in_the_row_stack(tmp_path):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(NEAR_DOMINANCE), encoding="utf-8")
+    _, problem = cli.load_problem_file(str(path))
+    want = solve_saturated(compute_v(problem)).diagnostics["log_objective"]
+    single = cli.dispatch_solve(problem, "analytic", 1e-12)
+    rows = dispatch_rows(problem, label_rows(np.random.default_rng(8)), "analytic", 1e-12)
+    assert fingerprint(rows[5]) == fingerprint(single)
+    assert single.case_label == "twofactor-case-v"
+    assert single.diagnostics["equivalence_gap"] <= 1e-12
+    assert single.diagnostics["log_objective"] == pytest.approx(want, abs=1e-13)
 
 
 def test_rows_that_raise_mid_batch(monkeypatch):
     # the interior rows' root search fails (SolverError in the dispatch), and one
     # allocation is refused (DomainError in the report); the other rows go on
-    monkeypatch.setattr(solver4, "_radical_root", lambda c: float("nan"))
-
     def no_root(*args, **kwargs):
         raise RuntimeError("synthetic")
 
-    monkeypatch.setattr(solver4, "brentq", no_root)
+    monkeypatch.setattr(saturated, "brentq", no_root)
     allocation = saturated.Allocation
 
     def refuse(p):

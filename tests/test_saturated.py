@@ -314,6 +314,19 @@ class TestSolveSaturated:
             rep = solve_saturated(SaturatedProblem(np.full(n, 1.7)))
             assert rep.allocation.p == pytest.approx(np.full(n, 1.0 / n), abs=1e-12)
 
+    def test_points_tied_with_the_largest_share_its_mass(self, rng):
+        # the tied points take the largest point's root z from the constraint,
+        # so their mass is equal bit for bit, on either order of the input
+        for n in (4, 5, 8):
+            for top in range(2, n):
+                v = np.sort(rng.uniform(0.5, 1.0, n))
+                v[n - top:] = v[-1]
+                rep = solve_saturated(SaturatedProblem(rng.permutation(v)))
+                assert rep.case_label == "saturated-h1"
+                tied = np.sort(rep.allocation.p)[:top]
+                assert np.all(tied == tied[0]), (n, top)
+                assert rep.diagnostics["equivalence_gap"] <= 1e-12
+
     def test_zero_coefficients_pinned(self):
         rep = solve_saturated(SaturatedProblem([0.0, 0.0, 1.0, 2.0, 3.0, 4.0]))
         p = rep.allocation.p

@@ -1,4 +1,9 @@
-"""Four-point reduced-objective solver: case dispatch, quartic, invariants."""
+"""Four-point reduced-objective solver: case dispatch, quartic, invariants.
+
+The allocations come from the saturated root search; the paper's closed
+forms in ``reference`` (quartic root, back-substitution, tie and one-zero
+forms) cross-check them.
+"""
 
 import numpy as np
 import pytest
@@ -8,21 +13,23 @@ from glmdopt import (
     DomainError,
     SaturatedProblem,
     SolverError,
-    back_substitute,
     liftone_maximize,
     solve_22,
     solve_quartic,
+    solve_saturated,
     vform_objective,
 )
 from glmdopt.design import vform_log_sensitivities
 from glmdopt.liftone import MultilinearObjective
-from glmdopt.solver4 import _interior_quartic, _one_zero_rational, _quartic_coeffs
+from glmdopt.solver4 import TIE_REL, _quartic_coeffs
+from reference import back_substitute, one_zero_rational, tie_pair_solution
 
 # closed-form solution for v = (1, 1, 2, 3), verified by a first-order gap
 # below 1e-15 and by the grid oracle
 P_1123 = (0.3056232969657256, 0.3056232969657256, 0.27078252727570584, 0.11797087879284301)
 
-# interior-case solution for v = (1, 2, 3, 4): quartic root, back-substitution
+# interior-case solution for v = (1, 2, 3, 4), with y_i = p_i / p_4 from the
+# paper's quartic root and back-substitution
 P_1234 = (0.31116340376895973, 0.28490725313612142, 0.25082345809832729, 0.15310588499659153)
 Y_1234 = (2.0323412374115266, 1.8608510910110612, 1.6382352520539047)
 F_1234 = 0.16450457211191702
@@ -72,9 +79,8 @@ class TestCaseDispatch:
         assert p[0] > p[1] > p[2] > p[3] > 0.0
         assert p == pytest.approx(P_1234, abs=1e-13)
         assert rep.objective == pytest.approx(F_1234, rel=1e-13)
-        assert rep.diagnostics["y1"] == pytest.approx(Y_1234[0], rel=1e-13)
-        assert rep.diagnostics["y2"] == pytest.approx(Y_1234[1], rel=1e-13)
-        assert rep.diagnostics["y3"] == pytest.approx(Y_1234[2], rel=1e-13)
+        for i in range(3):
+            assert p[i] / p[3] == pytest.approx(Y_1234[i], rel=1e-13)
 
     def test_interior_matches_liftone_and_grid(self):
         v = [1.0, 2.0, 3.0, 4.0]
@@ -89,6 +95,7 @@ class TestCaseDispatch:
         rep = solve_22([0.0, 1.0, 2.0, 2.5])
         assert rep.case_label == "2x2-case-2d"
         assert rep.allocation.p[0] == 1.0 / 3.0
+        assert rep.allocation.p == pytest.approx(one_zero_rational([0.0, 1.0, 2.0, 2.5]), abs=1e-15)
 
     @pytest.mark.parametrize(
         "v, empty",
@@ -124,6 +131,94 @@ class TestCaseDispatch:
             solve_22([1, 2, 3, 10**400])
 
 
+class TestClosedForms:
+    """The root search against the paper's tie and one-zero closed forms."""
+
+    def test_ties_match_the_tie_form(self, rng):
+        labels = {1: "ii", 2: "iii", 3: "iv"}
+        checked = 0
+        for _ in range(300):
+            v = np.sort(rng.uniform(0.1, 5.0, 4))
+            k = int(rng.integers(1, 4))  # ties sorted entries k - 1 and k
+            v[k] = v[k - 1]
+            if v[3] >= v[0] + v[1] + v[2] or np.min(np.diff(np.delete(v, k))) <= 1e-6 * v[3]:
+                continue
+            rep = solve_22(v)
+            assert rep.case_label == f"2x2-case-{labels[k]}"
+            assert rep.allocation.p[k] == rep.allocation.p[k - 1]
+            assert rep.allocation.p == pytest.approx(tie_pair_solution(v, f"{k}{k + 1}"), abs=1e-14)
+            checked += 1
+        assert checked >= 100
+
+    def test_one_zero_matches_the_rational_form(self, rng):
+        checked = 0
+        for _ in range(300):
+            u = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, 3))])
+            if u[3] >= u[1] + u[2] or np.min(np.diff(u[1:])) <= 1e-6 * u[3]:
+                continue
+            rep = solve_22(u)
+            assert rep.case_label == "2x2-case-2d" and rep.allocation.p[0] == 1.0 / 3.0
+            assert rep.allocation.p == pytest.approx(one_zero_rational(u), abs=1e-14)
+            checked += 1
+        assert checked >= 100
+
+
+class TestNearDominance:
+    """Near the dominance boundary ``v4 = v1 + v2 + v3``, with a smallest
+    coefficient small but outside the zero band, the paper's quartic and
+    back-substitution lose the optimum (a gap of 7e-2 at ``v1 = 1e-8``); the
+    root search does not."""
+
+    @staticmethod
+    def _check(v):
+        rep = solve_22(v)
+        assert rep.diagnostics["equivalence_gap"] <= 1e-12, (v, rep.diagnostics)
+        ref = solve_saturated(SaturatedProblem(v)).diagnostics["log_objective"]
+        assert rep.diagnostics["log_objective"] == pytest.approx(ref, abs=1e-13)
+        return rep
+
+    @pytest.mark.parametrize("v1", [1e-8, 1e-7, 1e-6])
+    def test_explicit_coefficients_certified(self, v1):
+        rep = self._check([v1, 0.3, 0.7, 1.0])
+        assert rep.case_label == "2x2-case-v"
+
+    def test_seeded_draws_certified(self):
+        rng = np.random.default_rng(2323)
+        for _ in range(2000):
+            v1 = 10.0 ** rng.uniform(-8.5, -4.0)
+            v2 = rng.uniform(0.05, 0.95) * (1.0 - v1)
+            v3 = 1.0 - v1 - v2 + 10.0 ** rng.uniform(-12.0, -3.0)
+            assert self._check(rng.permutation([v1, v2, v3, 1.0])).case_label == "2x2-case-v"
+
+    def test_a_few_ulps_short_of_dominance(self):
+        # the rounded M(-1) may already be >= 0 here: the root is z = -1, the
+        # boundary allocation, whatever label the dominance test gives
+        rng = np.random.default_rng(2324)
+        for _ in range(300):
+            v = rng.uniform(0.05, 20.0, 3)
+            top = v.sum()
+            for _ in range(rng.integers(1, 6)):
+                top = np.nextafter(top, 0.0)
+            self._check(rng.permutation(np.append(v, top)))
+
+    def test_zero_band_gap_is_bounded_by_the_band(self):
+        # The zero band solves u = v with v1 set to 0. At u's interior optimum
+        # every d_i = 3, p1 = 1/3, p2, p3 >= 1/6 (plus roots) and p4 <= 1/3.
+        # Putting v1 back scales f by 1 + delta, delta = v1 p2 p3 p4 / f, and
+        # turns d_j (j > 1) into (3 + delta / p_j) / (1 + delta), so the gap is
+        # at most max_j delta / (3 p_j); with f >= v4 p1 p2 p3 that is at most
+        # 2 v1 / v4 <= 2 TIE_REL (v1 / v4 on the dominant rows, where p4 = 0).
+        rng = np.random.default_rng(2325)
+        for _ in range(500):
+            v = np.sort(np.exp(rng.uniform(-2.0, 2.0, 4)))
+            v[0] = v[3] * 10.0 ** rng.uniform(-16.0, -9.0)
+            perm = rng.permutation(4)
+            rep = solve_22(v[perm])
+            assert rep.case_label.removeprefix("2x2-case-") in ("2a", "2b", "2c", "2d")
+            assert rep.allocation.p[np.argmin(perm)] == 1.0 / 3.0
+            assert rep.diagnostics["equivalence_gap"] <= 2.0 * TIE_REL
+
+
 class TestQuartic:
     def test_root_matches_companion_matrix(self, rng):
         for _ in range(50):
@@ -143,12 +238,10 @@ class TestQuartic:
 
     def test_near_tie_consistent_with_tie_formula(self):
         # v3 -> v4 within 1e-8: interior formulas agree with the tied pair
-        from glmdopt.solver4 import _tie_pair_solution
-
         v = np.array([1.0, 2.0, 3.0 - 1e-8, 3.0])
         qr = solve_quartic(_quartic_coeffs(v))
         _, _, alloc = back_substitute(qr.root, v)
-        tie_p = _tie_pair_solution(np.array([1.0, 2.0, 3.0, 3.0]), "34")
+        tie_p = tie_pair_solution(np.array([1.0, 2.0, 3.0, 3.0]), "34")
         assert alloc.p == pytest.approx(tie_p, abs=1e-5)
 
     def test_sign_pattern_at_zero_and_one(self, rng):
@@ -178,25 +271,6 @@ class TestQuartic:
     def test_beyond_float_range_rejected(self):
         with pytest.raises(DomainError, match="finite"):
             solve_quartic([10**400, 1, 1, 1, 1])
-
-    @pytest.mark.parametrize("failure", ["nan", "zero-division"])
-    def test_solve_22_bisects_when_radicals_fail(self, rng, monkeypatch, failure):
-        # the radical evaluation either returns a non-root or divides by zero;
-        # either way the bisection fallback must reproduce the radical allocation
-        inputs = [random_interior_v4(rng) for _ in range(20)]
-        expected = [solve_22(v).allocation.p for v in inputs]
-
-        def radical_root(c):
-            if failure == "nan":
-                return np.nan
-            raise ZeroDivisionError
-
-        monkeypatch.setattr("glmdopt.solver4._radical_root", radical_root)
-        for v, p in zip(inputs, expected):
-            rep = solve_22(v)
-            assert rep.case_label == "2x2-case-v"
-            assert rep.diagnostics["quartic_fallback"] == 1.0
-            assert rep.allocation.p == pytest.approx(p, rel=0, abs=1e-12)
 
 
 class TestBackSubstitute:
@@ -337,12 +411,12 @@ class TestInvariants:
 
 
 class TestDiscontinuityGuard:
-    """The interior-case formulas do not continuously extend to a zero
-    coefficient, so tiny smallest coefficients must route to the rational
-    forms rather than take the interior-formula limit."""
+    """The paper's interior-case formulas do not continuously extend to a zero
+    coefficient. In the zero band the smallest coefficient counts as exactly 0,
+    and the root search gives the one-zero allocation."""
 
     def test_dispatch_and_dominance(self):
-        p_2d = _one_zero_rational(np.array([0.0, 1.0, 2.0, 2.5]))
+        p_2d = solve_22([0.0, 1.0, 2.0, 2.5]).allocation.p
         for eps in (1e-3, 1e-6, 1e-9):
             v = np.array([eps, 1.0, 2.0, 2.5])
             rep = solve_22(v)
@@ -351,7 +425,8 @@ class TestDiscontinuityGuard:
             # in the zero band the smallest coefficient counts as exactly 0
             assert np.array_equal(rep.allocation.p, p_2d) == routed_to_2d
             # the dispatched answer never loses to the raw interior formulas
-            p_interior, _ = _interior_quartic(v)
+            _, _, interior = back_substitute(solve_quartic(_quartic_coeffs(v)).root, v)
+            p_interior = interior.p
             assert rep.objective >= vform_objective(v, p_interior) - 1e-12 * rep.objective
 
     def test_interior_path_tracks_the_optimum_near_zero(self):
