@@ -227,12 +227,13 @@ def _corner_steps(beta, weight_fn) -> list:
     ``beta`` (N, 3) holds the nodes' coefficients. Per node the result is
     ``(w, p4)``, or the ``DomainError`` or ``SolverError`` that node raises:
     a corner weight that underflows to zero, or overflows, or whose
-    reciprocal overflows, leaves no finite corner design to compare against.
-    The weights come from one call on ``beta0 + B @ CORNERS.T``, and the
-    allocations from the four-point row stack, ``solve_22``'s case dispatch
-    per node. The ``CORNERS`` entries are +-1, so each predictor is exactly
-    that of :func:`corner_weights`, and a node's result does not depend on
-    the nodes that share the call.
+    reciprocal overflows, leaves no finite corner design to compare against,
+    and a predictor past the float range fails as the weight function's own
+    gate fails it ("eta must be finite"). The weights come from one call on
+    ``beta0 + B @ CORNERS.T``, and the allocations from the four-point row
+    stack, ``solve_22``'s case dispatch per node. The ``CORNERS`` entries are
+    +-1, so each predictor is exactly that of :func:`corner_weights`, and a
+    node's result does not depend on the nodes that share the call.
     """
     with np.errstate(over="ignore", divide="ignore"):
         eta = beta[:, :1] + beta[:, 1:] @ CORNERS.T
@@ -242,12 +243,10 @@ def _corner_steps(beta, weight_fn) -> list:
         v = 1.0 / w
     good = ((w > 0.0) & (w < np.inf) & (v < np.inf)).all(axis=1)
     message = "corner weights must be positive and finite, with finite reciprocals"
-    out = [None if ok else DomainError(f"{message}, got {row.tolist()}") for ok, row in zip(good, w)]
-    for i in np.flatnonzero(~finite).tolist():
-        try:  # a predictor past the float range fails the weight function's own gate
-            weight_fn(eta[i])
-        except DomainError as exc:
-            out[i] = exc
+    out = [
+        None if ok else DomainError(f"{message}, got {row.tolist()}" if eta_ok else "eta must be finite")
+        for ok, eta_ok, row in zip(good, finite, w)
+    ]
     live = np.flatnonzero(good)
     sps = SaturatedProblem._rows(v[live], np.zeros(live.size))
     for i, report in zip(live.tolist(), _solve_rows(sps, _case_22)):

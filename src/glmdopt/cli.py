@@ -43,17 +43,10 @@ from .design import (
     build_model_matrix,
     full_factorial_design,
 )
-from .errors import DomainError, SolverError, _attempt, as_floats, as_int
-from .liftone import LiftOneConfig, _maximize_rows, liftone_maximize
-from .saturated import (
-    _reduce,
-    _saturated_case,
-    _saturated_minors,
-    _solve_rows,
-    compute_v,
-    solve_saturated,
-)
-from .twofactor import _solve_rows_u, solve_fourpoint
+from .errors import DomainError, SolverError, _one, as_floats, as_int
+from .liftone import LiftOneConfig, _maximize_rows
+from .saturated import _reduce, _saturated_case, _saturated_minors, _solve_rows
+from .twofactor import _solve_rows_u
 from .weights import WeightFunction
 
 
@@ -149,108 +142,81 @@ def load_problem_file(path: str):
 
 
 def dispatch_solve(problem: DesignProblem, method: str, tol: float) -> SolveReport:
-    """Route a discrete problem to the solver its shape supports."""
-    n, d = problem.X.shape
-    if method == "liftone":
-        return liftone_maximize(problem, LiftOneConfig(tol=tol))
-    if method not in ("auto", "analytic"):
-        raise DomainError(f"unknown method {method!r}")
-    if n == 4 and d == 3:
-        return solve_fourpoint(problem)
-    if n == d + 1:
-        return solve_saturated(compute_v(problem))
-    if method == "analytic":
-        raise _no_analytic_solver(n, d)
-    return liftone_maximize(problem, LiftOneConfig(tol=tol))
+    """Route a discrete problem to the solver its shape supports: the one-row call
+    of :func:`_solve_rows_by_shape`, raising the row's error."""
+    return _one(_solve_rows_by_shape(problem._frame, problem.w[None], method, tol))
 
 
-def _no_analytic_solver(n: int, d: int) -> DomainError:
-    return DomainError(f"no analytic solver covers shape n={n}, d={d}; use --method liftone (or auto)")
-
-
-def _solve_each(problem: DesignProblem, betas, method: str, tol: float):
-    """:func:`dispatch_solve` row by row, lazily, so a caller that stops at an error
-    stops the solves there."""
-
-    def solve(beta):
-        row = DesignProblem(problem.X, beta=beta, weight_fn=problem.weight_fn)
-        return dispatch_solve(row, method, tol)
-
-    return (_attempt(solve, beta) for beta in betas)
-
-
-def _row_weights(problem: DesignProblem, betas):
-    """``(W, errors)``: row i of W is ``weight_fn(X @ betas[i])`` where that passes
-    the gates of :class:`DesignProblem`, and ``errors[i]`` the ``DomainError`` it
-    raises otherwise (None where it passes)."""
-    X, fn = problem.X, problem.weight_fn
-    # one X @ beta per row: a stacked B @ X.T rounds differently; the weight
-    # call is elementwise and takes the stack
-    etas = np.array([X @ beta for beta in betas]).reshape(len(betas), X.shape[0])
-    finite = np.isfinite(etas).all(axis=1)
-    W = np.full_like(etas, np.nan)
-    W[finite] = fn(etas[finite])
-    errors: list = [None] * len(W)
-    for i in np.flatnonzero(~(np.isfinite(W) & (W > 0.0)).all(axis=1)):
-        # the row's own DesignProblem raises the row's own error
-        try:
-            W[i] = DesignProblem(X, beta=betas[i], weight_fn=fn).w
-        except DomainError as exc:
-            errors[i] = exc
-    return W, errors
-
-
-def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float):
-    """:func:`dispatch_solve` of ``problem`` with each row of ``betas`` as its
-    coefficients, in row order: the report, or the ``DomainError`` or
+def _solve_rows_by_shape(frame, W, method: str, tol: float) -> list:
+    """The solve of every row of the weight stack ``W`` (N, n) on the X of the X
+    ``frame`` (see :mod:`glmdopt.design`), by the solver that the shape of X and
+    ``method`` pick, in row order: the report, or the ``DomainError`` or
     ``SolverError`` that row raises.
 
-    ``problem`` gives X and the weight function; the rows share one weight
-    call, gated per row as :class:`DesignProblem` gates it. The work on X
-    alone comes from the X frame of ``problem`` (see :mod:`glmdopt.design`),
-    made once per X. On a saturated shape (``n == d + 1``, the four-point one
-    included) with method ``analytic`` or ``auto``, the rows go through the
-    solvers as one stack: one reduction to coefficients with its sort and
-    scale step, and one call for the certificates of all rows. Only the case
-    dispatch (``solve_22``'s, or :func:`solve_saturated`'s with its
-    ``root_mu``) and the report's validation run row by row. Rows for
-    lift-one (method ``liftone`` on every shape, ``auto`` on shapes with no
-    analytic solver) run as one lockstep lift-one stack. Each entry equals
-    the row's own solve bit for bit. An unknown method is reported row by row,
-    lazily; so are all rows when a predictor or weight raises a
-    floating-point event that the caller's ``np.errstate`` reports, which
-    then comes where the per-row loop meets it.
+    Lift-one runs for method ``liftone`` on every shape and for ``auto`` on
+    shapes with no analytic solver, as one lockstep stack. A saturated shape
+    (``n == d + 1``) under ``analytic`` or ``auto`` runs as one stack of its
+    analytic solver, the four-point one for a 4x3 X: one reduction to
+    coefficients with its sort and scale step, and one call for the
+    certificates of all rows; only the case dispatch (``solve_22``'s, or
+    ``solve_saturated``'s with its ``root_mu``) and the report's validation
+    run row by row. An unknown method, a bad ``tol`` for lift-one, a shape
+    with no analytic solver under ``analytic`` and an X error fail every row.
     """
-    n, d = problem.X.shape
+    n, d = frame.X.shape
     if method not in ("auto", "analytic", "liftone"):
-        return _solve_each(problem, betas, method, tol)
-    loud = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
-    try:
-        with np.errstate(**loud):
-            W, out = _row_weights(problem, betas)
-    except FloatingPointError:
-        return _solve_each(problem, betas, method, tol)
-    live = [i for i, err in enumerate(out) if err is None]
+        return [DomainError(f"unknown method {method!r}")] * len(W)
     if method == "liftone" or (method == "auto" and n != d + 1):
         try:
             config = LiftOneConfig(tol=tol)
-        except DomainError as exc:  # a bad tol fails every row after its weight gate
-            solved = [exc] * len(live)
-        else:
-            solved = _maximize_rows(problem._frame, W[live], config)
-    elif n != d + 1:
-        solved = [_no_analytic_solver(n, d)] * len(live)
-    else:
-        four = n == 4
-        try:
-            minors, zero, shift = problem._frame.minors if four else _saturated_minors(problem._frame)
         except DomainError as exc:
-            return [exc if err is None else err for err in out]
-        if four:
-            solved = _solve_rows_u(minors, zero, shift, W[live])
-        else:
-            solved = _solve_rows(_reduce(minors, zero, W[live], shift), _saturated_case)
-    for i, report in zip(live, solved):
+            return [exc] * len(W)
+        return _maximize_rows(frame, W, config)
+    if n != d + 1:
+        message = f"no analytic solver covers shape n={n}, d={d}; use --method liftone (or auto)"
+        return [DomainError(message)] * len(W)
+    try:
+        minors, zero, shift = frame.minors if n == 4 else _saturated_minors(frame)
+    except DomainError as exc:
+        return [exc] * len(W)
+    if n == 4:
+        return _solve_rows_u(minors, zero, shift, W)
+    return _solve_rows(_reduce(minors, zero, W, shift), _saturated_case)
+
+
+def _row_weights(problem: DesignProblem, betas):
+    """``(W, errors)``: row i of W is ``weight_fn(X @ betas[i])``, and ``errors[i]``
+    None where it passes the weight gate of :class:`DesignProblem`, else the
+    ``DomainError`` that gate raises: "eta must be finite" where the predictor is
+    not, otherwise "weights must be positive and finite". Overflow and invalid
+    results raise no floating-point event, whatever the caller's ``np.errstate``."""
+    X, fn = problem.X, problem.weight_fn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # one X @ beta per row: a stacked B @ X.T rounds differently; the weight
+        # call is elementwise and takes the stack
+        etas = np.array([X @ beta for beta in betas]).reshape(len(betas), X.shape[0])
+        finite = np.isfinite(etas).all(axis=1)
+        W = np.full_like(etas, np.nan)
+        W[finite] = fn(etas[finite])
+    good = (np.isfinite(W) & (W > 0.0)).all(axis=1).tolist()
+    messages = ("eta must be finite", "weights must be positive and finite")
+    errors = [None if ok else DomainError(messages[eta_ok]) for ok, eta_ok in zip(good, finite.tolist())]
+    return W, errors
+
+
+def dispatch_rows(problem: DesignProblem, betas, method: str, tol: float) -> list:
+    """:func:`dispatch_solve` of ``problem`` with each row of ``betas`` as its
+    coefficients, in row order: the report, or the ``DomainError`` or
+    ``SolverError`` that row raises, each equal to the row's own solve bit for bit.
+
+    ``problem`` gives X and the weight function. The rows share one weight
+    call, gated per row as :class:`DesignProblem` gates it (see
+    :func:`_row_weights`), and the rows that pass go through
+    :func:`_solve_rows_by_shape` as one stack.
+    """
+    W, out = _row_weights(problem, betas)
+    live = [i for i, err in enumerate(out) if err is None]
+    for i, report in zip(live, _solve_rows_by_shape(problem._frame, W[live], method, tol)):
         out[i] = report
     return out
 

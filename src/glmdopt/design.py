@@ -175,7 +175,14 @@ class DesignProblem:
         if self.w is None:
             if beta is None or self.weight_fn is None:
                 raise DomainError("provide either w or both beta and weight_fn")
-            w = as_floats(self.weight_fn(X @ beta), message)
+            try:
+                w = self.weight_fn(X @ beta)
+            except (FloatingPointError, RuntimeWarning):
+                # a predictor or weight past the float range fails the gates
+                # here, whatever the caller's np.errstate and warning filters
+                with np.errstate(all="ignore"):
+                    w = self.weight_fn(X @ beta)
+            w = as_floats(w, message)
         else:
             w = as_floats(self.w, message).reshape(-1).copy()
         if w.shape != (n,):
@@ -283,7 +290,8 @@ def vform_log_sensitivities(v, p):
     ends[0, :, :, 1:] = P[:, :, :-1]
     ends[1, :, :, 1:] = P[:, :, :0:-1]
     cp = np.cumprod(ends, axis=3)
-    sums = np.sum(np.where(marked, 0.0, varr.reshape(-1, 1, n)) * cp[0] * cp[1, :, :, ::-1], axis=2)
+    terms = np.where(marked, 0.0, varr.reshape(-1, 1, n)) * cp[0] * cp[1, :, :, ::-1]
+    sums = np.add.reduce(terms, axis=2)
     f = sums[:, 0]
     log_f = f.tolist()
     if all(x > 0.0 for x in log_f):

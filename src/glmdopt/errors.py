@@ -56,3 +56,11 @@ def _attempt(solve, *args):
         return solve(*args)
     except (DomainError, SolverError) as exc:
         return exc
+
+
+def _one(rows: list):
+    """The entry of a one-row result list, raised if it is the row's error."""
+    (row,) = rows
+    if isinstance(row, Exception):
+        raise row
+    return row

@@ -77,7 +77,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .design import EPS, Allocation, DesignProblem, SolveReport, _as_prob_vector
-from .errors import DomainError, SolverError, as_float, as_int
+from .errors import DomainError, SolverError, _one, as_float, as_int
 
 
 #: lift-one sweeps that locate the support before the Newton finish
@@ -752,10 +752,6 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
     cfg = config or LiftOneConfig()
     _check_problem(problem)
     if isinstance(problem, DesignProblem):
-        (result,) = _maximize_rows(problem._frame, problem.w[None], cfg)
-    else:
-        n = problem.n_points
-        (result,) = _ascend(_BlackBox(problem), np.full((1, n), 1.0 / n), cfg)
-    if isinstance(result, Exception):
-        raise result
-    return result
+        return _one(_maximize_rows(problem._frame, problem.w[None], cfg))
+    n = problem.n_points
+    return _one(_ascend(_BlackBox(problem), np.full((1, n), 1.0 / n), cfg))

@@ -47,11 +47,13 @@ coefficients the largest dominates and the boundary allocation is exact.
 Points tied with the largest share its root ``z``, which is then on
 ``h1``, so exact ties get equal mass.
 
-Rows of one shape are solved as a stack (:func:`_solve_rows`): the reduction
-from the weights, the order and scale step with its gates, and the
-certificates take (N, n) arrays, and a single problem is their N = 1 call.
-Only a solver's case dispatch, its root search and the validation of each
-report run row by row.
+Rows of one shape are solved as a stack: :func:`_reduce` takes the weight
+rows (N, n) to their problems through the order and scale step with its
+gates, and :func:`_solve_rows` certifies the allocations of all rows in one
+call. Only a solver's case dispatch, its root search and the validation of
+each report run row by row. :func:`compute_v`, :func:`solve_saturated` and
+the four-point solver are one-row calls of the same steps, and so is a
+single solve through ``glmdopt.cli.dispatch_solve``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .design import (
     safe_exp,
     vform_log_sensitivities,
 )
-from .errors import DomainError, SolverError, _attempt, as_float, as_floats
+from .errors import DomainError, SolverError, _attempt, _one, as_float, as_floats
 
 #: dominant-coefficient boundary comparison uses this relative rounding
 BOUNDARY_REL = 1e-12
@@ -103,9 +105,7 @@ class SaturatedProblem:
             log_scale = as_float(self.log_scale, _LOG_SCALE_MESSAGE)
         except DomainError:
             log_scale = math.nan  # the stack's gate rejects it after the gates of v
-        (sp,) = self._rows(raw, np.array([log_scale]))
-        if isinstance(sp, DomainError):
-            raise sp
+        sp = _one(self._rows(raw, np.array([log_scale])))
         vars(self).update(vars(sp))  # frozen: no __setattr__
 
     @classmethod
@@ -147,14 +147,10 @@ class SaturatedProblem:
                 vars(sp).update(v=v[i], log_scale=ls, perm=perm[i], n=n, zero_count=row.count(0.0))
         return out
 
-    def report(self, p_sorted: np.ndarray, label: str, diag: dict) -> SolveReport:
+    def _assemble(self, p_sorted, label, diag, log_f, gap) -> SolveReport:
         """Report of ``p_sorted`` (sorted order) in point order, with ``log_objective =
         log_scale + log f`` and ``equivalence_gap = max_i d_i / (n - 1) - 1`` added to
-        ``diag``: the one-row call of the stacked certificates of :func:`_solve_rows`."""
-        (log_f,), (gap,) = _certificates([self], [p_sorted])
-        return self._assemble(p_sorted, label, diag, log_f, gap)
-
-    def _assemble(self, p_sorted, label, diag, log_f, gap) -> SolveReport:
+        ``diag``, from the certificates of :func:`_solve_rows`."""
         diag["log_objective"] = self.log_scale + log_f
         diag["equivalence_gap"] = gap
         p_out = np.empty(self.n)
@@ -180,8 +176,10 @@ class MuSolve:
 _ZERO_EXPONENT = -(2**20)
 
 
-def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray, shift: int):
-    """``v_j = (minors_j 2^shift)^2 * prod_{i != j} w_i`` from the leave-one-out minors.
+def _reduce(minors: np.ndarray, zero: np.ndarray, W: np.ndarray, shift: int) -> list:
+    """``v_j = (minors_j 2^shift)^2 * prod_{i != j} w_i`` from the leave-one-out minors,
+    for each row ``w`` of the weight stack ``W`` (N, n): a list with each row's
+    :class:`SaturatedProblem`, or the ``DomainError`` its gates raise.
 
     ``v_j / prod(w) = minors_j^2 / w_j`` is formed from mantissas and integer
     exponents (``frexp``) and scaled by a power of two, so that the largest
@@ -190,24 +188,14 @@ def _reduce(minors: np.ndarray, zero: np.ndarray, w: np.ndarray, shift: int):
     Minors flagged in ``zero`` give exact zeros: their exponents are replaced
     by one far below the others', since a roundoff minor over a tiny weight
     may exceed the float range.
-
-    One weight row ``w`` (n,) gives its :class:`SaturatedProblem`; a stack of
-    N rows (N, n) gives a list with each row's problem, or the ``DomainError``
-    its gates raise.
     """
-    W = w.reshape(-1, w.shape[-1])
     fm, em = np.frexp(minors)
     fw, ew = np.frexp(W)
     e = np.where(zero, _ZERO_EXPONENT, 2 * em) - ew
     e_top = np.maximum.reduce(e, axis=1)
     v = np.ldexp(fm * fm / fw, np.minimum(e - e_top[:, None], 0))
     log_scale = (e_top + 2 * shift) * math.log(2.0) + np.add.reduce(np.log(W), axis=1)
-    rows = SaturatedProblem._rows(v, log_scale)
-    if w.ndim == 2:
-        return rows
-    if isinstance(rows[0], DomainError):
-        raise rows[0]
-    return rows[0]
+    return SaturatedProblem._rows(v, log_scale)
 
 
 def _certificates(sps: list, p_sorted: list):
@@ -225,15 +213,18 @@ def _solve_rows(sps: list, case) -> list:
     the label and the diagnostics; the certificates of all rows come from
     one stacked call, and each report is assembled and validated per row.
     A row whose problem, dispatch or report raises ``DomainError`` or
-    ``SolverError`` gets that error, and every row equals its own
-    ``sp.report(*case(sp))`` bit for bit.
+    ``SolverError`` gets that error. A single solve is the one-row call, so
+    every row equals its own solve bit for bit.
     """
     out = [sp if isinstance(sp, DomainError) else _attempt(case, sp) for sp in sps]
     live = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
     if live:
-        certified = _certificates([sps[i] for i in live], [out[i][0] for i in live])
-        for i, cert in zip(live, zip(*certified)):
-            out[i] = _attempt(sps[i]._assemble, *out[i], *cert)
+        log_f, gap = _certificates([sps[i] for i in live], [out[i][0] for i in live])
+        for i, lf, g in zip(live, log_f, gap):
+            try:  # inline, not _attempt: a single solve pays this per call
+                out[i] = sps[i]._assemble(*out[i], lf, g)
+            except (DomainError, SolverError) as exc:
+                out[i] = exc
     return out
 
 
@@ -255,7 +246,7 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
     X frame of ``problem`` (see :mod:`glmdopt.design`).
     """
     minors, zero, shift = _saturated_minors(problem._frame)
-    return _reduce(minors, zero, problem.w, shift)
+    return _one(_reduce(minors, zero, problem.w[None], shift))
 
 
 def root_mu(sp: SaturatedProblem) -> MuSolve:
@@ -320,7 +311,7 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
     report ``mu`` and the multiplier ``lambda`` on the true scale and the
     root-search quality of :func:`root_mu`.
     """
-    return sp.report(*_saturated_case(sp))
+    return _one(_solve_rows([sp], _saturated_case))
 
 
 def _saturated_case(sp: SaturatedProblem):
@@ -328,7 +319,7 @@ def _saturated_case(sp: SaturatedProblem):
     v = sp.v
     # a largest coefficient that dominates the others, up to BOUNDARY_REL, puts the
     # optimum at the point z = -1 (mu = 0), the boundary allocation
-    near = v[-1] >= float(np.sum(v[:-1])) * (1.0 - BOUNDARY_REL)
+    near = v[-1] >= float(np.add.reduce(v[:-1])) * (1.0 - BOUNDARY_REL)
     p_sorted, branch, diag = _boundary(sp) if near else _root_allocation(v, sp)
     return p_sorted, f"saturated-{branch}", diag
 

@@ -40,8 +40,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .design import SolveReport
-from .errors import DomainError, SolverError, as_floats
-from .saturated import _RTOL, _XTOL, SaturatedProblem, _root_allocation
+from .errors import DomainError, SolverError, _one, as_floats
+from .saturated import _RTOL, _XTOL, SaturatedProblem, _root_allocation, _solve_rows
 
 #: two coefficients are tied (and a coefficient is zero) below this relative gap
 TIE_REL = 1e-9
@@ -152,7 +152,7 @@ def solve_22(v) -> SolveReport:
     those of :func:`~glmdopt.saturated.solve_saturated`.
     """
     sp = v if isinstance(v, SaturatedProblem) else SaturatedProblem(v)
-    return sp.report(*_case_22(sp))
+    return _one(_solve_rows([sp], _case_22))
 
 
 def _case_22(sp: SaturatedProblem):

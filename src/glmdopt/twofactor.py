@@ -14,58 +14,49 @@ exact zero too: :class:`~glmdopt.saturated.SaturatedProblem` owns its scale.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .design import Allocation, DesignProblem, SolveReport
-from .errors import DomainError
+from .errors import DomainError, _one
 from .saturated import SaturatedProblem, _reduce, _solve_rows
-from .solver4 import _case_22, solve_22
+from .solver4 import _case_22
 
 
 def _rank2(zero) -> bool:
     """Whether the zero flags of :func:`~glmdopt.design.leave_one_out_minors` say rank 2."""
     # Two or three near-zero minors cannot happen for distinct rows with an
     # intercept column except through roundoff on a rank-2 matrix.
-    return zero.sum() >= 2
+    return np.count_nonzero(zero) >= 2
+
+
+def _minors(problem: DesignProblem):
+    """The leave-one-out minors of a 4x3 X, from its X frame (see :mod:`glmdopt.design`)."""
+    if problem.X.shape != (4, 3):
+        raise DomainError(f"need a 4x3 design matrix, got {problem.X.shape}")
+    return problem._frame.minors
 
 
 def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
     """Reduced coefficients of a 4x3 X, or ``None`` when it has rank 2; the minors
     and the rank decision come from the X frame (see :mod:`glmdopt.design`)."""
-    X = problem.X
-    if X.shape != (4, 3):
-        raise DomainError(f"need a 4x3 design matrix, got {X.shape}")
-    minors, zero, shift = problem._frame.minors
-    return None if _rank2(zero) else _reduce(minors, zero, problem.w, shift)
-
-
-def _degenerate() -> SolveReport:
-    return SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {})
-
-
-def _label(label: str) -> str:
-    return label.replace("2x2-", "twofactor-", 1)
-
-
-def _solve_u(sp: SaturatedProblem | None) -> SolveReport:
-    """:func:`solve_fourpoint` from the reduced coefficients of :func:`compute_u`."""
-    if sp is None:
-        return _degenerate()
-    report = solve_22(sp)
-    return SolveReport(report.allocation, report.objective, _label(report.case_label), report.diagnostics)
+    minors, zero, shift = _minors(problem)
+    return None if _rank2(zero) else _one(_reduce(minors, zero, problem.w[None], shift))
 
 
 def _fourpoint_case(sp: SaturatedProblem):
     p_sorted, label, diag = _case_22(sp)
-    return p_sorted, _label(label), diag
+    return p_sorted, label.replace("2x2-", "twofactor-", 1), diag
 
 
 def _solve_rows_u(minors, zero, shift, W) -> list:
-    """:func:`_solve_u` of the four-point problems with the weight rows ``W`` (N, 4)
-    and the leave-one-out minors of their X: per row the report, or the
-    ``DomainError`` or ``SolverError`` it raises, each equal to the row's own
-    solve bit for bit. The reduction, the sort and scale step and the
-    certificates run on the stack; ``solve_22``'s case dispatch runs per row."""
+    """The four-point solves of the weight rows ``W`` (N, 4) on an X with these
+    leave-one-out minors, in row order: the report, or the ``DomainError`` or
+    ``SolverError`` that row raises. A rank-2 X gives every row the uniform
+    allocation. The reduction, the sort and scale step and the certificates run
+    on the stack; ``solve_22``'s case dispatch runs per row. A single solve is
+    the N = 1 call, so each row equals its own :func:`solve_fourpoint` bit for bit."""
     if _rank2(zero):
-        return [_degenerate() for _ in W]
+        return [SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {}) for _ in W]
     return _solve_rows(_reduce(minors, zero, W, shift), _fourpoint_case)
 
 
@@ -78,4 +69,4 @@ def solve_fourpoint(problem: DesignProblem) -> SolveReport:
     rank-2 layout reports neither. The case label is that of ``solve_22``
     with ``twofactor-`` for its ``2x2-`` prefix.
     """
-    return _solve_u(compute_u(problem))
+    return _one(_solve_rows_u(*_minors(problem), problem.w[None]))

@@ -6,7 +6,9 @@ one lockstep stack; each row must still come out exactly as its own
 :func:`glmdopt.cli.dispatch_solve`.
 """
 
+import contextlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -90,7 +92,6 @@ def test_rows_match_one_solve_per_row():
             betas = coefficient_rows(rng, X.shape[1], box)
             for method in ("liftone", "analytic", "auto"):
                 got = dispatch_rows(problem, betas, method, 1e-12)
-                # the shared path, not the per-row fallback
                 assert isinstance(got, list), (name, link)
                 want = solve_each(problem, betas, method)
                 assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want], (name, link)
@@ -342,22 +343,36 @@ def test_liftone_x_errors_reach_every_row_after_its_weight_gate():
         ]
 
 
-def test_floating_point_events_keep_the_per_row_loop():
-    # exp overflows on the last row: under errstate(over="raise") the batch
-    # leaves every row to the per-row loop, which raises where it used to
+@contextlib.contextmanager
+def warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def test_floating_point_events_are_row_errors():
+    # exp overflows on row 1 and X @ beta on row 2: whatever the caller's
+    # np.errstate or warning filters, each is that row's DomainError, as its
+    # own DesignProblem raises it, between rows that solve
     X, _ = full_factorial_design(2)
-    problem = DesignProblem(X, weight_fn=WeightFunction.log_poisson(), w=np.ones(4))
-    betas = np.array([[0.1, 0.2, 0.3], [800.0, 0.0, 0.0]])
-    with np.errstate(over="raise"):
-        rows = dispatch_rows(problem, betas, "analytic", 1e-12)
-        assert fingerprint(next(rows)) == fingerprint(solve_each(problem, betas[:1], "analytic")[0])
-        with pytest.raises(FloatingPointError):
-            next(rows)
-    with np.errstate(over="ignore"):
-        got = dispatch_rows(problem, betas, "analytic", 1e-12)
-        assert isinstance(got, list)
-        want = solve_each(problem, betas, "analytic")
-        assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
+    fn = WeightFunction.log_poisson()
+    problem = DesignProblem(X, weight_fn=fn, w=np.ones(4))
+    betas = np.array([[0.1, 0.2, 0.3], [800.0, 0.0, 0.0], [0.0, 1e308, 1e308], [-0.3, 0.1, 0.2]])
+    messages = {1: "weights must be positive and finite", 2: "eta must be finite"}
+    for context in (lambda: np.errstate(all="raise"), warnings_as_errors):
+        for method in ("analytic", "liftone"):
+            with context():
+                got = dispatch_rows(problem, betas, method, 1e-12)
+                assert isinstance(got, list)
+                own = cli.dispatch_solve(DesignProblem(X, beta=betas[0], weight_fn=fn), method, 1e-12)
+                assert fingerprint(got[0]) == fingerprint(own)
+                want = solve_each(problem, betas, method)
+                assert [fingerprint(r) for r in got] == [fingerprint(r) for r in want]
+                assert not isinstance(got[3], Exception)
+                for i, message in messages.items():
+                    assert fingerprint(got[i]) == ("DomainError", message)
+                    with pytest.raises(DomainError, match=f"^{message}$"):
+                        DesignProblem(X, beta=betas[i], weight_fn=fn)
 
 
 def write_problem(tmp_path, payload):
