@@ -22,14 +22,20 @@ lies on an edge. When ``b1 = b2 = 0`` the same argument applies to the whole
 square. The search therefore scans the edges and refines the best points by
 a zoom, which needs only values of ``s``.
 
-The search is one array kernel over many nodes (coefficient vectors): a
-node's four edges, or its twelve zoom centres, are rows of a 2-D parameter
-array, and its coefficients of ``h``, computed once, broadcast along them.
-Every scan and zoom level keeps each row's least margin as a candidate, and
-one ``argmin`` per node over the candidates in visiting order picks the first
-least margin. Each node's arithmetic is the same whichever nodes share the
-call, so :func:`check_boundary_optimal` (one node) and :func:`region_sweep`
-(a map, in fixed chunks of nodes) agree bit for bit.
+Each edge is a 1-D problem in its parameter t in [-1, 1]. One coordinate is
+fixed at +-1 and the other is t, so the predictor is linear,
+``eta = E0 + t E1``, and ``h`` is quadratic, ``h = C0 + t (C1 + t C2)``:
+the fixed coordinate folds into ``E0``, ``C0`` and ``C1``. The search is one
+array kernel over many nodes (coefficient vectors). Each (node, edge) pair
+gets these five coefficients once; a node's four edges, or its twelve zoom
+centres (which gather their edge's coefficients), are rows of a 2-D
+parameter array, and every scan and zoom point costs
+``s = (3/4) f(p4) - nu(E0 + t E1) (C0 + t (C1 + t C2))``. Every scan and
+zoom level keeps each row's least margin as a candidate, and one ``argmin``
+per node over the candidates in visiting order picks the first least margin.
+Each node's arithmetic is the same whichever nodes share the call, so
+:func:`check_boundary_optimal` (one node) and :func:`region_sweep` (a map,
+in fixed chunks of nodes) agree bit for bit.
 
 ``s`` and ``f(p4)`` scale as the cube of a common weight factor, so each
 node is searched in a power-of-two frame where tiny weights cannot underflow
@@ -78,9 +84,10 @@ _ZOOM_LEVELS = 11
 #: t in [-1, 1]; ordered a = -1, b = -1, b = 1, a = 1 so that tied minima go to the
 #: lexicographically least (a, b), as in a row-major scan of the square
 _EDGES = np.array([[-1, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, 1]], dtype=float)
+#: value of each edge's fixed coordinate, a0 + b0 (the other one is 0)
+_FIXED = _EDGES[0] + _EDGES[2]
 #: zoom centres: the best node of each edge, then both endpoints of each edge
 _CENTRE_EDGES = np.concatenate([np.arange(4), np.repeat(np.arange(4), 2)])
-_CENTRE_ROWS = _EDGES[:, _CENTRE_EDGES, None]
 _ENDPOINTS = np.tile([-1.0, 1.0], 4)
 #: edge of each search candidate in visiting order: the scan's four rows, then each zoom level's
 _CANDIDATE_EDGES = np.concatenate([np.arange(4), np.tile(_CENTRE_EDGES, _ZOOM_LEVELS)])
@@ -254,13 +261,44 @@ def _corner_steps(beta, weight_fn) -> list:
     return out
 
 
+def _by_edge(on_a, on_b):
+    """(N, 4) columns in ``_EDGES`` order: ``on_a`` on the edges a = -1 and a = 1,
+    where b is the edge parameter, and ``on_b`` on the edges b = -1 and b = 1."""
+    return np.stack([on_a, on_b, on_b, on_a], axis=1)
+
+
+def _edge_coefficients(beta, groups):
+    """Per node and edge, ``eta = E0 + t E1`` and ``h = C0 + t (C1 + t C2)``.
+
+    ``beta`` (N, 3) holds unit-square coefficients and ``groups`` the six
+    (N,) groups of :func:`_h_coefficients`. On the edge a = s the parameter
+    is b, so ``eta = (b0 + s b1) + t b2`` and ``h = (const + a_sq + 2 s
+    a_lin) + t (2 b_lin + 2 s ab) + t^2 b_sq``; the edges b = s swap the
+    roles of a and b. Returns the (5, N, 4) stack ``E0, E1, C0, C1, C2``.
+    """
+    const, b_sq, b_lin, a_sq, a_lin, ab = groups
+    b0, b1, b2 = beta.T
+    return np.stack(
+        [
+            b0[:, None] + _FIXED * _by_edge(b1, b2),
+            _by_edge(b2, b1),
+            const[:, None] + _by_edge(a_sq, b_sq) + 2.0 * _FIXED * _by_edge(a_lin, b_lin),
+            2.0 * (_by_edge(b_lin, a_lin) + _FIXED * ab[:, None]),
+            _by_edge(b_sq, a_sq),
+        ]
+    )
+
+
 def _edge_search(beta, q, weight_fn, s_grid_steps):
     """Least margin over the unit square's edges for N nodes at once (module docstring).
 
     ``beta`` (N, 3) holds unit-square coefficients and ``q`` (N, 4) the
-    products ``p4 * w``. Returns the columns ``f_p4``, ``min_s``, ``verdict``
-    and the edge point ``a``, ``b``; a node that fails (module docstring)
-    gets a non-finite ``min_s``, without a warning.
+    products ``p4 * w``. Each (node, edge) pair gets its coefficients once
+    (:func:`_edge_coefficients`); every scan and zoom point then costs
+    ``S = (3/4) f(p4) - nu(E0 + t E1) (C0 + t (C1 + t C2))`` in the edge
+    parameter t. Returns the columns ``f_p4``, ``min_s``, ``verdict`` and the
+    edge point ``a``, ``b``; a node that fails (module docstring) gets a
+    non-finite ``min_s``, without a warning.
     """
     n = len(q)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -268,26 +306,26 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
         e = np.minimum(np.frexp(q.max(axis=1))[1], 0)
         q = np.ldexp(q, -e[:, None]).T
         f_p4 = _corner_det(q)
-        columns = (0.75 * f_p4, *beta.T, *np.ldexp(_h_coefficients(q), -e))
-        # one node keeps numpy scalars, which broadcast faster than (1, 1, 1) arrays
-        f34, b0, b1, b2, *coefficients = [c[:, None, None] if n > 1 else c[0] for c in columns]
-        rows = _EDGES[:, :, None]
-        t = np.broadcast_to(np.linspace(-1.0, 1.0, s_grid_steps), (n, 4, s_grid_steps))
+        f34 = (0.75 * f_p4)[:, None, None]
+        edges = _edge_coefficients(beta, np.ldexp(_h_coefficients(q), -e))
+        # the scan's rows are the four edges, each zoom level's the twelve centres
+        rows, zoom_rows = edges[..., None], edges[:, :, _CENTRE_EDGES, None]
+        t = np.linspace(-1.0, 1.0, s_grid_steps)
         radius = 2.0 / (s_grid_steps - 1)
         ts, ss = [], []
         for level in range(_ZOOM_LEVELS + 1):
-            a0, da, e0, db = rows
-            a, b = a0 + t * da, e0 + t * db
-            S = f34 - np.asarray(weight_fn(b0 + a * b1 + b * b2)) * _h(a, b, coefficients)
-            S, t = S.reshape(-1, S.shape[-1]), t.reshape(-1, S.shape[-1])
+            e0, e1, c0, c1, c2 = rows
+            S = f34 - weight_fn(e0 + t * e1) * (c0 + t * (c1 + t * c2))
+            S = S.reshape(-1, S.shape[-1])
             k = S.argmin(axis=1)
             at = np.arange(len(k))
-            ts.append(t[at, k].reshape(n, -1))
+            # the scan's t is one axis shared by every row, the zoom's one stencil per row
+            ts.append((t.reshape(S.shape)[at, k] if level else t[k]).reshape(n, -1))
             ss.append(S[at, k].reshape(n, -1))
             centres = ts[-1] if level else np.concatenate([ts[-1], np.tile(_ENDPOINTS, (n, 1))], axis=1)
             # clipped to the edge; minimum/maximum skip np.clip's per-call overhead
             t = np.minimum(np.maximum(centres[:, :, None] + radius * _ZOOM_OFFSETS, -1.0), 1.0)
-            rows = _CENTRE_ROWS
+            rows = zoom_rows
             radius /= _ZOOM_SHRINK
         ts, ss = np.concatenate(ts, axis=1), np.concatenate(ss, axis=1)
         c = ss.argmin(axis=1)
@@ -295,8 +333,8 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
         min_s, t = ss[at, c], ts[at, c]
         verdict = min_s >= -(VERDICT_REL_TOL * f_p4)
         min_s = np.where((f_p4 >= np.finfo(float).tiny) & (f_p4 < np.inf), min_s, np.nan)
-    a0, da, e0, db = _EDGES[:, _CANDIDATE_EDGES[c]]
-    return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a0 + t * da, e0 + t * db
+    a0, da, b0, db = _EDGES[:, _CANDIDATE_EDGES[c]]
+    return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a0 + t * da, b0 + t * db
 
 
 def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> BoundaryVerdict:
@@ -304,8 +342,9 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
 
     Requires a problem already on the unit square (use
     :func:`rescale_problem` first). ``min s`` lies on the square's edges
-    (module docstring), so each edge is scanned at ``s_grid_steps`` evenly
-    spaced points and refined by a zoom from the best node and both
+    (module docstring), so each edge, a 1-D problem in its parameter t with
+    ``eta`` linear and ``h`` quadratic in t, is scanned at ``s_grid_steps``
+    evenly spaced values of t and refined by a zoom from the best node and both
     endpoints of every edge: per level a 9-point stencil along the edge,
     clipped to it, moves each centre to its minimum, and the radius (first
     the grid spacing) shrinks fourfold. The endpoints are centres because
@@ -401,24 +440,17 @@ def region_sweep(
     return RegionGrid(beta0, b1v, b2v, min_s, verdict, failed)
 
 
-# marching-squares edge pairs per cell code (corners: 1=SW, 2=SE, 4=NE, 8=NW;
-# edges: S=0, E=1, N=2, W=3)
-_MS_SEGMENTS = {
-    1: [(3, 0)],
-    2: [(0, 1)],
-    3: [(3, 1)],
-    4: [(1, 2)],
-    5: [(3, 2), (0, 1)],
-    6: [(0, 2)],
-    7: [(3, 2)],
-    8: [(2, 3)],
-    9: [(0, 2)],
-    10: [(0, 3), (1, 2)],
-    11: [(1, 2)],
-    12: [(1, 3)],
-    13: [(0, 1)],
-    14: [(0, 3)],
-}
+# marching-squares segments per cell code (corners: 1=SW, 2=SE, 4=NE, 8=NW), four
+# codes a row: each code's first and second segment as a pair of cell edges (S=0, E=1,
+# N=2, W=3), -1 for none; only the saddles 5 and 10 have two
+_MS_SEGMENTS = np.array(
+    [
+        [[-1, -1, -1, -1], [3, 0, -1, -1], [0, 1, -1, -1], [3, 1, -1, -1]],
+        [[1, 2, -1, -1], [3, 2, 0, 1], [0, 2, -1, -1], [3, 2, -1, -1]],
+        [[2, 3, -1, -1], [0, 2, -1, -1], [0, 3, 1, 2], [1, 2, -1, -1]],
+        [[1, 3, -1, -1], [0, 1, -1, -1], [0, 3, -1, -1], [-1, -1, -1, -1]],
+    ]
+).reshape(16, 2, 2)
 
 
 def region_boundary_segments(grid: RegionGrid):
@@ -426,28 +458,18 @@ def region_boundary_segments(grid: RegionGrid):
 
     Crossings are placed at edge midpoints (the margin surface changes scale
     across nodes, so interpolating on it would be unreliable). Returns a list
-    of ((x1, y1), (x2, y2)) segments in (beta1, beta2) coordinates.
+    of ((x1, y1), (x2, y2)) segments in (beta1, beta2) coordinates, cell by
+    cell in row-major order, a saddle cell's two segments in table order.
     """
-    x, y = grid.beta1, grid.beta2
-    v = grid.verdict
-    segments = []
-    for i in range(v.shape[0] - 1):
-        for j in range(v.shape[1] - 1):
-            code = (
-                (1 if v[i, j] else 0)
-                | (2 if v[i + 1, j] else 0)
-                | (4 if v[i + 1, j + 1] else 0)
-                | (8 if v[i, j + 1] else 0)
-            )
-            if code not in _MS_SEGMENTS:
-                continue
-            xm, ym = 0.5 * (x[i] + x[i + 1]), 0.5 * (y[j] + y[j + 1])
-            edge_mid = {
-                0: (xm, y[j]),
-                1: (x[i + 1], ym),
-                2: (xm, y[j + 1]),
-                3: (x[i], ym),
-            }
-            for e1, e2 in _MS_SEGMENTS[code]:
-                segments.append((edge_mid[e1], edge_mid[e2]))
-    return segments
+    x = np.asarray(grid.beta1, dtype=float)
+    y = np.asarray(grid.beta2, dtype=float)
+    v = np.asarray(grid.verdict, dtype=bool).astype(np.intp)
+    code = v[:-1, :-1] | v[1:, :-1] << 1 | v[1:, 1:] << 2 | v[:-1, 1:] << 3
+    i, j, slot = np.nonzero(_MS_SEGMENTS[code][..., 0] >= 0)
+    # each cell's S, E, N and W edge midpoints: x by the cell's row i, y by its column j
+    xm, ym = 0.5 * (x[:-1] + x[1:]), 0.5 * (y[:-1] + y[1:])
+    mid_x = np.stack([xm, x[1:], xm, x[:-1]], axis=1)
+    mid_y = np.stack([y[:-1], ym, y[1:], ym], axis=1)
+    e1, e2 = _MS_SEGMENTS[code[i, j], slot].T
+    (x1, y1), (x2, y2) = [(mid_x[i, e].tolist(), mid_y[j, e].tolist()) for e in (e1, e2)]
+    return list(zip(zip(x1, y1), zip(x2, y2)))

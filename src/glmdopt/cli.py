@@ -137,7 +137,10 @@ def load_problem_file(path: str):
         X = build_model_matrix(np.array(points), raw.get("model_terms", "main-effects"))
     except DomainError as exc:
         raise DomainError(f"model_terms: {exc}") from exc
-    problem = DesignProblem(X, beta=np.array(beta), weight_fn=fn)
+    # a weight past the float range is reported by DesignProblem's gate alone, not
+    # also by numpy's floating-point warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        problem = DesignProblem(X, beta=np.array(beta), weight_fn=fn)
     return "discrete", problem
 
 

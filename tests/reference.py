@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from glmdopt import Allocation, DomainError, SolverError
+from glmdopt import Allocation, DomainError, SolverError, boundary
 from glmdopt.errors import as_float, as_floats
 
 #: largest n for which objective_expansion enumerates the C(n, d) row subsets
@@ -108,3 +108,93 @@ def one_zero_rational(u: np.ndarray) -> np.ndarray:
     den = 3.0 * (2.0 * u2 * u3 + 2.0 * u2 * u4 + 2.0 * u3 * u4 - u2 * u2 - u3 * u3 - u4 * u4)
     p2, p3 = 2.0 * u2 * (u3 + u4 - u2) / den, 2.0 * u3 * (u2 + u4 - u3) / den
     return np.array([1.0 / 3.0, p2, p3, 2.0 * u4 * (u2 + u3 - u4) / den])
+
+
+def edge_search_pointwise(beta, q, weight_fn, s_grid_steps):
+    """The corner-support edge search with ``(a, b)`` and ``h`` rebuilt at every point.
+
+    Same contract, frame, scan, zoom and visiting order as
+    ``boundary._edge_search``, which evaluates each edge as a 1-D kernel in
+    its parameter t instead: here every scan and zoom point forms ``a``,
+    ``b``, ``eta = b0 + a b1 + b b2`` and the six-group form of ``h``.
+    """
+    n = len(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.minimum(np.frexp(q.max(axis=1))[1], 0)
+        q = np.ldexp(q, -e[:, None]).T
+        f_p4 = boundary._corner_det(q)
+        columns = (0.75 * f_p4, *beta.T, *np.ldexp(boundary._h_coefficients(q), -e))
+        f34, b0, b1, b2, *coefficients = [c[:, None, None] for c in columns]
+        edges = boundary._EDGES
+        rows = edges[:, :, None]
+        t = np.broadcast_to(np.linspace(-1.0, 1.0, s_grid_steps), (n, 4, s_grid_steps))
+        radius = 2.0 / (s_grid_steps - 1)
+        ts, ss = [], []
+        for level in range(boundary._ZOOM_LEVELS + 1):
+            a0, da, e0, db = rows
+            a, b = a0 + t * da, e0 + t * db
+            S = f34 - np.asarray(weight_fn(b0 + a * b1 + b * b2)) * boundary._h(a, b, coefficients)
+            S, t = S.reshape(-1, S.shape[-1]), t.reshape(-1, S.shape[-1])
+            k = S.argmin(axis=1)
+            at = np.arange(len(k))
+            ts.append(t[at, k].reshape(n, -1))
+            ss.append(S[at, k].reshape(n, -1))
+            centres = ts[-1] if level else np.concatenate([ts[-1], np.tile([-1.0, 1.0], (n, 4))], axis=1)
+            t = np.clip(centres[:, :, None] + radius * boundary._ZOOM_OFFSETS, -1.0, 1.0)
+            rows = edges[:, boundary._CENTRE_EDGES, None]
+            radius /= boundary._ZOOM_SHRINK
+        ts, ss = np.concatenate(ts, axis=1), np.concatenate(ss, axis=1)
+        c = ss.argmin(axis=1)
+        at = np.arange(n)
+        min_s, t = ss[at, c], ts[at, c]
+        verdict = min_s >= -(boundary.VERDICT_REL_TOL * f_p4)
+        min_s = np.where((f_p4 >= np.finfo(float).tiny) & (f_p4 < np.inf), min_s, np.nan)
+    a0, da, e0, db = edges[:, boundary._CANDIDATE_EDGES[c]]
+    return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a0 + t * da, e0 + t * db
+
+
+# marching-squares edge pairs per cell code (corners: 1=SW, 2=SE, 4=NE, 8=NW;
+# edges: S=0, E=1, N=2, W=3)
+_MS_SEGMENTS = {
+    1: [(3, 0)],
+    2: [(0, 1)],
+    3: [(3, 1)],
+    4: [(1, 2)],
+    5: [(3, 2), (0, 1)],
+    6: [(0, 2)],
+    7: [(3, 2)],
+    8: [(2, 3)],
+    9: [(0, 2)],
+    10: [(0, 3), (1, 2)],
+    11: [(1, 2)],
+    12: [(1, 3)],
+    13: [(0, 1)],
+    14: [(0, 3)],
+}
+
+
+def boundary_segments_loop(grid):
+    """``boundary.region_boundary_segments`` as a loop over the cells with a code table."""
+    x, y = grid.beta1, grid.beta2
+    v = grid.verdict
+    segments = []
+    for i in range(v.shape[0] - 1):
+        for j in range(v.shape[1] - 1):
+            code = (
+                (1 if v[i, j] else 0)
+                | (2 if v[i + 1, j] else 0)
+                | (4 if v[i + 1, j + 1] else 0)
+                | (8 if v[i, j + 1] else 0)
+            )
+            if code not in _MS_SEGMENTS:
+                continue
+            xm, ym = 0.5 * (x[i] + x[i + 1]), 0.5 * (y[j] + y[j + 1])
+            edge_mid = {
+                0: (xm, y[j]),
+                1: (x[i + 1], ym),
+                2: (xm, y[j + 1]),
+                3: (x[i], ym),
+            }
+            for e1, e2 in _MS_SEGMENTS[code]:
+                segments.append((edge_mid[e1], edge_mid[e2]))
+    return segments

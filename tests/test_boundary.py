@@ -23,8 +23,8 @@ from glmdopt import (
     rescale_problem,
     solve_22,
 )
-from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, grid_axis
-from reference import objective_expansion
+from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, RegionGrid, grid_axis, region_boundary_segments
+from reference import boundary_segments_loop, edge_search_pointwise, objective_expansion
 
 LOGIT = WeightFunction.logit()
 X_CORNERS = np.column_stack([np.ones(4), CORNERS])
@@ -323,6 +323,76 @@ class TestEdgeSearch:
             assert verdict.min_s <= float(np.min(s(axis[:, None], axis[None, :]))) + tol
 
 
+def _map_search(kernel, fn, beta0, half, s_grid_steps, steps=21):
+    """One edge-search ``kernel`` call on the nodes of a map whose corner step succeeds.
+
+    Returns those nodes' coefficients, ``p4`` and corner weights, and the
+    kernel's columns ``f_p4``, ``min_s``, ``verdict``, ``a``, ``b``.
+    """
+    axis = grid_axis(-half, half, steps)
+    nodes = np.column_stack([np.full(steps * steps, beta0), np.repeat(axis, steps), np.tile(axis, steps)])
+    corner = boundary._corner_steps(nodes, fn)
+    ok = [not isinstance(step, Exception) for step in corner]
+    w = np.reshape([step[0] for step, good in zip(corner, ok) if good], (-1, 4))
+    p4 = np.reshape([step[1].p for step, good in zip(corner, ok) if good], (-1, 4))
+    return nodes[ok], p4, w, kernel(nodes[ok], p4 * w, fn, s_grid_steps)
+
+
+def _margin_bound(beta, f_p4, min_s):
+    """How far two evaluations of a node's margin, rounded differently, may differ.
+
+    eta's rounding, a few ulps of |beta|_1, moves nu by that times |nu'/nu|,
+    at most 1 + |beta|_1 on the square for logit, probit and log_poisson; h
+    and S add a few ulps of (3/4) f(p4) + nu h = 1.5 f(p4) - min_s; two
+    zooms that stop at stencil points ~1e-8 apart differ by S's second-order
+    change, (|beta|_1 1e-8)^2 relative, well below the first term. Margins
+    scaled back below the normal range round by at most a subnormal each.
+    """
+    rel = 32.0 * np.finfo(float).eps * (1.0 + np.abs(beta).sum(axis=1)) ** 2
+    return rel * (1.5 * f_p4 - min_s) + 4.0 * np.finfo(float).smallest_subnormal
+
+
+class TestEdgeKernel:
+    # the per-edge kernel against the pointwise search it replaced; the probit +-40 map
+    # holds nodes with zero corner weights, the logit -300 +-300 map nodes whose corner
+    # objectives underflow outside their power-of-two frames
+    MAPS = [
+        ("logit", -1.0, 3.0),
+        ("probit", 0.5, 3.0),
+        ("log_poisson", 0.0, 3.0),
+        ("probit", -1.0, 40.0),
+        ("logit", -300.0, 300.0),
+    ]
+
+    @pytest.mark.parametrize("s_grid_steps", [201, 401])
+    @pytest.mark.parametrize("link, beta0, half", MAPS)
+    def test_matches_pointwise_search(self, link, beta0, half, s_grid_steps):
+        fn = WeightFunction.from_name(link)
+        beta, _, _, (f_p4, min_s, verdict, _, _) = _map_search(boundary._edge_search, fn, beta0, half, s_grid_steps)
+        *_, (ref_f, ref_s, ref_verdict, _, _) = _map_search(edge_search_pointwise, fn, beta0, half, s_grid_steps)
+        assert np.array_equal(verdict, ref_verdict)
+        assert np.array_equal(np.isfinite(min_s), np.isfinite(ref_s))
+        assert f_p4.tobytes() == ref_f.tobytes()
+        live = np.isfinite(min_s)
+        bound = _margin_bound(beta, f_p4, np.minimum(min_s, ref_s))
+        assert (np.abs(min_s - ref_s)[live] <= bound[live]).all()
+
+    @pytest.mark.parametrize("s_grid_steps", [201, 401])
+    @pytest.mark.parametrize("link, beta0, half", MAPS)
+    def test_margin_at_argmin(self, link, beta0, half, s_grid_steps):
+        # s at the returned point, from h_ab and the weight function, is the returned margin
+        fn = WeightFunction.from_name(link)
+        beta, p4, w, (f_p4, min_s, _, a, b) = _map_search(boundary._edge_search, fn, beta0, half, s_grid_steps)
+        bound = _margin_bound(beta, f_p4, min_s)
+        live = np.flatnonzero(np.isfinite(min_s))
+        assert live.size
+        for k in live:
+            assert max(abs(a[k]), abs(b[k])) == 1.0
+            eta = beta[k, 0] + a[k] * beta[k, 1] + b[k] * beta[k, 2]
+            s = 0.75 * f_p4[k] - fn(eta) * h_ab(a[k], b[k], p4[k], w[k])
+            assert abs(s - min_s[k]) <= bound[k]
+
+
 class TestRescaleObjectiveInvariance:
     def test_objective_transforms_by_squared_determinant(self, rng):
         # the optimal corner allocation of the rescaled problem gives the
@@ -502,3 +572,21 @@ class TestRegionSweep:
         # connected pieces (five at this resolution)
         grid = region_sweep(-0.5, (-2.0, 2.0), (-2.0, 2.0), 21, LOGIT, s_grid_steps=81)
         assert ndimage.label(grid.verdict)[1] >= 2
+
+
+class TestBoundarySegments:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (9, 7), (25, 25)])
+    def test_matches_cell_loop(self, rng, shape):
+        # seeded verdict fields on uneven axes; the larger shapes hold the saddle codes 5 and 10
+        codes = set()
+        for share in (0.3, 0.5, 0.7):
+            v = rng.random(shape) < share
+            x, y = (np.sort(rng.uniform(-3.0, 3.0, k)) for k in shape)
+            grid = RegionGrid(-1.0, x, y, np.zeros(shape), v, np.zeros(shape, dtype=bool))
+            got, want = region_boundary_segments(grid), boundary_segments_loop(grid)
+            assert got == want
+            # the same bits, signed zeros included, so the --boundary file is byte-identical
+            assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+            code = v[:-1, :-1] | v[1:, :-1] << 1 | v[1:, 1:] << 2 | v[:-1, 1:] << 3
+            codes.update(code.ravel().tolist())
+        assert min(shape) < 3 or {5, 10} <= codes

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, serialization, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,16 @@ class TestSolve:
         assert json.loads(auto)["case_label"] == "liftone"
         assert main(["solve", path, "--method", "liftone"]) == 0
         assert capsys.readouterr().out == auto
+
+    def test_overflowing_weights_print_one_line(self, tmp_path, capsys):
+        # under the default warning filters, not only the suite's error filter, the weight
+        # call warns of no overflow, which would print before the error line
+        path = write_problem(tmp_path, dict(PROB_22, link="log_poisson", beta=[800.0, 1.0, -0.7]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert main(["solve", path]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "input error: weights must be positive and finite\n"
 
     @pytest.mark.parametrize("b", [187.0, 300.0])
     def test_weights_beyond_float_span(self, tmp_path, capsys, b):
