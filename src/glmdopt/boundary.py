@@ -31,11 +31,17 @@ gets these five coefficients once; a node's four edges, or its twelve zoom
 centres (which gather their edge's coefficients), are rows of a 2-D
 parameter array, and every scan and zoom point costs
 ``s = (3/4) f(p4) - nu(E0 + t E1) (C0 + t (C1 + t C2))``. Every scan and
-zoom level keeps each row's least margin as a candidate, and one ``argmin``
-per node over the candidates in visiting order picks the first least margin.
-Each node's arithmetic is the same whichever nodes share the call, so
-:func:`check_boundary_optimal` (one node) and :func:`region_sweep` (a map,
-in fixed chunks of nodes) agree bit for bit.
+zoom level keeps each row's least margin as a candidate, and ``min_s`` is
+the least candidate. Each node's arithmetic is the same whichever nodes
+share the call, so :func:`check_boundary_optimal` (one node) and
+:func:`region_sweep` (a map, in fixed chunks of nodes) agree bit for bit.
+
+Margins equal in exact arithmetic (the support corners of a boundary-optimal
+node, mirror-image dips) are ordered by rounding, so a margin within 16 ulps
+of ``(3/4) f(p4) + nu h = 1.5 f(p4) - s``, times ``1 + |beta|_1`` (rounding
+in ``eta`` moves ``nu`` by up to that), of the least is tied with it: the
+scan zooms from each edge's first tied t, and ``argmin`` is the
+lexicographically least (a, b) among the candidates tied with ``min_s``.
 
 ``s`` and ``f(p4)`` scale as the cube of a common weight factor, so each
 node is searched in a power-of-two frame where tiny weights cannot underflow
@@ -45,13 +51,13 @@ exactly. The verdict is taken in the frame; ``min_s`` and ``f(p4)`` are
 scaled back, and may underflow to zero. A margin beyond the float range, or
 an ``f(p4)`` not a positive normal float in the frame, is a ``SolverError``.
 
-``p4`` always comes from the analytic four-point solver: the verdict
-threshold is tiny relative to the objective, and a merely near-optimal
-allocation shifts the corner values of ``s`` off zero by enough to corrupt
-verdicts. The corner step that feeds the search is batched too: the corner
-weights of many nodes come from one weight call, and their allocations from
-the four-point row stack of :mod:`~glmdopt.saturated` with ``solve_22``'s
-case dispatch per node. :func:`check_boundary_optimal` is its one-node call.
+``p4`` always comes from the analytic solver of the four corners: the
+verdict threshold is tiny relative to the objective, and a merely
+near-optimal allocation shifts the corner values of ``s`` off zero by
+enough to corrupt verdicts. The corner step that feeds the search is
+batched too: one weight call gives many nodes' corner weights, and the
+saturated row stack their allocations. :func:`check_boundary_optimal` is
+its one-node call.
 """
 
 from __future__ import annotations
@@ -62,10 +68,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize  # unused here; perfbench/tracer.py patches this binding
 
-from .design import Allocation, _as_prob_vector
+from .design import EPS, Allocation, _as_prob_vector
 from .errors import DomainError, SolverError, as_float, as_floats, as_int
 from .saturated import SaturatedProblem, _solve_rows
-from .solver4 import _case_22
 from .weights import WeightFunction
 
 #: corner order of the unit square: matches the four-point solver convention
@@ -81,16 +86,17 @@ _ZOOM_SHRINK = 4.0
 _ZOOM_LEVELS = 11
 
 #: rows a0, da, b0, db: edge k of the unit square is (a0 + t da, b0 + t db),
-#: t in [-1, 1]; ordered a = -1, b = -1, b = 1, a = 1 so that tied minima go to the
-#: lexicographically least (a, b), as in a row-major scan of the square
+#: t in [-1, 1], ordered a = -1, b = -1, b = 1, a = 1; along each t runs the way (a, b) grows
 _EDGES = np.array([[-1, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, 1]], dtype=float)
+#: ulps of (3/4) f(p4) + nu h, times 1 + |beta|_1, within which margins are tied
+_TIE_ULPS = 16.0
 #: value of each edge's fixed coordinate, a0 + b0 (the other one is 0)
 _FIXED = _EDGES[0] + _EDGES[2]
 #: zoom centres: the best node of each edge, then both endpoints of each edge
 _CENTRE_EDGES = np.concatenate([np.arange(4), np.repeat(np.arange(4), 2)])
 _ENDPOINTS = np.tile([-1.0, 1.0], 4)
-#: edge of each search candidate in visiting order: the scan's four rows, then each zoom level's
-_CANDIDATE_EDGES = np.concatenate([np.arange(4), np.tile(_CENTRE_EDGES, _ZOOM_LEVELS)])
+#: a0, da, b0, db of each search candidate's edge, in visiting order: scan, then zoom levels
+_CANDIDATES = _EDGES[:, np.concatenate([np.arange(4), np.tile(_CENTRE_EDGES, _ZOOM_LEVELS)])]
 #: nodes per edge-search call in region_sweep: 64 nodes x 4 edges x 201 points keeps
 #: each scan temporary near 0.5 MB
 _CHUNK = 64
@@ -237,10 +243,10 @@ def _corner_steps(beta, weight_fn) -> list:
     reciprocal overflows, leaves no finite corner design to compare against,
     and a predictor past the float range fails as the weight function's own
     gate fails it ("eta must be finite"). The weights come from one call on
-    ``beta0 + B @ CORNERS.T``, and the allocations from the four-point row
-    stack, ``solve_22``'s case dispatch per node. The ``CORNERS`` entries are
-    +-1, so each predictor is exactly that of :func:`corner_weights`, and a
-    node's result does not depend on the nodes that share the call.
+    ``beta0 + B @ CORNERS.T``, and the allocations from the saturated row
+    stack. The ``CORNERS`` entries are +-1, so each predictor is exactly that
+    of :func:`corner_weights`, and a node's result does not depend on the
+    nodes that share the call.
     """
     with np.errstate(over="ignore", divide="ignore"):
         eta = beta[:, :1] + beta[:, 1:] @ CORNERS.T
@@ -256,7 +262,7 @@ def _corner_steps(beta, weight_fn) -> list:
     ]
     live = np.flatnonzero(good)
     sps = SaturatedProblem._rows(v[live], np.zeros(live.size))
-    for i, report in zip(live.tolist(), _solve_rows(sps, _case_22)):
+    for i, report in zip(live.tolist(), _solve_rows(sps)):
         out[i] = report if isinstance(report, Exception) else (w[i], report.allocation)
     return out
 
@@ -297,8 +303,8 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
     (:func:`_edge_coefficients`); every scan and zoom point then costs
     ``S = (3/4) f(p4) - nu(E0 + t E1) (C0 + t (C1 + t C2))`` in the edge
     parameter t. Returns the columns ``f_p4``, ``min_s``, ``verdict`` and the
-    edge point ``a``, ``b``; a node that fails (module docstring) gets a
-    non-finite ``min_s``, without a warning.
+    edge point ``a``, ``b`` of the tie rule (module docstring); a node that
+    fails (module docstring) gets a non-finite ``min_s``, without a warning.
     """
     n = len(q)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -307,6 +313,8 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
         q = np.ldexp(q, -e[:, None]).T
         f_p4 = _corner_det(q)
         f34 = (0.75 * f_p4)[:, None, None]
+        band = _TIE_ULPS * EPS * (1.0 + np.abs(beta).sum(axis=1))
+        tie = f_p4[:, None], band[:, None]
         edges = _edge_coefficients(beta, np.ldexp(_h_coefficients(q), -e))
         # the scan's rows are the four edges, each zoom level's the twelve centres
         rows, zoom_rows = edges[..., None], edges[:, :, _CENTRE_EDGES, None]
@@ -316,8 +324,9 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
         for level in range(_ZOOM_LEVELS + 1):
             e0, e1, c0, c1, c2 = rows
             S = f34 - weight_fn(e0 + t * e1) * (c0 + t * (c1 + t * c2))
-            S = S.reshape(-1, S.shape[-1])
-            k = S.argmin(axis=1)
+            # the scan zooms from each edge's first tied point, a zoom level from the least
+            k = S.argmin(axis=-1) if level else _tied(S, S.min(axis=-1), *tie).argmax(axis=-1)
+            S, k = S.reshape(-1, S.shape[-1]), k.reshape(-1)
             at = np.arange(len(k))
             # the scan's t is one axis shared by every row, the zoom's one stencil per row
             ts.append((t.reshape(S.shape)[at, k] if level else t[k]).reshape(n, -1))
@@ -328,13 +337,28 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
             rows = zoom_rows
             radius /= _ZOOM_SHRINK
         ts, ss = np.concatenate(ts, axis=1), np.concatenate(ss, axis=1)
-        c = ss.argmin(axis=1)
-        at = np.arange(n)
-        min_s, t = ss[at, c], ts[at, c]
+        min_s = ss.min(axis=1)
         verdict = min_s >= -(VERDICT_REL_TOL * f_p4)
+        a, b = _least_point(ts, ss, min_s, f_p4, band)
         min_s = np.where((f_p4 >= np.finfo(float).tiny) & (f_p4 < np.inf), min_s, np.nan)
-    a0, da, b0, db = _EDGES[:, _CANDIDATE_EDGES[c]]
-    return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a0 + t * da, b0 + t * db
+    return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a, b
+
+
+def _tied(S, least, f_p4, band):
+    """Where the margins ``S`` are tied with ``least`` (module docstring); nowhere if it is not finite."""
+    return S <= (least + band * (1.5 * f_p4 - least))[..., None]
+
+
+def _least_point(ts, ss, min_s, f_p4, band):
+    """Per node, the lexicographically least edge point ``(a, b)`` among the candidates
+    ``(ts, ss)`` tied with ``min_s``; a failing node, which ties none, gets any one."""
+    a0, da, b0, db = _CANDIDATES
+    a, b = a0 + ts * da, b0 + ts * db
+    # an untied candidate's a moves past the square, behind every tied one
+    a_tied = np.where(_tied(ss, min_s, f_p4, band), a, 2.0)
+    c = np.where(a_tied == a_tied.min(axis=1)[:, None], b, np.inf).argmin(axis=1)
+    at = np.arange(len(c))
+    return a[at, c], b[at, c]
 
 
 def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> BoundaryVerdict:
@@ -349,9 +373,10 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
     clipped to it, moves each centre to its minimum, and the radius (first
     the grid spacing) shrinks fourfold. The endpoints are centres because
     the corner margins are exactly zero for an interior-optimal ``p4``, so
-    a dip that the scan misses starts beside them. ``min_s`` is the first
-    least margin among the scan and zoom minima, in that order. This is the
-    one-node call of the search :func:`region_sweep` runs over many nodes.
+    a dip that the scan misses starts beside them. ``min_s`` is the least
+    margin among the scan and zoom minima, ``argmin`` by the tie rule of the
+    module docstring. This is the one-node call of the search
+    :func:`region_sweep` runs over many nodes.
 
     A corner weight that is zero or not finite, or whose reciprocal
     overflows, raises ``DomainError``; a margin beyond the float range, or a
@@ -401,7 +426,7 @@ def region_sweep(
 
     The corner weights of all nodes come from one weight call on
     ``beta0 + B @ CORNERS.T`` (exact, the corners being +-1), and the
-    optimal corner allocations from one pass of the four-point row stack
+    optimal corner allocations from one pass of the saturated row stack
     (the corner step of :func:`check_boundary_optimal`, which is its
     one-node call). The edge search then runs on the surviving nodes a fixed
     chunk at a time. Each node's arithmetic is the same whichever nodes

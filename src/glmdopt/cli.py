@@ -45,7 +45,7 @@ from .design import (
 )
 from .errors import DomainError, SolverError, _one, as_floats, as_int
 from .liftone import LiftOneConfig, _maximize_rows
-from .saturated import _reduce, _saturated_case, _saturated_minors, _solve_rows
+from .saturated import _reduce, _saturated_minors, _solve_rows
 from .twofactor import _solve_rows_u
 from .weights import WeightFunction
 
@@ -158,13 +158,10 @@ def _solve_rows_by_shape(frame, W, method: str, tol: float) -> list:
 
     Lift-one runs for method ``liftone`` on every shape and for ``auto`` on
     shapes with no analytic solver, as one lockstep stack. A saturated shape
-    (``n == d + 1``) under ``analytic`` or ``auto`` runs as one stack of its
-    analytic solver, the four-point one for a 4x3 X: one reduction to
-    coefficients with its sort and scale step, and one call for the
-    certificates of all rows; only the case dispatch (``solve_22``'s, or
-    ``solve_saturated``'s with its ``root_mu``) and the report's validation
-    run row by row. An unknown method, a bad ``tol`` for lift-one, a shape
-    with no analytic solver under ``analytic`` and an X error fail every row.
+    (``n == d + 1``) under ``analytic`` or ``auto`` runs as one saturated row
+    stack (:mod:`glmdopt.saturated`), labelled with the four-point cases for
+    a 4x3 X. An unknown method, a bad ``tol`` for lift-one, a shape with no
+    analytic solver under ``analytic`` and an X error fail every row.
     """
     n, d = frame.X.shape
     if method not in ("auto", "analytic", "liftone"):
@@ -184,7 +181,7 @@ def _solve_rows_by_shape(frame, W, method: str, tol: float) -> list:
         return [exc] * len(W)
     if n == 4:
         return _solve_rows_u(minors, zero, shift, W)
-    return _solve_rows(_reduce(minors, zero, W, shift), _saturated_case)
+    return _solve_rows(_reduce(minors, zero, W, shift))
 
 
 def _row_weights(problem: DesignProblem, betas):

@@ -33,11 +33,12 @@ Sorted ascending, with ``t_j = v_j / v_n``:
   ``M(0) = sum_{j<n} sqrt(1 - t_j) - (n - 2)`` is the branch rule and picks
   the half bracket, [0, 1] or [-1, 0], on which Brent's method finds ``z``.
   ``M`` is evaluated on Python floats, for every n, and ``p`` follows from
-  the root by the constraint. The four-point solver of
-  :mod:`glmdopt.solver4` takes its allocations from the same two steps;
-* ``M(-1) = 1 - sum_{j<n} t_j >= 0`` means the largest coefficient
-  dominates the others; the optimum is then the point ``z = -1``: mass
-  1/(n-1) on every other point (objective ``v_n / (n-1)^(n-1)``).
+  the root by the constraint;
+* ``M(-1) = 1 - sum_{j<n} t_j >= 0``, in rounding, is the one dominance
+  rule: the largest coefficient dominates the others, and the optimum is
+  the point ``z = -1``, mass 1/(n-1) on every other point (objective ``v_n
+  / (n-1)^(n-1)``). Every (n, n-1) row, the four-point ones too, takes its
+  allocation from these steps on its own coefficients.
 
 Zero coefficients (a row lying in the span of some of the others) force
 ``p_i = 1/(n-1)`` on those points, which is exactly what ``r_i = 1`` gives
@@ -45,15 +46,16 @@ at ``v_i = 0``, so they need no special case, nor does one that underflows
 against the largest (an exact zero); with at most two positive
 coefficients the largest dominates and the boundary allocation is exact.
 Points tied with the largest share its root ``z``, which is then on
-``h1``, so exact ties get equal mass.
+``h1``, so exact ties get equal mass; a tied largest dominates only exact
+zeros, though rounding may absorb the others in ``M(-1)``.
 
 Rows of one shape are solved as a stack: :func:`_reduce` takes the weight
 rows (N, n) to their problems through the order and scale step with its
 gates, and :func:`_solve_rows` certifies the allocations of all rows in one
-call. Only a solver's case dispatch, its root search and the validation of
-each report run row by row. :func:`compute_v`, :func:`solve_saturated` and
-the four-point solver are one-row calls of the same steps, and so is a
-single solve through ``glmdopt.cli.dispatch_solve``.
+call. Only the root search, a solver's case label and the validation of
+each report run row by row. :func:`compute_v`, :func:`solve_saturated`, the
+four-point solvers and a single solve through ``glmdopt.cli.dispatch_solve``
+are one-row calls of the same steps.
 """
 
 from __future__ import annotations
@@ -74,8 +76,6 @@ from .design import (
 )
 from .errors import DomainError, SolverError, _attempt, _one, as_float, as_floats
 
-#: dominant-coefficient boundary comparison uses this relative rounding
-BOUNDARY_REL = 1e-12
 #: absolute and relative tolerances of the root search for z (brentq's smallest rtol)
 _XTOL = 2.0**-60
 _RTOL = 4.0 * EPS
@@ -206,23 +206,26 @@ def _certificates(sps: list, p_sorted: list):
     return log_f.tolist(), [top / n1 - 1.0 for top in np.maximum.reduce(d, axis=1).tolist()]
 
 
-def _solve_rows(sps: list, case) -> list:
+def _solve_rows(sps: list, prefix: str = "saturated-", case=None) -> list:
     """Reports of the problems ``sps`` (all of one size; an entry may be a ``DomainError``).
 
-    ``case`` is a solver's per-row dispatch, returning the sorted allocation,
-    the label and the diagnostics; the certificates of all rows come from
-    one stacked call, and each report is assembled and validated per row.
-    A row whose problem, dispatch or report raises ``DomainError`` or
-    ``SolverError`` gets that error. A single solve is the one-row call, so
-    every row equals its own solve bit for bit.
+    Each row's sorted allocation and diagnostics come from
+    :func:`_root_allocation`; its label is ``prefix`` and ``case(sp)``, or
+    the branch without a ``case``. The certificates of all rows come from
+    one stacked call, and each report is labelled, assembled and validated
+    per row. A row whose problem, root search, label or report raises
+    ``DomainError`` or ``SolverError`` gets that error. A single solve is
+    the one-row call, so every row equals its own solve bit for bit.
     """
-    out = [sp if isinstance(sp, DomainError) else _attempt(case, sp) for sp in sps]
+    out = [sp if isinstance(sp, DomainError) else _attempt(_root_allocation, sp) for sp in sps]
     live = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
     if live:
         log_f, gap = _certificates([sps[i] for i in live], [out[i][0] for i in live])
         for i, lf, g in zip(live, log_f, gap):
+            p_sorted, branch, diag = out[i]
             try:  # inline, not _attempt: a single solve pays this per call
-                out[i] = sps[i]._assemble(*out[i], lf, g)
+                label = prefix + (case(sps[i]) if case else branch)
+                out[i] = sps[i]._assemble(p_sorted, label, diag, lf, g)
             except (DomainError, SolverError) as exc:
                 out[i] = exc
     return out
@@ -269,11 +272,18 @@ def _root_mu(v: np.ndarray) -> MuSolve | None:
     """:func:`root_mu` on ascending coefficients ``v``, or ``None`` where ``M(-1) >= 0``.
     ``M`` is summed on Python floats, left to right as numpy sums fewer than
     eight terms: a brentq step costs a few microseconds, not the tens of
-    numpy's per-call overhead."""
+    numpy's per-call overhead. ``M(-1)`` is tested before the root's setup."""
     n = v.shape[0]
-    vn = float(v[-1])
-    ts = [(t, 1.0 - t) for t in (v[:-1] / vn).tolist()]
-    calls = 0
+    *vs, vn = v.tolist()
+    # M(-1) as m(-1.0) rounds it, every r_j exactly 1; with a v_j = v_n (a tie with
+    # the largest) it is minus the sum of the others, negative if any is positive
+    acc = 0.0
+    for x in vs:
+        acc += x / vn / 2.0
+    if 1.0 - 2.0 * acc >= 0.0 and not (vs[-1] == vn and vs[-2] > 0.0):
+        return None
+    ts = [(t, 1.0 - t) for t in [x / vn for x in vs]]
+    calls = 1
 
     def m(z: float) -> float:
         nonlocal calls
@@ -285,8 +295,6 @@ def _root_mu(v: np.ndarray) -> MuSolve | None:
             acc += t / (1.0 + math.sqrt(s + z2 * t))
         return 1.0 - (1.0 - z) * acc
 
-    if m(-1.0) >= 0.0:
-        return None
     m0 = m(0.0)
     z = 0.0
     if m0 != 0.0:
@@ -307,39 +315,21 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
 
     The objective is on the true scale, carried in log space as the
     ``log_objective`` diagnostic next to the Kiefer-Wolfowitz
-    ``equivalence_gap``, zero exactly at the optimum. Interior solutions also
-    report ``mu`` and the multiplier ``lambda`` on the true scale and the
-    root-search quality of :func:`root_mu`.
+    ``equivalence_gap``, zero exactly at the optimum. The label is
+    ``saturated-`` and the branch, ``boundary`` where ``M(-1) >= 0``.
+    Interior solutions also report ``mu`` and the multiplier ``lambda`` on
+    the true scale and the root-search quality of :func:`root_mu`.
     """
-    return _one(_solve_rows([sp], _saturated_case))
+    return _one(_solve_rows([sp]))
 
 
-def _saturated_case(sp: SaturatedProblem):
-    """:func:`solve_saturated`'s sorted allocation, label and diagnostics, before the report."""
-    v = sp.v
-    # a largest coefficient that dominates the others, up to BOUNDARY_REL, puts the
-    # optimum at the point z = -1 (mu = 0), the boundary allocation
-    near = v[-1] >= float(np.add.reduce(v[:-1])) * (1.0 - BOUNDARY_REL)
-    p_sorted, branch, diag = _boundary(sp) if near else _root_allocation(v, sp)
-    return p_sorted, f"saturated-{branch}", diag
-
-
-def _boundary(sp: SaturatedProblem):
-    """Mass 1/(n-1) on every point but the largest-v one: the allocation at ``z = -1``."""
-    p_sorted = np.append(np.full(sp.n - 1, 1.0 / (sp.n - 1)), 0.0)
-    return p_sorted, "boundary", {"zero_count": float(sp.zero_count)}
-
-
-def _root_allocation(v: np.ndarray, sp: SaturatedProblem):
-    """Sorted allocation, branch and diagnostics at the root of ``M`` on the ascending
-    coefficients ``v``: ``sp.v``, or the four-point solver's with its zero-band entry
-    set to 0. ``sp`` gives the scale and the zero count of the diagnostics. Where
-    ``M(-1) >= 0`` in rounding, though the caller's dominance test said otherwise,
-    the root is ``z = -1``: the boundary allocation."""
+def _root_allocation(sp: SaturatedProblem):
+    """Sorted allocation, branch and diagnostics of ``sp``, by the one rule of every
+    (n, n-1) row: the root of ``M`` on ``sp.v``, or ``z = -1`` (module docstring)."""
+    v, n = sp.v, sp.n
     ms = _root_mu(v)
-    if ms is None:
-        return _boundary(sp)
-    n = v.shape[0]
+    if ms is None:  # z = -1: mass 1/(n-1) on every point but the largest-v one
+        return np.array([1.0 / (n - 1)] * (n - 1) + [0.0]), "boundary", {"zero_count": float(sp.zero_count)}
     vn = float(v[-1])
     x = ms.mu * vn
     r = [math.sqrt(max(1.0 - x * t, 0.0)) for t in (v[:-1] / vn).tolist() if t < 1.0]

@@ -5,25 +5,21 @@ The reduced objective on the probability simplex over four points is
     f(p) = v1 p2 p3 p4 + v2 p1 p3 p4 + v3 p1 p2 p4 + v4 p1 p2 p3
 
 with nonnegative coefficients ``v``: the n = 4 saturated problem, carried
-as a :class:`~glmdopt.saturated.SaturatedProblem`. The maximizer is unique.
-Its case label comes from one dispatch on the sorted coefficients. A
-smallest coefficient at most ``TIE_REL`` times the largest counts as exactly
-zero; in that zero band the same tests give the one-zero cases 2a-2d in
-place of cases i-v:
+as a :class:`~glmdopt.saturated.SaturatedProblem`. The maximizer is unique,
+and the report is :func:`~glmdopt.saturated.solve_saturated`'s on the same
+coefficients, bit for bit: the paper's radical-sum root with n = 4, ``p_j =
+(1 + r_j) / 6``, or mass 1/3 on the other three points where the largest
+dominates. This module only adds the paper's case as the label, a function
+of the sorted coefficients. For the label a smallest coefficient at most
+``TIE_REL`` times the largest counts as zero; in that zero band the same
+tests give the one-zero cases 2a-2d in place of cases i-v:
 
-* dominant coefficient (``v4 >= v1 + v2 + v3``): mass 1/3 on the other
-  three points (case i, or 2a; with more than one zero 2a always applies);
+* dominant coefficient (``v4 >= v1 + v2 + v3``): case i, or 2a (with more
+  than one zero 2a always applies);
 * a tied adjacent pair (ii-iv, or 2b and 2c, where the zero point's pair
   is not scanned);
 * otherwise the one-zero case 2d in the zero band, or the strictly ordered
   interior case v.
-
-Every case but the dominant one takes its allocation from the root search
-of :mod:`glmdopt.saturated`, the paper's radical-sum equation with n = 4:
-``p_j = (1 + r_j) / 6``. Exact ties come out equal, and the zero point's
-mass is ``2/6``, exactly 1/3. Whatever the case, the report is certified by
-the Kiefer-Wolfowitz equivalence gap computed from
-:func:`~glmdopt.design.vform_log_sensitivities`.
 
 The paper's own closed form for case v, the largest root ``y1 = p1/p4`` of
 a quartic by radicals, stays here as :func:`solve_quartic`, off the solve
@@ -41,9 +37,9 @@ from scipy.optimize import brentq
 
 from .design import SolveReport
 from .errors import DomainError, SolverError, _one, as_floats
-from .saturated import _RTOL, _XTOL, SaturatedProblem, _root_allocation, _solve_rows
+from .saturated import _RTOL, _XTOL, SaturatedProblem, _solve_rows
 
-#: two coefficients are tied (and a coefficient is zero) below this relative gap
+#: for the label, two coefficients are tied (and one is zero) below this relative gap
 TIE_REL = 1e-9
 #: radical root accepted when |quartic(y1)| <= this times max|c| * y1^4
 QUARTIC_RESIDUAL_REL = 1e-9
@@ -145,31 +141,25 @@ def solve_22(v) -> SolveReport:
 
     Accepts four nonnegative coefficients in any order, at least one of them
     positive, or an n = 4 :class:`~glmdopt.saturated.SaturatedProblem`, and
-    returns the optimal allocation in the input order. The case label
-    records which case of the paper the coefficients fall in. Diagnostics
-    carry ``log_objective`` and the Kiefer-Wolfowitz ``equivalence_gap``,
-    zero exactly at the optimum, and on rows that take the root search
-    those of :func:`~glmdopt.saturated.solve_saturated`.
+    returns the optimal allocation in the input order. The report is
+    :func:`~glmdopt.saturated.solve_saturated`'s but for the label,
+    ``2x2-case-`` and the paper's case (module docstring).
     """
     sp = v if isinstance(v, SaturatedProblem) else SaturatedProblem(v)
-    return _one(_solve_rows([sp], _case_22))
+    return _one(_solve_rows([sp], "2x2-", _case_22))
 
 
-def _case_22(sp: SaturatedProblem):
-    """The case dispatch of :func:`solve_22` on one problem: sorted allocation,
-    label and diagnostics, before the report."""
+def _case_22(sp: SaturatedProblem) -> str:
+    """The paper's case of one problem, ``case-i`` to ``case-2d`` (module docstring)."""
     if sp.n != 4:
         raise DomainError(f"need exactly four coefficients, got {sp.n}")
-    s = sp.v
-    # in the zero band the smallest coefficient counts as exactly 0, and the same
-    # dominance test and tie scan give the one-zero cases 2a-2c
-    zero = bool(s[0] <= TIE_REL * s[-1])
-    u = np.array([0.0, s[1], s[2], s[3]]) if zero else s
+    s = sp.v.tolist()
+    # in the zero band the smallest coefficient counts as 0 for the label (module docstring)
+    zero = s[0] <= TIE_REL * s[-1]
+    u = [0.0, s[1], s[2], s[3]] if zero else s
     names = ("2a", "", "2b", "2c", "2d") if zero else ("i", "ii", "iii", "iv", "v")
     if u[3] >= u[0] + u[1] + u[2]:
-        return np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0]), f"2x2-case-{names[0]}", {}
+        return f"case-{names[0]}"
     # in the zero band only pairs of positive coefficients are scanned
-    tie = TIE_REL * u[3]
-    k = next((k for k in range(zero, 3) if u[k + 1] - u[k] <= tie), 3)
-    p_sorted, _, diag = _root_allocation(u, sp)
-    return p_sorted, f"2x2-case-{names[k + 1]}", diag
+    k = next((k for k in range(zero, 3) if u[k + 1] - u[k] <= TIE_REL * u[3]), 3)
+    return f"case-{names[k + 1]}"

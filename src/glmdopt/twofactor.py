@@ -6,10 +6,11 @@ Cauchy-Binet ``det(X' W X) = sum_j v_j prod_{i != j} p_i`` with
 the same function as :func:`~glmdopt.saturated.compute_v`. With two or more
 zero minors (rank 2) the objective vanishes identically and the uniform
 allocation is reported as the canonical, permutation-equivariant choice.
-Otherwise :func:`~glmdopt.solver4.solve_22` applies verbatim; a zero ``v_j``
-(one row in the span of two others) gives its one-zero cases 2a-2d.
-A ``v_j`` that underflows against the largest (weights decades apart) is an
-exact zero too: :class:`~glmdopt.saturated.SaturatedProblem` owns its scale.
+Otherwise the report is :func:`~glmdopt.solver4.solve_22`'s, whose case
+only labels it; a zero ``v_j`` (one row in the span of two others) gives
+its one-zero cases 2a-2d. A ``v_j`` that underflows against the largest
+(weights decades apart) is an exact zero too:
+:class:`~glmdopt.saturated.SaturatedProblem` owns its scale.
 """
 
 from __future__ import annotations
@@ -43,21 +44,14 @@ def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
     return None if _rank2(zero) else _one(_reduce(minors, zero, problem.w[None], shift))
 
 
-def _fourpoint_case(sp: SaturatedProblem):
-    p_sorted, label, diag = _case_22(sp)
-    return p_sorted, label.replace("2x2-", "twofactor-", 1), diag
-
-
 def _solve_rows_u(minors, zero, shift, W) -> list:
     """The four-point solves of the weight rows ``W`` (N, 4) on an X with these
-    leave-one-out minors, in row order: the report, or the ``DomainError`` or
-    ``SolverError`` that row raises. A rank-2 X gives every row the uniform
-    allocation. The reduction, the sort and scale step and the certificates run
-    on the stack; ``solve_22``'s case dispatch runs per row. A single solve is
-    the N = 1 call, so each row equals its own :func:`solve_fourpoint` bit for bit."""
+    leave-one-out minors, in row order: the saturated row stack's reports (or
+    errors) with ``solve_22``'s case labels, or uniform on a rank-2 X. A single
+    solve is the N = 1 call, so each row equals its :func:`solve_fourpoint` bit for bit."""
     if _rank2(zero):
         return [SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {}) for _ in W]
-    return _solve_rows(_reduce(minors, zero, W, shift), _fourpoint_case)
+    return _solve_rows(_reduce(minors, zero, W, shift), "twofactor-", _case_22)
 
 
 def solve_fourpoint(problem: DesignProblem) -> SolveReport:

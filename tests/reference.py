@@ -113,7 +113,7 @@ def one_zero_rational(u: np.ndarray) -> np.ndarray:
 def edge_search_pointwise(beta, q, weight_fn, s_grid_steps):
     """The corner-support edge search with ``(a, b)`` and ``h`` rebuilt at every point.
 
-    Same contract, frame, scan, zoom and visiting order as
+    Same contract, frame, scan, zoom, visiting order and tie rule as
     ``boundary._edge_search``, which evaluates each edge as a 1-D kernel in
     its parameter t instead: here every scan and zoom point forms ``a``,
     ``b``, ``eta = b0 + a b1 + b b2`` and the six-group form of ``h``.
@@ -123,6 +123,7 @@ def edge_search_pointwise(beta, q, weight_fn, s_grid_steps):
         e = np.minimum(np.frexp(q.max(axis=1))[1], 0)
         q = np.ldexp(q, -e[:, None]).T
         f_p4 = boundary._corner_det(q)
+        band = boundary._TIE_ULPS * np.finfo(float).eps * (1.0 + np.abs(beta).sum(axis=1))
         columns = (0.75 * f_p4, *beta.T, *np.ldexp(boundary._h_coefficients(q), -e))
         f34, b0, b1, b2, *coefficients = [c[:, None, None] for c in columns]
         edges = boundary._EDGES
@@ -135,7 +136,7 @@ def edge_search_pointwise(beta, q, weight_fn, s_grid_steps):
             a, b = a0 + t * da, e0 + t * db
             S = f34 - np.asarray(weight_fn(b0 + a * b1 + b * b2)) * boundary._h(a, b, coefficients)
             S, t = S.reshape(-1, S.shape[-1]), t.reshape(-1, S.shape[-1])
-            k = S.argmin(axis=1)
+            k = S.argmin(axis=1) if level else boundary._tied(S, S.min(axis=1), np.repeat(f_p4, 4), np.repeat(band, 4)).argmax(axis=1)
             at = np.arange(len(k))
             ts.append(t[at, k].reshape(n, -1))
             ss.append(S[at, k].reshape(n, -1))
@@ -144,13 +145,11 @@ def edge_search_pointwise(beta, q, weight_fn, s_grid_steps):
             rows = edges[:, boundary._CENTRE_EDGES, None]
             radius /= boundary._ZOOM_SHRINK
         ts, ss = np.concatenate(ts, axis=1), np.concatenate(ss, axis=1)
-        c = ss.argmin(axis=1)
-        at = np.arange(n)
-        min_s, t = ss[at, c], ts[at, c]
+        min_s = ss.min(axis=1)
         verdict = min_s >= -(boundary.VERDICT_REL_TOL * f_p4)
+        a, b = boundary._least_point(ts, ss, min_s, f_p4, band)
         min_s = np.where((f_p4 >= np.finfo(float).tiny) & (f_p4 < np.inf), min_s, np.nan)
-    a0, da, e0, db = edges[:, boundary._CANDIDATE_EDGES[c]]
-    return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a0 + t * da, e0 + t * db
+    return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a, b
 
 
 # marching-squares edge pairs per cell code (corners: 1=SW, 2=SE, 4=NE, 8=NW;

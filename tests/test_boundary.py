@@ -393,6 +393,46 @@ class TestEdgeKernel:
             assert abs(s - min_s[k]) <= bound[k]
 
 
+class TestArgminRule:
+    """The returned argmin is the lexicographically least (a, b) among the edge
+    points whose margins are tied with the least one, within the rounding band,
+    however either kernel rounds: tied corners at boundary-optimal nodes, and
+    mirror-image dips on two edges or on one."""
+
+    @pytest.mark.parametrize(
+        "link, beta0, half, steps, s_grid_steps",
+        [(link, beta0, half, 21, grid) for link, beta0, half in TestEdgeKernel.MAPS for grid in (201, 401)]
+        + [("logit", -1.0, 3.0, 41, 201), ("logit", -1.0, 2.0, 41, 201)],
+    )
+    def test_matches_pointwise_search(self, link, beta0, half, steps, s_grid_steps):
+        fn = WeightFunction.from_name(link)
+        beta, _, _, (_, min_s, _, a, b) = _map_search(boundary._edge_search, fn, beta0, half, s_grid_steps, steps)
+        *_, (_, ref_s, _, ref_a, ref_b) = _map_search(edge_search_pointwise, fn, beta0, half, s_grid_steps, steps)
+        live = np.isfinite(min_s)
+        assert live.any()
+        # the same point, up to where two zooms stop on a flat tied bottom (seen: 6.8e-5)
+        assert (np.maximum(np.abs(a - ref_a), np.abs(b - ref_b))[live] <= 1e-3).all()
+
+    @pytest.mark.parametrize(
+        "beta, want",
+        [
+            # mirror dips on the edges a = -1 and b = 1 at equal margins
+            ((-1.0, -2.55, 2.55), (-1.0, 0.0150558)),
+            # mirror dips at a = +-0.911 on the edge b = -1
+            ((-1.0, 1.6, -1.0), (-0.9109155, -1.0)),
+            # boundary-optimal, all four corners support p4: their margins are all zero
+            ((-1.0, -0.8, -0.2), (-1.0, -1.0)),
+        ],
+    )
+    def test_tied_margins_go_to_the_least_point(self, beta, want):
+        verdict = check_boundary_optimal(ContinuousProblem(beta, (-1.0, 1.0, -1.0, 1.0), LOGIT))
+        assert verdict.argmin == pytest.approx(want, abs=1e-6)
+        # the pointwise search, which rounds otherwise, returns the same point
+        q = verdict.p4.p * corner_weights(beta, LOGIT)
+        *_, a, b = edge_search_pointwise(np.array([beta]), q[None], LOGIT, 201)
+        assert (a[0], b[0]) == pytest.approx(want, abs=1e-6)
+
+
 class TestRescaleObjectiveInvariance:
     def test_objective_transforms_by_squared_determinant(self, rng):
         # the optimal corner allocation of the rescaled problem gives the

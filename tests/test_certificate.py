@@ -101,17 +101,23 @@ def _squared_minors(key):
 
 
 def _reference_log_det(key, link, beta, p):
-    """log det(X' diag(p w) X) by Cauchy-Binet over the n leave-one-out row subsets."""
-    mp, rows, sq = _squared_minors(key)
-    q = []
-    for row, p_i in zip(rows, p):
+    """log det(X' diag(p w) X) with the weights of ``link`` at ``beta`` taken at 50 digits."""
+    mp, rows, _ = _squared_minors(key)
+    w = []
+    for row in rows:
         eta = mp.fsum(mp.mpf(x) * mp.mpf(b) for x, b in zip(row, beta))
         if link == "logit":
-            w = mp.exp(eta) / (1 + mp.exp(eta)) ** 2
+            w.append(mp.exp(eta) / (1 + mp.exp(eta)) ** 2)
         else:
             tails = mp.erfc(eta / mp.sqrt(2)) * mp.erfc(-eta / mp.sqrt(2)) / 4
-            w = mp.npdf(eta) ** 2 / tails
-        q.append(mp.mpf(p_i) * w)
+            w.append(mp.npdf(eta) ** 2 / tails)
+    return _cauchy_binet_log_det(key, w, p)
+
+
+def _cauchy_binet_log_det(key, w, p):
+    """log det(X' diag(p w) X) by Cauchy-Binet over the n leave-one-out row subsets."""
+    mp, rows, sq = _squared_minors(key)
+    q = [mp.mpf(p_i) * mp.mpf(w_i) for p_i, w_i in zip(p, w)]
     total = mp.fsum(sq[j] * mp.fprod(q[:j] + q[j + 1 :]) for j in range(len(rows)))
     return float(mp.log(total))
 
@@ -159,3 +165,35 @@ def test_analytic_reports_are_certified(rng, link):
             for beta in rng.uniform(-1.0, 1.0, (16, 3)):
                 beta[0] = rng.uniform(150.0, 300.0)
                 check(key, DesignProblem(X, beta=beta, weight_fn=fn), solve)
+
+
+@pytest.mark.parametrize("key", ["P22", "3", "4"])
+def test_zero_band_and_near_dominance_rows_match_50_digits(key):
+    """Rows in the four-point zero band and 1e-16 to 1e-9 from dominance, solved on
+    their own coefficients, reach gap <= 1e-12 at the 50-digit log det.
+
+    The leave-one-out minors of P22 and of the 2^k factorials share one
+    magnitude, so ``v_j`` is proportional to ``1 / w_j`` and weights ``1 / v``
+    realise the coefficients ``v`` up to a common factor.
+    """
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2602)
+    if key == "P22":
+        X, solve = build_model_matrix(np.array(FOURPOINT_LAYOUTS[key])), solve_fourpoint
+    else:
+        X, solve = full_factorial_design(int(key))[0], lambda prob: solve_saturated(compute_v(prob))
+    n = X.shape[0]
+    for kind in ("zero_band", "dominance") * 12:
+        v = np.exp(rng.uniform(-1.0, 1.0, n))
+        if kind == "zero_band":
+            k = rng.integers(1, 3)
+            v[rng.choice(n, k, replace=False)] = v.max() * 10.0 ** rng.uniform(-16.0, -8.0, k)
+        else:
+            top = np.argmax(v)
+            side = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -9.0)
+            v[top] = (v.sum() - v[top]) * (1.0 + side)
+        w = 1.0 / v
+        rep = solve(DesignProblem(X, w=w))
+        assert rep.diagnostics["equivalence_gap"] <= 1e-12, (key, v.tolist(), rep.case_label)
+        ref = _cauchy_binet_log_det(key, w.tolist(), rep.allocation.p.tolist())
+        assert rep.diagnostics["log_objective"] == pytest.approx(ref, abs=1e-13), (key, v.tolist())

@@ -12,11 +12,13 @@ from glmdopt import (
     SaturatedProblem,
     SolverError,
     build_model_matrix,
+    compute_u,
     compute_v,
     full_factorial_design,
     liftone_maximize,
     root_mu,
     solve_22,
+    solve_fourpoint,
     solve_saturated,
     vform_objective,
 )
@@ -231,6 +233,72 @@ class TestNearDominance:
         # its trivial root, gave 8.2 / 4.7 / 24e-15 and 2.5e-12 / 1.1e-12 / 9.6e-11.
         assert worst_p <= 1e-15
         assert worst_mu <= 5e-13
+
+
+class TestOneAllocationRule:
+    """Every (n, n-1) row, the four-point ones included, takes its allocation from
+    the root's one dominance rule, ``M(-1) >= 0``, on its own coefficients.
+
+    Seeded rows with n = 3..32: coefficients in the four-point zero band (1e-16
+    to 1e-8 of the largest), rows 1e-16 to 1e-9 on either side of dominance,
+    exact ties (among them a tied largest whose other coefficients rounding
+    absorbs) and weights hundreds of decades apart.
+    """
+
+    @staticmethod
+    def _rows(rng):
+        for n in [4] * 6 + list(range(3, 33)):
+            for kind in ("zero_band", "dominance", "ties", "wide"):
+                for _ in range(20):
+                    v = np.exp(rng.uniform(-1.0, 1.0, n))
+                    if kind == "zero_band":
+                        k = rng.integers(1, min(3, n - 1) + 1)
+                        v[rng.choice(n, k, replace=False)] = v.max() * 10.0 ** rng.uniform(-16.0, -8.0, k)
+                    elif kind == "dominance":
+                        top = np.argmax(v)
+                        side = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -9.0)
+                        v[top] = (v.sum() - v[top]) * (1.0 + side)
+                    elif kind == "ties":
+                        tied = rng.choice(n, rng.integers(2, n + 1), replace=False)
+                        if rng.uniform() < 0.3:
+                            v *= 10.0 ** rng.uniform(-24.0, -8.0)
+                        v[tied] = 1.0
+                    else:
+                        v = np.exp(rng.uniform(-300.0, 300.0, n))
+                    yield v
+
+    def test_certified_tie_equal_and_permutation_equivariant(self):
+        rng = np.random.default_rng(2600)
+        for v in self._rows(rng):
+            rep = solve_saturated(SaturatedProblem(v))
+            p = rep.allocation.p
+            assert rep.diagnostics["equivalence_gap"] <= 1e-12, (v.tolist(), rep)
+            for value in np.unique(v):
+                assert len(set(p[v == value].tolist())) == 1, (v.tolist(), p.tolist())
+            perm = rng.permutation(v.size)
+            assert np.array_equal(solve_saturated(SaturatedProblem(v[perm])).allocation.p, p[perm])
+            if v.size == 4:
+                four = solve_22(v)
+                assert four.case_label.startswith("2x2-case-")
+                assert np.array_equal(four.allocation.p, p)
+                assert four.objective == rep.objective
+                assert four.diagnostics == rep.diagnostics
+
+    def test_four_point_reports_are_the_saturated_ones(self):
+        # solve_fourpoint on weights realising each four-point row, against
+        # solve_saturated on the coefficients it reduces them to
+        rng = np.random.default_rng(2601)
+        X = build_model_matrix([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        for v in self._rows(rng):
+            if v.size != 4:
+                continue
+            problem = DesignProblem(X, w=1.0 / v)
+            rep, ref = solve_fourpoint(problem), solve_saturated(compute_u(problem))
+            assert rep.case_label.startswith("twofactor-case-")
+            assert np.array_equal(rep.allocation.p, ref.allocation.p)
+            assert rep.objective == ref.objective
+            assert rep.diagnostics == ref.diagnostics
+            assert rep.diagnostics["equivalence_gap"] <= 1e-12
 
 
 class TestRootMu:
