@@ -56,8 +56,9 @@ verdict threshold is tiny relative to the objective, and a merely
 near-optimal allocation shifts the corner values of ``s`` off zero by
 enough to corrupt verdicts. The corner step that feeds the search is
 batched too: one weight call gives many nodes' corner weights, and the
-saturated row stack their allocations. :func:`check_boundary_optimal` is
-its one-node call.
+saturated row stack their allocations, reduced from the corner design's
+minors (+-4) as every discrete saturated row is (:mod:`glmdopt.saturated`).
+:func:`check_boundary_optimal` is its one-node call.
 """
 
 from __future__ import annotations
@@ -68,13 +69,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize  # unused here; perfbench/tracer.py patches this binding
 
-from .design import EPS, Allocation, _as_prob_vector
+from .design import EPS, Allocation, _as_prob_vector, leave_one_out_minors
 from .errors import DomainError, SolverError, as_float, as_floats, as_int
-from .saturated import SaturatedProblem, _solve_rows
+from .saturated import _reduce, _solve_rows
 from .weights import WeightFunction
 
 #: corner order of the unit square: matches the four-point solver convention
 CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+#: leave-one-out minors ([4, 4, -4, -4]), zero flags and shift of the corner design
+_CORNER_MINORS = leave_one_out_minors(np.column_stack([np.ones(4), CORNERS]))
 
 #: verdict tolerance as a fraction of the corner objective
 VERDICT_REL_TOL = 1e-10
@@ -243,26 +247,25 @@ def _corner_steps(beta, weight_fn) -> list:
     reciprocal overflows, leaves no finite corner design to compare against,
     and a predictor past the float range fails as the weight function's own
     gate fails it ("eta must be finite"). The weights come from one call on
-    ``beta0 + B @ CORNERS.T``, and the allocations from the saturated row
-    stack. The ``CORNERS`` entries are +-1, so each predictor is exactly that
-    of :func:`corner_weights`, and a node's result does not depend on the
-    nodes that share the call.
+    ``beta0 + B @ CORNERS.T``, silent whatever the caller's ``np.errstate``,
+    and the allocations from the saturated row stack, on the corner minors'
+    reduction (module docstring). The ``CORNERS`` entries are +-1, so each
+    predictor is exactly that of :func:`corner_weights`, and a node's result
+    does not depend on the nodes that share the call.
     """
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         eta = beta[:, :1] + beta[:, 1:] @ CORNERS.T
         finite = np.isfinite(eta).all(axis=1)
         w = np.full(eta.shape, np.nan)
         w[finite] = weight_fn(eta[finite])
-        v = 1.0 / w
-    good = ((w > 0.0) & (w < np.inf) & (v < np.inf)).all(axis=1)
+        good = ((w > 0.0) & (w < np.inf) & (1.0 / w < np.inf)).all(axis=1)
     message = "corner weights must be positive and finite, with finite reciprocals"
     out = [
         None if ok else DomainError(f"{message}, got {row.tolist()}" if eta_ok else "eta must be finite")
         for ok, eta_ok, row in zip(good, finite, w)
     ]
     live = np.flatnonzero(good)
-    sps = SaturatedProblem._rows(v[live], np.zeros(live.size))
-    for i, report in zip(live.tolist(), _solve_rows(sps)):
+    for i, report in zip(live.tolist(), _solve_rows(_reduce(*_CORNER_MINORS, w[live]))):
         out[i] = report if isinstance(report, Exception) else (w[i], report.allocation)
     return out
 
@@ -307,7 +310,7 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
     fails (module docstring) gets a non-finite ``min_s``, without a warning.
     """
     n = len(q)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         # each node's power-of-two frame (module docstring)
         e = np.minimum(np.frexp(q.max(axis=1))[1], 0)
         q = np.ldexp(q, -e[:, None]).T
@@ -341,7 +344,7 @@ def _edge_search(beta, q, weight_fn, s_grid_steps):
         verdict = min_s >= -(VERDICT_REL_TOL * f_p4)
         a, b = _least_point(ts, ss, min_s, f_p4, band)
         min_s = np.where((f_p4 >= np.finfo(float).tiny) & (f_p4 < np.inf), min_s, np.nan)
-    return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a, b
+        return np.ldexp(f_p4, 3 * e), np.ldexp(min_s, 3 * e), verdict, a, b
 
 
 def _tied(S, least, f_p4, band):

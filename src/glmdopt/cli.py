@@ -181,17 +181,17 @@ def _solve_rows_by_shape(frame, W, method: str, tol: float) -> list:
         return [exc] * len(W)
     if n == 4:
         return _solve_rows_u(minors, zero, shift, W)
-    return _solve_rows(_reduce(minors, zero, W, shift))
+    return _solve_rows(_reduce(minors, zero, shift, W))
 
 
 def _row_weights(problem: DesignProblem, betas):
     """``(W, errors)``: row i of W is ``weight_fn(X @ betas[i])``, and ``errors[i]``
     None where it passes the weight gate of :class:`DesignProblem`, else the
     ``DomainError`` that gate raises: "eta must be finite" where the predictor is
-    not, otherwise "weights must be positive and finite". Overflow and invalid
-    results raise no floating-point event, whatever the caller's ``np.errstate``."""
+    not, otherwise "weights must be positive and finite". Like that gate's, the
+    weight call raises no floating-point event, whatever the caller's ``np.errstate``."""
     X, fn = problem.X, problem.weight_fn
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         # one X @ beta per row: a stacked B @ X.T rounds differently; the weight
         # call is elementwise and takes the stack
         etas = np.array([X @ beta for beta in betas]).reshape(len(betas), X.shape[0])

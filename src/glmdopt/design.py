@@ -313,10 +313,10 @@ def vform_objective(v, p) -> float:
 
 
 def safe_exp(x: float) -> float:
-    """``exp(x)``, returning ``inf`` instead of raising past the float range."""
-    if x < 709.0:  # exp(709) ~ 8.2e307: no overflow to silence
+    """``exp(x)``, returning ``inf``, a subnormal or 0 instead of raising past the float range."""
+    if -708.0 < x < 709.0:  # exp(-708) ~ 3.3e-308, exp(709) ~ 8.2e307: no event to silence
         return float(np.exp(x))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         return float(np.exp(x))
 
 

@@ -49,11 +49,12 @@ Points tied with the largest share its root ``z``, which is then on
 ``h1``, so exact ties get equal mass; a tied largest dominates only exact
 zeros, though rounding may absorb the others in ``M(-1)``.
 
-Rows of one shape are solved as a stack: :func:`_reduce` takes the weight
-rows (N, n) to their problems through the order and scale step with its
-gates, and :func:`_solve_rows` certifies the allocations of all rows in one
-call. Only the root search, a solver's case label and the validation of
-each report run row by row. :func:`compute_v`, :func:`solve_saturated`, the
+Rows of one shape are solved as a stack: :func:`_reduce`, the one map from
+weight rows (N, n) to problems (the corner check's too), puts each row's
+largest coefficient in [1/4, 2), so no row needs a gate or another scale,
+and :func:`_solve_rows` certifies the allocations of all rows in one call.
+Only the root search, a solver's case label and the validation of each
+report run row by row. :func:`compute_v`, :func:`solve_saturated`, the
 four-point solvers and a single solve through ``glmdopt.cli.dispatch_solve``
 are one-row calls of the same steps.
 """
@@ -87,10 +88,10 @@ class SaturatedProblem:
 
     ``v`` is given in point order and stored ascending (``perm[k]`` is the
     point of sorted entry k), with ``zero_count`` exact zeros in front;
-    ``true v = v * exp(log_scale)``. A largest entry outside [2^-128, 2^128)
-    is scaled into [1/2, 1) by a power of two that moves into ``log_scale``,
-    and an entry that underflows against it is an exact zero. In-range input
-    stays unscaled.
+    ``true v = v * exp(log_scale)``. The constructor gates coefficients from
+    outside; a largest entry outside [2^-128, 2^128) is scaled into [1/2, 1)
+    by a power of two that moves into ``log_scale``, and an entry that
+    underflows against it is an exact zero. In-range input stays unscaled.
     """
 
     v: np.ndarray
@@ -100,51 +101,34 @@ class SaturatedProblem:
     zero_count: int = field(init=False)
 
     def __post_init__(self):
-        raw = as_floats(self.v, "coefficients must be finite").reshape(1, -1)
-        try:
-            log_scale = as_float(self.log_scale, _LOG_SCALE_MESSAGE)
-        except DomainError:
-            log_scale = math.nan  # the stack's gate rejects it after the gates of v
-        sp = _one(self._rows(raw, np.array([log_scale])))
+        v = as_floats(self.v, "coefficients must be finite").reshape(1, -1)
+        if v.shape[1] < 3:
+            raise DomainError("need at least three design points")
+        if (v < 0.0).any():
+            raise DomainError("coefficients must be nonnegative")
+        top = float(v.max())
+        if not top > 0.0:
+            raise DomainError("at least one coefficient must be positive")
+        log_scale = as_float(self.log_scale, "log_scale must be finite")
+        if not 2.0**-128 <= top < 2.0**128:
+            e = math.frexp(top)[1]
+            with np.errstate(under="ignore"):  # an entry that underflows is an exact zero
+                v = np.ldexp(v, -e)
+            log_scale += e * math.log(2.0)
+        (sp,) = self._rows(v, np.array([log_scale]))
         vars(self).update(vars(sp))  # frozen: no __setattr__
 
     @classmethod
     def _rows(cls, V: np.ndarray, log_scale: np.ndarray) -> list:
-        """The gates, order, zeros and power-of-two scale of every row of the float
-        stack ``V`` (N, n) with ``log_scale`` (N,) at once: per row its problem,
-        or the ``DomainError`` of the first gate it fails."""
+        """The problems of the rows of ``V`` (N, n) with ``log_scale`` (N,): each row
+        sorted, its exact zeros counted. The rows are gated and scaled already."""
         N, n = V.shape
-        if n < 3:
-            messages = ("coefficients must be finite", "need at least three design points")
-            return [DomainError(messages[ok]) for ok in np.isfinite(V).all(axis=1).tolist()]
         perm = V.argsort(axis=1, kind="stable")
         v = V[np.arange(N)[:, None], perm]
-        lo, top = v[:, 0], v[:, -1]
-        # rows that pass every gate and need no scale (NaN sorts last, so a
-        # non-finite row fails one of the bounds on lo and top)
-        plain = (lo >= 0.0) & (top >= 2.0**-128) & (top < 2.0**128) & np.isfinite(log_scale)
-        out: list = [None] * N
-        if not plain.all():
-            fails = [
-                (~np.isfinite(V).all(axis=1), "coefficients must be finite"),
-                (lo < 0.0, "coefficients must be nonnegative"),
-                (~(top > 0.0), "at least one coefficient must be positive"),
-                (~np.isfinite(log_scale), _LOG_SCALE_MESSAGE),
-            ]
-            for fail, message in reversed(fails):  # the first gate's message wins
-                for i in np.flatnonzero(fail).tolist():
-                    out[i] = DomainError(message)
-            far = ~plain
-            far[[i for i, sp in enumerate(out) if sp is not None]] = False
-            e = np.frexp(top[far])[1]
-            v[far] = np.ldexp(v[far], -e[:, None])
-            log_scale = log_scale.copy()
-            log_scale[far] += e * math.log(2.0)
         v.flags.writeable = perm.flags.writeable = False
-        for i, (row, ls) in enumerate(zip(v.tolist(), log_scale.tolist())):
-            if out[i] is None:
-                out[i] = sp = object.__new__(cls)
-                vars(sp).update(v=v[i], log_scale=ls, perm=perm[i], n=n, zero_count=row.count(0.0))
+        out = [object.__new__(cls) for _ in range(N)]
+        for i, (sp, row, ls) in enumerate(zip(out, v.tolist(), log_scale.tolist())):
+            vars(sp).update(v=v[i], log_scale=ls, perm=perm[i], n=n, zero_count=row.count(0.0))
         return out
 
     def _assemble(self, p_sorted, label, diag, log_f, gap) -> SolveReport:
@@ -156,9 +140,6 @@ class SaturatedProblem:
         p_out = np.empty(self.n)
         p_out[self.perm] = p_sorted
         return SolveReport(Allocation(p_out), safe_exp(diag["log_objective"]), label, diag)
-
-
-_LOG_SCALE_MESSAGE = "log_scale must be finite"
 
 
 @dataclass(frozen=True)
@@ -176,24 +157,26 @@ class MuSolve:
 _ZERO_EXPONENT = -(2**20)
 
 
-def _reduce(minors: np.ndarray, zero: np.ndarray, W: np.ndarray, shift: int) -> list:
+def _reduce(minors: np.ndarray, zero: np.ndarray, shift: int, W: np.ndarray) -> list:
     """``v_j = (minors_j 2^shift)^2 * prod_{i != j} w_i`` from the leave-one-out minors,
-    for each row ``w`` of the weight stack ``W`` (N, n): a list with each row's
-    :class:`SaturatedProblem`, or the ``DomainError`` its gates raise.
+    for each row ``w`` of the weight stack ``W`` (N, n): the rows' problems, in order.
 
     ``v_j / prod(w) = minors_j^2 / w_j`` is formed from mantissas and integer
     exponents (``frexp``) and scaled by a power of two, so that the largest
     ``v`` lies in [1/4, 2) however extreme the weights, the rounding is that
     of the direct ratio, and ``log_scale`` carries the scale, ``2 shift`` too.
-    Minors flagged in ``zero`` give exact zeros: their exponents are replaced
-    by one far below the others', since a roundoff minor over a tiny weight
-    may exceed the float range.
+    With finite minors, not all flagged, and positive finite weights, no row
+    needs a gate or another scale. Minors flagged in ``zero`` give exact
+    zeros: their exponents are replaced by one far below the others', since a
+    roundoff minor over a tiny weight may exceed the float range. An entry
+    that underflows is an exact zero too.
     """
     fm, em = np.frexp(minors)
     fw, ew = np.frexp(W)
     e = np.where(zero, _ZERO_EXPONENT, 2 * em) - ew
     e_top = np.maximum.reduce(e, axis=1)
-    v = np.ldexp(fm * fm / fw, np.minimum(e - e_top[:, None], 0))
+    with np.errstate(under="ignore"):
+        v = np.ldexp(fm * fm / fw, np.minimum(e - e_top[:, None], 0))
     log_scale = (e_top + 2 * shift) * math.log(2.0) + np.add.reduce(np.log(W), axis=1)
     return SaturatedProblem._rows(v, log_scale)
 
@@ -207,17 +190,17 @@ def _certificates(sps: list, p_sorted: list):
 
 
 def _solve_rows(sps: list, prefix: str = "saturated-", case=None) -> list:
-    """Reports of the problems ``sps`` (all of one size; an entry may be a ``DomainError``).
+    """Reports of the problems ``sps``, all of one size, in order.
 
     Each row's sorted allocation and diagnostics come from
     :func:`_root_allocation`; its label is ``prefix`` and ``case(sp)``, or
     the branch without a ``case``. The certificates of all rows come from
     one stacked call, and each report is labelled, assembled and validated
-    per row. A row whose problem, root search, label or report raises
+    per row. A row whose root search, label or report raises
     ``DomainError`` or ``SolverError`` gets that error. A single solve is
     the one-row call, so every row equals its own solve bit for bit.
     """
-    out = [sp if isinstance(sp, DomainError) else _attempt(_root_allocation, sp) for sp in sps]
+    out = [_attempt(_root_allocation, sp) for sp in sps]
     live = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
     if live:
         log_f, gap = _certificates([sps[i] for i in live], [out[i][0] for i in live])
@@ -249,7 +232,7 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
     X frame of ``problem`` (see :mod:`glmdopt.design`).
     """
     minors, zero, shift = _saturated_minors(problem._frame)
-    return _one(_reduce(minors, zero, problem.w[None], shift))
+    return _reduce(minors, zero, shift, problem.w[None])[0]
 
 
 def root_mu(sp: SaturatedProblem) -> MuSolve:
@@ -330,9 +313,9 @@ def _root_allocation(sp: SaturatedProblem):
     ms = _root_mu(v)
     if ms is None:  # z = -1: mass 1/(n-1) on every point but the largest-v one
         return np.array([1.0 / (n - 1)] * (n - 1) + [0.0]), "boundary", {"zero_count": float(sp.zero_count)}
-    vn = float(v[-1])
+    *vs, vn = v.tolist()
     x = ms.mu * vn
-    r = [math.sqrt(max(1.0 - x * t, 0.0)) for t in (v[:-1] / vn).tolist() if t < 1.0]
+    r = [math.sqrt(max(1.0 - x * t, 0.0)) for t in [vj / vn for vj in vs] if t < 1.0]
     # z itself is taken from the constraint sum_{j<n} r_j + z = n - 2, accurate
     # also near z = 0; the points tied with the largest share its root z >= 0,
     # and rounding may not take z below -1

@@ -41,7 +41,7 @@ def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
     """Reduced coefficients of a 4x3 X, or ``None`` when it has rank 2; the minors
     and the rank decision come from the X frame (see :mod:`glmdopt.design`)."""
     minors, zero, shift = _minors(problem)
-    return None if _rank2(zero) else _one(_reduce(minors, zero, problem.w[None], shift))
+    return None if _rank2(zero) else _reduce(minors, zero, shift, problem.w[None])[0]
 
 
 def _solve_rows_u(minors, zero, shift, W) -> list:
@@ -51,7 +51,7 @@ def _solve_rows_u(minors, zero, shift, W) -> list:
     solve is the N = 1 call, so each row equals its :func:`solve_fourpoint` bit for bit."""
     if _rank2(zero):
         return [SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {}) for _ in W]
-    return _solve_rows(_reduce(minors, zero, W, shift), "twofactor-", _case_22)
+    return _solve_rows(_reduce(minors, zero, shift, W), "twofactor-", _case_22)
 
 
 def solve_fourpoint(problem: DesignProblem) -> SolveReport:

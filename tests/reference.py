@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from glmdopt import Allocation, DomainError, SolverError, boundary
+from glmdopt import Allocation, DomainError, SaturatedProblem, SolverError, boundary, solve_saturated
 from glmdopt.errors import as_float, as_floats
 
 #: largest n for which objective_expansion enumerates the C(n, d) row subsets
@@ -108,6 +108,36 @@ def one_zero_rational(u: np.ndarray) -> np.ndarray:
     den = 3.0 * (2.0 * u2 * u3 + 2.0 * u2 * u4 + 2.0 * u3 * u4 - u2 * u2 - u3 * u3 - u4 * u4)
     p2, p3 = 2.0 * u2 * (u3 + u4 - u2) / den, 2.0 * u3 * (u2 + u4 - u3) / den
     return np.array([1.0 / 3.0, p2, p3, 2.0 * u4 * (u2 + u3 - u4) / den])
+
+
+def corner_steps_reciprocal(beta, weight_fn):
+    """The corner step with the corner coefficients taken as ``v = 1/w``.
+
+    The corner minors are +-4, so ``v_j = 16 prod_{i != j} w_i`` is ``1/w_j``
+    times a factor common to the node's four points. ``boundary._corner_steps``
+    forms ``v`` by the saturated reduction of every weight row instead; here
+    each node's ``1/w`` passes the ``SaturatedProblem`` constructor's gates
+    and scale, then ``solve_saturated``. Same weight gate and messages: per
+    node ``(w, p4)``, or the ``DomainError`` or ``SolverError`` it raises.
+    """
+    with np.errstate(all="ignore"):
+        eta = beta[:, :1] + beta[:, 1:] @ boundary.CORNERS.T
+        finite = np.isfinite(eta).all(axis=1)
+        w = np.full(eta.shape, np.nan)
+        w[finite] = weight_fn(eta[finite])
+        v = 1.0 / w
+    good = ((w > 0.0) & (w < np.inf) & (v < np.inf)).all(axis=1)
+    message = "corner weights must be positive and finite, with finite reciprocals"
+    out = []
+    for ok, eta_ok, w_row, v_row in zip(good, finite, w, v):
+        if not ok:
+            out.append(DomainError(f"{message}, got {w_row.tolist()}" if eta_ok else "eta must be finite"))
+            continue
+        try:
+            out.append((w_row, solve_saturated(SaturatedProblem(v_row)).allocation))
+        except (DomainError, SolverError) as exc:
+            out.append(exc)
+    return out
 
 
 def edge_search_pointwise(beta, q, weight_fn, s_grid_steps):

@@ -24,7 +24,7 @@ from glmdopt import (
     solve_22,
 )
 from glmdopt.boundary import CORNERS, VERDICT_REL_TOL, RegionGrid, grid_axis, region_boundary_segments
-from reference import boundary_segments_loop, edge_search_pointwise, objective_expansion
+from reference import boundary_segments_loop, corner_steps_reciprocal, edge_search_pointwise, objective_expansion
 
 LOGIT = WeightFunction.logit()
 X_CORNERS = np.column_stack([np.ones(4), CORNERS])
@@ -391,6 +391,43 @@ class TestEdgeKernel:
             eta = beta[k, 0] + a[k] * beta[k, 1] + b[k] * beta[k, 2]
             s = 0.75 * f_p4[k] - fn(eta) * h_ab(a[k], b[k], p4[k], w[k])
             assert abs(s - min_s[k]) <= bound[k]
+
+
+class TestCornerReduction:
+    """The corner step's coefficients come from the corner design's minors by the
+    saturated reduction of every weight row; the ``1/w`` form it replaced gives the
+    same weights, allocations and errors, bit for bit. The maps hold nodes with zero
+    corner weights (probit +-40), with overflowing reciprocals (logit +-360), with
+    weights up to 1.74e308 (log_poisson 700 +-5) and with corner objectives that
+    underflow (logit -300 +-300)."""
+
+    @pytest.mark.parametrize(
+        "link, beta0, half",
+        [
+            ("logit", -1.0, 3.0),
+            ("probit", -1.0, 40.0),
+            ("logit", 0.0, 360.0),
+            ("log_poisson", -1.0, 3.0),
+            ("log_poisson", 700.0, 5.0),
+            ("probit", -1.0, 3.0),
+            ("logit", -300.0, 300.0),
+        ],
+    )
+    def test_matches_reciprocal_reduction(self, link, beta0, half):
+        fn = WeightFunction.from_name(link)
+        axis = grid_axis(-half, half, 41)
+        nodes = np.column_stack([np.full(41 * 41, beta0), np.repeat(axis, 41), np.tile(axis, 41)])
+        got, want = boundary._corner_steps(nodes, fn), corner_steps_reciprocal(nodes, fn)
+        assert len(got) == len(want)
+        live = 0
+        for step, ref in zip(got, want):
+            if isinstance(ref, Exception):
+                assert type(step) is type(ref) and str(step) == str(ref)
+                continue
+            live += 1
+            assert not isinstance(step, Exception)
+            assert step[0].tobytes() == ref[0].tobytes() and step[1].p.tobytes() == ref[1].p.tobytes()
+        assert live
 
 
 class TestArgminRule:

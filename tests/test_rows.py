@@ -14,14 +14,19 @@ import numpy as np
 import pytest
 
 from glmdopt import (
+    BoundaryVerdict,
+    ContinuousProblem,
     DesignProblem,
     DomainError,
     LiftOneConfig,
+    RegionGrid,
     SolverError,
     WeightFunction,
     build_model_matrix,
+    check_boundary_optimal,
     compute_v,
     full_factorial_design,
+    region_sweep,
     solve_saturated,
 )
 from glmdopt import cli, liftone, saturated
@@ -373,6 +378,64 @@ def test_floating_point_events_are_row_errors():
                     assert fingerprint(got[i]) == ("DomainError", message)
                     with pytest.raises(DomainError, match=f"^{message}$"):
                         DesignProblem(X, beta=betas[i], weight_fn=fn)
+
+
+def outcome(call):
+    """What ``call()`` returns, as exact bits (:func:`fingerprint` of a report, of each
+    row of a list, of a corner verdict or of a region map), or its typed error."""
+    try:
+        result = call()
+    except (DomainError, SolverError) as exc:
+        return fingerprint(exc)
+    if isinstance(result, list):
+        return [fingerprint(row) for row in result]
+    if isinstance(result, BoundaryVerdict):
+        argmin = [float(x).hex() for x in result.argmin]
+        return result.boundary_optimal, result.min_s.hex(), argmin, result.p4.p.tobytes(), result.f_p4.hex()
+    if isinstance(result, RegionGrid):
+        return result.min_s.tobytes(), result.verdict.tobytes(), result.failed.tobytes()
+    return fingerprint(result)
+
+
+def two_by_two(link, beta):
+    return DesignProblem(LAYOUTS["2x2"][0], beta=np.array(beta), weight_fn=WeightFunction.from_name(link))
+
+
+#: inputs whose weights, reductions or margins underflow; a region's beta is beta0 and
+#: the half-widths of its slope ranges. The probit +-40 map holds nodes with zero corner
+#: weights, and logit 800 has weights that underflow to zero
+UNDERFLOW_INPUTS = [
+    ("solve", "logit", (700.0, 1.0, 1.0)),
+    ("solve", "probit", (-1.0, 30.0, 0.0)),
+    ("solve", "logit", (800.0, 1.0, 1.0)),
+    ("rows", "logit", (700.0, 1.0, 1.0)),
+    ("rows", "probit", (-1.0, 30.0, 0.0)),
+    ("rows", "logit", (800.0, 1.0, 1.0)),
+    ("check", "logit", (700.0, 1.0, 1.0)),
+    ("check", "probit", (-1.0, 30.0, 0.0)),
+    ("check", "logit", (0.0, 360.0, 360.0)),
+    ("region", "probit", (-1.0, 40.0, 40.0)),
+]
+
+
+@pytest.mark.parametrize("kind, link, beta", UNDERFLOW_INPUTS)
+def test_underflow_under_errstate_raise(kind, link, beta):
+    # an underflow is an exact zero, or a typed error where the result needs a
+    # positive number: under np.errstate(all="raise") each call returns what it
+    # returns under the default errstate, bit for bit, or raises the same typed error
+    fn = WeightFunction.from_name(link)
+    calls = {
+        "solve": lambda: cli.dispatch_solve(two_by_two(link, beta), "auto", 1e-12),
+        "rows": lambda: dispatch_rows(two_by_two(link, (0.0, 0.0, 0.0)), [beta], "auto", 1e-12),
+        "check": lambda: check_boundary_optimal(ContinuousProblem(beta, (-1.0, 1.0, -1.0, 1.0), fn)),
+        "region": lambda: region_sweep(beta[0], (-beta[1], beta[1]), (-beta[2], beta[2]), 41, fn),
+    }
+    want = outcome(calls[kind])
+    with np.errstate(all="raise"):
+        assert outcome(calls[kind]) == want
+        if kind == "rows":
+            # the row's error is the one its own DesignProblem raises
+            assert want == [outcome(lambda: cli.dispatch_solve(two_by_two(link, beta), "auto", 1e-12))]
 
 
 def write_problem(tmp_path, payload):

@@ -1,10 +1,12 @@
 """Saturated family (n points, n-1 terms): reduction, mu root, allocation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import glmdopt.saturated as saturated
 from glmdopt import (
     DesignProblem,
     DomainError,
@@ -557,33 +559,83 @@ class TestDerivedFields:
         assert rep.diagnostics["equivalence_gap"] <= 1e-12
 
 
+def _same_problem(sp, want):
+    """Every field of two problems, bit for bit."""
+    assert sp.v.tobytes() == want.v.tobytes() and sp.perm.tobytes() == want.perm.tobytes()
+    assert (sp.n, sp.zero_count) == (want.n, want.zero_count)
+    assert float(sp.log_scale).hex() == float(want.log_scale).hex()
+    assert not sp.v.flags.writeable and not sp.perm.flags.writeable
+
+
 def test_stacked_rows_match_one_problem_per_row():
-    # the order, zero and scale step and its gates on a stack, against one
-    # SaturatedProblem per row: derived fields bit for bit, errors by message
+    # the order and zero step on a stack of in-range rows, against one
+    # SaturatedProblem per row: every field bit for bit
     rows = [
         ([3.0, 1.0, 2.0, 0.5], 0.0),
         ([0.0, 2.0, 0.0, 1.0], 1.5),
-        ([1e-300, 1.0, 2.0, 1e300], -2.0),  # scaled, its smallest entry underflows
-        ([1e-200, 3e-200, 2e-200, 0.0], 0.25),  # scaled up
-        ([np.nan, 1.0, 2.0, 3.0], 0.0),
-        ([np.inf, 1.0, 2.0, 3.0], 0.0),
-        ([-1.0, 1.0, 2.0, 3.0], 0.0),
-        ([0.0, 0.0, 0.0, 0.0], 0.0),
-        ([-1.0, 0.0, 0.0, 0.0], np.nan),
-        ([1.0, 2.0, 3.0, 4.0], np.inf),
-        ([np.nan, -1.0, 0.0, 0.0], np.nan),
+        ([1e-30, 2.0**-128, 5.0, 1e38], -2.0),
+        ([1.0, 1.0, 0.0, 1.0], 0.25),
     ]
-    V = np.array([v for v, _ in rows])
-    got = SaturatedProblem._rows(V, np.array([ls for _, ls in rows]))
+    got = SaturatedProblem._rows(np.array([v for v, _ in rows]), np.array([ls for _, ls in rows]))
+    assert len(got) == len(rows)
     for (v, ls), sp in zip(rows, got):
-        try:
-            want = SaturatedProblem(v, log_scale=ls)
-        except DomainError as exc:
-            assert isinstance(sp, DomainError) and str(sp) == str(exc)
-            continue
-        assert isinstance(sp, SaturatedProblem)
-        assert sp.v.tobytes() == want.v.tobytes() and sp.perm.tobytes() == want.perm.tobytes()
-        assert (sp.n, sp.zero_count) == (want.n, want.zero_count)
-        assert float(sp.log_scale).hex() == float(want.log_scale).hex()
-        assert not sp.v.flags.writeable and not sp.perm.flags.writeable
-    assert sum(isinstance(sp, DomainError) for sp in got) == 7
+        _same_problem(sp, SaturatedProblem(v, log_scale=ls))
+
+
+@pytest.mark.parametrize(
+    "v, log_scale, message",
+    [
+        ([np.nan, 1.0, 2.0, 3.0], 0.0, "coefficients must be finite"),
+        ([np.inf, 1.0, 2.0, 3.0], 0.0, "coefficients must be finite"),
+        ([np.nan, -1.0, 0.0, 0.0], np.nan, "coefficients must be finite"),
+        ([np.nan, 1.0], 0.0, "coefficients must be finite"),
+        ([-1.0, 2.0], np.nan, "need at least three design points"),
+        ([-1.0, 1.0, 2.0, 3.0], 0.0, "coefficients must be nonnegative"),
+        ([-1.0, 0.0, 0.0, 0.0], np.nan, "coefficients must be nonnegative"),
+        ([0.0, 0.0, 0.0, 0.0], 0.0, "at least one coefficient must be positive"),
+        ([0.0, 0.0, 0.0], np.inf, "at least one coefficient must be positive"),
+        ([1.0, 2.0, 3.0, 4.0], np.inf, "log_scale must be finite"),
+        ([1.0, 2.0, 3.0, 4.0], np.nan, "log_scale must be finite"),
+    ],
+)
+def test_constructor_gates_in_order(v, log_scale, message):
+    # the gates of coefficients from outside; a row failing several gets the first one's message
+    with pytest.raises(DomainError) as info:
+        SaturatedProblem(v, log_scale=log_scale)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "v, log_scale",
+    [
+        ([1e-300, 1.0, 2.0, 1e300], -2.0),  # scaled down, its smallest entry underflows
+        ([1e-200, 3e-200, 2e-200, 0.0], 0.25),  # scaled up
+    ],
+)
+def test_constructor_scales_out_of_range_rows(v, log_scale):
+    # the largest entry moves into [1/2, 1) by a power of two that log_scale carries
+    sp = SaturatedProblem(v, log_scale=log_scale)
+    e = math.frexp(max(v))[1]
+    with np.errstate(under="ignore"):
+        want = np.ldexp(np.sort(v), -e)
+    assert sp.v.tobytes() == want.tobytes() and 0.5 <= sp.v[-1] < 1.0
+    assert float(sp.log_scale).hex() == (log_scale + e * math.log(2.0)).hex()
+    assert sp.zero_count == 1
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_reduced_rows_need_no_gate_or_scale(rng, n):
+    # the reduction's problems, weights up to ~1e+-300 apart with subnormal ones among
+    # them, equal the constructor's on their own coefficients and log_scale: each
+    # passes its gates and needs no scale
+    X = full_factorial_design({4: 2, 8: 3}[n])[0]
+    minors, zero, shift = DesignProblem(X, w=np.ones(n))._frame.minors
+    W = np.exp(rng.uniform(-700.0, 700.0, (200, n)))
+    W[::7, 0] = 5e-320
+    sps = saturated._reduce(minors, zero, shift, W)
+    assert len(sps) == len(W)
+    for sp in sps:
+        v = np.empty(n)
+        v[sp.perm] = sp.v
+        assert 0.25 <= sp.v[-1] < 2.0 and math.isfinite(sp.log_scale)
+        _same_problem(sp, SaturatedProblem(v, log_scale=sp.log_scale))
