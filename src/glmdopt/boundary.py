@@ -55,10 +55,12 @@ an ``f(p4)`` not a positive normal float in the frame, is a ``SolverError``.
 verdict threshold is tiny relative to the objective, and a merely
 near-optimal allocation shifts the corner values of ``s`` off zero by
 enough to corrupt verdicts. The corner step that feeds the search is
-batched too: one weight call gives many nodes' corner weights, and the
-saturated row stack their allocations, reduced from the corner design's
-minors (+-4) as every discrete saturated row is (:mod:`glmdopt.saturated`).
-:func:`check_boundary_optimal` is its one-node call.
+batched too: one weight call gives many nodes' corner weights, reduced from
+the corner design's minors (+-4) in one call as every discrete saturated
+row is, and each node's allocation is the saturated root allocation of its
+row (:mod:`glmdopt.saturated`), without a certificate or a report, which
+the search does not read. :func:`check_boundary_optimal` is its one-node
+call, and builds the one :class:`~glmdopt.design.Allocation` it returns.
 """
 
 from __future__ import annotations
@@ -67,11 +69,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize  # unused here; perfbench/tracer.py patches this binding
 
-from .design import EPS, Allocation, _as_prob_vector, leave_one_out_minors
-from .errors import DomainError, SolverError, as_float, as_floats, as_int
-from .saturated import _reduce, _solve_rows
+from .design import EPS, Allocation, _as_prob_vector, _minor_parts, leave_one_out_minors
+from .errors import DomainError, SolverError, _attempt, as_float, as_floats, as_int
+from .saturated import _reduce, _root_allocation
 from .weights import WeightFunction
 
 #: corner order of the unit square: matches the four-point solver convention
@@ -79,6 +80,8 @@ CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 #: leave-one-out minors ([4, 4, -4, -4]), zero flags and shift of the corner design
 _CORNER_MINORS = leave_one_out_minors(np.column_stack([np.ones(4), CORNERS]))
+#: their factors of the saturated reduction, taken once
+_CORNER_PARTS = _minor_parts(*_CORNER_MINORS[:2])
 
 #: verdict tolerance as a fraction of the corner objective
 VERDICT_REL_TOL = 1e-10
@@ -104,6 +107,16 @@ _CANDIDATES = _EDGES[:, np.concatenate([np.arange(4), np.tile(_CENTRE_EDGES, _ZO
 #: nodes per edge-search call in region_sweep: 64 nodes x 4 edges x 201 points keeps
 #: each scan temporary near 0.5 MB
 _CHUNK = 64
+
+
+def __getattr__(name):
+    # unused here: perfbench/tracer.py patches glmdopt.boundary.optimize, so scipy.optimize
+    # is loaded on that first access, not at import
+    if name == "optimize":
+        from scipy import optimize
+
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _as_beta3(beta) -> np.ndarray:
@@ -242,14 +255,16 @@ def _corner_steps(beta, weight_fn) -> list:
     """Corner weights and optimal corner allocations of N unit-square nodes at once.
 
     ``beta`` (N, 3) holds the nodes' coefficients. Per node the result is
-    ``(w, p4)``, or the ``DomainError`` or ``SolverError`` that node raises:
-    a corner weight that underflows to zero, or overflows, or whose
-    reciprocal overflows, leaves no finite corner design to compare against,
-    and a predictor past the float range fails as the weight function's own
-    gate fails it ("eta must be finite"). The weights come from one call on
+    ``(w, p4)``, two arrays in CORNERS order, or the ``DomainError`` or
+    ``SolverError`` that node raises: a corner weight that underflows to
+    zero, or overflows, or whose reciprocal overflows, leaves no finite
+    corner design to compare against, and a predictor past the float range
+    fails as the weight function's own gate fails it ("eta must be
+    finite"). The weights come from one call on
     ``beta0 + B @ CORNERS.T``, silent whatever the caller's ``np.errstate``,
-    and the allocations from the saturated row stack, on the corner minors'
-    reduction (module docstring). The ``CORNERS`` entries are +-1, so each
+    the coefficients from one reduction on the corner minors, and each
+    allocation from :func:`~glmdopt.saturated._root_allocation`, un-sorted
+    (module docstring). The ``CORNERS`` entries are +-1, so each
     predictor is exactly that of :func:`corner_weights`, and a node's result
     does not depend on the nodes that share the call.
     """
@@ -265,8 +280,12 @@ def _corner_steps(beta, weight_fn) -> list:
         for ok, eta_ok, row in zip(good, finite, w)
     ]
     live = np.flatnonzero(good)
-    for i, report in zip(live.tolist(), _solve_rows(_reduce(*_CORNER_MINORS, w[live]))):
-        out[i] = report if isinstance(report, Exception) else (w[i], report.allocation)
+    for i, sp in zip(live.tolist(), _reduce(*_CORNER_MINORS, w[live], _CORNER_PARTS)):
+        # a root allocation needs no Allocation gate: each entry is (1 + r_j) / 6 with
+        # r_j >= -1, and the r_j sum to n - 2 = 2 by construction, so the entries are
+        # nonnegative and sum to 1 within a few ulps, far inside the gate's 1e-12
+        root = _attempt(_root_allocation, sp)
+        out[i] = root if isinstance(root, Exception) else (w[i], root[0][sp.perm.argsort()])
     return out
 
 
@@ -393,13 +412,11 @@ def check_boundary_optimal(cp: ContinuousProblem, s_grid_steps: int = 201) -> Bo
     if isinstance(step, Exception):
         raise step
     w, p4 = step
-    f_p4, min_s, verdict, a, b = _edge_search(
-        cp.beta[None], (p4.p * w)[None], cp.weight_fn, s_grid_steps
-    )
+    f_p4, min_s, verdict, a, b = _edge_search(cp.beta[None], (p4 * w)[None], cp.weight_fn, s_grid_steps)
     if not np.isfinite(min_s[0]):
         raise SolverError("corner objective or margin beyond the float range")
     argmin = (float(a[0]), float(b[0]))
-    return BoundaryVerdict(bool(verdict[0]), float(min_s[0]), argmin, p4, float(f_p4[0]))
+    return BoundaryVerdict(bool(verdict[0]), float(min_s[0]), argmin, Allocation(p4), float(f_p4[0]))
 
 
 def _as_range(pair, message):
@@ -453,7 +470,8 @@ def region_sweep(
     cornered[done] = True
     cornered = cornered.reshape(shape)
     betas = nodes[done]
-    qs = np.reshape([corner[k][1].p * corner[k][0] for k in done], (-1, 4))
+    w, p4 = np.reshape([corner[k] for k in done], (-1, 2, 4)).transpose(1, 0, 2)
+    qs = p4 * w
     s, passed = np.empty(len(qs)), np.empty(len(qs), dtype=bool)
     for start in range(0, len(qs), _CHUNK):
         at = slice(start, start + _CHUNK)

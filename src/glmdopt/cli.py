@@ -180,8 +180,8 @@ def _solve_rows_by_shape(frame, W, method: str, tol: float) -> list:
     except DomainError as exc:
         return [exc] * len(W)
     if n == 4:
-        return _solve_rows_u(minors, zero, shift, W)
-    return _solve_rows(_reduce(minors, zero, shift, W))
+        return _solve_rows_u(minors, zero, shift, W, frame.minor_parts)
+    return _solve_rows(_reduce(minors, zero, shift, W, frame.minor_parts))
 
 
 def _row_weights(problem: DesignProblem, betas):

@@ -93,7 +93,8 @@ def _as_prob_vector(p, n: int) -> np.ndarray:
 
 class _XFrame:
     """The X frame (see the module docstring); its arrays are read-only. ``minors``
-    is :func:`leave_one_out_minors` of an (n, n-1) X; ``liftone`` is X after
+    is :func:`leave_one_out_minors` of an (n, n-1) X and ``minor_parts`` its factors of
+    the saturated reduction (:func:`_minor_parts`); ``liftone`` is X after
     :func:`scale_columns`, the power of two divided out, each column's largest
     ``|entry|`` and the work size ``scipy.linalg.qr`` queries for a pivoted QR of X'."""
 
@@ -116,6 +117,12 @@ class _XFrame:
         minors, zero, shift = leave_one_out_minors(self.X)
         minors.flags.writeable = zero.flags.writeable = False
         return minors, zero, shift
+
+    @functools.cached_property
+    def minor_parts(self):
+        """:func:`_minor_parts` of ``minors``, taken once per X."""
+        minors, zero, _ = self.minors
+        return _minor_parts(minors, zero)
 
     @functools.cached_property
     def liftone(self):
@@ -252,6 +259,21 @@ def leave_one_out_minors(X):
     if not certified and (not colsq.all() or np.linalg.matrix_rank(X / np.abs(X).max(axis=0)) < n - 1):
         return minors, np.ones(n, dtype=bool), shift
     return minors, np.abs(minors) <= MINOR_ZERO_REL * top, shift
+
+
+#: exponent that stands in for a zero minor's in the saturated reduction: its v
+#: underflows to an exact zero
+_ZERO_EXPONENT = -(2**20)
+
+
+def _minor_parts(minors, zero):
+    """The read-only factors of the saturated reduction (``glmdopt.saturated._reduce``)
+    that depend on the minors alone: the squared ``frexp`` mantissas, and the doubled
+    exponents with ``_ZERO_EXPONENT`` in place of those flagged in ``zero``."""
+    fm, em = np.frexp(minors)
+    fm2, em2 = fm * fm, np.where(zero, _ZERO_EXPONENT, 2 * em)
+    fm2.flags.writeable = em2.flags.writeable = False
+    return fm2, em2
 
 
 @functools.lru_cache(maxsize=64)

@@ -31,9 +31,11 @@ Sorted ascending, with ``t_j = v_j / v_n``:
   changes sign exactly once when ``M(-1) < 0`` and never otherwise.
   ``z >= 0`` is the ``h1`` branch, ``z < 0`` the ``h2`` one, so the sign of
   ``M(0) = sum_{j<n} sqrt(1 - t_j) - (n - 2)`` is the branch rule and picks
-  the half bracket, [0, 1] or [-1, 0], on which Brent's method finds ``z``.
-  ``M`` is evaluated on Python floats, for every n, and ``p`` follows from
-  the root by the constraint;
+  the half bracket, [0, 1] or [-1, 0], on which a safeguarded Newton
+  iteration finds ``z``. With ``q_j = t_j / (1 + r_j)``, ``M' = sum q_j +
+  (1 - z) z sum q_j^2 / r_j``, so one pass gives both. ``M`` is evaluated on
+  Python floats, for every n, and ``p`` follows from the root by the
+  constraint;
 * ``M(-1) = 1 - sum_{j<n} t_j >= 0``, in rounding, is the one dominance
   rule: the largest coefficient dominates the others, and the optimum is
   the point ``z = -1``, mass 1/(n-1) on every other point (objective ``v_n
@@ -54,9 +56,11 @@ weight rows (N, n) to problems (the corner check's too), puts each row's
 largest coefficient in [1/4, 2), so no row needs a gate or another scale,
 and :func:`_solve_rows` certifies the allocations of all rows in one call.
 Only the root search, a solver's case label and the validation of each
-report run row by row. :func:`compute_v`, :func:`solve_saturated`, the
+report run row by row. The corner check reads only the allocations: it
+takes each row's from :func:`_root_allocation`, the one rule of every row,
+and builds no report. :func:`compute_v`, :func:`solve_saturated`, the
 four-point solvers and a single solve through ``glmdopt.cli.dispatch_solve``
-are one-row calls of the same steps.
+are one-row calls of the same steps, so each row equals its own solve.
 """
 
 from __future__ import annotations
@@ -65,21 +69,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .design import (
     EPS,
     Allocation,
     DesignProblem,
     SolveReport,
+    _minor_parts,
     safe_exp,
     vform_log_sensitivities,
 )
 from .errors import DomainError, SolverError, _attempt, _one, as_float, as_floats
 
-#: absolute and relative tolerances of the root search for z (brentq's smallest rtol)
-_XTOL = 2.0**-60
-_RTOL = 4.0 * EPS
+#: evaluations of M after which the root search for z gives up
+_MAX_EVALUATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -153,11 +156,7 @@ class MuSolve:
     residual: float
 
 
-#: exponent that stands in for a zero minor's: its v underflows to an exact zero
-_ZERO_EXPONENT = -(2**20)
-
-
-def _reduce(minors: np.ndarray, zero: np.ndarray, shift: int, W: np.ndarray) -> list:
+def _reduce(minors: np.ndarray, zero: np.ndarray, shift: int, W: np.ndarray, parts=None) -> list:
     """``v_j = (minors_j 2^shift)^2 * prod_{i != j} w_i`` from the leave-one-out minors,
     for each row ``w`` of the weight stack ``W`` (N, n): the rows' problems, in order.
 
@@ -169,14 +168,16 @@ def _reduce(minors: np.ndarray, zero: np.ndarray, shift: int, W: np.ndarray) -> 
     needs a gate or another scale. Minors flagged in ``zero`` give exact
     zeros: their exponents are replaced by one far below the others', since a
     roundoff minor over a tiny weight may exceed the float range. An entry
-    that underflows is an exact zero too.
+    that underflows is an exact zero too. ``parts``, the minors' own factors
+    (:func:`~glmdopt.design._minor_parts`), are taken here unless given: the
+    X frame and the corner check hold them once per X.
     """
-    fm, em = np.frexp(minors)
+    fm2, em2 = _minor_parts(minors, zero) if parts is None else parts
     fw, ew = np.frexp(W)
-    e = np.where(zero, _ZERO_EXPONENT, 2 * em) - ew
+    e = em2 - ew
     e_top = np.maximum.reduce(e, axis=1)
     with np.errstate(under="ignore"):
-        v = np.ldexp(fm * fm / fw, np.minimum(e - e_top[:, None], 0))
+        v = np.ldexp(fm2 / fw, np.minimum(e - e_top[:, None], 0))
     log_scale = (e_top + 2 * shift) * math.log(2.0) + np.add.reduce(np.log(W), axis=1)
     return SaturatedProblem._rows(v, log_scale)
 
@@ -232,30 +233,33 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
     X frame of ``problem`` (see :mod:`glmdopt.design`).
     """
     minors, zero, shift = _saturated_minors(problem._frame)
-    return _reduce(minors, zero, shift, problem.w[None])[0]
+    return _reduce(minors, zero, shift, problem.w[None], problem._frame.minor_parts)[0]
 
 
 def root_mu(sp: SaturatedProblem) -> MuSolve:
     """Solve the radical-sum equation for mu; the branch is the sign of ``M(0)``.
 
-    Brent's method (:func:`scipy.optimize.brentq`) finds the root ``z`` of
-    ``M`` (see the module docstring) on [0, 1] (``h1``) when ``M(0) < 0`` and
-    on [-1, 0] (``h2``) when ``M(0) > 0``; ``M(0) = 0`` is the root ``z = 0``
-    on ``h1``. ``mu = (1 - z)(1 + z) / v_n``; ``iterations`` counts the
-    evaluations of ``M``, and the residual, that of ``h(mu) = n - 2``, is
-    ``(1 + z) M(z)``. A dominant largest coefficient is a ``DomainError``.
+    A safeguarded Newton iteration finds the root ``z`` of ``M`` (see the
+    module docstring) on [0, 1] (``h1``) when ``M(0) < 0`` and on [-1, 0]
+    (``h2``) when ``M(0) > 0``; ``M(0) = 0`` is the root ``z = 0`` on ``h1``.
+    ``mu = (1 - z)(1 + z) / v_n``; ``iterations`` counts the evaluations of
+    ``M``, and the residual, that of ``h(mu) = n - 2``, is ``(1 + z) M(z)``.
+    A dominant largest coefficient is a ``DomainError``.
     """
-    ms = _root_mu(sp.v)
-    if ms is None:
+    root = _root_mu(sp.v)
+    if root is None:
         raise DomainError("dominant largest coefficient: the boundary allocation is optimal")
-    return ms
+    return root[0]
 
 
-def _root_mu(v: np.ndarray) -> MuSolve | None:
-    """:func:`root_mu` on ascending coefficients ``v``, or ``None`` where ``M(-1) >= 0``.
-    ``M`` is summed on Python floats, left to right as numpy sums fewer than
-    eight terms: a brentq step costs a few microseconds, not the tens of
-    numpy's per-call overhead. ``M(-1)`` is tested before the root's setup."""
+def _root_mu(v: np.ndarray):
+    """``(MuSolve, z)`` of :func:`root_mu` on ascending ``v``, or ``None`` where ``M(-1) >= 0``
+    (tested before the root's setup). ``M`` and ``M'`` are summed on Python floats, left
+    to right as numpy sums fewer than eight terms: a step costs a few microseconds, not
+    numpy's tens of per-call overhead. Each value of ``M`` shrinks the half bracket by
+    its sign; a step that leaves it (one landing on an end stays) or meets ``M' <= 0``
+    bisects. The search stops on a step of at most 16 eps, or after one more Newton step
+    once ``|M| <= 8 n eps``, M's own rounding: where ``M'`` is small, the first alone cycles."""
     n = v.shape[0]
     *vs, vn = v.tolist()
     # M(-1) as m(-1.0) rounds it, every r_j exactly 1; with a v_j = v_n (a tie with
@@ -266,31 +270,41 @@ def _root_mu(v: np.ndarray) -> MuSolve | None:
     if 1.0 - 2.0 * acc >= 0.0 and not (vs[-1] == vn and vs[-2] > 0.0):
         return None
     ts = [(t, 1.0 - t) for t in [x / vn for x in vs]]
-    calls = 1
 
-    def m(z: float) -> float:
-        nonlocal calls
-        calls += 1
+    def m(z: float):  # M(z) and M'(z) (module docstring)
         z2 = z * z
-        acc = 0.0
+        a = b = 0.0
         for t, s in ts:
             # 1 - (1 - z^2) t, exactly 1 at z = -1 and without cancellation at z = 0
-            acc += t / (1.0 + math.sqrt(s + z2 * t))
-        return 1.0 - (1.0 - z) * acc
+            r = math.sqrt(s + z2 * t)
+            q = t / (1.0 + r)
+            a += q
+            if r > 0.0:  # r_j = 0 only at z = 0, for a tie with the largest
+                b += q * q / r
+        return 1.0 - (1.0 - z) * a, a + (1.0 - z) * z * b
 
-    m0 = m(0.0)
-    z = 0.0
-    if m0 != 0.0:
-        lo, hi = (0.0, 1.0) if m0 < 0.0 else (-1.0, 0.0)
-        try:
-            z = brentq(m, lo, hi, xtol=_XTOL, rtol=_RTOL)
-        except RuntimeError as exc:
-            raise SolverError(f"mu root search failed to converge: {exc}") from None
-    iterations = calls
-    residual = abs((1.0 + z) * m(z))
+    m0, d = m(0.0)
+    z, mz, calls = 0.0, m0, 2
+    lo, hi = (0.0, 1.0) if m0 < 0.0 else (-1.0, 0.0)
+    while mz != 0.0:
+        step = z - mz / d if d > 0.0 else math.nan  # nan: bisect
+        newton = lo <= step <= hi
+        if not newton:
+            step = 0.5 * (lo + hi)
+        stop = abs(step - z) <= 16.0 * EPS or newton and abs(mz) <= 8.0 * n * EPS
+        z = step
+        if stop:
+            break
+        if calls >= _MAX_EVALUATIONS:
+            raise SolverError(f"mu root search failed to converge: {calls} evaluations of M")
+        mz, d = m(z)
+        calls += 1
+        lo, hi = (z, hi) if mz < 0.0 else (lo, z)
+    residual = abs((1.0 + z) * m(z)[0])
     if residual > 1e-9 * max(1.0, n - 2.0):
         raise SolverError(f"mu root search failed to converge: residual {residual!r}")
-    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if m0 <= 0.0 else "h2", iterations, residual)
+    ms = MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if m0 <= 0.0 else "h2", calls, residual)
+    return ms, z
 
 
 def solve_saturated(sp: SaturatedProblem) -> SolveReport:
@@ -310,9 +324,10 @@ def _root_allocation(sp: SaturatedProblem):
     """Sorted allocation, branch and diagnostics of ``sp``, by the one rule of every
     (n, n-1) row: the root of ``M`` on ``sp.v``, or ``z = -1`` (module docstring)."""
     v, n = sp.v, sp.n
-    ms = _root_mu(v)
-    if ms is None:  # z = -1: mass 1/(n-1) on every point but the largest-v one
+    root = _root_mu(v)
+    if root is None:  # z = -1: mass 1/(n-1) on every point but the largest-v one
         return np.array([1.0 / (n - 1)] * (n - 1) + [0.0]), "boundary", {"zero_count": float(sp.zero_count)}
+    ms = root[0]
     *vs, vn = v.tolist()
     x = ms.mu * vn
     r = [math.sqrt(max(1.0 - x * t, 0.0)) for t in [vj / vn for vj in vs] if t < 1.0]

@@ -33,16 +33,18 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .design import SolveReport
+from .design import EPS, SolveReport
 from .errors import DomainError, SolverError, _one, as_floats
-from .saturated import _RTOL, _XTOL, SaturatedProblem, _solve_rows
+from .saturated import SaturatedProblem, _solve_rows
 
 #: for the label, two coefficients are tied (and one is zero) below this relative gap
 TIE_REL = 1e-9
 #: radical root accepted when |quartic(y1)| <= this times max|c| * y1^4
 QUARTIC_RESIDUAL_REL = 1e-9
+#: absolute and relative tolerances of the fallback root search (brentq's smallest rtol)
+_XTOL = 2.0**-60
+_RTOL = 4.0 * EPS
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -128,6 +130,8 @@ def solve_quartic(c) -> QuarticRoot:
         hi *= 2.0
     if _quartic_value(c, hi) < 0.0:
         raise SolverError(f"quartic has no sign change on (1, {hi!r}]")
+    from scipy.optimize import brentq  # off the solve path: not loaded at import
+
     try:
         root = brentq(lambda y: _quartic_value(c, y), 1.0, hi, xtol=_XTOL, rtol=_RTOL)
     except RuntimeError as exc:

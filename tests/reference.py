@@ -16,11 +16,14 @@ cross-check it, and are badly conditioned near the dominance boundary
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from glmdopt import Allocation, DomainError, SaturatedProblem, SolverError, boundary, solve_saturated
+from glmdopt.design import EPS
 from glmdopt.errors import as_float, as_floats
+from glmdopt.saturated import MuSolve
 
 #: largest n for which objective_expansion enumerates the C(n, d) row subsets
 EXPANSION_MAX_POINTS = 20
@@ -108,6 +111,50 @@ def one_zero_rational(u: np.ndarray) -> np.ndarray:
     den = 3.0 * (2.0 * u2 * u3 + 2.0 * u2 * u4 + 2.0 * u3 * u4 - u2 * u2 - u3 * u3 - u4 * u4)
     p2, p3 = 2.0 * u2 * (u3 + u4 - u2) / den, 2.0 * u3 * (u2 + u4 - u3) / den
     return np.array([1.0 / 3.0, p2, p3, 2.0 * u4 * (u2 + u3 - u4) / den])
+
+
+def root_mu_brentq(v: np.ndarray):
+    """``(MuSolve, z)`` of the radical-sum root on ascending coefficients ``v`` by
+    Brent's method, or ``None`` where ``M(-1) >= 0``.
+
+    The same dominance test, branch rule, ``M``, residual gate and evaluation
+    count as ``saturated._root_mu``, which runs a safeguarded Newton instead;
+    ``brentq`` searches the half bracket to ``xtol = 2^-60`` and ``rtol = 4 eps``.
+    """
+    from scipy.optimize import brentq
+
+    n = v.shape[0]
+    *vs, vn = v.tolist()
+    acc = 0.0
+    for x in vs:
+        acc += x / vn / 2.0
+    if 1.0 - 2.0 * acc >= 0.0 and not (vs[-1] == vn and vs[-2] > 0.0):
+        return None
+    ts = [(t, 1.0 - t) for t in [x / vn for x in vs]]
+    calls = 1
+
+    def m(z: float) -> float:
+        nonlocal calls
+        calls += 1
+        z2 = z * z
+        acc = 0.0
+        for t, s in ts:
+            acc += t / (1.0 + math.sqrt(s + z2 * t))
+        return 1.0 - (1.0 - z) * acc
+
+    m0 = m(0.0)
+    z = 0.0
+    if m0 != 0.0:
+        lo, hi = (0.0, 1.0) if m0 < 0.0 else (-1.0, 0.0)
+        try:
+            z = brentq(m, lo, hi, xtol=2.0**-60, rtol=4.0 * EPS)
+        except RuntimeError as exc:
+            raise SolverError(f"mu root search failed to converge: {exc}") from None
+    iterations = calls
+    residual = abs((1.0 + z) * m(z))
+    if residual > 1e-9 * max(1.0, n - 2.0):
+        raise SolverError(f"mu root search failed to converge: residual {residual!r}")
+    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if m0 <= 0.0 else "h2", iterations, residual), z
 
 
 def corner_steps_reciprocal(beta, weight_fn):

@@ -334,7 +334,7 @@ def _map_search(kernel, fn, beta0, half, s_grid_steps, steps=21):
     corner = boundary._corner_steps(nodes, fn)
     ok = [not isinstance(step, Exception) for step in corner]
     w = np.reshape([step[0] for step, good in zip(corner, ok) if good], (-1, 4))
-    p4 = np.reshape([step[1].p for step, good in zip(corner, ok) if good], (-1, 4))
+    p4 = np.reshape([step[1] for step, good in zip(corner, ok) if good], (-1, 4))
     return nodes[ok], p4, w, kernel(nodes[ok], p4 * w, fn, s_grid_steps)
 
 
@@ -426,7 +426,7 @@ class TestCornerReduction:
                 continue
             live += 1
             assert not isinstance(step, Exception)
-            assert step[0].tobytes() == ref[0].tobytes() and step[1].p.tobytes() == ref[1].p.tobytes()
+            assert step[0].tobytes() == ref[0].tobytes() and step[1].tobytes() == ref[1].p.tobytes()
         assert live
 
 

@@ -1,11 +1,16 @@
 """Command-line surface: parsing, serialization, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glmdopt
 from glmdopt import SolverError, cli, full_factorial_design
 from glmdopt.cli import main
 
@@ -495,3 +500,12 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         assert cli._parser().format_help() == build().format_help()
     finally:
         cli._parser.cache_clear()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # in a fresh process: only solve_quartic's fallback and the benchmark tracer's
+    # patch of boundary.optimize load scipy.optimize, never an import
+    src = str(Path(glmdopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, glmdopt.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

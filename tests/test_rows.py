@@ -200,12 +200,10 @@ def test_near_dominance_file_certified_alone_and_in_the_row_stack(tmp_path):
 
 
 def test_rows_that_raise_mid_batch(monkeypatch):
-    # the interior rows' root search fails (SolverError in the dispatch), and one
-    # allocation is refused (DomainError in the report); the other rows go on
-    def no_root(*args, **kwargs):
-        raise RuntimeError("synthetic")
-
-    monkeypatch.setattr(saturated, "brentq", no_root)
+    # the interior rows' root search fails (SolverError in the dispatch: too few
+    # evaluations of M allowed), and one allocation is refused (DomainError in the
+    # report); the other rows go on
+    monkeypatch.setattr(saturated, "_MAX_EVALUATIONS", 2)
     allocation = saturated.Allocation
 
     def refuse(p):

@@ -13,6 +13,7 @@ from glmdopt import (
     LiftOneConfig,
     SaturatedProblem,
     SolverError,
+    WeightFunction,
     build_model_matrix,
     compute_u,
     compute_v,
@@ -24,6 +25,7 @@ from glmdopt import (
     solve_saturated,
     vform_objective,
 )
+from reference import root_mu_brentq
 from test_acceptance import CRIT01_F, CRIT01_MU, CRIT01_P
 
 # 40-digit-precision solution of the radical-sum equation for v = (1..8),
@@ -303,6 +305,17 @@ class TestOneAllocationRule:
             assert rep.diagnostics["equivalence_gap"] <= 1e-12
 
 
+def _slope_of_m(v, z):
+    """``M'(z) = A + (1 - z) z B`` on ascending ``v`` (``saturated._root_mu``)."""
+    a = b = 0.0
+    for t in (v[:-1] / v[-1]).tolist():
+        r = math.sqrt(1.0 - t + z * z * t)
+        q = t / (1.0 + r)
+        a += q
+        b += q * q / r if r > 0.0 else 0.0
+    return a + (1.0 - z) * z * b
+
+
 class TestRootMu:
     def test_golden_branch(self):
         ms = root_mu(SaturatedProblem(np.arange(1.0, 9.0)))
@@ -353,13 +366,62 @@ class TestRootMu:
         # measured maximum 14 here, 17 over wider seeded families
         assert worst <= 24
 
+    def test_newton_matches_the_brentq_reference(self):
+        # seeded rows that stress the root, n = 3..32: near dominance (within 1e-9),
+        # exact ties with the largest, e^U(+-300), near the branch switch M(0) = 0
+        # (sum_{j<n} sqrt(1 - t_j) = n - 2 within 1e-9) and e^U(+-3)
+        rng = np.random.default_rng(28)
+        eps = np.finfo(float).eps
+        interior = 0
+        for _ in range(1000):
+            n = int(rng.integers(3, 33))
+            v = rng.uniform(0.05, 1.0, n - 1)
+            tied = rng.uniform(0.05, 1.0, n)
+            tied[rng.choice(n, size=int(rng.integers(2, min(n, 4) + 1)), replace=False)] = tied.max()
+            r = 1.0 - rng.dirichlet(np.ones(n - 1))
+            rows = [
+                np.append(v, v.sum() * (1.0 - rng.uniform(-1e-9, 1e-9))),
+                tied,
+                np.exp(rng.uniform(-300.0, 300.0, n)),
+                np.append((1.0 - r * r) * (1.0 + rng.uniform(-1e-9, 1e-9, n - 1)), 1.0),
+                np.exp(rng.uniform(-3.0, 3.0, n)),
+            ]
+            for row in rows:
+                sp = SaturatedProblem(row)
+                got, want = saturated._root_mu(sp.v), root_mu_brentq(sp.v)
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                interior += 1
+                (ms, z), (ref, z_ref) = got, want
+                assert ms.branch == ref.branch and ms.iterations <= 24
+                # both roots leave |M| within its rounding, a few ulps of each of its
+                # n - 1 terms, so they are that over the slope of M apart (CHANGES.md)
+                assert abs(z - z_ref) * _slope_of_m(sp.v, z_ref) <= 2.0 * n * eps
+                assert solve_saturated(sp).diagnostics["equivalence_gap"] <= 1e-12
+        assert interior >= 3000
+
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            (2.790973872048382, 0.004802572496380719, -2.8009322504283274),
+            (-2.504451708039321, -2.7800749242045386, 0.01857119366304172),
+        ],
+    )
+    def test_rows_where_an_absolute_stop_cycles(self, beta):
+        # criterion 10's 2x2 logit rows where M' is small at the root: a stop on
+        # |dz| <= 16 eps alone cycles there by a few ulps of z
+        X = full_factorial_design(2)[0]
+        problem = DesignProblem(X, weight_fn=WeightFunction.logit(), beta=np.array(beta))
+        report = solve_fourpoint(problem)
+        assert report.case_label == "twofactor-case-v"
+        assert report.diagnostics["equivalence_gap"] <= 1e-12
+
     def test_search_without_convergence_is_a_solver_error(self, monkeypatch):
         from glmdopt import saturated
 
-        def no_convergence(*args, **kwargs):
-            raise RuntimeError("Failed to converge after 100 iterations")
-
-        monkeypatch.setattr(saturated, "brentq", no_convergence)
+        # too few evaluations of M allowed for the search to converge
+        monkeypatch.setattr(saturated, "_MAX_EVALUATIONS", 3)
         with pytest.raises(SolverError, match="failed to converge"):
             root_mu(SaturatedProblem(np.arange(1.0, 9.0)))
 
