@@ -78,10 +78,8 @@ from .weights import WeightFunction
 #: corner order of the unit square: matches the four-point solver convention
 CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
-#: leave-one-out minors ([4, 4, -4, -4]), zero flags and shift of the corner design
-_CORNER_MINORS = leave_one_out_minors(np.column_stack([np.ones(4), CORNERS]))
-#: their factors of the saturated reduction, taken once
-_CORNER_PARTS = _minor_parts(*_CORNER_MINORS[:2])
+#: the saturated reduction's factors of the corner design's minors ([4, 4, -4, -4])
+_CORNER_PARTS = _minor_parts(*leave_one_out_minors(np.column_stack([np.ones(4), CORNERS])))
 
 #: verdict tolerance as a fraction of the corner objective
 VERDICT_REL_TOL = 1e-10
@@ -280,12 +278,12 @@ def _corner_steps(beta, weight_fn) -> list:
         for ok, eta_ok, row in zip(good, finite, w)
     ]
     live = np.flatnonzero(good)
-    for i, sp in zip(live.tolist(), _reduce(*_CORNER_MINORS, w[live], _CORNER_PARTS)):
+    for i, sp in zip(live.tolist(), _reduce(_CORNER_PARTS, w[live])):
         # a root allocation needs no Allocation gate: each entry is (1 + r_j) / 6 with
         # r_j >= -1, and the r_j sum to n - 2 = 2 by construction, so the entries are
         # nonnegative and sum to 1 within a few ulps, far inside the gate's 1e-12
         root = _attempt(_root_allocation, sp)
-        out[i] = root if isinstance(root, Exception) else (w[i], root[0][sp.perm.argsort()])
+        out[i] = root if isinstance(root, Exception) else (w[i], sp._unsort(root[0]))
     return out
 
 
@@ -470,8 +468,7 @@ def region_sweep(
     cornered[done] = True
     cornered = cornered.reshape(shape)
     betas = nodes[done]
-    w, p4 = np.reshape([corner[k] for k in done], (-1, 2, 4)).transpose(1, 0, 2)
-    qs = p4 * w
+    qs = np.reshape([corner[k][1] * corner[k][0] for k in done], (-1, 4))
     s, passed = np.empty(len(qs)), np.empty(len(qs), dtype=bool)
     for start in range(0, len(qs), _CHUNK):
         at = slice(start, start + _CHUNK)

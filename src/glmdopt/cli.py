@@ -45,7 +45,7 @@ from .design import (
 )
 from .errors import DomainError, SolverError, _one, as_floats, as_int
 from .liftone import LiftOneConfig, _maximize_rows
-from .saturated import _reduce, _saturated_minors, _solve_rows
+from .saturated import _reduce, _saturated_parts, _solve_rows
 from .twofactor import _solve_rows_u
 from .weights import WeightFunction
 
@@ -176,12 +176,12 @@ def _solve_rows_by_shape(frame, W, method: str, tol: float) -> list:
         message = f"no analytic solver covers shape n={n}, d={d}; use --method liftone (or auto)"
         return [DomainError(message)] * len(W)
     try:
-        minors, zero, shift = frame.minors if n == 4 else _saturated_minors(frame)
+        parts = frame.minor_parts if n == 4 else _saturated_parts(frame)
     except DomainError as exc:
         return [exc] * len(W)
     if n == 4:
-        return _solve_rows_u(minors, zero, shift, W, frame.minor_parts)
-    return _solve_rows(_reduce(minors, zero, shift, W, frame.minor_parts))
+        return _solve_rows_u(frame, W)
+    return _solve_rows(_reduce(parts, W))
 
 
 def _row_weights(problem: DesignProblem, betas):

@@ -120,9 +120,7 @@ class _XFrame:
 
     @functools.cached_property
     def minor_parts(self):
-        """:func:`_minor_parts` of ``minors``, taken once per X."""
-        minors, zero, _ = self.minors
-        return _minor_parts(minors, zero)
+        return _minor_parts(*self.minors)
 
     @functools.cached_property
     def liftone(self):
@@ -266,12 +264,13 @@ def leave_one_out_minors(X):
 _ZERO_EXPONENT = -(2**20)
 
 
-def _minor_parts(minors, zero):
+def _minor_parts(minors, zero, shift):
     """The read-only factors of the saturated reduction (``glmdopt.saturated._reduce``)
-    that depend on the minors alone: the squared ``frexp`` mantissas, and the doubled
-    exponents with ``_ZERO_EXPONENT`` in place of those flagged in ``zero``."""
+    that depend on X alone, from :func:`leave_one_out_minors`: the squared ``frexp``
+    mantissas of ``minors 2^shift``, and their doubled exponents with
+    ``_ZERO_EXPONENT`` in place of those flagged in ``zero``."""
     fm, em = np.frexp(minors)
-    fm2, em2 = fm * fm, np.where(zero, _ZERO_EXPONENT, 2 * em)
+    fm2, em2 = fm * fm, np.where(zero, _ZERO_EXPONENT, 2 * (em + shift))
     fm2.flags.writeable = em2.flags.writeable = False
     return fm2, em2
 

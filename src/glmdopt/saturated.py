@@ -75,7 +75,6 @@ from .design import (
     Allocation,
     DesignProblem,
     SolveReport,
-    _minor_parts,
     safe_exp,
     vform_log_sensitivities,
 )
@@ -140,9 +139,13 @@ class SaturatedProblem:
         ``diag``, from the certificates of :func:`_solve_rows`."""
         diag["log_objective"] = self.log_scale + log_f
         diag["equivalence_gap"] = gap
-        p_out = np.empty(self.n)
-        p_out[self.perm] = p_sorted
-        return SolveReport(Allocation(p_out), safe_exp(diag["log_objective"]), label, diag)
+        return SolveReport(Allocation(self._unsort(p_sorted)), safe_exp(diag["log_objective"]), label, diag)
+
+    def _unsort(self, p_sorted) -> np.ndarray:
+        """``p_sorted`` (sorted order) in point order."""
+        p = np.empty(self.n)
+        p[self.perm] = p_sorted
+        return p
 
 
 @dataclass(frozen=True)
@@ -156,29 +159,29 @@ class MuSolve:
     residual: float
 
 
-def _reduce(minors: np.ndarray, zero: np.ndarray, shift: int, W: np.ndarray, parts=None) -> list:
-    """``v_j = (minors_j 2^shift)^2 * prod_{i != j} w_i`` from the leave-one-out minors,
-    for each row ``w`` of the weight stack ``W`` (N, n): the rows' problems, in order.
+def _reduce(parts, W: np.ndarray) -> list:
+    """``v_j = (minors_j 2^shift)^2 * prod_{i != j} w_i`` from the leave-one-out minors'
+    ``parts`` (:func:`~glmdopt.design._minor_parts`, held once per X by the X frame and
+    the corner check), for each row ``w`` of the weight stack ``W`` (N, n): the rows'
+    problems, in order.
 
-    ``v_j / prod(w) = minors_j^2 / w_j`` is formed from mantissas and integer
-    exponents (``frexp``) and scaled by a power of two, so that the largest
-    ``v`` lies in [1/4, 2) however extreme the weights, the rounding is that
-    of the direct ratio, and ``log_scale`` carries the scale, ``2 shift`` too.
-    With finite minors, not all flagged, and positive finite weights, no row
+    ``v_j / prod(w) = (minors_j 2^shift)^2 / w_j`` is formed from mantissas and
+    integer exponents (``frexp``) and scaled by a power of two, so that the
+    largest ``v`` lies in [1/4, 2) however extreme the weights, the rounding
+    is that of the direct ratio, and ``log_scale`` carries the scale. With
+    finite minors, not all flagged, and positive finite weights, no row
     needs a gate or another scale. Minors flagged in ``zero`` give exact
     zeros: their exponents are replaced by one far below the others', since a
     roundoff minor over a tiny weight may exceed the float range. An entry
-    that underflows is an exact zero too. ``parts``, the minors' own factors
-    (:func:`~glmdopt.design._minor_parts`), are taken here unless given: the
-    X frame and the corner check hold them once per X.
+    that underflows is an exact zero too.
     """
-    fm2, em2 = _minor_parts(minors, zero) if parts is None else parts
+    fm2, em2 = parts
     fw, ew = np.frexp(W)
     e = em2 - ew
     e_top = np.maximum.reduce(e, axis=1)
     with np.errstate(under="ignore"):
         v = np.ldexp(fm2 / fw, np.minimum(e - e_top[:, None], 0))
-    log_scale = (e_top + 2 * shift) * math.log(2.0) + np.add.reduce(np.log(W), axis=1)
+    log_scale = e_top * math.log(2.0) + np.add.reduce(np.log(W), axis=1)
     return SaturatedProblem._rows(v, log_scale)
 
 
@@ -215,15 +218,15 @@ def _solve_rows(sps: list, prefix: str = "saturated-", case=None) -> list:
     return out
 
 
-def _saturated_minors(frame):
-    """The leave-one-out minors of an X frame whose X is (n, n-1) of rank n - 1."""
+def _saturated_parts(frame):
+    """The minors' parts of the reduction (:func:`_reduce`) of an X frame whose X is
+    (n, n-1) of rank n - 1."""
     n, d = frame.X.shape
     if n != d + 1:
         raise DomainError(f"need exactly one more point than model terms, got {n} points, {d} terms")
-    minors, zero, shift = frame.minors
-    if zero.all():
+    if frame.minors[1].all():
         raise DomainError("X has rank below the number of model terms; reparametrize the model")
-    return minors, zero, shift
+    return frame.minor_parts
 
 
 def compute_v(problem: DesignProblem) -> SaturatedProblem:
@@ -232,8 +235,7 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
     Requires ``n == d + 1`` and rank ``n - 1``, as decided once per X by the
     X frame of ``problem`` (see :mod:`glmdopt.design`).
     """
-    minors, zero, shift = _saturated_minors(problem._frame)
-    return _reduce(minors, zero, shift, problem.w[None], problem._frame.minor_parts)[0]
+    return _reduce(_saturated_parts(problem._frame), problem.w[None])[0]
 
 
 def root_mu(sp: SaturatedProblem) -> MuSolve:
@@ -246,14 +248,14 @@ def root_mu(sp: SaturatedProblem) -> MuSolve:
     ``M``, and the residual, that of ``h(mu) = n - 2``, is ``(1 + z) M(z)``.
     A dominant largest coefficient is a ``DomainError``.
     """
-    root = _root_mu(sp.v)
-    if root is None:
+    ms = _root_mu(sp.v)
+    if ms is None:
         raise DomainError("dominant largest coefficient: the boundary allocation is optimal")
-    return root[0]
+    return ms
 
 
-def _root_mu(v: np.ndarray):
-    """``(MuSolve, z)`` of :func:`root_mu` on ascending ``v``, or ``None`` where ``M(-1) >= 0``
+def _root_mu(v: np.ndarray) -> MuSolve | None:
+    """:func:`root_mu` on ascending coefficients ``v``, or ``None`` where ``M(-1) >= 0``
     (tested before the root's setup). ``M`` and ``M'`` are summed on Python floats, left
     to right as numpy sums fewer than eight terms: a step costs a few microseconds, not
     numpy's tens of per-call overhead. Each value of ``M`` shrinks the half bracket by
@@ -303,8 +305,7 @@ def _root_mu(v: np.ndarray):
     residual = abs((1.0 + z) * m(z)[0])
     if residual > 1e-9 * max(1.0, n - 2.0):
         raise SolverError(f"mu root search failed to converge: residual {residual!r}")
-    ms = MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if m0 <= 0.0 else "h2", calls, residual)
-    return ms, z
+    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if m0 <= 0.0 else "h2", calls, residual)
 
 
 def solve_saturated(sp: SaturatedProblem) -> SolveReport:
@@ -324,10 +325,9 @@ def _root_allocation(sp: SaturatedProblem):
     """Sorted allocation, branch and diagnostics of ``sp``, by the one rule of every
     (n, n-1) row: the root of ``M`` on ``sp.v``, or ``z = -1`` (module docstring)."""
     v, n = sp.v, sp.n
-    root = _root_mu(v)
-    if root is None:  # z = -1: mass 1/(n-1) on every point but the largest-v one
+    ms = _root_mu(v)
+    if ms is None:  # z = -1: mass 1/(n-1) on every point but the largest-v one
         return np.array([1.0 / (n - 1)] * (n - 1) + [0.0]), "boundary", {"zero_count": float(sp.zero_count)}
-    ms = root[0]
     *vs, vn = v.tolist()
     x = ms.mu * vn
     r = [math.sqrt(max(1.0 - x * t, 0.0)) for t in [vj / vn for vj in vs] if t < 1.0]

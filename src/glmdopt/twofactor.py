@@ -30,31 +30,28 @@ def _rank2(zero) -> bool:
     return np.count_nonzero(zero) >= 2
 
 
-def _minors(problem: DesignProblem):
-    """The leave-one-out minors of a 4x3 X, from its X frame (see :mod:`glmdopt.design`)."""
+def _frame(problem: DesignProblem):
+    """The X frame of a 4x3 X (see :mod:`glmdopt.design`)."""
     if problem.X.shape != (4, 3):
         raise DomainError(f"need a 4x3 design matrix, got {problem.X.shape}")
-    return problem._frame.minors
+    return problem._frame
 
 
 def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
     """Reduced coefficients of a 4x3 X, or ``None`` when it has rank 2; the minors
     and the rank decision come from the X frame (see :mod:`glmdopt.design`)."""
-    minors, zero, shift = _minors(problem)
-    if _rank2(zero):
-        return None
-    return _reduce(minors, zero, shift, problem.w[None], problem._frame.minor_parts)[0]
+    frame = _frame(problem)
+    return None if _rank2(frame.minors[1]) else _reduce(frame.minor_parts, problem.w[None])[0]
 
 
-def _solve_rows_u(minors, zero, shift, W, parts) -> list:
-    """The four-point solves of the weight rows ``W`` (N, 4) on an X with these
-    leave-one-out minors and their ``parts`` of the reduction, in row order: the
-    saturated row stack's reports (or errors) with ``solve_22``'s case labels, or
-    uniform on a rank-2 X. A single solve is the N = 1 call, so each row equals
-    its :func:`solve_fourpoint` bit for bit."""
-    if _rank2(zero):
+def _solve_rows_u(frame, W) -> list:
+    """The four-point solves of the weight rows ``W`` (N, 4) on the X frame ``frame``,
+    in row order: the saturated row stack's reports (or errors) with ``solve_22``'s
+    case labels, or uniform on a rank-2 X. A single solve is the N = 1 call, so each
+    row equals its :func:`solve_fourpoint` bit for bit."""
+    if _rank2(frame.minors[1]):
         return [SolveReport(Allocation.uniform(4), 0.0, "degenerate-rank2", {}) for _ in W]
-    return _solve_rows(_reduce(minors, zero, shift, W, parts), "twofactor-", _case_22)
+    return _solve_rows(_reduce(frame.minor_parts, W), "twofactor-", _case_22)
 
 
 def solve_fourpoint(problem: DesignProblem) -> SolveReport:
@@ -66,4 +63,4 @@ def solve_fourpoint(problem: DesignProblem) -> SolveReport:
     rank-2 layout reports neither. The case label is that of ``solve_22``
     with ``twofactor-`` for its ``2x2-`` prefix.
     """
-    return _one(_solve_rows_u(*_minors(problem), problem.w[None], problem._frame.minor_parts))
+    return _one(_solve_rows_u(_frame(problem), problem.w[None]))

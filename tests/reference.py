@@ -114,7 +114,7 @@ def one_zero_rational(u: np.ndarray) -> np.ndarray:
 
 
 def root_mu_brentq(v: np.ndarray):
-    """``(MuSolve, z)`` of the radical-sum root on ascending coefficients ``v`` by
+    """``MuSolve`` of the radical-sum root on ascending coefficients ``v`` by
     Brent's method, or ``None`` where ``M(-1) >= 0``.
 
     The same dominance test, branch rule, ``M``, residual gate and evaluation
@@ -154,7 +154,7 @@ def root_mu_brentq(v: np.ndarray):
     residual = abs((1.0 + z) * m(z))
     if residual > 1e-9 * max(1.0, n - 2.0):
         raise SolverError(f"mu root search failed to converge: residual {residual!r}")
-    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if m0 <= 0.0 else "h2", iterations, residual), z
+    return MuSolve((1.0 - z) * (1.0 + z) / vn, "h1" if m0 <= 0.0 else "h2", iterations, residual)
 
 
 def corner_steps_reciprocal(beta, weight_fn):

@@ -393,11 +393,16 @@ class TestRootMu:
                 if got is None:
                     continue
                 interior += 1
-                (ms, z), (ref, z_ref) = got, want
-                assert ms.branch == ref.branch and ms.iterations <= 24
+                assert got.branch == want.branch and got.iterations <= 24
                 # both roots leave |M| within its rounding, a few ulps of each of its
-                # n - 1 terms, so they are that over the slope of M apart (CHANGES.md)
-                assert abs(z - z_ref) * _slope_of_m(sp.v, z_ref) <= 2.0 * n * eps
+                # n - 1 terms, so they are dz = 2 n eps over the slope of M apart; the
+                # roots are compared through mu v_n = 1 - z^2, which moves by at most
+                # dz (2 |z| + dz), plus a few ulps of its own rounding (CHANGES.md)
+                vn = float(sp.v[-1])
+                x_ref = want.mu * vn
+                z_ref = (1.0 if want.branch == "h1" else -1.0) * math.sqrt(max(1.0 - x_ref, 0.0))
+                dz = 2.0 * n * eps / _slope_of_m(sp.v, z_ref)
+                assert abs(got.mu * vn - x_ref) <= dz * (2.0 * abs(z_ref) + dz) + 8.0 * eps
                 assert solve_saturated(sp).diagnostics["equivalence_gap"] <= 1e-12
         assert interior >= 3000
 
@@ -691,10 +696,10 @@ def test_reduced_rows_need_no_gate_or_scale(rng, n):
     # them, equal the constructor's on their own coefficients and log_scale: each
     # passes its gates and needs no scale
     X = full_factorial_design({4: 2, 8: 3}[n])[0]
-    minors, zero, shift = DesignProblem(X, w=np.ones(n))._frame.minors
+    frame = DesignProblem(X, w=np.ones(n))._frame
     W = np.exp(rng.uniform(-700.0, 700.0, (200, n)))
     W[::7, 0] = 5e-320
-    sps = saturated._reduce(minors, zero, shift, W)
+    sps = saturated._reduce(frame.minor_parts, W)
     assert len(sps) == len(W)
     for sp in sps:
         v = np.empty(n)
