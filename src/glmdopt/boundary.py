@@ -55,12 +55,12 @@ an ``f(p4)`` not a positive normal float in the frame, is a ``SolverError``.
 verdict threshold is tiny relative to the objective, and a merely
 near-optimal allocation shifts the corner values of ``s`` off zero by
 enough to corrupt verdicts. The corner step that feeds the search is
-batched too: one weight call gives many nodes' corner weights, reduced from
-the corner design's minors (+-4) in one call as every discrete saturated
-row is, and each node's allocation is the saturated root allocation of its
-row (:mod:`glmdopt.saturated`), without a certificate or a report, which
-the search does not read. :func:`check_boundary_optimal` is its one-node
-call, and builds the one :class:`~glmdopt.design.Allocation` it returns.
+batched too: one weight call gives many nodes' corner weights, reduced on
+the corner minors (+-4) to the sorted stack of every discrete saturated
+row (:mod:`glmdopt.saturated`); each node's allocation is its stack row's
+root allocation, all un-sorted by one scatter, with no problem object or
+report. :func:`check_boundary_optimal` is its one-node call, and builds
+the one :class:`~glmdopt.design.Allocation` it returns.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import EPS, Allocation, _as_prob_vector, _minor_parts, leave_one_out_minors
-from .errors import DomainError, SolverError, _attempt, as_float, as_floats, as_int
-from .saturated import _reduce, _root_allocation
+from .errors import DomainError, SolverError, as_float, as_floats, as_int
+from .saturated import _reduce, _root_allocations, _unsort
 from .weights import WeightFunction
 
 #: corner order of the unit square: matches the four-point solver convention
@@ -260,11 +260,11 @@ def _corner_steps(beta, weight_fn) -> list:
     fails as the weight function's own gate fails it ("eta must be
     finite"). The weights come from one call on
     ``beta0 + B @ CORNERS.T``, silent whatever the caller's ``np.errstate``,
-    the coefficients from one reduction on the corner minors, and each
-    allocation from :func:`~glmdopt.saturated._root_allocation`, un-sorted
-    (module docstring). The ``CORNERS`` entries are +-1, so each
-    predictor is exactly that of :func:`corner_weights`, and a node's result
-    does not depend on the nodes that share the call.
+    the sorted stack from one reduction on the corner minors, and each
+    allocation from :func:`~glmdopt.saturated._root_allocations` on its
+    stack row, un-sorted (module docstring). The ``CORNERS`` entries are
+    +-1, so each predictor is exactly that of :func:`corner_weights`, and a
+    node's result does not depend on the nodes that share the call.
     """
     with np.errstate(all="ignore"):
         eta = beta[:, :1] + beta[:, 1:] @ CORNERS.T
@@ -277,13 +277,14 @@ def _corner_steps(beta, weight_fn) -> list:
         None if ok else DomainError(f"{message}, got {row.tolist()}" if eta_ok else "eta must be finite")
         for ok, eta_ok, row in zip(good, finite, w)
     ]
-    live = np.flatnonzero(good)
-    for i, sp in zip(live.tolist(), _reduce(_CORNER_PARTS, w[live])):
-        # a root allocation needs no Allocation gate: each entry is (1 + r_j) / 6 with
-        # r_j >= -1, and the r_j sum to n - 2 = 2 by construction, so the entries are
-        # nonnegative and sum to 1 within a few ulps, far inside the gate's 1e-12
-        root = _attempt(_root_allocation, sp)
-        out[i] = root if isinstance(root, Exception) else (w[i], sp._unsort(root[0]))
+    live = np.flatnonzero(good).tolist()
+    v, perm, _ = _reduce(_CORNER_PARTS, w[live])
+    roots, p_sorted = _root_allocations(v)
+    # a root allocation needs no Allocation gate: each entry is (1 + r_j) / 6 with
+    # r_j >= -1, and the r_j sum to n - 2 = 2 by construction, so the entries are
+    # nonnegative and sum to 1 within a few ulps, far inside the gate's 1e-12
+    for i, root, p in zip(live, roots, _unsort(p_sorted, perm)):
+        out[i] = root if isinstance(root, Exception) else (w[i], p)
     return out
 
 

@@ -175,13 +175,10 @@ def _solve_rows_by_shape(frame, W, method: str, tol: float) -> list:
     if n != d + 1:
         message = f"no analytic solver covers shape n={n}, d={d}; use --method liftone (or auto)"
         return [DomainError(message)] * len(W)
-    try:
-        parts = frame.minor_parts if n == 4 else _saturated_parts(frame)
+    try:  # only X's minors raise here; the stacks return each row's error in its place
+        return _solve_rows_u(frame, W) if n == 4 else _solve_rows(_reduce(_saturated_parts(frame), W))
     except DomainError as exc:
         return [exc] * len(W)
-    if n == 4:
-        return _solve_rows_u(frame, W)
-    return _solve_rows(_reduce(parts, W))
 
 
 def _row_weights(problem: DesignProblem, betas):

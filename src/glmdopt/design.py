@@ -311,7 +311,8 @@ def vform_log_sensitivities(v, p):
     ends[0, :, :, 1:] = P[:, :, :-1]
     ends[1, :, :, 1:] = P[:, :, :0:-1]
     cp = np.cumprod(ends, axis=3)
-    terms = np.where(marked, 0.0, varr.reshape(-1, 1, n)) * cp[0] * cp[1, :, :, ::-1]
+    with np.errstate(under="ignore"):  # a product that underflows is an exact zero
+        terms = np.where(marked, 0.0, varr.reshape(-1, 1, n)) * cp[0] * cp[1, :, :, ::-1]
     sums = np.add.reduce(terms, axis=2)
     f = sums[:, 0]
     log_f = f.tolist()

@@ -718,9 +718,10 @@ def _maximize_rows(frame, W, config: LiftOneConfig) -> list:
     n, d = frame.X.shape
     size = max(1, _STACK_ENTRIES // (n * max(n + 1, d)))
     out: list = []
-    for start in range(0, len(W), size):
-        chunk = W[start : start + size]
-        out += _ascend(_RankOneStack(lifted, chunk), np.full(chunk.shape, 1.0 / n), config)
+    with np.errstate(under="ignore"):  # a product that underflows is an exact zero
+        for start in range(0, len(W), size):
+            chunk = W[start : start + size]
+            out += _ascend(_RankOneStack(lifted, chunk), np.full(chunk.shape, 1.0 / n), config)
     return out
 
 
@@ -754,4 +755,5 @@ def liftone_maximize(problem, config: LiftOneConfig | None = None) -> SolveRepor
     if isinstance(problem, DesignProblem):
         return _one(_maximize_rows(problem._frame, problem.w[None], cfg))
     n = problem.n_points
-    return _one(_ascend(_BlackBox(problem), np.full((1, n), 1.0 / n), cfg))
+    with np.errstate(under="ignore"):  # as in _maximize_rows
+        return _one(_ascend(_BlackBox(problem), np.full((1, n), 1.0 / n), cfg))

@@ -51,16 +51,16 @@ Points tied with the largest share its root ``z``, which is then on
 ``h1``, so exact ties get equal mass; a tied largest dominates only exact
 zeros, though rounding may absorb the others in ``M(-1)``.
 
-Rows of one shape are solved as a stack: :func:`_reduce`, the one map from
-weight rows (N, n) to problems (the corner check's too), puts each row's
-largest coefficient in [1/4, 2), so no row needs a gate or another scale,
-and :func:`_solve_rows` certifies the allocations of all rows in one call.
-Only the root search, a solver's case label and the validation of each
-report run row by row. The corner check reads only the allocations: it
-takes each row's from :func:`_root_allocation`, the one rule of every row,
-and builds no report. :func:`compute_v`, :func:`solve_saturated`, the
-four-point solvers and a single solve through ``glmdopt.cli.dispatch_solve``
-are one-row calls of the same steps, so each row equals its own solve.
+Rows of one shape are solved as one sorted array stack ``(v, perm,
+log_scale)``: :func:`_reduce`, the one map from weight rows (N, n) to
+coefficients (the corner check's too), scales each row's largest into
+[1/4, 2), so no row needs a gate or another scale, and sorts each row as
+the :class:`SaturatedProblem` constructor does. :func:`_solve_rows` takes
+each row's allocation from :func:`_root_allocation`, certifies all rows in
+one call and un-sorts them by ``perm``. The corner check reads only the
+allocations and builds no report. :func:`solve_saturated`, the four-point
+solvers and a single solve through ``glmdopt.cli.dispatch_solve`` are
+one-row stacks, so each row equals its own solve.
 """
 
 from __future__ import annotations
@@ -90,10 +90,11 @@ class SaturatedProblem:
 
     ``v`` is given in point order and stored ascending (``perm[k]`` is the
     point of sorted entry k), with ``zero_count`` exact zeros in front;
-    ``true v = v * exp(log_scale)``. The constructor gates coefficients from
-    outside; a largest entry outside [2^-128, 2^128) is scaled into [1/2, 1)
-    by a power of two that moves into ``log_scale``, and an entry that
-    underflows against it is an exact zero. In-range input stays unscaled.
+    ``true v = v * exp(log_scale)``: one row of the solvers' sorted stack.
+    The constructor gates coefficients from outside; a largest entry outside
+    [2^-128, 2^128) is scaled into [1/2, 1) by a power of two that moves
+    into ``log_scale``, and an entry that underflows against it is an exact
+    zero. In-range input, a reduced row too, stays unscaled.
     """
 
     v: np.ndarray
@@ -117,35 +118,29 @@ class SaturatedProblem:
             with np.errstate(under="ignore"):  # an entry that underflows is an exact zero
                 v = np.ldexp(v, -e)
             log_scale += e * math.log(2.0)
-        (sp,) = self._rows(v, np.array([log_scale]))
-        vars(self).update(vars(sp))  # frozen: no __setattr__
+        (v,), (perm,) = _sort_rows(v)
+        fields = dict(v=v, log_scale=log_scale, perm=perm, n=len(v), zero_count=v.tolist().count(0.0))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)  # frozen: no __setattr__
 
-    @classmethod
-    def _rows(cls, V: np.ndarray, log_scale: np.ndarray) -> list:
-        """The problems of the rows of ``V`` (N, n) with ``log_scale`` (N,): each row
-        sorted, its exact zeros counted. The rows are gated and scaled already."""
-        N, n = V.shape
-        perm = V.argsort(axis=1, kind="stable")
-        v = V[np.arange(N)[:, None], perm]
-        v.flags.writeable = perm.flags.writeable = False
-        out = [object.__new__(cls) for _ in range(N)]
-        for i, (sp, row, ls) in enumerate(zip(out, v.tolist(), log_scale.tolist())):
-            vars(sp).update(v=v[i], log_scale=ls, perm=perm[i], n=n, zero_count=row.count(0.0))
-        return out
+    def _stack(self):
+        """The problem as a one-row stack of :func:`_solve_rows`."""
+        return self.v[None], self.perm[None], np.array([self.log_scale])
 
-    def _assemble(self, p_sorted, label, diag, log_f, gap) -> SolveReport:
-        """Report of ``p_sorted`` (sorted order) in point order, with ``log_objective =
-        log_scale + log f`` and ``equivalence_gap = max_i d_i / (n - 1) - 1`` added to
-        ``diag``, from the certificates of :func:`_solve_rows`."""
-        diag["log_objective"] = self.log_scale + log_f
-        diag["equivalence_gap"] = gap
-        return SolveReport(Allocation(self._unsort(p_sorted)), safe_exp(diag["log_objective"]), label, diag)
 
-    def _unsort(self, p_sorted) -> np.ndarray:
-        """``p_sorted`` (sorted order) in point order."""
-        p = np.empty(self.n)
-        p[self.perm] = p_sorted
-        return p
+def _sort_rows(V: np.ndarray):
+    """The rows of ``V`` (N, n) sorted ascending, stably, and their sort permutations, read-only."""
+    perm = V.argsort(axis=1, kind="stable")
+    v = V[np.arange(len(V))[:, None], perm]
+    v.flags.writeable = perm.flags.writeable = False
+    return v, perm
+
+
+def _unsort(P: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The sorted rows ``P`` (N, n) in point order, ``perm`` their sort permutations."""
+    out = np.empty(perm.shape)
+    out[np.arange(len(perm))[:, None], perm] = P
+    return out
 
 
 @dataclass(frozen=True)
@@ -159,11 +154,11 @@ class MuSolve:
     residual: float
 
 
-def _reduce(parts, W: np.ndarray) -> list:
+def _reduce(parts, W: np.ndarray):
     """``v_j = (minors_j 2^shift)^2 * prod_{i != j} w_i`` from the leave-one-out minors'
     ``parts`` (:func:`~glmdopt.design._minor_parts`, held once per X by the X frame and
-    the corner check), for each row ``w`` of the weight stack ``W`` (N, n): the rows'
-    problems, in order.
+    the corner check), for each row ``w`` of the weight stack ``W`` (N, n): the sorted
+    stack ``(v, perm, log_scale)``, ``v`` and ``perm`` (N, n) from :func:`_sort_rows`.
 
     ``v_j / prod(w) = (minors_j 2^shift)^2 / w_j`` is formed from mantissas and
     integer exponents (``frexp``) and scaled by a power of two, so that the
@@ -182,39 +177,43 @@ def _reduce(parts, W: np.ndarray) -> list:
     with np.errstate(under="ignore"):
         v = np.ldexp(fm2 / fw, np.minimum(e - e_top[:, None], 0))
     log_scale = e_top * math.log(2.0) + np.add.reduce(np.log(W), axis=1)
-    return SaturatedProblem._rows(v, log_scale)
+    return (*_sort_rows(v), log_scale)
 
 
-def _certificates(sps: list, p_sorted: list):
-    """``(log f, equivalence gap)`` lists for sorted allocations of problems of one
-    size, from one stacked :func:`~glmdopt.design.vform_log_sensitivities` call."""
-    log_f, d = vform_log_sensitivities(np.array([sp.v for sp in sps]), np.array(p_sorted))
-    n1 = sps[0].n - 1
-    return log_f.tolist(), [top / n1 - 1.0 for top in np.maximum.reduce(d, axis=1).tolist()]
+def _solve_rows(stack, prefix: str = "saturated-", case=None) -> list:
+    """Reports of the rows of the sorted stack ``(v, perm, log_scale)`` (:func:`_reduce`).
 
-
-def _solve_rows(sps: list, prefix: str = "saturated-", case=None) -> list:
-    """Reports of the problems ``sps``, all of one size, in order.
-
-    Each row's sorted allocation and diagnostics come from
-    :func:`_root_allocation`; its label is ``prefix`` and ``case(sp)``, or
-    the branch without a ``case``. The certificates of all rows come from
-    one stacked call, and each report is labelled, assembled and validated
-    per row. A row whose root search, label or report raises
-    ``DomainError`` or ``SolverError`` gets that error. A single solve is
-    the one-row call, so every row equals its own solve bit for bit.
+    Each row's sorted allocation comes from :func:`_root_allocations`, and
+    its label is ``prefix`` and ``case`` of the sorted row, or the branch.
+    The certificates of all rows come from one stacked call; each report is
+    assembled per row, in point order. A row whose root search, label or
+    report raises ``DomainError`` or ``SolverError`` gets that error. A
+    single solve is the one-row call, so every row equals its own solve.
     """
-    out = [_attempt(_root_allocation, sp) for sp in sps]
-    live = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
-    if live:
-        log_f, gap = _certificates([sps[i] for i in live], [out[i][0] for i in live])
-        for i, lf, g in zip(live, log_f, gap):
-            p_sorted, branch, diag = out[i]
-            try:  # inline, not _attempt: a single solve pays this per call
-                label = prefix + (case(sps[i]) if case else branch)
-                out[i] = sps[i]._assemble(p_sorted, label, diag, lf, g)
-            except (DomainError, SolverError) as exc:
-                out[i] = exc
+    V, perm, log_scale = stack
+    rows, scales = V.tolist(), log_scale.tolist()
+    out, p_sorted = _root_allocations(V)
+    log_f, d = vform_log_sensitivities(V, p_sorted)  # nan, and unread, on the rows that raised
+    n1 = V.shape[1] - 1
+    gaps = [top / n1 - 1.0 for top in np.maximum.reduce(d, axis=1).tolist()]
+    for i, (root, p, lf, gap) in enumerate(zip(out, _unsort(p_sorted, perm), log_f.tolist(), gaps)):
+        if isinstance(root, Exception):
+            continue
+        (p_row, ms), ls = root, scales[i]
+        try:  # inline, not _attempt: a single solve pays this per call
+            label = prefix + (case(rows[i]) if case else "boundary" if ms is None else ms.branch)
+            diag = {} if ms is None else {
+                "mu": ms.mu * safe_exp(-ls),
+                "mu_scaled": ms.mu,
+                "log_scale": ls,
+                "lambda": 4.0 * n1**2 * math.prod(p_row) / ms.mu * safe_exp(ls),
+                "mu_residual": ms.residual,
+                "bisect_iterations": float(ms.iterations),
+            }
+            diag.update(zero_count=float(rows[i].count(0.0)), log_objective=ls + lf, equivalence_gap=gap)
+            out[i] = SolveReport(Allocation(p), safe_exp(diag["log_objective"]), label, diag)
+        except (DomainError, SolverError) as exc:
+            out[i] = exc
     return out
 
 
@@ -235,7 +234,8 @@ def compute_v(problem: DesignProblem) -> SaturatedProblem:
     Requires ``n == d + 1`` and rank ``n - 1``, as decided once per X by the
     X frame of ``problem`` (see :mod:`glmdopt.design`).
     """
-    return _reduce(_saturated_parts(problem._frame), problem.w[None])[0]
+    v, perm, log_scale = _reduce(_saturated_parts(problem._frame), problem.w[None])
+    return SaturatedProblem(_unsort(v, perm)[0], log_scale[0])  # a reduced row needs no scale
 
 
 def root_mu(sp: SaturatedProblem) -> MuSolve:
@@ -248,13 +248,13 @@ def root_mu(sp: SaturatedProblem) -> MuSolve:
     ``M``, and the residual, that of ``h(mu) = n - 2``, is ``(1 + z) M(z)``.
     A dominant largest coefficient is a ``DomainError``.
     """
-    ms = _root_mu(sp.v)
+    ms = _root_mu(sp.v.tolist())
     if ms is None:
         raise DomainError("dominant largest coefficient: the boundary allocation is optimal")
     return ms
 
 
-def _root_mu(v: np.ndarray) -> MuSolve | None:
+def _root_mu(v: list) -> MuSolve | None:
     """:func:`root_mu` on ascending coefficients ``v``, or ``None`` where ``M(-1) >= 0``
     (tested before the root's setup). ``M`` and ``M'`` are summed on Python floats, left
     to right as numpy sums fewer than eight terms: a step costs a few microseconds, not
@@ -262,8 +262,8 @@ def _root_mu(v: np.ndarray) -> MuSolve | None:
     its sign; a step that leaves it (one landing on an end stays) or meets ``M' <= 0``
     bisects. The search stops on a step of at most 16 eps, or after one more Newton step
     once ``|M| <= 8 n eps``, M's own rounding: where ``M'`` is small, the first alone cycles."""
-    n = v.shape[0]
-    *vs, vn = v.tolist()
+    n = len(v)
+    *vs, vn = v
     # M(-1) as m(-1.0) rounds it, every r_j exactly 1; with a v_j = v_n (a tie with
     # the largest) it is minus the sum of the others, negative if any is positive
     acc = 0.0
@@ -318,17 +318,25 @@ def solve_saturated(sp: SaturatedProblem) -> SolveReport:
     Interior solutions also report ``mu`` and the multiplier ``lambda`` on
     the true scale and the root-search quality of :func:`root_mu`.
     """
-    return _one(_solve_rows([sp]))
+    return _one(_solve_rows(sp._stack()))
 
 
-def _root_allocation(sp: SaturatedProblem):
-    """Sorted allocation, branch and diagnostics of ``sp``, by the one rule of every
-    (n, n-1) row: the root of ``M`` on ``sp.v``, or ``z = -1`` (module docstring)."""
-    v, n = sp.v, sp.n
+def _root_allocations(v: np.ndarray):
+    """:func:`_root_allocation` of each row of the sorted ``v`` (N, n), or the error it
+    raises, and the sorted allocations as one (N, n) array, nan on the rows that raised."""
+    roots = [_attempt(_root_allocation, row) for row in v.tolist()]
+    nan = [math.nan] * v.shape[1]
+    return roots, np.array([nan if isinstance(r, Exception) else r[0] for r in roots]).reshape(v.shape)
+
+
+def _root_allocation(v: list):
+    """Sorted allocation (a list) and root (:class:`MuSolve`, or ``None`` at ``z = -1``)
+    of the ascending floats ``v``: the one rule of every (n, n-1) row (module docstring)."""
+    n = len(v)
     ms = _root_mu(v)
     if ms is None:  # z = -1: mass 1/(n-1) on every point but the largest-v one
-        return np.array([1.0 / (n - 1)] * (n - 1) + [0.0]), "boundary", {"zero_count": float(sp.zero_count)}
-    *vs, vn = v.tolist()
+        return [1.0 / (n - 1)] * (n - 1) + [0.0], None
+    *vs, vn = v
     x = ms.mu * vn
     r = [math.sqrt(max(1.0 - x * t, 0.0)) for t in [vj / vn for vj in vs] if t < 1.0]
     # z itself is taken from the constraint sum_{j<n} r_j + z = n - 2, accurate
@@ -339,14 +347,4 @@ def _root_allocation(sp: SaturatedProblem):
     for rj in r:  # left to right, as M; sum() compensates from Python 3.12 on
         acc += rj
     r += [max(((n - 2) - acc) / top, -1.0)] * top
-    p = [(1.0 + rj) / (2.0 * (n - 1)) for rj in r]
-    diag = {
-        "mu": ms.mu * safe_exp(-sp.log_scale),
-        "mu_scaled": ms.mu,
-        "log_scale": sp.log_scale,
-        "lambda": 4.0 * (n - 1) ** 2 * math.prod(p) / ms.mu * safe_exp(sp.log_scale),
-        "mu_residual": ms.residual,
-        "bisect_iterations": float(ms.iterations),
-        "zero_count": float(sp.zero_count),
-    }
-    return np.array(p), ms.branch, diag
+    return [(1.0 + rj) / (2.0 * (n - 1)) for rj in r], ms

@@ -150,14 +150,14 @@ def solve_22(v) -> SolveReport:
     ``2x2-case-`` and the paper's case (module docstring).
     """
     sp = v if isinstance(v, SaturatedProblem) else SaturatedProblem(v)
-    return _one(_solve_rows([sp], "2x2-", _case_22))
+    return _one(_solve_rows(sp._stack(), "2x2-", _case_22))
 
 
-def _case_22(sp: SaturatedProblem) -> str:
-    """The paper's case of one problem, ``case-i`` to ``case-2d`` (module docstring)."""
-    if sp.n != 4:
-        raise DomainError(f"need exactly four coefficients, got {sp.n}")
-    s = sp.v.tolist()
+def _case_22(s: list) -> str:
+    """The paper's case of ascending coefficients ``s``, a row of a sorted stack,
+    ``case-i`` to ``case-2d`` (module docstring)."""
+    if len(s) != 4:
+        raise DomainError(f"need exactly four coefficients, got {len(s)}")
     # in the zero band the smallest coefficient counts as 0 for the label (module docstring)
     zero = s[0] <= TIE_REL * s[-1]
     u = [0.0, s[1], s[2], s[3]] if zero else s

@@ -19,7 +19,7 @@ import numpy as np
 
 from .design import Allocation, DesignProblem, SolveReport
 from .errors import DomainError, _one
-from .saturated import SaturatedProblem, _reduce, _solve_rows
+from .saturated import SaturatedProblem, _reduce, _solve_rows, compute_v
 from .solver4 import _case_22
 
 
@@ -41,7 +41,7 @@ def compute_u(problem: DesignProblem) -> SaturatedProblem | None:
     """Reduced coefficients of a 4x3 X, or ``None`` when it has rank 2; the minors
     and the rank decision come from the X frame (see :mod:`glmdopt.design`)."""
     frame = _frame(problem)
-    return None if _rank2(frame.minors[1]) else _reduce(frame.minor_parts, problem.w[None])[0]
+    return None if _rank2(frame.minors[1]) else compute_v(problem)
 
 
 def _solve_rows_u(frame, W) -> list:

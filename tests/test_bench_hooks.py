@@ -17,6 +17,7 @@ from glmdopt import (
     full_factorial_design,
     liftone_maximize,
     solve_22,
+    solve_fourpoint,
     solve_saturated,
 )
 
@@ -62,14 +63,18 @@ def test_tracer_counts_analytic_diagnostics():
     try:
         quartic = glmdopt.solver4.solve_22([1.0, 2.0, 3.0, 4.0])
         interior = glmdopt.saturated.solve_saturated(SaturatedProblem(range(1, 9)))
+        four = glmdopt.twofactor.solve_fourpoint(DesignProblem(full_factorial_design(2)[0], w=[1.0, 2.0, 3.0, 4.0]))
     finally:
         tracer.uninstall()
     assert quartic.case_label == "2x2-case-v"
     assert interior.case_label == "saturated-h1"
+    assert four.case_label == "twofactor-case-v"
     assert interior.diagnostics["bisect_iterations"] > 0
     metrics = tracer.metrics(1)
     assert metrics["solver4.case.2x2-case-v"] == 1.0
+    assert metrics["twofactor.case.twofactor-case-v"] == 1.0
     assert metrics["saturated.case.saturated-h1"] == 1.0
     assert metrics["saturated.bisect_iterations"] == interior.diagnostics["bisect_iterations"]
     assert glmdopt.solver4.solve_22 is solve_22
     assert glmdopt.saturated.solve_saturated is solve_saturated
+    assert glmdopt.twofactor.solve_fourpoint is solve_fourpoint

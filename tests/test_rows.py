@@ -413,6 +413,8 @@ UNDERFLOW_INPUTS = [
     ("check", "probit", (-1.0, 30.0, 0.0)),
     ("check", "logit", (0.0, 360.0, 360.0)),
     ("region", "probit", (-1.0, 40.0, 40.0)),
+    ("solve", "logit", (0.0, 360.0, 360.0)),
+    ("rows", "logit", (0.0, 360.0, 360.0)),
 ]
 
 
@@ -434,6 +436,19 @@ def test_underflow_under_errstate_raise(kind, link, beta):
         if kind == "rows":
             # the row's error is the one its own DesignProblem raises
             assert want == [outcome(lambda: cli.dispatch_solve(two_by_two(link, beta), "auto", 1e-12))]
+
+
+def test_liftone_underflow_under_errstate_raise():
+    # products inside the lift-one stack underflow on this probit 2^3 main-effects
+    # draw; under np.errstate(all="raise") the report is the default errstate's, bit for bit
+    X = build_model_matrix([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)])
+    beta = (4.912061404017834, 6.266873194101812, -24.469618168736513, 2.0817798894300097)
+    with np.errstate(all="ignore"):
+        problem = DesignProblem(X, beta=np.array(beta), weight_fn=WeightFunction.from_name("probit"))
+    want = outcome(lambda: cli.dispatch_solve(problem, "auto", 1e-12))
+    assert want[0] == "liftone" and dict(want[3])["equivalence_gap"] == (0.0).hex()
+    with np.errstate(all="raise"):
+        assert outcome(lambda: cli.dispatch_solve(problem, "auto", 1e-12)) == want
 
 
 def write_problem(tmp_path, payload):

@@ -626,12 +626,16 @@ class TestDerivedFields:
         assert rep.diagnostics["equivalence_gap"] <= 1e-12
 
 
-def _same_problem(sp, want):
-    """Every field of two problems, bit for bit."""
-    assert sp.v.tobytes() == want.v.tobytes() and sp.perm.tobytes() == want.perm.tobytes()
-    assert (sp.n, sp.zero_count) == (want.n, want.zero_count)
-    assert float(sp.log_scale).hex() == float(want.log_scale).hex()
-    assert not sp.v.flags.writeable and not sp.perm.flags.writeable
+def _same_problem(stack, i, want):
+    """Row ``i`` of a sorted stack ``(v, perm, log_scale)`` and a problem: every field,
+    bit for bit, with the row's size and exact zeros as the problem's ``n`` and
+    ``zero_count``."""
+    v, perm, log_scale = stack
+    assert v[i].tobytes() == want.v.tobytes() and perm[i].tobytes() == want.perm.tobytes()
+    assert (v.shape[1], v[i].tolist().count(0.0)) == (want.n, want.zero_count)
+    assert float(log_scale[i]).hex() == float(want.log_scale).hex()
+    assert not v.flags.writeable and not perm.flags.writeable
+    assert not want.v.flags.writeable and not want.perm.flags.writeable
 
 
 def test_stacked_rows_match_one_problem_per_row():
@@ -643,10 +647,10 @@ def test_stacked_rows_match_one_problem_per_row():
         ([1e-30, 2.0**-128, 5.0, 1e38], -2.0),
         ([1.0, 1.0, 0.0, 1.0], 0.25),
     ]
-    got = SaturatedProblem._rows(np.array([v for v, _ in rows]), np.array([ls for _, ls in rows]))
-    assert len(got) == len(rows)
-    for (v, ls), sp in zip(rows, got):
-        _same_problem(sp, SaturatedProblem(v, log_scale=ls))
+    got = (*saturated._sort_rows(np.array([v for v, _ in rows])), np.array([ls for _, ls in rows]))
+    assert got[0].shape == got[1].shape == (len(rows), 4)
+    for i, (v, ls) in enumerate(rows):
+        _same_problem(got, i, SaturatedProblem(v, log_scale=ls))
 
 
 @pytest.mark.parametrize(
@@ -699,10 +703,54 @@ def test_reduced_rows_need_no_gate_or_scale(rng, n):
     frame = DesignProblem(X, w=np.ones(n))._frame
     W = np.exp(rng.uniform(-700.0, 700.0, (200, n)))
     W[::7, 0] = 5e-320
-    sps = saturated._reduce(frame.minor_parts, W)
-    assert len(sps) == len(W)
+    stack = saturated._reduce(frame.minor_parts, W)
+    v, perm, log_scale = stack
+    assert v.shape == perm.shape == W.shape and log_scale.shape == (len(W),)
+    for i in range(len(W)):
+        row = np.empty(n)
+        row[perm[i]] = v[i]
+        assert 0.25 <= v[i, -1] < 2.0 and math.isfinite(log_scale[i])
+        _same_problem(stack, i, SaturatedProblem(row, log_scale=log_scale[i]))
+
+
+def _rows_of_every_kind(rng, n, count):
+    """``count`` coefficient rows of size n in a shuffled point order, in turn: generic,
+    exact ties with the largest, exact zeros, within 1e-9 of dominance, e^U(+-300)."""
+    rows = []
+    for k in range(count):
+        v = rng.uniform(0.0, 1.0, n)
+        if k % 5 == 1:
+            v[rng.choice(n, rng.integers(1, n), replace=False)] = v.max()
+        elif k % 5 == 2:
+            v[rng.choice(n, rng.integers(1, n), replace=False)] = 0.0
+        elif k % 5 == 3:
+            v[-1] = v[:-1].sum() * (1.0 + rng.uniform(-1e-9, 1e-9))
+        elif k % 5 == 4:
+            v = np.exp(rng.uniform(-300.0, 300.0, n))
+        rows.append(rng.permutation(v))
+    return rows
+
+
+def _bits(result):
+    """A report as exact bits, in diagnostic key order, or an error's type and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    diag = [(k, float(x).hex()) for k, x in result.diagnostics.items()]
+    return result.allocation.p.tobytes(), float(result.objective).hex(), result.case_label, diag
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_row_stack_matches_one_problem_per_row(n):
+    # one stack of 300 rows against solve_saturated on each row's own problem, bit for bit
+    rng = np.random.default_rng(n)
+    sps = [SaturatedProblem(v) for v in _rows_of_every_kind(rng, n, 300)]
+    stack = tuple(np.array([getattr(sp, f) for sp in sps]) for f in ("v", "perm", "log_scale"))
+    want = []
     for sp in sps:
-        v = np.empty(n)
-        v[sp.perm] = sp.v
-        assert 0.25 <= sp.v[-1] < 2.0 and math.isfinite(sp.log_scale)
-        _same_problem(sp, SaturatedProblem(v, log_scale=sp.log_scale))
+        try:
+            want.append(_bits(solve_saturated(sp)))
+        except (DomainError, SolverError) as exc:
+            want.append(_bits(exc))
+    assert [_bits(row) for row in saturated._solve_rows(stack)] == want
+    labels = {row[2] for row in want}
+    assert "saturated-boundary" in labels and labels - {"saturated-boundary"}
